@@ -31,10 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 
-from .geometry import HALF_PI, TWO_PI, CurvatureParam, sig, sig_prime, wrap_pi
-from .xray import BoundaryGrid
+from .geometry import HALF_PI, TWO_PI, CurvatureParam, sig, wrap_pi
+from .xray import BoundaryGrid, _fiber_spectrum
 from . import basis
 
 
@@ -106,23 +105,14 @@ def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int =
 
     if isinstance(u, BoundaryGrid) and u.fn is not None:
         u = u.fn  # exact callable beats grid interpolation
-    vals = np.empty((n_beta, n_fiber), dtype=complex)
     if isinstance(u, BoundaryGrid):
-        # structured path: one barycentric pass over the distinct fiber
-        # targets (in the substituted variable s = sig(alpha), with the
-        # sqrt(sig') weight divided out), then per-row phase shifts on
-        # the beta spectrum.
-        nb_u = len(u.beta)
-        root_u = np.sqrt(sig_prime(u.alpha, cp))
-        spec = np.fft.fft(u.values / root_u[None, :], axis=0) / nb_u  # (nb_u, n_alpha)
-        freqs_u = _beta_freqs(nb_u)
-        interp = BarycentricInterpolator(sig(u.alpha, cp), spec.T)
+        # structured path: the beta spectrum at each distinct fiber target
+        # (one barycentric pass), then per-row phase shifts on it
+        freqs_u, spectrum_at = _fiber_spectrum(u, cp)
         targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
         if np.any(np.abs(targets) > HALF_PI + 1e-9):
             raise ValueError("scattered fiber node left the inward range")
-        targets = np.clip(targets, -HALF_PI, HALF_PI)
-        coeff = np.atleast_2d(interp(sig(targets, cp)))  # (n_fiber, nb_u)
-        coeff = coeff * np.sqrt(sig_prime(targets, cp))[:, None]
+        coeff = spectrum_at(np.clip(targets, -HALF_PI, HALF_PI))  # (n_fiber, nb_u)
         shift = np.where(inward, 0.0, np.pi + 2.0 * sig(alpha, cp))
         coeff = coeff * np.exp(1j * np.outer(shift, freqs_u))
         coeff[~inward] *= sign
@@ -134,6 +124,7 @@ def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int =
         return TorusGrid(kappa=cp.kappa, values=vals)
 
     fn = _as_callable(u)
+    vals = np.empty((n_beta, n_fiber), dtype=complex)
     bb = beta[:, None]
     a_in = alpha[inward]
     vals[:, inward] = fn(bb, a_in[None, :])

@@ -246,6 +246,8 @@ def _read_input_sinogram(cfg: RunConfig) -> xray.BoundaryGrid:
         raise ConfigError("this command needs an input sinogram (--in or config 'input')")
     try:
         return fileio.read_sinogram_csv(cfg.input, cfg.boundary_template())
+    except xray._NonFiniteValues:
+        raise  # bad data, not a bad config: a numerical error
     except ValueError as exc:
         # malformed file or grids not matching the config
         raise ConfigError(str(exc)) from None

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator, RectBivariateSpline
+from scipy.interpolate import RectBivariateSpline
 
 from . import basis
 from .geometry import (
@@ -39,6 +39,11 @@ from .geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
+_BLOCK = 2048  # targets per pass of the grid interpolant: bounds its temporaries
+
+
+class _NonFiniteValues(ValueError):
+    """Sample values holding NaN or inf: bad data rather than a bad grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +66,10 @@ class BoundaryGrid:
     alpha_weights: np.ndarray
     values: np.ndarray
     fn: object = None  # optional exact callable (beta, alpha) -> values
+
+    def __post_init__(self):
+        if not np.isfinite(self.values).all():
+            raise _NonFiniteValues("boundary values hold NaN or inf")
 
     @property
     def shape(self):
@@ -93,29 +102,63 @@ class BoundaryGrid:
         u'/v'-type families are trigonometric polynomials in s once the
         sqrt(sig') factor is removed, so the interpolation error is
         limited only by the node count versus the band width, not by the
-        complex singularities of the signature.
+        complex singularities of the signature.  Evaluation is blocked,
+        one real matrix product and one Horner sum in e^{i beta} per
+        block, so its memory is bounded whatever the target count.
         """
         if self.fn is not None:
             return self.fn
-        cp = CurvatureParam(self.kappa)
-        nb = len(self.beta)
-        root = np.sqrt(sig_prime(self.alpha, cp))
-        modes = np.fft.fft(self.values / root[None, :], axis=0) / nb  # (n_beta, n_alpha)
-        freqs = np.fft.fftfreq(nb, 1.0 / nb).astype(int)
-        interp = BarycentricInterpolator(sig(self.alpha, cp), modes.T)
+        freqs, spectrum_at = _fiber_spectrum(self, CurvatureParam(self.kappa))
+        n_pos = int(np.count_nonzero(freqs >= 0))  # numpy order: 0, 1, ..., then negatives
 
         def fn(beta_pts, alpha_pts):
-            beta_pts = np.asarray(beta_pts, dtype=float)
-            alpha_pts = np.asarray(alpha_pts, dtype=float)
-            shape = np.broadcast_shapes(beta_pts.shape, alpha_pts.shape)
-            bflat = np.broadcast_to(beta_pts, shape).ravel()
-            aflat = np.broadcast_to(alpha_pts, shape).ravel()
-            coeff = np.atleast_2d(interp(sig(aflat, cp)))  # (T, nb)
-            coeff = coeff * np.sqrt(sig_prime(aflat, cp))[:, None]
-            phases = np.exp(1j * bflat[:, None] * freqs[None, :])
-            return (coeff * phases).sum(axis=1).reshape(shape)
+            shape = np.broadcast_shapes(np.shape(beta_pts), np.shape(alpha_pts))
+            bflat = np.broadcast_to(np.asarray(beta_pts, dtype=float), shape).ravel()
+            aflat = np.broadcast_to(np.asarray(alpha_pts, dtype=float), shape).ravel()
+            out = np.empty(bflat.shape, dtype=complex)
+            for lo in range(0, len(out), _BLOCK):
+                coeff = spectrum_at(aflat[lo:lo + _BLOCK])
+                x = np.exp(1j * bflat[lo:lo + _BLOCK])
+                # Horner from both band edges toward frequency 0, where
+                # band-limited data has its mass: a sweep from one edge to
+                # the other would lose about a digit
+                pos, neg, x_conj = coeff[:, n_pos - 1], 0.0, x.conj()
+                for m in range(n_pos - 2, -1, -1):
+                    pos = pos * x + coeff[:, m]
+                for m in range(n_pos, len(freqs)):
+                    neg = (neg + coeff[:, m]) * x_conj
+                out[lo:lo + _BLOCK] = pos + neg
+            return out.reshape(shape)
 
         return fn
+
+
+def _fiber_spectrum(grid: BoundaryGrid, cp: CurvatureParam):
+    """Beta frequencies (numpy order) of the grid samples and a map from
+    1-d fiber angles to the beta spectrum there: sqrt(sig') divided out
+    at the nodes, barycentric in s = sig(alpha) as one real matrix
+    product, sqrt(sig') restored at the targets."""
+    nb = len(grid.beta)
+    spec = np.fft.fft(grid.values / np.sqrt(sig_prime(grid.alpha, cp)), axis=0) / nb
+    spec_ri = np.ascontiguousarray(spec.T).view(float)  # (n_alpha, 2 n_beta), re/im interleaved
+    nodes = sig(grid.alpha, cp)
+    diff = (4.0 / np.ptp(nodes)) * (nodes[:, None] - nodes)  # capacity scaling: no overflow
+    np.fill_diagonal(diff, 1.0)
+    weights = 1.0 / diff.prod(axis=1)
+    if not np.isfinite(weights).all():
+        raise ValueError("alpha nodes must be distinct")
+
+    def spectrum_at(alpha):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = weights / (sig(alpha, cp)[:, None] - nodes)
+            total = rows.sum(axis=1)
+        hit = np.isinf(total)  # target on a node: that node's sample, exactly
+        rows[hit] = np.isinf(rows[hit])
+        total[hit] = 1.0
+        rows *= (np.sqrt(sig_prime(alpha, cp)) / total)[:, None]
+        return (rows @ spec_ri).view(complex)
+
+    return np.fft.fftfreq(nb, 1.0 / nb).astype(int), spectrum_at
 
 
 @dataclass
@@ -350,7 +393,10 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     For each interior z integrates g(beta_-(z, theta), alpha_-(z, theta))
     over the full fiber circle with the uniform trapezoid rule (the
     integrand is smooth and periodic, so this converges spectrally).
-    g is a callable on the inward bundle or a BoundaryGrid.
+    g is a callable on the inward bundle or a BoundaryGrid.  A grid is
+    evaluated through its blocked interpolant, so beyond the footpoint
+    angles and values (z.size * n_theta of each) the memory needed is
+    bounded whatever the target count.
     """
     if isinstance(g, BoundaryGrid):
         g = g.interpolant()

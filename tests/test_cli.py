@@ -369,6 +369,19 @@ class TestExitCodes:
         assert run_cli("--kappa", 0.2, "--out", tmp_path, "invert",
                        "--in", tmp_path / "s.csv") == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["invert", "project", "moments"])
+    def test_non_finite_sinogram_is_numerical_error(self, tmp_path, command):
+        cfg = cli.RunConfig(kappa=0.2).validate()
+        src = tmp_path / "s.csv"
+        fileio.write_sinogram_csv(src, cfg.boundary_template())
+        lines = src.read_text().splitlines()
+        beta, alpha, _, _ = lines[1].split(",")
+        lines[1] = f"{beta},{alpha},nan,0"
+        src.write_text("\n".join(lines) + "\n")
+        assert run_cli("--kappa", 0.2, "--out", tmp_path / "o", command,
+                       "--in", src) == cli.EXIT_NUMERICAL
+        assert not any((tmp_path / "o").glob("*.json"))
+
     def test_malformed_coefficients_is_config_error(self, tmp_path):
         f = tmp_path / "f.json"
         f.write_text('{"kappa": 0.2, "nmax": 1, "entries": [{"n": 0}]}')

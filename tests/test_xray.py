@@ -1,6 +1,8 @@
 """Forward transform, adjoint, inner products, SVD machinery, inversion."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +227,76 @@ class TestAdjoint:
         back = xray.adjoint_sharp(lambda b, a: g(b, a) / np.cos(a), pts, cp, n_theta=512)
         rhs = xray.disk_inner(dg.with_values(f(pts)), dg.with_values(back))
         assert abs(lhs - rhs) < 1e-6 * abs(lhs)
+
+
+def psi_sinogram(cp, nmax=6, seed=0):
+    """Random nmax band of psi_hat on the default 96x64 grid; carries the
+    exact callable, drop it with `with_values(values)`."""
+    _, tab = band_limited(cp, nmax, seed)
+    return xray.synthesize(tab, xray.boundary_grid(cp, 96, 64), cp)
+
+
+class TestGridInterpolant:
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    def test_grid_adjoint_matches_exact_callable(self, kappa):
+        cp = CurvatureParam(kappa)
+        exact = psi_sinogram(cp)
+        z = xray.disk_grid(cp, 4, 6).points()
+        got = xray.adjoint_sharp(exact.with_values(exact.values), z, cp)
+        want = xray.adjoint_sharp(exact, z, cp)
+        assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.4])
+    def test_reproduces_samples_at_nodes(self, kappa):
+        # targets on the alpha nodes take the exact-hit rows
+        grid = psi_sinogram(CurvatureParam(kappa))
+        bb, aa = grid.mesh()
+        got = grid.with_values(grid.values).interpolant()(bb, aa)
+        assert np.max(np.abs(got - grid.values)) < 1e-13 * np.max(np.abs(grid.values))
+
+    def test_target_counts_and_shapes(self):
+        cp = CurvatureParam(0.4)
+        exact = psi_sinogram(cp, nmax=3, seed=1)
+        fn = exact.with_values(exact.values).interpolant()
+        rng = np.random.default_rng(2)
+        for count in (0, 1, 2 * xray._BLOCK + 3):
+            b = rng.uniform(0, 2 * np.pi, count)
+            a = rng.uniform(-np.pi / 2, np.pi / 2, count)
+            got = fn(b, a)
+            assert got.shape == (count,)
+            assert np.allclose(got, exact.fn(b, a), rtol=0, atol=1e-12)
+        scalar = fn(0.3, -0.2)
+        assert np.shape(scalar) == () and abs(scalar - exact.fn(0.3, -0.2)) < 1e-12
+        b, a = rng.uniform(0, 2 * np.pi, (5, 1)), rng.uniform(-1.5, 1.5, (1, 7))
+        got = fn(b, a)
+        assert got.shape == (5, 7)
+        assert np.allclose(got, exact.fn(b, a), rtol=0, atol=1e-12)
+
+    def test_adjoint_memory_bounded(self):
+        # 12x24 points at n_theta 512 are 147456 targets; a dense
+        # targets x n_beta evaluation would hold hundreds of MB
+        cp = CurvatureParam(0.4)
+        exact = psi_sinogram(cp)
+        grid = exact.with_values(exact.values)
+        z = xray.disk_grid(cp, 12, 24).points()
+        tracemalloc.start()
+        try:
+            xray.adjoint_sharp(grid, z, cp, n_theta=512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        cp = CurvatureParam(0.4)
+        grid = xray.boundary_grid(cp, 16, 16)
+        values = np.ones(grid.shape, dtype=complex)
+        values[3, 4] = bad
+        with pytest.raises(ValueError):
+            xray.adjoint_sharp(grid.with_values(values), np.array([0.3 + 0.1j]), cp)
+        with pytest.raises(ValueError):
+            dataclasses.replace(grid, values=values)
 
 
 class TestInnerProducts:
