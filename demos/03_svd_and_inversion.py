@@ -37,10 +37,7 @@ tab[(6, 3)] = -0.4 + 0.1j
 
 
 def phantom(z):
-    out = np.zeros(np.shape(z), complex)
-    for (nn, kk), c in tab.items():
-        out += c * basis.zernike_kappa_hat(nn, kk, z, cp)
-    return basis.w_kappa(z, cp) * out
+    return basis.w_kappa(z, cp) * basis.zernike_kappa_series(tab, z, cp)
 
 
 sino = xray.sinogram(phantom, tpl, cp)

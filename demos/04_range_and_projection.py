@@ -25,10 +25,7 @@ for n in range(6):
 
 
 def f(z):
-    out = np.zeros(np.shape(z), complex)
-    for (n, k), c in tab.items():
-        out += c * basis.zernike_kappa_hat(n, k, z, cp)
-    return basis.w_kappa(z, cp) * out
+    return basis.w_kappa(z, cp) * basis.zernike_kappa_series(tab, z, cp)
 
 
 sino = xray.sinogram(f, tpl, cp)

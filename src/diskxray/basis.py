@@ -16,6 +16,7 @@ pairs use (n, k) with n >= 0, related by (p, q) = (n - 2k, n - k).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -25,6 +26,12 @@ import numpy as np
 from .geometry import CurvatureParam, sig, sig_prime
 
 _FOUR_PI = 4.0 * math.pi
+_SERIES_BLOCK = 8192  # points per pass of zernike_kappa_series: bounds its temporaries
+
+
+class _NonFiniteValues(ValueError):
+    """Sample values or coefficients holding NaN or inf: bad data rather
+    than a bad grid or index."""
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +76,21 @@ class CoeffTable:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for (n, k) in self.entries:
-            if n < 0 or n > self.nmax:
-                raise ValueError(f"index ({n},{k}) outside band limit nmax={self.nmax}")
+        for (n, k), value in self.entries.items():
+            self._check(n, k, value)
+
+    def _check(self, n, k, value):
+        if n < 0 or n > self.nmax:
+            raise ValueError(f"index ({n},{k}) outside band limit nmax={self.nmax}")
+        if not cmath.isfinite(complex(value)):
+            raise _NonFiniteValues(f"coefficient ({n},{k}) is {value}, not finite")
 
     def __getitem__(self, nk):
         return self.entries.get(tuple(nk), 0.0 + 0.0j)
 
     def __setitem__(self, nk, value):
         n, k = nk
-        if n < 0 or n > self.nmax:
-            raise ValueError(f"index ({n},{k}) outside band limit nmax={self.nmax}")
+        self._check(n, k, value)
         self.entries[(n, k)] = complex(value)
 
     def items(self):
@@ -189,6 +200,60 @@ def zernike_kappa_hat(n: int, k: int, z, cp: CurvatureParam):
     """Deformed Zernike normalized to unit norm in the weighted disk space."""
     scale = math.sqrt((n + 1) * (1.0 - cp.kappa**2) / math.pi)
     return scale * zernike_kappa(n, k, z, cp)
+
+
+def zernike_kappa_series(table: CoeffTable, z, cp: CurvatureParam):
+    """Sum of c_{n,k} zernike_kappa_hat(n, k, z) over a coefficient table.
+
+    Each point is mapped once to w = (1-kappa) z / (1-kappa|z|^2), and
+    one sweep of the complex three-term recurrence
+
+        V_{n,k} = w V_{n-1,k} + conj(w) V_{n-1,k-1} - V_{n-2,k-1},  V_{0,0} = 1,
+
+    with Z_{n,k}(w) = (-1)^k V_{n,k}, makes every mode up to the table's
+    top degree.  Each degree is added into the sum as soon as it is made
+    and only two degrees are kept; the kappa weight is applied once at
+    the end.  Points go through in fixed blocks, so the temporaries stay
+    a few MB whatever the point count.  Raises like `zernike` on an
+    entry with k outside [0, n] and on a point whose image w lies
+    outside the closed unit disk.
+    """
+    k_ = cp.kappa
+    items = table.items()
+    top = max((n for (n, _), _ in items), default=-1)
+    # (-1)^k and the unit-norm scale folded into the coefficients
+    coef = np.zeros((top + 1, top + 1), dtype=complex)
+    for (n, k), c in items:
+        if not 0 <= k <= n:
+            raise ValueError(f"zernike requires 0 <= k <= n, got (n,k)=({n},{k})")
+        coef[n, k] = (-1) ** k * math.sqrt((n + 1) * (1.0 - k_**2) / math.pi) * c
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.size, dtype=complex)
+    if not items:
+        return out.reshape(z.shape)
+    flat = z.reshape(-1)
+    for lo in range(0, flat.size, _SERIES_BLOCK):
+        zb = flat[lo:lo + _SERIES_BLOCK]
+        r2 = zb.real**2 + zb.imag**2
+        w = (1.0 - k_) / (1.0 - k_ * r2) * zb
+        rho = np.abs(w)
+        if np.any(rho > 1.0 + 1e-6):
+            raise ValueError("zernike is defined on the closed unit disk")
+        w /= np.maximum(rho, 1.0)
+        w_conj = w.conj()
+        prev2, prev = np.zeros((0, w.size), dtype=complex), np.ones((1, w.size), dtype=complex)
+        acc = coef[0, 0] * prev[0]
+        for n in range(1, top + 1):
+            cur = np.empty((n + 1, w.size), dtype=complex)
+            np.multiply(prev, w, out=cur[:n])
+            np.multiply(prev[n - 1], w_conj, out=cur[n])
+            cur[1:n] += prev[:n - 1] * w_conj
+            cur[1:n] -= prev2
+            acc += coef[n, :n + 1] @ cur
+            prev2, prev = prev, cur
+        weight = math.sqrt((1.0 - k_) / (1.0 + k_)) * (1.0 + k_ * r2) / (1.0 - k_ * r2)
+        out[lo:lo + _SERIES_BLOCK] = weight * acc
+    return out.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -201,27 +201,28 @@ def cmd_basis(cfg: RunConfig) -> int:
 
 
 def _load_phantom(cfg: RunConfig, phantom: str | None):
-    """Phantom as a disk callable: built-in name or coefficient file."""
+    """Phantom as a disk callable: built-in name or coefficient file.
+
+    A coefficient file gives w_kappa times its deformed-Zernike series,
+    evaluated for all modes at once by `basis.zernike_kappa_series`.  A
+    malformed file or a kappa mismatch is a config error; a NaN or inf
+    coefficient is bad data and raises `xray._NonFiniteValues`.
+    """
     cp = cfg.cp()
     if phantom == "unit" or (phantom is None and cfg.input is None):
         return lambda z: np.ones(np.shape(z), dtype=complex)
     path = cfg.input if phantom is None else phantom
     try:
         table, kappa_file = fileio.read_coeff_json(path)
+    except xray._NonFiniteValues:
+        raise  # bad data, not a bad config: a numerical error
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if abs(kappa_file - cfg.kappa) > 1e-12:
         raise ConfigError(
             f"coefficient file kappa={kappa_file} does not match config kappa={cfg.kappa}"
         )
-
-    def f(z):
-        out = np.zeros(np.shape(z), dtype=complex)
-        for (n, k), c in table.items():
-            out += c * basis.zernike_kappa_hat(n, k, z, cp)
-        return basis.w_kappa(z, cp) * out
-
-    return f
+    return lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_series(table, z, cp)
 
 
 def cmd_forward(cfg: RunConfig, phantom: str | None) -> int:

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .basis import CoeffTable
+from .basis import CoeffTable, _NonFiniteValues
 from .geometry import CurvatureParam
 from .xray import BoundaryGrid, DiskGrid
 
@@ -23,14 +23,21 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_sinogram_csv(path, grid: BoundaryGrid) -> None:
+def _write_grid_csv(path, header, outer, inner, values) -> None:
+    """Header row, then one ``outer,inner,re,im`` row per node, row-major.
+
+    The body is formatted in one pass; its bytes are those of `fmt` on
+    each field joined by `csv.writer` (comma, CRLF, nothing to quote).
+    """
+    outer_col, inner_col = np.meshgrid(outer, inner, indexing="ij")
+    table = np.stack([outer_col, inner_col, values.real, values.imag], axis=-1).reshape(-1, 4)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "alpha", "re", "im"])
-        for i, beta in enumerate(grid.beta):
-            for j, alpha in enumerate(grid.alpha):
-                v = grid.values[i, j]
-                writer.writerow([fmt(beta), fmt(alpha), fmt(v.real), fmt(v.imag)])
+        csv.writer(fh).writerow(header)
+        fh.write("%.17g,%.17g,%.17g,%.17g\r\n" * len(table) % tuple(table.ravel().tolist()))
+
+
+def write_sinogram_csv(path, grid: BoundaryGrid) -> None:
+    _write_grid_csv(path, ["beta", "alpha", "re", "im"], grid.beta, grid.alpha, grid.values)
 
 
 def read_sinogram_csv(path, template: BoundaryGrid) -> BoundaryGrid:
@@ -52,18 +59,11 @@ def read_sinogram_csv(path, template: BoundaryGrid) -> BoundaryGrid:
         and np.allclose(afile, template.alpha[None, :], atol=1e-12)
     ):
         raise ValueError("sinogram nodes do not match the configured grid")
-    values = (np.asarray(re) + 1j * np.asarray(im)).reshape(nb, na)
-    return template.with_values(values)
+    return template.with_values(_complex(re, im).reshape(nb, na))
 
 
 def write_diskgrid_csv(path, grid: DiskGrid) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "omega", "re", "im"])
-        for i, rho in enumerate(grid.rho):
-            for j, omega in enumerate(grid.omega):
-                v = grid.values[i, j]
-                writer.writerow([fmt(rho), fmt(omega), fmt(v.real), fmt(v.imag)])
+    _write_grid_csv(path, ["rho", "omega", "re", "im"], grid.rho, grid.omega, grid.values)
 
 
 def read_diskgrid_csv(path, template: DiskGrid) -> DiskGrid:
@@ -78,8 +78,14 @@ def read_diskgrid_csv(path, template: DiskGrid) -> DiskGrid:
         and np.allclose(ofile, template.omega[None, :], atol=1e-12)
     ):
         raise ValueError("disk nodes do not match the configured grid")
-    values = (np.asarray(re) + 1j * np.asarray(im)).reshape(nr, no)
-    return template.with_values(values)
+    return template.with_values(_complex(re, im).reshape(nr, no))
+
+
+def _complex(re, im) -> np.ndarray:
+    """Complex array from its parts; re + 1j*im would turn -0.0 into 0.0."""
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def _read_columns(path, names):
@@ -129,6 +135,8 @@ def read_coeff_json(path) -> tuple[CoeffTable, float]:
     for pos, ent in enumerate(doc["entries"]):
         try:
             table[(int(ent["n"]), int(ent["k"]))] = float(ent["re"]) + 1j * float(ent["im"])
+        except _NonFiniteValues as exc:
+            raise _NonFiniteValues(f"{path}: entry #{pos}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad entry #{pos}: {exc}") from None
     return table, float(doc["kappa"])

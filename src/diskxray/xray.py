@@ -28,6 +28,7 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from . import basis
+from .basis import _NonFiniteValues
 from .geometry import (
     CurvatureParam,
     FanBeamPoint,
@@ -40,10 +41,6 @@ from .geometry import (
 
 TWO_PI = 2.0 * math.pi
 _BLOCK = 2048  # targets per pass of the grid interpolant: bounds its temporaries
-
-
-class _NonFiniteValues(ValueError):
-    """Sample values holding NaN or inf: bad data rather than a bad grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +174,10 @@ class DiskGrid:
     omega: np.ndarray
     values: np.ndarray
     measure: str = "vol"
+
+    def __post_init__(self):
+        if not np.isfinite(self.values).all():
+            raise _NonFiniteValues("disk values hold NaN or inf")
 
     @property
     def shape(self):
@@ -477,8 +478,9 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
     """Evaluate a coefficient table on a grid.
 
     On a BoundaryGrid the basis is psi_kappa_hat; on a DiskGrid it is
-    zernike_kappa_hat (which requires 0 <= k <= n).  Returns a grid of
-    the same kind; the BoundaryGrid result carries an exact callable.
+    zernike_kappa_hat (which requires 0 <= k <= n), summed for all modes
+    at once by `basis.zernike_kappa_series`.  Returns a grid of the same
+    kind; the BoundaryGrid result carries an exact callable.
     """
     items = table.items()
     if isinstance(template, BoundaryGrid):
@@ -495,11 +497,7 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
 
         return template.with_values(vals, fn=fn)
     if isinstance(template, DiskGrid):
-        pts = template.points()
-        vals = np.zeros(template.shape, dtype=complex)
-        for (n, k), c in items:
-            vals += c * basis.zernike_kappa_hat(n, k, pts, cp)
-        return template.with_values(vals)
+        return template.with_values(basis.zernike_kappa_series(table, template.points(), cp))
     raise TypeError(f"cannot synthesize onto {type(template).__name__}")
 
 

@@ -191,6 +191,120 @@ class TestZernikeKappa:
         assert disk_inner(f, f) == pytest.approx(1.0, abs=1e-10)
 
 
+def _random_table(nmax, seed):
+    rng = np.random.default_rng(seed)
+    tab = basis.CoeffTable(nmax=nmax)
+    for n in range(nmax + 1):
+        for k in range(n + 1):
+            tab[(n, k)] = complex(rng.normal(), rng.normal())
+    return tab
+
+
+def _disk_points(size, seed):
+    rng = np.random.default_rng(seed)
+    return np.sqrt(rng.uniform(0, 1, size)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+
+
+def _per_mode_sum(tab, z, cp):
+    return sum(c * basis.zernike_kappa_hat(n, k, z, cp) for (n, k), c in tab.items())
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestZernikeKappaSeries:
+    @pytest.mark.parametrize("nmax", [0, 6, 16])
+    @pytest.mark.parametrize("kappa", [-0.999, -0.9, 0.0, 0.4, 0.9, 0.999])
+    def test_matches_per_mode_sum(self, nmax, kappa):
+        cp = CurvatureParam(kappa)
+        tab = _random_table(nmax, 20 + nmax)
+        z = np.concatenate([_disk_points(400, 21), np.exp(1j * np.linspace(0, 6, 7)), [0.0]])
+        assert _rel_err(basis.zernike_kappa_series(tab, z, cp), _per_mode_sum(tab, z, cp)) < 1e-11
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.9])
+    def test_matches_extended_precision_reference(self, kappa):
+        mp = pytest.importorskip("mpmath")
+        nmax = 16
+        tab = _random_table(nmax, 22)
+        z = np.concatenate([_disk_points(24, 23), [0.0, 0.999 * np.exp(0.4j), np.exp(2.1j)]])
+        got = basis.zernike_kappa_series(tab, z, CurvatureParam(kappa))
+        with mp.workdps(40):
+            kap = mp.mpf(kappa)
+            want = []
+            for zz in z:
+                zz = mp.mpc(zz)
+                r2 = abs(zz) ** 2
+                w = (1 - kap) * zz / (1 - kap * r2)
+                rho, omega = abs(w), mp.arg(w)
+                total = mp.mpc(0)
+                for (n, k), c in tab.items():
+                    radial = sum(
+                        (-1) ** (k + l) * mp.binomial(n - l, l) * mp.binomial(n - 2 * l, k - l)
+                        * rho ** (n - 2 * l)
+                        for l in range(min(k, n - k) + 1)
+                    )
+                    norm = mp.sqrt((n + 1) * (1 - kap**2) / mp.pi)
+                    total += mp.mpc(c) * norm * radial * mp.expj((n - 2 * k) * omega)
+                weight = mp.sqrt((1 - kap) / (1 + kap)) * (1 + kap * r2) / (1 - kap * r2)
+                want.append(complex(weight * total))
+        assert _rel_err(got, np.array(want)) < 1e-12
+
+    def test_point_counts_and_shapes(self):
+        cp = CurvatureParam(0.4)
+        tab = _random_table(5, 24)
+        z = _disk_points(2 * basis._SERIES_BLOCK + 3, 25)
+        got = basis.zernike_kappa_series(tab, z, cp)
+        assert got.shape == z.shape
+        assert _rel_err(got, _per_mode_sum(tab, z, cp)) < 1e-13
+        assert basis.zernike_kappa_series(tab, z[:0], cp).shape == (0,)
+        assert basis.zernike_kappa_series(tab, z[:1], cp) == pytest.approx(got[:1], rel=1e-14)
+        scalar = basis.zernike_kappa_series(tab, z[7], cp)
+        assert np.shape(scalar) == () and complex(scalar) == pytest.approx(got[7], rel=1e-14)
+        square = basis.zernike_kappa_series(tab, z[:12].reshape(3, 4), cp)
+        assert square.shape == (3, 4)
+        assert np.allclose(square.ravel(), got[:12], rtol=1e-14, atol=0)
+
+    def test_empty_table_is_zero(self):
+        got = basis.zernike_kappa_series(basis.CoeffTable(nmax=3), _disk_points(5, 26), CurvatureParam(0.2))
+        assert np.array_equal(got, np.zeros(5, dtype=complex))
+
+    def test_clamps_unit_circle_and_rejects_beyond(self):
+        cp = CurvatureParam(0.0)  # the map is the identity, so w = z
+        tab = _random_table(4, 27)
+        edge = np.exp(0.7j)
+        got = basis.zernike_kappa_series(tab, edge * (1 + 5e-7), cp)
+        assert complex(got) == pytest.approx(complex(basis.zernike_kappa_series(tab, edge, cp)), rel=1e-14)
+        assert complex(got) == pytest.approx(complex(_per_mode_sum(tab, edge * (1 + 5e-7), cp)), rel=1e-12)
+        with pytest.raises(ValueError):
+            basis.zernike_kappa_series(tab, np.array([0.1, edge * (1 + 2e-6)]), cp)
+
+    @pytest.mark.parametrize("nk", [(2, 3), (2, -1)])
+    def test_rejects_index_outside_disk_family(self, nk):
+        tab = basis.CoeffTable(nmax=3)
+        tab[(1, 0)] = 1.0
+        tab[nk] = 1.0
+        with pytest.raises(ValueError):
+            basis.zernike_kappa_series(tab, np.array([0.2j]), CurvatureParam(0.1))
+
+    def test_memory_bounded_by_block(self):
+        import tracemalloc
+
+        cp = CurvatureParam(0.4)
+        tab = _random_table(16, 28)
+        z = _disk_points(6144 * 64, 29).reshape(6144, 64)
+        tracemalloc.start()
+        try:
+            out = basis.zernike_kappa_series(tab, z, cp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 6 MB result plus a few degree rows of one block (the
+        # per-mode sum peaks at 42 MB here)
+        assert out.shape == z.shape
+        assert peak < 20 * 2**20
+
+
 class TestPsi:
     def test_euclidean_formula(self):
         # closed Euclidean form written out independently
@@ -356,6 +470,15 @@ class TestCoeffTable:
     def test_missing_defaults_to_zero(self):
         t = basis.CoeffTable(nmax=2)
         assert t[(1, 0)] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        t = basis.CoeffTable(nmax=2)
+        with pytest.raises(basis._NonFiniteValues):
+            t[(1, 0)] = bad
+        assert t.entries == {}
+        with pytest.raises(basis._NonFiniteValues):
+            basis.CoeffTable(nmax=2, entries={(0, 0): 1.0, (1, 1): bad})
 
 
 class TestNorms:

@@ -97,6 +97,58 @@ class TestFileFormats:
         back = fileio.read_diskgrid_csv(path, xray.disk_grid(cp, 6, 8))
         assert np.array_equal(back.values, grid.values)
 
+    @staticmethod
+    def _write_by_rows(path, header, outer, inner, values):
+        """One `fmt` per field and one `writerow` per node: the bytes the
+        grid writers must reproduce."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i, a in enumerate(outer):
+                for j, b in enumerate(inner):
+                    v = values[i, j]
+                    writer.writerow([fileio.fmt(a), fileio.fmt(b), fileio.fmt(v.real), fileio.fmt(v.imag)])
+
+    def test_grid_writers_match_per_row_bytes(self, tmp_path):
+        cp = CurvatureParam(0.3)
+        special = np.array([-0.0, 5e-324, 1e300, 3.0, -7.0, 2.0**53, 0.1, -1 / 3, -2.5e-300, 0.0])
+        cases = [
+            (fileio.write_sinogram_csv, fileio.read_sinogram_csv, xray.boundary_grid(cp, 4, 6),
+             ["beta", "alpha", "re", "im"], "beta", "alpha"),
+            (fileio.write_diskgrid_csv, fileio.read_diskgrid_csv, xray.disk_grid(cp, 3, 8),
+             ["rho", "omega", "re", "im"], "rho", "omega"),
+        ]
+        for write, read, template, header, outer, inner in cases:
+            idx = np.arange(template.values.size).reshape(template.shape)
+            values = np.empty(template.shape, dtype=complex)
+            values.real = special[idx % len(special)]
+            values.imag = special[(3 * idx + 1) % len(special)]
+            grid = template.with_values(values)
+            write(tmp_path / "new.csv", grid)
+            self._write_by_rows(tmp_path / "old.csv", header, getattr(grid, outer),
+                                getattr(grid, inner), values)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            back = read(tmp_path / "new.csv", template)
+            assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+
+    def test_coeff_reader_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"kappa": 0.2, "nmax": 1, "entries": '
+                        '[{"n": 0, "k": 0, "re": 1.0, "im": 0.0}, {"n": 1, "k": 0, "re": NaN, "im": 0.0}]}')
+        with pytest.raises(xray._NonFiniteValues, match="entry #1"):
+            fileio.read_coeff_json(path)
+
+    def test_diskgrid_reader_rejects_non_finite(self, tmp_path):
+        template = xray.disk_grid(CurvatureParam(0.2), 3, 4)
+        path = tmp_path / "d.csv"
+        fileio.write_diskgrid_csv(path, template)
+        lines = path.read_text().splitlines()
+        rho, omega, _, _ = lines[2].split(",")
+        lines[2] = f"{rho},{omega},0,inf"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(xray._NonFiniteValues):
+            fileio.read_diskgrid_csv(path, template)
+
     def test_coeff_round_trip(self, tmp_path):
         cp = CurvatureParam(0.7)
         tab = basis.CoeffTable(nmax=3)
@@ -381,6 +433,13 @@ class TestExitCodes:
         assert run_cli("--kappa", 0.2, "--out", tmp_path / "o", command,
                        "--in", src) == cli.EXIT_NUMERICAL
         assert not any((tmp_path / "o").glob("*.json"))
+
+    def test_non_finite_coefficient_is_numerical_error(self, tmp_path):
+        f = tmp_path / "f.json"
+        f.write_text('{"kappa": 0.2, "nmax": 1, "entries": [{"n": 1, "k": 1, "re": 0.5, "im": NaN}]}')
+        assert run_cli("--kappa", 0.2, "--out", tmp_path / "o", "forward",
+                       "--phantom", f) == cli.EXIT_NUMERICAL
+        assert not (tmp_path / "o" / "sinogram.csv").exists()
 
     def test_malformed_coefficients_is_config_error(self, tmp_path):
         f = tmp_path / "f.json"

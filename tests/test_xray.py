@@ -64,6 +64,16 @@ class TestGrids:
         with pytest.raises(ValueError):
             xray.disk_grid(cp, 8, 8, measure="bogus").weights()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_disk_grid_rejects_non_finite_values(self, bad):
+        grid = xray.disk_grid(CurvatureParam(0.4), 6, 8)
+        values = np.ones(grid.shape, dtype=complex)
+        values[2, 5] = bad
+        with pytest.raises(xray._NonFiniteValues):
+            grid.with_values(values)
+        with pytest.raises(xray._NonFiniteValues):
+            dataclasses.replace(grid, values=values)
+
 
 class TestForward:
     def test_constant_integrates_to_exit_time(self):
