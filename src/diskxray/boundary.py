@@ -19,21 +19,25 @@ transform inside the antipodally symmetric subspace.
 Grid implementation notes: all torus operations act on uniform grids via
 FFTs.  The scattering relation maps fiber nodes to fiber nodes when the
 fiber size is even, and shifts beta by the off-grid amount pi + 2 sig(a),
-applied exactly as a phase on the beta spectrum.  Operators accept
-callables or BoundaryGrids; grid inputs are interpolated spectrally
-(trigonometric in beta, barycentric in the substituted fiber variable
-s = sig(alpha) after removing the sqrt(sig') weight).
+applied exactly as a phase on the beta spectrum.  Every torus step
+commutes with shifts in beta, so the range projector runs extension, C-
+twice and restriction on one beta spectrum, forming only the frequencies
+its input and output carry.  Operators accept callables or
+BoundaryGrids; grid inputs are interpolated spectrally (trigonometric in
+beta, barycentric in the substituted fiber variable s = sig(alpha) after
+removing the sqrt(sig') weight).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .geometry import HALF_PI, TWO_PI, CurvatureParam, sig, wrap_pi
-from .xray import BoundaryGrid, _fiber_spectrum
+from .xray import BoundaryGrid, _fiber_spectrum, _mode_inner
 from . import basis
 
 
@@ -85,6 +89,113 @@ def _as_callable(u):
 
 
 # ---------------------------------------------------------------------------
+# the beta spectrum of torus functions
+# ---------------------------------------------------------------------------
+#
+# Extension, the fiberwise Hilbert transform, the scattering pullback and
+# restriction all commute with translations in beta, so each acts on every
+# beta frequency separately.  The private helpers below work on a beta
+# spectrum: one row per beta frequency in `freqs`, one column per uniform
+# fiber node.  A chain of them needs no FFT over beta between steps and
+# never forms rows that neither its input nor its output carries.  The
+# public TorusGrid operators are the same helpers between one FFT over beta
+# and one inverse FFT.
+
+def _band(n_source: int, n_limit: int) -> np.ndarray:
+    """Beta frequencies (numpy order) of an n_source-point grid that an
+    n_limit-point grid carries below its Nyquist row."""
+    freqs = _beta_freqs(n_source)
+    return freqs[np.abs(freqs) <= n_limit // 2 - 1]
+
+
+def _fiber_nodes(n_fiber: int):
+    """Uniform fiber angles wrapped to [-pi, pi), and which are inward."""
+    alpha = wrap_pi(np.arange(n_fiber) * TWO_PI / n_fiber)
+    return alpha, np.abs(alpha) <= HALF_PI + 1e-12
+
+
+def _scattering_phase(freqs, n_fiber: int, cp: CurvatureParam) -> np.ndarray:
+    """The beta shift pi + 2 sig(alpha) of the scattering relation as a
+    phase, one row per beta frequency, one column per uniform fiber node."""
+    alpha = np.arange(n_fiber) * TWO_PI / n_fiber
+    return np.exp(1j * np.outer(freqs, np.pi + 2.0 * sig(alpha, cp)))
+
+
+def _extend_spectrum(u: BoundaryGrid, sign: float, cp: CurvatureParam, freqs, phase) -> np.ndarray:
+    """Beta spectrum (coefficients, frequencies freqs within u's band) of
+    the torus extension of grid samples: one barycentric pass gives u's
+    spectrum at every fiber target, and outward nodes take the scattering
+    phase and the parity sign."""
+    alpha, inward = _fiber_nodes(phase.shape[1])
+    targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
+    if np.any(np.abs(targets) > HALF_PI + 1e-9):
+        raise ValueError("scattered fiber node left the inward range")
+    _, spectrum_at = _fiber_spectrum(u, cp)
+    spec = spectrum_at(np.clip(targets, -HALF_PI, HALF_PI)).T[freqs % len(u.beta)]
+    spec[:, ~inward] *= sign * phase[:, ~inward]
+    return spec
+
+
+def _pullback_spectrum(spec: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Scattering pullback on the beta spectrum: fiber node alpha_j reads
+    node pi - alpha_j, shifted in beta by the phase."""
+    nf = spec.shape[1]
+    flip = (nf // 2 - np.arange(nf)) % nf  # index of pi - alpha_j
+    return spec[:, flip] * phase
+
+
+def _hilbert_fiber(values: np.ndarray, part: str) -> np.ndarray:
+    """Fiberwise Hilbert multiplier -i sign(m) along axis 1 (the fiber),
+    restricted to the even or odd fiber modes unless part is "full"."""
+    if part not in ("full", "even", "odd"):
+        raise ValueError("part must be 'full', 'even' or 'odd'")
+    m = _beta_freqs(values.shape[1])
+    mult = -1j * np.sign(m)
+    if part == "even":
+        mult = np.where(m % 2 == 0, mult, 0.0)
+    elif part == "odd":
+        mult = np.where(m % 2 == 0, 0.0, mult)
+    return np.fft.ifft(np.fft.fft(values, axis=1) * mult[None, :], axis=1)
+
+
+def _minus_spectrum(spec: np.ndarray, phase: np.ndarray, part: str, scale: float) -> np.ndarray:
+    """scale (id - S^*) H V on the beta spectrum, H the Hilbert transform
+    on the given fiber modes: C- is part "odd" with scale 1/2, P- scale 1."""
+    w = _hilbert_fiber(spec, part)
+    return scale * (w - _pullback_spectrum(w, phase))
+
+
+def _on_beta_spectrum(tg: TorusGrid, cp: CurvatureParam, step) -> TorusGrid:
+    """Apply step(spectrum, scattering phase) to torus samples between one
+    FFT over beta and its inverse."""
+    spec = np.fft.fft(tg.values, axis=0)
+    out = step(spec, _scattering_phase(_beta_freqs(tg.n_beta), tg.n_fiber, cp))
+    return TorusGrid(kappa=tg.kappa, values=np.fft.ifft(out, axis=0))
+
+
+def _eval_spectrum(freqs, spec, alpha_targets, n_beta_out: int, beta_shift=None) -> np.ndarray:
+    """Evaluate a beta spectrum (Fourier coefficients, the FFT over beta
+    divided by n_beta) at the uniform output beta grid plus an optional
+    per-column shift, at one fiber angle per column, through the fiber
+    Fourier series.  Frequencies above the output's band are dropped."""
+    keep = np.abs(freqs) <= n_beta_out // 2 - 1
+    freqs, spec = freqs[keep], spec[keep]
+    nf = spec.shape[1]
+    fiber_phase = np.exp(1j * np.outer(_beta_freqs(nf), alpha_targets))  # (n_fiber, G)
+    cols = (np.fft.fft(spec, axis=1) / nf) @ fiber_phase
+    if beta_shift is not None:
+        cols *= np.exp(1j * np.outer(freqs, beta_shift))
+    out_spec = np.zeros((n_beta_out, cols.shape[1]), dtype=complex)
+    out_spec[freqs % n_beta_out] = cols
+    return np.fft.ifft(out_spec, axis=0, norm="forward")
+
+
+def _beta_spectrum(tg: TorusGrid):
+    """Beta frequencies and beta Fourier coefficients of torus samples."""
+    return _beta_freqs(tg.n_beta), np.fft.fft(tg.values, axis=0) / tg.n_beta
+
+
+# ---------------------------------------------------------------------------
 # extension and restriction across the scattering relation
 # ---------------------------------------------------------------------------
 
@@ -99,33 +210,21 @@ def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int =
     if parity not in ("+", "-"):
         raise ValueError("parity must be '+' or '-'")
     sign = 1.0 if parity == "+" else -1.0
-    beta = np.arange(n_beta) * TWO_PI / n_beta
-    alpha = wrap_pi(np.arange(n_fiber) * TWO_PI / n_fiber)
-    inward = np.abs(alpha) <= HALF_PI + 1e-12
 
     if isinstance(u, BoundaryGrid) and u.fn is not None:
         u = u.fn  # exact callable beats grid interpolation
     if isinstance(u, BoundaryGrid):
-        # structured path: the beta spectrum at each distinct fiber target
-        # (one barycentric pass), then per-row phase shifts on it
-        freqs_u, spectrum_at = _fiber_spectrum(u, cp)
-        targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
-        if np.any(np.abs(targets) > HALF_PI + 1e-9):
-            raise ValueError("scattered fiber node left the inward range")
-        coeff = spectrum_at(np.clip(targets, -HALF_PI, HALF_PI))  # (n_fiber, nb_u)
-        shift = np.where(inward, 0.0, np.pi + 2.0 * sig(alpha, cp))
-        coeff = coeff * np.exp(1j * np.outer(shift, freqs_u))
-        coeff[~inward] *= sign
-        # place source beta modes into the torus-size spectrum
+        # structured path: the extension's beta spectrum, one inverse FFT
+        freqs = _band(len(u.beta), n_beta)
         spec_t = np.zeros((n_beta, n_fiber), dtype=complex)
-        keep = np.abs(freqs_u) <= n_beta // 2 - 1
-        spec_t[freqs_u[keep] % n_beta, :] = coeff.T[keep]
-        vals = np.fft.ifft(spec_t * n_beta, axis=0)
-        return TorusGrid(kappa=cp.kappa, values=vals)
+        spec_t[freqs % n_beta] = _extend_spectrum(u, sign, cp, freqs,
+                                                  _scattering_phase(freqs, n_fiber, cp))
+        return TorusGrid(kappa=cp.kappa, values=np.fft.ifft(spec_t, axis=0, norm="forward"))
 
     fn = _as_callable(u)
+    alpha, inward = _fiber_nodes(n_fiber)
     vals = np.empty((n_beta, n_fiber), dtype=complex)
-    bb = beta[:, None]
+    bb = (np.arange(n_beta) * TWO_PI / n_beta)[:, None]
     a_in = alpha[inward]
     vals[:, inward] = fn(bb, a_in[None, :])
     a_out = alpha[~inward]
@@ -140,14 +239,7 @@ def scattering_pullback(tg: TorusGrid, cp: CurvatureParam) -> TorusGrid:
     (S^* V)(beta, alpha) = V(beta + pi + 2 sig(alpha), pi - alpha); the
     fiber part permutes grid nodes, the beta shift is a spectral phase.
     """
-    nf = tg.n_fiber
-    alpha = tg.alpha
-    spec = np.fft.fft(tg.values, axis=0)  # (n_beta, n_fiber)
-    freqs = _beta_freqs(tg.n_beta)
-    flip = (nf // 2 - np.arange(nf)) % nf  # index of pi - alpha_j
-    shift = np.pi + 2.0 * sig(alpha, cp)
-    out_spec = spec[:, flip] * np.exp(1j * np.outer(freqs, shift))
-    return TorusGrid(kappa=tg.kappa, values=np.fft.ifft(out_spec, axis=0))
+    return _on_beta_spectrum(tg, cp, _pullback_spectrum)
 
 
 def hilbert(tg: TorusGrid, part: str = "full") -> TorusGrid:
@@ -156,33 +248,7 @@ def hilbert(tg: TorusGrid, part: str = "full") -> TorusGrid:
     part "even"/"odd" first restricts to the even/odd fiber Fourier
     modes (the full transform is the sum of the two restrictions).
     """
-    if part not in ("full", "even", "odd"):
-        raise ValueError("part must be 'full', 'even' or 'odd'")
-    m = _beta_freqs(tg.n_fiber)
-    mult = -1j * np.sign(m)
-    if part == "even":
-        mult = np.where(m % 2 == 0, mult, 0.0)
-    elif part == "odd":
-        mult = np.where(m % 2 == 0, 0.0, mult)
-    spec = np.fft.fft(tg.values, axis=1)
-    return TorusGrid(kappa=tg.kappa, values=np.fft.ifft(spec * mult[None, :], axis=1))
-
-
-def _eval_torus(tg: TorusGrid, beta_shift, alpha_targets, n_beta_out: int) -> np.ndarray:
-    """Evaluate torus samples at (uniform output beta + per-column shift,
-    arbitrary fiber angle per column) through the 2-d Fourier series."""
-    spec = np.fft.fft2(tg.values) / (tg.n_beta * tg.n_fiber)
-    pf = _beta_freqs(tg.n_beta)
-    mf = _beta_freqs(tg.n_fiber)
-    alpha_targets = np.asarray(alpha_targets, dtype=float)
-    beta_shift = np.broadcast_to(np.asarray(beta_shift, dtype=float), alpha_targets.shape)
-    fiber_phase = np.exp(1j * np.outer(mf, alpha_targets))  # (n_fiber, G)
-    cols = spec @ fiber_phase  # (n_beta_in, G)
-    cols = cols * np.exp(1j * np.outer(pf, beta_shift).reshape(len(pf), -1))
-    out_spec = np.zeros((n_beta_out, cols.shape[1]), dtype=complex)
-    keep = np.abs(pf) <= n_beta_out // 2 - 1
-    out_spec[pf[keep] % n_beta_out, :] = cols[keep]
-    return np.fft.ifft(out_spec * n_beta_out, axis=0)
+    return TorusGrid(kappa=tg.kappa, values=_hilbert_fiber(tg.values, part))
 
 
 def restrict_star(tg: TorusGrid, parity: str, cp: CurvatureParam, template: BoundaryGrid) -> BoundaryGrid:
@@ -191,16 +257,17 @@ def restrict_star(tg: TorusGrid, parity: str, cp: CurvatureParam, template: Boun
         raise ValueError("parity must be '+' or '-'")
     sign = 1.0 if parity == "+" else -1.0
     nb = len(template.beta)
-    direct = _eval_torus(tg, np.zeros_like(template.alpha), template.alpha, nb)
+    freqs, spec = _beta_spectrum(tg)
+    direct = _eval_spectrum(freqs, spec, template.alpha, nb)
     shift = np.pi + 2.0 * sig(template.alpha, cp)
-    scattered = _eval_torus(tg, shift, np.pi - template.alpha, nb)
+    scattered = _eval_spectrum(freqs, spec, np.pi - template.alpha, nb, shift)
     return template.with_values(direct + sign * scattered)
 
 
 def _restrict_plain(tg: TorusGrid, template: BoundaryGrid) -> BoundaryGrid:
     """Plain restriction of torus samples to the inward template nodes."""
-    vals = _eval_torus(tg, np.zeros_like(template.alpha), template.alpha, len(template.beta))
-    return template.with_values(vals)
+    freqs, spec = _beta_spectrum(tg)
+    return template.with_values(_eval_spectrum(freqs, spec, template.alpha, len(template.beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +278,22 @@ def _torus_shape(n_beta, n_fiber):
     return (n_beta or 256, n_fiber or 1024)
 
 
+_c_minus_spectrum = partial(_minus_spectrum, part="odd", scale=0.5)
+_p_minus_spectrum = partial(_minus_spectrum, part="odd", scale=1.0)
+
+
 def c_minus_torus(tg: TorusGrid, cp: CurvatureParam) -> TorusGrid:
     """Torus-level C-: (1/2)(id - S^*) H_- V.
 
     If V is the odd extension of u, the result is the odd extension of
     C- u, so applications chain without leaving the torus.
     """
-    w = hilbert(tg, "odd")
-    return TorusGrid(kappa=tg.kappa, values=0.5 * (w.values - scattering_pullback(w, cp).values))
+    return _on_beta_spectrum(tg, cp, _c_minus_spectrum)
 
 
 def p_minus_torus(tg: TorusGrid, cp: CurvatureParam) -> TorusGrid:
     """Torus-level P-: (id - S^*) H_- V for V the even extension of the input."""
-    w = hilbert(tg, "odd")
-    return TorusGrid(kappa=tg.kappa, values=w.values - scattering_pullback(w, cp).values)
+    return _on_beta_spectrum(tg, cp, _p_minus_spectrum)
 
 
 def p_minus(w, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
@@ -245,22 +314,16 @@ def p_plus(w, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = N
            n_fiber: int | None = None) -> BoundaryGrid:
     """Even-mode counterpart A_-^* H_+ A_+; kept for symmetry checks."""
     nb, nf = _torus_shape(n_beta, n_fiber)
-    tg = extend(w, "+", cp, nb, nf)
-    h = hilbert(tg, "even")
-    out = TorusGrid(kappa=tg.kappa, values=h.values - scattering_pullback(h, cp).values)
-    return _restrict_plain(out, template)
+    step = partial(_minus_spectrum, part="even", scale=1.0)
+    return _restrict_plain(_on_beta_spectrum(extend(w, "+", cp, nb, nf), cp, step), template)
 
 
 def c_plus(u, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
            n_fiber: int | None = None) -> BoundaryGrid:
     """Even-mode counterpart (1/2) A_-^* H_+ A_-; kept for symmetry checks."""
     nb, nf = _torus_shape(n_beta, n_fiber)
-    tg = extend(u, "-", cp, nb, nf)
-    h = hilbert(tg, "even")
-    return _restrict_plain(
-        TorusGrid(kappa=tg.kappa, values=0.5 * (h.values - scattering_pullback(h, cp).values)),
-        template,
-    )
+    step = partial(_minus_spectrum, part="even", scale=0.5)
+    return _restrict_plain(_on_beta_spectrum(extend(u, "-", cp, nb, nf), cp, step), template)
 
 
 def c_minus_rule(p: int, q: int) -> complex:
@@ -369,9 +432,15 @@ def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None
         bb, aa = template.mesh()
         grid = template.with_values(u(bb, aa), fn=u)
         u_even, removed = symmetrize(grid, cp)
-    tg = extend(u_even, "-", cp, nb, nf)
-    cc = c_minus_torus(c_minus_torus(tg, cp), cp)
-    correction = _restrict_plain(cc, template)
+    # extension, C- twice and restriction on one beta spectrum: only the
+    # frequencies that both u_even and the template carry are formed, and
+    # the scattering phase is built once
+    freqs = _band(len(u_even.beta), min(nb, len(template.beta)))
+    phase = _scattering_phase(freqs, nf, cp)
+    spec = _extend_spectrum(u_even, -1.0, cp, freqs, phase)
+    spec = _c_minus_spectrum(_c_minus_spectrum(spec, phase), phase)
+    correction = template.with_values(
+        _eval_spectrum(freqs, spec, template.alpha, len(template.beta)))
     projected = template.with_values(u_even.values + correction.values)
     norm = u_even.norm()
     rel = correction.norm() / norm if norm > 0 else 0.0
@@ -405,19 +474,19 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam,
     Scans k in [-kpad, n + kpad] excluding [0, n] for each n <= nmax; all
     these inner products vanish exactly when u is an X-ray transform.
     The range verdict compares the normalized moments against threshold.
+    The beta frequencies n - 2k reach nmax + 2 kpad in size, which must
+    stay below n_beta/2, or a moment would be read from an aliased bin.
     """
     if kpad < 1:
         raise ValueError("kpad must be >= 1")
-    bb, aa = u.mesh()
-    w = u.weights()
-    rows = []
-    for n in range(nmax + 1):
-        for k in range(-kpad, n + kpad + 1):
-            if 0 <= k <= n:
-                continue
-            psi = basis.psi_kappa(n, k, bb, aa, cp)
-            val = abs(complex(np.sum(w * u.values * np.conj(psi))))
-            rows.append((n, k, val))
+    if 2 * (nmax + 2 * kpad) >= len(u.beta):
+        raise ValueError(
+            f"moments up to nmax={nmax}, kpad={kpad} not resolvable on {len(u.beta)} beta nodes"
+        )
+    modes = [(n, k) for n in range(nmax + 1)
+             for k in (*range(-kpad, 0), *range(n + 1, n + kpad + 1))]
+    inner = _mode_inner(u, modes, basis.psi_kappa, cp)
+    rows = [(n, k, val) for (n, k), val in zip(modes, np.abs(inner).tolist())]
     report = MomentReport(rows=rows, u_norm=u.norm(), threshold=threshold, in_range=False)
     report.in_range = report.max_normalized(cp) < threshold
     return report

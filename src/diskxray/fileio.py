@@ -10,6 +10,7 @@ written with 17 significant digits so values round-trip bit-exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -89,23 +90,36 @@ def _complex(re, im) -> np.ndarray:
 
 
 def _read_columns(path, names):
+    """Float columns of a CSV file under the given header; blank lines
+    are skipped.  The body goes through `np.loadtxt` in one call; if that
+    fails, or yields the wrong column count, the per-line parse below
+    either returns what it reads or names the first bad line as
+    path:lineno (loadtxt counts rows, not lines)."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = next(csv.reader([fh.readline()]), [])
         if [h.strip().lower() for h in header] != names:
             raise ValueError(f"expected header {','.join(names)} in {path}, got {header}")
-        cols = [[] for _ in names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ValueError(f"{path}:{lineno}: expected {len(names)} fields")
-            try:
-                for c, field in zip(cols, row):
-                    c.append(float(field))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return cols
+        body = fh.read()
+    if not body.strip("\r\n"):
+        return [np.empty(0) for _ in names]
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is not None and data.shape[1] == len(names):
+        return list(data.T)
+    cols = [[] for _ in names]
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row:
+            continue
+        if len(row) != len(names):
+            raise ValueError(f"{path}:{lineno}: expected {len(names)} fields")
+        try:
+            for c, field in zip(cols, row):
+                c.append(float(field))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return [np.asarray(c, dtype=float) for c in cols]
 
 
 def write_coeff_json(path, table: CoeffTable, cp: CurvatureParam) -> None:

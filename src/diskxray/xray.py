@@ -451,12 +451,30 @@ def singular_values(nmax: int, cp: CurvatureParam) -> list[SvdTriple]:
     return triples
 
 
+def _mode_inner(g: BoundaryGrid, modes, family, cp: CurvatureParam) -> np.ndarray:
+    """Inner products <g, family(n, k)> for each (n, k) in modes.
+
+    The boundary families factor as e^{i(n-2k) beta} family(n, k, 0, alpha),
+    and on the uniform beta grid the beta sum of g e^{-i m beta} is bin
+    m % n_beta of one FFT over beta; each mode then costs one dot product
+    of that bin with its fiber factor over the alpha nodes.
+    """
+    nb = len(g.beta)
+    spec = np.fft.fft(g.values, axis=0)
+    w = (TWO_PI / nb) * g.alpha_weights / (1.0 + g.kappa)
+    rows = np.array([(n - 2 * k) % nb for n, k in modes], dtype=int)
+    fibers = np.array([family(n, k, 0.0, g.alpha, cp) for n, k in modes])
+    return (spec[rows] * np.conj(fibers)) @ w
+
+
 def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
     """Coefficients of g against the normalized boundary singular functions.
 
     Returns the table of inner products <g, psi_hat_{n,k}> for
-    0 <= k <= n <= nmax.  Rejects band limits the alpha grid cannot
-    resolve (2 (nmax+1) fiber oscillations need at least that many nodes).
+    0 <= k <= n <= nmax.  Rejects band limits the grid cannot resolve:
+    2 (nmax+1) fiber oscillations need at least that many alpha nodes,
+    and the beta frequencies n - 2k in [-nmax, nmax] need nmax < n_beta/2,
+    or a mode would be read from an aliased FFT bin.
     """
     if nmax < 0:
         raise ValueError("analyze requires nmax >= 0")
@@ -464,30 +482,32 @@ def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
         raise ValueError(
             f"band limit nmax={nmax} not resolvable on {len(g.alpha)} alpha nodes"
         )
-    bb, aa = g.mesh()
-    w = g.weights()
-    table = basis.CoeffTable(nmax=nmax)
-    for n in range(nmax + 1):
-        for k in range(n + 1):
-            psi = basis.psi_kappa_hat(n, k, bb, aa, cp)
-            table[(n, k)] = complex(np.sum(w * g.values * np.conj(psi)))
-    return table
+    if 2 * nmax >= len(g.beta):
+        raise ValueError(
+            f"band limit nmax={nmax} not resolvable on {len(g.beta)} beta nodes"
+        )
+    modes = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
+    inner = _mode_inner(g, modes, basis.psi_kappa_hat, cp)
+    return basis.CoeffTable(nmax=nmax, entries=dict(zip(modes, inner.tolist())))
 
 
 def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
     """Evaluate a coefficient table on a grid.
 
-    On a BoundaryGrid the basis is psi_kappa_hat; on a DiskGrid it is
-    zernike_kappa_hat (which requires 0 <= k <= n), summed for all modes
-    at once by `basis.zernike_kappa_series`.  Returns a grid of the same
-    kind; the BoundaryGrid result carries an exact callable.
+    On a BoundaryGrid the basis is psi_kappa_hat: each mode adds c times
+    its fiber factor into beta bin (n - 2k) % n_beta, and one inverse FFT
+    over beta gives the samples.  On a DiskGrid it is zernike_kappa_hat
+    (which requires 0 <= k <= n), summed for all modes at once by
+    `basis.zernike_kappa_series`.  Returns a grid of the same kind; the
+    BoundaryGrid result carries an exact callable.
     """
     items = table.items()
     if isinstance(template, BoundaryGrid):
-        bb, aa = template.mesh()
-        vals = np.zeros(template.shape, dtype=complex)
+        nb = len(template.beta)
+        spec = np.zeros(template.shape, dtype=complex)
         for (n, k), c in items:
-            vals += c * basis.psi_kappa_hat(n, k, bb, aa, cp)
+            spec[(n - 2 * k) % nb] += c * basis.psi_kappa_hat(n, k, 0.0, template.alpha, cp)
+        vals = np.fft.ifft(spec, axis=0, norm="forward")
 
         def fn(beta, alpha):
             out = 0.0

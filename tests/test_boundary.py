@@ -1,5 +1,7 @@
 """Boundary operators: extensions, Hilbert transform, P-/C-, projection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -521,6 +523,80 @@ class TestMoments:
     def test_kpad_validated(self):
         with pytest.raises(ValueError):
             boundary.moment_residuals(template(), 3, 0, CP)
+
+
+class TestSpectralMomentsOracle:
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("nmax", [0, 6, 16])
+    def test_matches_full_grid_quadrature(self, kappa, nmax):
+        # every k outside [0, n], on the smallest odd n_beta allowed
+        cp = CurvatureParam(kappa)
+        kpad = 3
+        tpl = xray.boundary_grid(cp, 2 * (nmax + 2 * kpad) + 1, 2 * nmax + 8)
+        rng = np.random.default_rng(nmax)
+        u = tpl.with_values(rng.normal(size=tpl.shape) + 1j * rng.normal(size=tpl.shape))
+        rep = boundary.moment_residuals(u, nmax, kpad, cp)
+        modes = [(n, k) for n, k, _ in rep.rows]
+        assert modes == [(n, k) for n in range(nmax + 1) for k in range(-kpad, n + kpad + 1)
+                         if not 0 <= k <= n]
+        bb, aa = tpl.mesh()
+        w = tpl.weights()
+        want = np.array([abs(np.sum(w * u.values * np.conj(basis.psi_kappa(n, k, bb, aa, cp))))
+                         for n, k in modes])
+        got = np.array([v for _, _, v in rep.rows])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_beta_resolution_check(self):
+        # |n - 2k| reaches nmax + 2 kpad, which must stay below n_beta / 2
+        tpl = template(n_beta=23)
+        boundary.moment_residuals(tpl, 5, 3, CP)
+        with pytest.raises(ValueError, match="beta nodes"):
+            boundary.moment_residuals(tpl, 6, 3, CP)
+        with pytest.raises(ValueError, match="beta nodes"):
+            boundary.moment_residuals(tpl, 5, 4, CP)
+
+
+class TestSpectralProjector:
+    """project_to_range runs extend, C- twice and the restriction on one
+    beta spectrum; the public TorusGrid operators are the oracle."""
+
+    @staticmethod
+    def mixed(cp, tpl, seed):
+        rng = np.random.default_rng(seed)
+        bb, aa = tpl.mesh()
+        vals = sum(complex(rng.normal(), rng.normal()) * basis.psi_kappa_hat(n, k, bb, aa, cp)
+                   for n in range(7) for k in range(-2, n + 3))
+        return tpl.with_values(vals + 0.1 * rng.normal(size=tpl.shape))
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("sizes", [(64, 48, 256, 1024), (45, 32, 32, 128)])
+    def test_matches_torus_operator_chain(self, kappa, sizes):
+        # the second size has an odd template and a torus narrower in beta
+        # than the template, so the torus band limits the result
+        nb_t, na_t, nb, nf = sizes
+        cp = CurvatureParam(kappa)
+        u = self.mixed(cp, xray.boundary_grid(cp, nb_t, na_t), 3)
+        got = boundary.project_to_range(u, cp, n_beta=nb, n_fiber=nf)
+        u_even, removed = boundary.symmetrize(u, cp)
+        tg = boundary.extend(u_even, "-", cp, nb, nf)
+        cc = boundary.c_minus_torus(boundary.c_minus_torus(tg, cp), cp)
+        correction = boundary._restrict_plain(cc, u)
+        want = u_even.values + correction.values
+        assert np.linalg.norm(got.projected.values - want) <= 1e-13 * np.linalg.norm(want)
+        assert got.removed_odd_norm == removed
+        assert got.relative_change == pytest.approx(correction.norm() / u_even.norm(), rel=1e-12)
+
+    def test_memory_bounded(self):
+        cp = CurvatureParam(0.4)
+        u = self.mixed(cp, xray.boundary_grid(cp, 96, 64), 4)
+        boundary.project_to_range(u, cp, n_beta=256, n_fiber=1024)  # warm the FFT plans
+        tracemalloc.start()
+        try:
+            boundary.project_to_range(u, cp, n_beta=256, n_fiber=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestInterpolationFidelity:

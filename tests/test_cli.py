@@ -167,6 +167,58 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="bad.csv:3"):
             fileio.read_sinogram_csv(path, xray.boundary_grid(CurvatureParam(0.0), 1, 2))
 
+    def test_parse_error_counts_blank_lines(self, tmp_path):
+        # the bad line is named by its physical line number, blank lines included
+        path = tmp_path / "bad.csv"
+        path.write_text("beta,alpha,re,im\n\n0,0,1,0\n\n\n0,1,x,0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:6: .*'x'"):
+            fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+
+    @pytest.mark.parametrize("body", ["0,0,1\n0,1,1\n", "0,0,1,0\n0,1,1\n", "0,0,1,0,\n"])
+    def test_field_count_error_has_line_number(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("beta,alpha,re,im\n" + body)
+        with pytest.raises(ValueError, match=r"bad\.csv:\d: expected 4 fields"):
+            fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+
+    def test_reader_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"beta,alpha,re,im\r\n\r\n0,0.5,1,-0\r\n\r\n1,0.25,2,3\r\n\r\n")
+        cols = fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+        assert [c.tolist() for c in cols] == [[0.0, 1.0], [0.5, 0.25], [1.0, 2.0], [-0.0, 3.0]]
+        assert np.signbit(cols[3][0])
+
+    def test_reader_falls_back_to_per_field_parse(self, tmp_path):
+        # quoted fields are valid CSV that the one-call parse rejects
+        path = tmp_path / "s.csv"
+        path.write_text('beta,alpha,re,im\n"0","0.5",1,2\n')
+        cols = fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+        assert [c.tolist() for c in cols] == [[0.0], [0.5], [1.0], [2.0]]
+
+    @pytest.mark.parametrize("body", ["", "\r\n", "\n\n"])
+    def test_header_only_file_gives_empty_columns(self, tmp_path, recwarn, body):
+        path = tmp_path / "s.csv"
+        path.write_text("beta,alpha,re,im\n" + body)
+        cols = fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+        assert len(cols) == 4 and all(len(c) == 0 for c in cols)
+        assert not recwarn.list
+        with pytest.raises(ValueError, match="0 rows"):
+            fileio.read_sinogram_csv(path, xray.boundary_grid(CurvatureParam(0.0), 1, 2))
+
+    def test_reader_values_match_float(self, tmp_path):
+        # the one-call parse gives the bits float() gives for every field
+        rng = np.random.default_rng(5)
+        vals = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200),
+                               [5e-324, -0.0, 2.0**53 + 1, 1 / 3]])
+        path = tmp_path / "s.csv"
+        path.write_text("beta,alpha,re,im\n" + "".join(
+            f"{a!r},{b:.17g},{a:.17g},{b!r}\n" for a, b in zip(vals.tolist(), vals[::-1].tolist())))
+        cols = fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+        want = [[float(line.split(",")[j]) for line in path.read_text().splitlines()[1:]]
+                for j in range(4)]
+        for got, exp in zip(cols, want):
+            assert np.array_equal(got.view(np.int64), np.array(exp).view(np.int64))
+
     def test_empty_profile_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         fileio.write_profiles_csv(path, [])
@@ -369,6 +421,17 @@ class TestMomentsCommand:
         assert table[(1, -1)] == pytest.approx(1 / (4 * 1.2), abs=1e-10)
         meta = json.loads((tmp_path / "m/moments.meta.json").read_text())
         assert meta["in_range"] is False
+
+
+    def test_undersized_beta_grid_is_numerical_error(self, tmp_path):
+        # nmax 16 with kpad 3 reaches beta frequency 22, which a 40-point
+        # beta grid cannot resolve
+        cfg = write_config(tmp_path / "c.json", kappa=0.2, nmax=16, n_beta=40)
+        fileio.write_sinogram_csv(tmp_path / "u.csv",
+                                  xray.boundary_grid(CurvatureParam(0.2), 40, 64))
+        assert run_cli("--config", cfg, "--out", tmp_path / "m", "moments",
+                       "--in", tmp_path / "u.csv") == cli.EXIT_NUMERICAL
+        assert not (tmp_path / "m" / "moments.csv").exists()
 
 
 class TestSpectrumCommand:

@@ -1,0 +1,50 @@
+"""Property tests over random curvatures and random band-limited tables."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from diskxray import basis, boundary, xray  # noqa: E402
+from diskxray.geometry import CurvatureParam  # noqa: E402
+
+
+def random_table(nmax, seed, k_pad=0):
+    """Random coefficients for every (n, k), n <= nmax, k in [-k_pad, n + k_pad]."""
+    rng = np.random.default_rng(seed)
+    tab = basis.CoeffTable(nmax=nmax)
+    for n in range(nmax + 1):
+        for k in range(-k_pad, n + k_pad + 1):
+            tab[(n, k)] = complex(rng.normal(), rng.normal())
+    return tab
+
+
+@settings(max_examples=25, deadline=None)
+@given(kappa=st.floats(-0.95, 0.95), nmax=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_svd_round_trip(kappa, nmax, seed):
+    # the 24 x 32 grid resolves nmax 8 in beta (|n - 2k| <= 8 < 12) and
+    # integrates every product of two modes exactly in alpha
+    cp = CurvatureParam(kappa)
+    tab = random_table(nmax, seed)
+    back = xray.analyze(xray.synthesize(tab, xray.boundary_grid(cp, 24, 32), cp), nmax, cp)
+    want = np.array([c for _, c in tab.items()])
+    got = np.array([back[nk] for nk, _ in tab.items()])
+    assert [nk for nk, _ in back.items()] == [nk for nk, _ in tab.items()]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(kappa=st.floats(-0.7, 0.7), nmax=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_projector_idempotent(kappa, nmax, seed):
+    # range modes plus co-kernel modes (k outside [0, n]).  On a 32 x 48
+    # template and a 128 x 512 torus the property holds to about 1e-12 up
+    # to |kappa| = 0.7 and 4e-9 at 0.75; at 0.9 the projector's known
+    # discretisation cliff (|kappa| -> 1) gives 5e-2, so the property is
+    # stated on [-0.7, 0.7]
+    cp = CurvatureParam(kappa)
+    u = xray.synthesize(random_table(nmax, seed, k_pad=2), xray.boundary_grid(cp, 32, 48), cp)
+    once = boundary.project_to_range(u, cp, n_beta=128, n_fiber=512)
+    twice = boundary.project_to_range(once.projected, cp, n_beta=128, n_fiber=512)
+    diff = np.linalg.norm(twice.projected.values - once.projected.values)
+    assert diff <= 1e-9 * np.linalg.norm(u.values)

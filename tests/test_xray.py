@@ -386,6 +386,69 @@ class TestAnalyzeSynthesize:
             xray.synthesize(basis.CoeffTable(nmax=1), object(), CurvatureParam(0.0))
 
 
+def full_grid_inner(g, modes, family, cp):
+    """<g, family(n, k)> by quadrature of every mode over the whole grid:
+    the per-mode oracle for the beta-spectral engine."""
+    bb, aa = g.mesh()
+    w = g.weights()
+    return np.array([np.sum(w * g.values * np.conj(family(n, k, bb, aa, cp))) for n, k in modes])
+
+
+class TestSpectralEngineOracle:
+    """analyze/synthesize against per-mode full-grid psi quadrature; the
+    grids are the smallest odd n_beta the beta-resolution check allows."""
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("nmax", [0, 6, 16])
+    def test_analyze_matches_full_grid_quadrature(self, kappa, nmax):
+        cp = CurvatureParam(kappa)
+        g = xray.boundary_grid(cp, 2 * nmax + 1, 2 * nmax + 4)
+        rng = np.random.default_rng(nmax)
+        g = g.with_values(rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+        table = xray.analyze(g, nmax, cp)
+        modes = [nk for nk, _ in table.items()]
+        assert modes == [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
+        got = np.array([c for _, c in table.items()])
+        want = full_grid_inner(g, modes, basis.psi_kappa_hat, cp)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("nmax", [0, 6, 16])
+    def test_synthesize_matches_full_grid_sum(self, kappa, nmax):
+        # k outside [0, n] and beta frequencies beyond the grid's band
+        # included: on the nodes every mode is exact whatever its bin
+        cp = CurvatureParam(kappa)
+        tpl = xray.boundary_grid(cp, 2 * nmax + 1, 2 * nmax + 4)
+        rng = np.random.default_rng(100 + nmax)
+        tab = basis.CoeffTable(nmax=nmax)
+        for n in range(nmax + 1):
+            for k in range(-2, n + 3):
+                tab[(n, k)] = complex(rng.normal(), rng.normal())
+        got = xray.synthesize(tab, tpl, cp)
+        bb, aa = tpl.mesh()
+        want = sum(c * basis.psi_kappa_hat(n, k, bb, aa, cp) for (n, k), c in tab.items())
+        assert np.linalg.norm(got.values - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.allclose(got.fn(bb, aa), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_empty_table_synthesizes_zeros(self):
+        cp = CurvatureParam(0.4)
+        tpl = xray.boundary_grid(cp, 9, 8)
+        assert not np.any(xray.synthesize(basis.CoeffTable(nmax=3), tpl, cp).values)
+
+    @pytest.mark.parametrize("n_beta", [12, 13])
+    def test_beta_resolution_check(self, n_beta):
+        # nmax < n_beta / 2 passes; nmax >= n_beta / 2 would read a
+        # frequency from an aliased FFT bin
+        cp = CurvatureParam(0.3)
+        tpl = xray.boundary_grid(cp, n_beta, 40)
+        top = (n_beta - 1) // 2
+        xray.analyze(tpl, top, cp)
+        with pytest.raises(ValueError, match="beta nodes"):
+            xray.analyze(tpl, top + 1, cp)
+        with pytest.raises(ValueError, match="beta nodes"):
+            xray.invert(tpl.with_values(np.ones(tpl.shape)), top + 1, cp)
+
+
 class TestSingularValues:
     def test_euclidean_top(self):
         assert xray.singular_value(0, CurvatureParam(0.0)) == pytest.approx(2 * math.sqrt(math.pi))
