@@ -15,7 +15,6 @@ Library layout:
 from .basis import (
     BasisIndex,
     CoeffTable,
-    boundary_family,
     cheb_w,
     norms,
     psi_kappa,
@@ -58,7 +57,6 @@ from .xray import (
     BoundaryGrid,
     DiskGrid,
     GeodesicQuad,
-    SvdTriple,
     adjoint_sharp,
     analyze,
     boundary_grid,
@@ -68,7 +66,6 @@ from .xray import (
     forward,
     invert,
     singular_value,
-    singular_values,
     sinogram,
     synthesize,
 )
@@ -82,13 +79,11 @@ __all__ = [
     "FanBeamPoint",
     "GeodesicQuad",
     "MoebiusMap",
-    "SvdTriple",
     "SymmetryClass",
     "TorusGrid",
     "adjoint_sharp",
     "analyze",
     "antipodal_scattering",
-    "boundary_family",
     "boundary_grid",
     "boundary_inner",
     "c_minus",
@@ -119,7 +114,6 @@ __all__ = [
     "sig_inverse",
     "sig_prime",
     "singular_value",
-    "singular_values",
     "sinogram",
     "synthesize",
     "w_kappa",

@@ -144,17 +144,6 @@ def zernike_radial_coeffs(n: int, k: int) -> np.ndarray:
     return np.asarray(coeffs, dtype=float)
 
 
-def warm_radial_cache(nmax: int) -> None:
-    """Precompute all radial coefficient tables up to degree nmax.
-
-    Useful before fanning evaluation out over threads; afterwards the
-    cache is only read.
-    """
-    for n in range(nmax + 1):
-        for k in range(n + 1):
-            zernike_radial_coeffs(n, k)
-
-
 def zernike_radial(n: int, k: int, rho):
     """Radial profile R_{n,k} evaluated at rho (scalar or array)."""
     rho = np.asarray(rho, dtype=float)
@@ -288,15 +277,6 @@ def v_prime(p: int, q: int, beta, alpha, cp: CurvatureParam):
     v'_{p,q} = -(-1)^p v'_{p,p-q-1}.
     """
     return phi_prime(p, q, beta, alpha, cp) - (-1) ** p * phi_prime(p, p - q - 1, beta, alpha, cp)
-
-
-def boundary_family(p: int, q: int, beta, alpha, cp: CurvatureParam):
-    """Evaluate (e_{p,2q+1}, phi'_{p,q}, u'_{p,q}, v'_{p,q}) at once."""
-    e = e_pl(p, 2 * q + 1, beta, alpha, cp)
-    root = np.sqrt(sig_prime(alpha, cp))
-    phi = root * e
-    phi2 = (-1) ** p * root * e_pl(p, 2 * (p - q - 1) + 1, beta, alpha, cp)
-    return e, phi, phi + phi2, phi - phi2
 
 
 def psi_kappa(n: int, k: int, beta, alpha, cp: CurvatureParam):

@@ -158,10 +158,10 @@ def _hilbert_fiber(values: np.ndarray, part: str) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(values, axis=1) * mult[None, :], axis=1)
 
 
-def _minus_spectrum(spec: np.ndarray, phase: np.ndarray, part: str, scale: float) -> np.ndarray:
-    """scale (id - S^*) H V on the beta spectrum, H the Hilbert transform
-    on the given fiber modes: C- is part "odd" with scale 1/2, P- scale 1."""
-    w = _hilbert_fiber(spec, part)
+def _minus_spectrum(spec: np.ndarray, phase: np.ndarray, scale: float) -> np.ndarray:
+    """scale (id - S^*) H_- V on the beta spectrum, H_- the Hilbert
+    transform on the odd fiber modes: C- has scale 1/2, P- scale 1."""
+    w = _hilbert_fiber(spec, "odd")
     return scale * (w - _pullback_spectrum(w, phase))
 
 
@@ -210,6 +210,7 @@ def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int =
     if parity not in ("+", "-"):
         raise ValueError("parity must be '+' or '-'")
     sign = 1.0 if parity == "+" else -1.0
+    n_beta, n_fiber = _torus_shape(n_beta, n_fiber)
 
     if isinstance(u, BoundaryGrid) and u.fn is not None:
         u = u.fn  # exact callable beats grid interpolation
@@ -271,15 +272,22 @@ def _restrict_plain(tg: TorusGrid, template: BoundaryGrid) -> BoundaryGrid:
 
 
 # ---------------------------------------------------------------------------
-# the operators P-, C- (and their even-mode counterparts)
+# the operators P- and C-
 # ---------------------------------------------------------------------------
 
 def _torus_shape(n_beta, n_fiber):
-    return (n_beta or 256, n_fiber or 1024)
+    """Torus size (n_beta, n_fiber), 256 x 1024 where None.  The
+    scattering relation maps fiber nodes to fiber nodes only for an even
+    fiber size, so an odd one is rejected rather than mis-projected."""
+    nb = 256 if n_beta is None else n_beta
+    nf = 1024 if n_fiber is None else n_fiber
+    if nb < 2 or nf < 2 or nf % 2:
+        raise ValueError(f"torus size needs n_beta >= 2 and an even n_fiber >= 2, got {nb} x {nf}")
+    return nb, nf
 
 
-_c_minus_spectrum = partial(_minus_spectrum, part="odd", scale=0.5)
-_p_minus_spectrum = partial(_minus_spectrum, part="odd", scale=1.0)
+_c_minus_spectrum = partial(_minus_spectrum, scale=0.5)
+_p_minus_spectrum = partial(_minus_spectrum, scale=1.0)
 
 
 def c_minus_torus(tg: TorusGrid, cp: CurvatureParam) -> TorusGrid:
@@ -308,22 +316,6 @@ def c_minus(u, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = 
     """C- u = (1/2) A_-^* H_- A_- u on the template grid."""
     nb, nf = _torus_shape(n_beta, n_fiber)
     return _restrict_plain(c_minus_torus(extend(u, "-", cp, nb, nf), cp), template)
-
-
-def p_plus(w, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
-           n_fiber: int | None = None) -> BoundaryGrid:
-    """Even-mode counterpart A_-^* H_+ A_+; kept for symmetry checks."""
-    nb, nf = _torus_shape(n_beta, n_fiber)
-    step = partial(_minus_spectrum, part="even", scale=1.0)
-    return _restrict_plain(_on_beta_spectrum(extend(w, "+", cp, nb, nf), cp, step), template)
-
-
-def c_plus(u, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
-           n_fiber: int | None = None) -> BoundaryGrid:
-    """Even-mode counterpart (1/2) A_-^* H_+ A_-; kept for symmetry checks."""
-    nb, nf = _torus_shape(n_beta, n_fiber)
-    step = partial(_minus_spectrum, part="even", scale=0.5)
-    return _restrict_plain(_on_beta_spectrum(extend(u, "-", cp, nb, nf), cp, step), template)
 
 
 def c_minus_rule(p: int, q: int) -> complex:

@@ -70,6 +70,10 @@ class RunConfig:
             if int(val) != val or int(val) < floor:
                 raise ConfigError(f"{name} must be an integer >= {floor}, got {val!r}")
             setattr(self, name, int(val))
+        try:
+            boundary._torus_shape(self.torus_beta, self.fiber_fft)
+        except ValueError as exc:
+            raise ConfigError(f"torus_beta, fiber_fft: {exc}") from None
         if set(self.noise) - {"seed", "level"}:
             raise ConfigError(f"unknown noise keys: {sorted(set(self.noise) - {'seed', 'level'})}")
         self.noise = {"seed": int(self.noise.get("seed", 0)),

@@ -14,9 +14,10 @@ psi_kappa_hat) pairs with singular values
 
     sigma_n = 2 sqrt(pi) / (sqrt(1-kappa) sqrt(n+1)),
 
-independent of k.  `analyze` / `synthesize` move between grids and
-coefficient tables, and `invert` divides out the singular values with
-hard truncation or a spectral cutoff.
+independent of k.  The forward map takes its integrand as a callable on
+the disk.  `analyze` / `synthesize` move between grids and coefficient
+tables, and `invert` divides out the singular values with hard
+truncation or a spectral cutoff.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from . import basis
 from .basis import _NonFiniteValues
@@ -41,6 +41,7 @@ from .geometry import (
 
 TWO_PI = 2.0 * math.pi
 _BLOCK = 2048  # targets per pass of the grid interpolant: bounds its temporaries
+_MEASURES = ("vol", "weighted", "euclid")  # DiskGrid measure tags
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,8 @@ class DiskGrid:
     measure: str = "vol"
 
     def __post_init__(self):
+        if self.measure not in _MEASURES:
+            raise ValueError(f"unknown measure tag {self.measure!r}; expected one of {_MEASURES}")
         if not np.isfinite(self.values).all():
             raise _NonFiniteValues("disk values hold NaN or inf")
 
@@ -204,10 +207,7 @@ class DiskGrid:
         values = np.asarray(values, dtype=complex)
         if values.shape != (len(self.rho), len(self.omega)):
             raise ValueError(f"values shape {values.shape} does not match the grid")
-        out = replace(self, values=values)
-        if measure is not None:
-            out.measure = measure
-        return out
+        return replace(self, values=values, measure=self.measure if measure is None else measure)
 
     def norm(self) -> float:
         return math.sqrt(abs(disk_inner(self, self)))
@@ -284,29 +284,6 @@ def disk_inner(f1: DiskGrid, f2: DiskGrid) -> complex:
     return complex(np.sum(f1.weights() * f1.values * np.conj(f2.values)))
 
 
-def disk_interpolator(grid: DiskGrid):
-    """Bicubic interpolant of DiskGrid samples, periodic in omega.
-
-    Secondary evaluation path for `forward` when the integrand is known
-    only through samples; basis-driven workflows pass exact callables.
-    """
-    pad = 4
-    om = np.concatenate([grid.omega[-pad:] - TWO_PI, grid.omega, grid.omega[:pad] + TWO_PI])
-    vals = np.concatenate([grid.values[:, -pad:], grid.values, grid.values[:, :pad]], axis=1)
-    sp_re = RectBivariateSpline(grid.rho, om, vals.real, kx=3, ky=3)
-    sp_im = RectBivariateSpline(grid.rho, om, vals.imag, kx=3, ky=3)
-
-    def fn(z):
-        z = np.asarray(z, dtype=complex)
-        rho = np.clip(np.abs(z), grid.rho[0], grid.rho[-1])
-        om_ = np.mod(np.angle(z), TWO_PI)
-        re = sp_re(rho.ravel(), om_.ravel(), grid=False)
-        im = sp_im(rho.ravel(), om_.ravel(), grid=False)
-        return (re + 1j * im).reshape(z.shape)
-
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # forward transform
 # ---------------------------------------------------------------------------
@@ -372,12 +349,17 @@ def forward(f, bp: FanBeamPoint, cp: CurvatureParam, quad: GeodesicQuad | None =
 def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, quad: GeodesicQuad | None = None) -> BoundaryGrid:
     """X-ray transform of f sampled on every node of the template grid.
 
-    f may be a callable on the disk or a DiskGrid (interpolated with
-    `disk_interpolator`).  Deterministic for fixed inputs; nodes are
-    independent, so callers may parallelize over them freely.
+    f is a callable on the disk (vectorized over complex arrays); a
+    coefficient table is passed as the callable
+    z -> w_kappa(z) * basis.zernike_kappa_series(table, z, cp).
+    Deterministic for fixed inputs; nodes are independent, so callers
+    may parallelize over them freely.
     """
-    if isinstance(f, DiskGrid):
-        f = disk_interpolator(f)
+    if not callable(f):
+        raise TypeError(
+            f"sinogram needs a callable on the disk, not a {type(f).__name__}; "
+            "evaluate a coefficient table through basis.zernike_kappa_series"
+        )
     quad = quad or GeodesicQuad()
     bb, aa = template.mesh()
     vals = _forward_batch(f, bb, aa, cp, quad).reshape(template.shape)
@@ -399,6 +381,8 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     angles and values (z.size * n_theta of each) the memory needed is
     bounded whatever the target count.
     """
+    if n_theta < 1:
+        raise ValueError(f"adjoint_sharp needs n_theta >= 1, got {n_theta}")
     if isinstance(g, BoundaryGrid):
         g = g.interpolant()
     z = np.asarray(z, dtype=complex)
@@ -416,39 +400,11 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
 # SVD: analysis, synthesis, inversion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SvdTriple:
-    """One singular triple: index, value, and the normalized pair."""
-
-    index: basis.BasisIndex
-    sigma: float
-    left: object  # psi_kappa_hat callable (beta, alpha)
-    right: object  # zernike_kappa_hat callable (z)
-
-
 def singular_value(n: int, cp: CurvatureParam) -> float:
     """sigma_n = 2 sqrt(pi) / (sqrt(1-kappa) sqrt(n+1)); independent of k."""
     if n < 0:
         raise ValueError("singular_value requires n >= 0")
     return 2.0 * math.sqrt(math.pi) / (math.sqrt(1.0 - cp.kappa) * math.sqrt(n + 1))
-
-
-def singular_values(nmax: int, cp: CurvatureParam) -> list[SvdTriple]:
-    """All singular triples with n <= nmax, lexicographic in (n, k)."""
-    if nmax < 0:
-        raise ValueError("singular_values requires nmax >= 0")
-    triples = []
-    for n in range(nmax + 1):
-        s = singular_value(n, cp)
-        for k in range(n + 1):
-            def left(beta, alpha, n=n, k=k):
-                return basis.psi_kappa_hat(n, k, beta, alpha, cp)
-
-            def right(z, n=n, k=k):
-                return basis.zernike_kappa_hat(n, k, z, cp)
-
-            triples.append(SvdTriple(basis.BasisIndex(n, k), s, left, right))
-    return triples
 
 
 def _mode_inner(g: BoundaryGrid, modes, family, cp: CurvatureParam) -> np.ndarray:

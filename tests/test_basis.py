@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_chebyu
 
 from diskxray import basis
-from diskxray.geometry import CurvatureParam, sig, sig_prime
+from diskxray.geometry import CurvatureParam
 from diskxray.xray import boundary_grid, boundary_inner, disk_grid, disk_inner
 
 
@@ -391,15 +391,6 @@ class TestPsi:
 
 
 class TestBoundaryFamily:
-    def test_components(self):
-        cp = CurvatureParam(0.4)
-        beta, alpha = 1.1, 0.6
-        e, phi, u, v = basis.boundary_family(3, 2, beta, alpha, cp)
-        assert e == pytest.approx(np.exp(1j * (3 * beta + 5 * sig(alpha, cp))))
-        assert phi == pytest.approx(np.sqrt(sig_prime(alpha, cp)) * e)
-        assert u == pytest.approx(basis.u_prime(3, 2, beta, alpha, cp))
-        assert v == pytest.approx(basis.v_prime(3, 2, beta, alpha, cp))
-
     def test_redundancies(self):
         cp = CurvatureParam(-0.3)
         rng = np.random.default_rng(10)
@@ -493,7 +484,3 @@ class TestNorms:
         psi_sq, zk_sq = basis.norms(3, 2, CurvatureParam(0.5))
         assert psi_sq == pytest.approx(1 / 6)
         assert zk_sq == pytest.approx(math.pi / (0.75 * 4))
-
-    def test_cache_warmup(self):
-        basis.warm_radial_cache(6)
-        assert basis.zernike_radial_coeffs.cache_info().currsize >= 28

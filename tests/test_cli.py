@@ -45,6 +45,15 @@ class TestRunConfig:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig(nmax=2.5).validate()
 
+    @pytest.mark.parametrize("fields", [{"fiber_fft": 1023}, {"fiber_fft": 1},
+                                        {"torus_beta": 1}])
+    def test_rejects_bad_torus_sizes(self, tmp_path, fields):
+        with pytest.raises(cli.ConfigError, match="torus size"):
+            cli.RunConfig(**fields).validate()
+        path = write_config(tmp_path / "c.json", **fields)
+        assert run_cli("--config", path, "--out", tmp_path / "o", "project",
+                       "--in", tmp_path / "missing.csv") == cli.EXIT_CONFIG
+
     def test_hash_stable_and_sensitive(self):
         a = cli.RunConfig(kappa=0.3).validate()
         b = cli.RunConfig(kappa=0.3).validate()

@@ -64,6 +64,16 @@ class TestGrids:
         with pytest.raises(ValueError):
             xray.disk_grid(cp, 8, 8, measure="bogus").weights()
 
+    def test_measure_tag_checked_at_construction(self):
+        cp = CurvatureParam(0.4)
+        with pytest.raises(ValueError, match="bogus"):
+            xray.disk_grid(cp, 8, 8, measure="bogus")
+        grid = xray.disk_grid(cp, 8, 8)
+        with pytest.raises(ValueError, match="bogus"):
+            grid.with_values(grid.values, measure="bogus")
+        assert grid.with_values(grid.values, measure="euclid").measure == "euclid"
+        assert grid.with_values(grid.values).measure == "vol"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_disk_grid_rejects_non_finite_values(self, bad):
         grid = xray.disk_grid(CurvatureParam(0.4), 6, 8)
@@ -152,16 +162,13 @@ class TestSinogram:
                 want = xray.singular_value(2, cp) if (n, k) == (2, 1) else 0.0
                 assert abs(ip - want) < 1e-7
 
-    def test_interpolated_disk_grid_input(self):
-        # secondary path: f given by samples, bicubic in (rho, omega)
+    def test_disk_grid_input_rejected(self):
+        # samples are not interpolated: a coefficient table goes in as the
+        # callable w_kappa * zernike_kappa_series
         cp = CurvatureParam(0.3)
-        dg = xray.disk_grid(cp, 96, 128)
-        f = lambda z: np.exp(-2 * np.abs(z) ** 2) * (1 + 0.3j * z)
-        sampled = dg.with_values(f(dg.points()))
-        tpl = xray.boundary_grid(cp, 8, 12)
-        got = xray.sinogram(sampled, tpl, cp)
-        want = xray.sinogram(f, tpl, cp)
-        assert np.max(np.abs(got.values - want.values)) < 1e-5
+        dg = xray.disk_grid(cp, 8, 8)
+        with pytest.raises(TypeError, match="zernike_kappa_series"):
+            xray.sinogram(dg, xray.boundary_grid(cp, 8, 12), cp)
 
 
 class TestAdjoint:
@@ -176,6 +183,12 @@ class TestAdjoint:
         cp = CurvatureParam(0.1)
         with pytest.raises(ValueError):
             xray.adjoint_sharp(lambda b, a: ones(b), 1.0 + 0j, cp)
+
+    @pytest.mark.parametrize("n_theta", [0, -3])
+    def test_rejects_empty_theta_rule(self, n_theta):
+        cp = CurvatureParam(0.1)
+        with pytest.raises(ValueError, match="n_theta"):
+            xray.adjoint_sharp(lambda b, a: ones(b), 0.2 + 0j, cp, n_theta=n_theta)
 
     @pytest.mark.parametrize("kappa", [-0.5, 0.5])
     def test_kernel_modes(self, kappa):
@@ -460,17 +473,13 @@ class TestSingularValues:
 
     def test_triples(self):
         cp = CurvatureParam(0.5)
-        triples = xray.singular_values(5, cp)
-        assert len(triples) == 21
-        sigmas = {t.index.n: t.sigma for t in triples}
-        # independent of k, decreasing in n
-        by_k = [t.sigma for t in triples if t.index.n == 5]
-        assert all(s == by_k[0] for s in by_k)
+        sigmas = [xray.singular_value(n, cp) for n in range(6)]
+        # decreasing in n, and the closed form sigma_n^2 (n+1) is constant
         assert all(sigmas[n] > sigmas[n + 1] for n in range(5))
-        # the callables are the normalized pair
-        t = [t for t in triples if (t.index.n, t.index.k) == (2, 1)][0]
-        assert t.left(0.3, 0.2) == pytest.approx(complex(basis.psi_kappa_hat(2, 1, 0.3, 0.2, cp)))
-        assert t.right(0.4 + 0.1j) == pytest.approx(complex(basis.zernike_kappa_hat(2, 1, 0.4 + 0.1j, cp)))
+        for n, s in enumerate(sigmas):
+            assert s * s * (n + 1) == pytest.approx(4 * math.pi / (1 - cp.kappa), rel=1e-14)
+        with pytest.raises(ValueError):
+            xray.singular_value(-1, cp)
 
 
 class TestInversion:
