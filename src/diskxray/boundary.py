@@ -418,12 +418,9 @@ def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None
     if template is None:
         raise ValueError("a template BoundaryGrid is required for callable input")
     nb, nf = _torus_shape(n_beta, n_fiber)
-    if isinstance(u, BoundaryGrid):
-        u_even, removed = symmetrize(u, cp)
-    else:
-        bb, aa = template.mesh()
-        grid = template.with_values(u(bb, aa), fn=u)
-        u_even, removed = symmetrize(grid, cp)
+    if not isinstance(u, BoundaryGrid):
+        u = template.with_values(u(*template.mesh()))
+    u_even, removed = symmetrize(u, cp)
     # extension, C- twice and restriction on one beta spectrum: only the
     # frequencies that both u_even and the template carry are formed, and
     # the scattering phase is built once

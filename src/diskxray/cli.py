@@ -330,12 +330,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_selftest(cfg: RunConfig) -> int:
     _warn_near_degenerate(cfg)
-    results = selftest.run(cfg.kappa)
-    for row in results:
-        print(selftest.format_row(row))
-    failed = [r for r in results if not r.passed]
+    results = selftest.run(cfg.kappa, verbose=True)
+    failed = sum(not r.passed for r in results)
     if failed:
-        print(f"{len(failed)} of {len(results)} checks failed")
+        print(f"{failed} of {len(results)} checks failed")
         return EXIT_NUMERICAL
     print(f"all {len(results)} checks passed")
     return EXIT_OK

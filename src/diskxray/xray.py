@@ -23,6 +23,7 @@ truncation or a spectral cutoff.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -381,6 +382,7 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     angles and values (z.size * n_theta of each) the memory needed is
     bounded whatever the target count.
     """
+    n_theta = operator.index(n_theta)  # a float would space the nodes 2 pi / n_theta apart
     if n_theta < 1:
         raise ValueError(f"adjoint_sharp needs n_theta >= 1, got {n_theta}")
     if isinstance(g, BoundaryGrid):

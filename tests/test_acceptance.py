@@ -2,29 +2,17 @@
 
 Each test prints one `[criterion N] pass/fail` line with the measured
 worst case so the suite doubles as a numerical report (run with -s).
+Criteria 2, 3 and 7 are entries of the selftest registry, held here over
+the acceptance curvature grid.
 """
 
 import math
 
 import numpy as np
-import pytest
 
-from diskxray import basis, boundary, xray
-from diskxray.geometry import (
-    CurvatureParam,
-    conformal_factor,
-    exit_time,
-    fiber_change,
-    footpoint_angles,
-    geodesic_point,
-    geodesic_velocity,
-    isometry_from_tangent,
-    scattering_angles,
-    sig,
-    sig_prime,
-)
-
-FULL_KAPPAS = [-0.9, -0.5, 0.0, 0.5, 0.9]
+from diskxray import basis, boundary, selftest, xray
+from diskxray.geometry import CurvatureParam, exit_time, geodesic_point, scattering_angles, sig, sig_prime
+from diskxray.selftest import FULL_KAPPAS
 
 
 def report(num, label, measured, tol):
@@ -64,38 +52,16 @@ def test_criterion_1_singular_value_reproduction():
     report(1, "forward diagonality over kappa grid", worst, 1e-6)
 
 
-def test_criterion_2_norm_constants():
-    """Quadrature reproduces the closed-form norms for n <= 8."""
-    worst = 0.0
-    for kappa in FULL_KAPPAS:
-        cp = CurvatureParam(kappa)
-        bg = xray.boundary_grid(cp, 8, 96)
-        bb, aa = bg.mesh()
-        dg = xray.disk_grid(cp, 160, 64, measure="weighted")
-        pts = dg.points()
-        for n in range(9):
-            for k in range(n + 1):
-                psi = bg.with_values(basis.psi_kappa(n, k, bb, aa, cp))
-                got = xray.boundary_inner(psi, psi).real
-                worst = max(worst, abs(got - 1.0 / (4 * (1 + kappa))))
-                zk = dg.with_values(basis.zernike_kappa(n, k, pts, cp))
-                got = xray.disk_inner(zk, zk).real
-                worst = max(worst, abs(got - math.pi / ((1 - kappa**2) * (n + 1))))
-    report(2, "psi and deformed-Zernike norms, n <= 8", worst, 1e-9)
+def test_criterion_2_norm_constants(hold):
+    """Quadrature reproduces the closed-form norms (and orthogonality) for n <= 8."""
+    worst = max(hold(selftest.psi_orthogonality, *FULL_KAPPAS),
+                hold(selftest.zernike_orthogonality, *FULL_KAPPAS))
+    report(2, "psi and deformed-Zernike Gram matrices, n <= 8", worst, 1e-9)
 
 
-def test_criterion_3_adjoint_kernel():
+def test_criterion_3_adjoint_kernel(hold):
     """Fiber integrals of psi/mu vanish for k outside [0, n]."""
-    rng = np.random.default_rng(123)
-    z = rng.uniform(0.0, 0.9, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi, 10))
-    worst = 0.0
-    for kappa in (-0.5, 0.5):
-        cp = CurvatureParam(kappa)
-        for n in range(5):
-            for k in (-2, -1, n + 1, n + 2):
-                g = lambda beta, alpha, n=n, k=k: basis.psi_over_mu(n, k, beta, alpha, cp)
-                worst = max(worst, float(np.max(np.abs(xray.adjoint_sharp(g, z, cp)))))
-    report(3, "adjoint kernel modes, n <= 4", worst, 1e-7)
+    report(3, "adjoint kernel modes, n <= 4", hold(selftest.adjoint_kernel, -0.5, 0.5), 1e-7)
 
 
 def test_criterion_4_boundary_operator_spectra():
@@ -209,57 +175,11 @@ def test_criterion_6_roundtrip_inversion():
     report(6, "round-trip inversion over kappa grid", worst, 1e-6)
 
 
-def test_criterion_7_geometry_identity_suite():
+def test_criterion_7_geometry_identity_suite(hold):
     """Closed-form geometric identities on 1000 random samples each."""
-    n = 1000
-    worst = 0.0
-    for kappa in FULL_KAPPAS:
-        cp = CurvatureParam(kappa)
-        rng = np.random.default_rng(77)
-
-        # isometry invariance of the metric
-        for _ in range(50):
-            T = isometry_from_tangent(
-                rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-                rng.uniform(0, 2 * np.pi), cp,
-            )
-            z = rng.uniform(0, 1, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
-            zeta = rng.normal(size=20) + 1j * rng.normal(size=20)
-            lhs = np.abs(T.deriv(z) * zeta) / conformal_factor(T(z), cp)
-            rhs = np.abs(zeta) / conformal_factor(z, cp)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
-
-        # scattering vs geodesic endpoints (position and direction)
-        beta = rng.uniform(0, 2 * np.pi, n)
-        alpha = rng.uniform(-np.pi / 2 + 1e-6, np.pi / 2 - 1e-6, n)
-        tau = exit_time(alpha, cp)
-        b2, a2 = scattering_angles(beta, alpha, cp)
-        zend = geodesic_point(beta, alpha, tau, cp)
-        worst = max(worst, float(np.max(np.abs(zend - np.exp(1j * b2)))))
-        vel = geodesic_velocity(beta, alpha, tau, cp)
-        worst = max(worst, float(np.max(np.abs(vel / np.abs(vel) - np.exp(1j * (b2 + np.pi + a2))))))
-
-        # sqrt-jacobian realness and the sine/cosine relations
-        a = rng.uniform(-np.pi, np.pi, n)
-        s, sp = sig(a, cp), sig_prime(a, cp)
-        fval = np.exp(1j * a) * (np.exp(-1j * s) - kappa * np.exp(1j * s))
-        worst = max(worst, float(np.max(np.abs(fval.imag))))
-        worst = max(worst, float(np.max(np.abs(fval.real - np.sqrt((1 - kappa**2) * sp)))))
-        worst = max(worst, float(np.max(np.abs(np.sqrt(sp / cp.lam) * np.cos(a) - np.cos(s)))))
-        worst = max(worst, float(np.max(np.abs(np.sqrt(sp * cp.lam) * np.sin(a) - np.sin(s)))))
-
-        # footpoint sine relation and fiber-substitution identities
-        rho = rng.uniform(0, 0.99, n)
-        th = rng.uniform(0, 2 * np.pi, n)
-        _, am = footpoint_angles(rho, 0.0, th, cp)
-        spm = sig_prime(am, cp)
-        lhs = np.sin(sig(am, cp)) / np.sqrt(spm)
-        rhs = -math.sqrt(1 - kappa**2) * rho * np.sin(th) / (1 + kappa * rho**2)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        thp, jac = fiber_change(rho, th, cp)
-        ratio = (1 - kappa * rho**2) / (1 + kappa * rho**2)
-        worst = max(worst, float(np.max(np.abs(jac - ratio / cp.lam * spm))))
-        worst = max(worst, float(np.max(np.abs(np.sin(thp) - ratio * np.sqrt(spm / cp.lam) * np.sin(th)))))
+    identities = (selftest.isometry_invariance, selftest.scattering_consistency, selftest.sqrt_jacobian,
+                  selftest.sine_cosine, selftest.footpoint_sine, selftest.fiber_closed_forms)
+    worst = max(hold(measure, *FULL_KAPPAS) for measure in identities)
     report(7, "geometry identity suite, 1000 samples per identity", worst, 1e-9)
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_chebyu
 
-from diskxray import basis
+from diskxray import basis, selftest
 from diskxray.geometry import CurvatureParam
-from diskxray.xray import boundary_grid, boundary_inner, disk_grid, disk_inner
+from diskxray.xray import disk_grid, disk_inner
 
 
 def zernike_by_quadrature(n, k, z, n_theta=4096):
@@ -88,38 +88,11 @@ class TestZernike:
         with pytest.raises(ValueError):
             basis.zernike(2, 1, 1.5)
 
-    def test_boundary_recursion(self):
-        # three-term identity of the boundary values, exact in integers
-        for n in range(2, 10):
-            for k in range(1, n):
-                lhs = basis.zernike_radial(n, k, 1.0)
-                rhs = (
-                    basis.zernike_radial(n - 2, k - 1, 1.0)
-                    - basis.zernike_radial(n - 1, k - 1, 1.0)
-                    + basis.zernike_radial(n - 1, k, 1.0)
-                )
-                assert lhs == rhs
+    def test_boundary_recursion(self, hold):
+        hold(selftest.boundary_recursion, 0.0)
 
-    def test_cauchy_riemann_chain(self):
-        # d/dz Z_{n,k} + d/dzbar Z_{n,k+1} = 0; endpoints holomorphic
-        h = 1e-4
-        rng = np.random.default_rng(4)
-        pts = rng.uniform(0.1, 0.8, 15) * np.exp(1j * rng.uniform(0, 2 * np.pi, 15))
-
-        def wirtinger(fn, z):
-            fx = (fn(z + h) - fn(z - h)) / (2 * h)
-            fy = (fn(z + 1j * h) - fn(z - 1j * h)) / (2 * h)
-            return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-        for n in range(7):
-            dz0, dbar0 = wirtinger(lambda z: basis.zernike(n, 0, z), pts)
-            assert np.max(np.abs(dbar0)) < 1e-6
-            dzn, _ = wirtinger(lambda z: basis.zernike(n, n, z), pts)
-            assert np.max(np.abs(dzn)) < 1e-6
-            for k in range(n):
-                dzk, _ = wirtinger(lambda z, k=k: basis.zernike(n, k, z), pts)
-                _, dbk1 = wirtinger(lambda z, k=k: basis.zernike(n, k + 1, z), pts)
-                assert np.max(np.abs(dzk + dbk1)) < 1e-6
+    def test_cauchy_riemann_chain(self, hold):
+        hold(selftest.cauchy_riemann, 0.0)
 
     def test_euclidean_orthogonality(self):
         cp = CurvatureParam(0.0)
@@ -166,22 +139,8 @@ class TestZernikeKappa:
                 assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("kappa", [-0.9, -0.5, 0.5, 0.9])
-    def test_orthogonality_weighted(self, kappa):
-        cp = CurvatureParam(kappa)
-        grid = disk_grid(cp, 128, 64, measure="weighted")
-        pts = grid.points()
-        fams = {
-            (n, k): grid.with_values(basis.zernike_kappa(n, k, pts, cp))
-            for n in range(7)
-            for k in range(n + 1)
-        }
-        for (n, k), f in fams.items():
-            for (n2, k2), g in fams.items():
-                if (n2, k2) < (n, k):
-                    continue
-                got = disk_inner(f, g)
-                want = math.pi / ((1 - kappa**2) * (n + 1)) if (n, k) == (n2, k2) else 0.0
-                assert abs(got - want) < 1e-8
+    def test_orthogonality_weighted(self, kappa, hold):
+        hold(selftest.zernike_orthogonality, kappa)
 
     def test_normalized_norm(self):
         cp = CurvatureParam(0.6)
@@ -354,23 +313,8 @@ class TestPsi:
                 assert np.max(np.abs(got - want)) < 1e-14
 
     @pytest.mark.parametrize("kappa", [-0.9, -0.3, 0.3, 0.9])
-    def test_orthogonality(self, kappa):
-        cp = CurvatureParam(kappa)
-        grid = boundary_grid(cp, 64, 48)
-        bb, aa = grid.mesh()
-        fams = {
-            (n, k): grid.with_values(basis.psi_kappa(n, k, bb, aa, cp))
-            for n in range(6)
-            for k in range(-1, n + 2)
-        }
-        want_norm = 1.0 / (4 * (1 + kappa))
-        for (n, k), f in fams.items():
-            for (n2, k2), g in fams.items():
-                if (n2, k2) < (n, k):
-                    continue
-                got = boundary_inner(f, g)
-                want = want_norm if (n, k) == (n2, k2) else 0.0
-                assert abs(got - want) < 1e-10
+    def test_orthogonality(self, kappa, hold):
+        hold(selftest.psi_orthogonality, kappa)
 
     def test_psi_over_mu_consistency(self):
         # cancellation-free form equals psi / cos(alpha) away from tangential
@@ -413,19 +357,8 @@ class TestBoundaryFamily:
             assert got == pytest.approx(np.exp(1j * (p * beta + (2 * q + 1) * alpha)))
 
     @pytest.mark.parametrize("kappa", [-0.6, 0.4])
-    def test_hilbert_eigenrelation(self, kappa):
-        # fiberwise Fourier multiplier reproduces -i sign(2q+1) phi'
-        cp = CurvatureParam(kappa)
-        nf = 1024
-        a = np.arange(nf) * 2 * np.pi / nf
-        m = np.fft.fftfreq(nf, 1.0 / nf).astype(int)
-        mult = -1j * np.sign(m)
-        for p in range(-6, 7, 3):
-            for q in range(-6, 7):
-                vals = basis.phi_prime(p, q, 0.23, a, cp)
-                got = np.fft.ifft(np.fft.fft(vals) * mult)
-                want = -1j * np.sign(2 * q + 1) * vals
-                assert np.max(np.abs(got - want)) < 1e-8
+    def test_hilbert_eigenrelation(self, kappa, hold):
+        hold(selftest.hilbert_eigen, kappa)
 
 
 class TestIndexing:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from diskxray import basis, cli, fileio, xray
+from diskxray import basis, cli, fileio, selftest, xray
 from diskxray.geometry import CurvatureParam, exit_time
 
 
@@ -467,6 +467,16 @@ class TestSelftestCommand:
         # the suite still executed end to end (code may be 0 or 3 at this
         # extreme; what matters is that it was not a config rejection)
         assert code in (0, cli.EXIT_NUMERICAL)
+
+    def test_failing_entry_exits_numerical(self, monkeypatch, capsys):
+        failing = selftest.Check("always fails (kappa={kappa})", lambda cp: 1.0, 0.5, (0.0,))
+        passing = next(c for c in selftest.CHECKS if c.measure is selftest.lft_identity)
+        monkeypatch.setattr(selftest, "CHECKS", (passing, failing))
+        assert run_cli("--kappa", 0.4, "selftest") == cli.EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert "[pass] linear-fractional signature identity (kappa=0.4)" in out
+        assert "[FAIL] always fails (kappa=0.4)" in out
+        assert "1 of 2 checks failed" in out
 
 
 class TestExitCodes:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from diskxray import selftest
 from diskxray.geometry import (
     CurvatureParam,
     FanBeamPoint,
@@ -117,21 +118,8 @@ class TestIsometries:
             isometry_from_tangent(1.5, 0.0, CurvatureParam(0.2))
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_metric_invariance(self, kappa):
-        # |T'(z) zeta|_g at T(z) equals |zeta|_g at z for group elements
-        cp = CurvatureParam(kappa)
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            T = isometry_from_tangent(
-                rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-                rng.uniform(0, 2 * np.pi),
-                cp,
-            )
-            z = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            zeta = rng.normal() + 1j * rng.normal()
-            lhs = abs(T.deriv(z) * zeta) / conformal_factor(T(z), cp)
-            rhs = abs(zeta) / conformal_factor(z, cp)
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+    def test_metric_invariance(self, kappa, hold):
+        hold(selftest.isometry_invariance, kappa)
 
 
 class TestExitTime:
@@ -184,33 +172,11 @@ class TestGeodesics:
             )
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_unit_speed(self, kappa):
-        cp = CurvatureParam(kappa)
-        rng = np.random.default_rng(8)
-        beta = rng.uniform(0, 2 * np.pi, 100)
-        alpha = rng.uniform(-1.4, 1.4, 100)
-        t = exit_time(alpha, cp) * rng.uniform(0.05, 0.95, 100)
-        h = 1e-6
-        fd = np.abs(geodesic_point(beta, alpha, t + h, cp) - geodesic_point(beta, alpha, t - h, cp)) / (2 * h)
-        c = np.abs(conformal_factor(geodesic_point(beta, alpha, t, cp), cp))
-        assert np.max(np.abs(fd / c - 1.0)) < 1e-8
-        # closed-form velocity agrees with the finite difference
-        vel = np.abs(geodesic_velocity(beta, alpha, t, cp))
-        assert np.max(np.abs(vel - fd)) < 1e-6
+    def test_unit_speed(self, kappa, hold):
+        hold(selftest.unit_speed, kappa)
 
-    def test_scattering_consistency(self):
-        # endpoint of the geodesic = boundary point of the scattering image
-        for kappa in KAPPAS:
-            cp = CurvatureParam(kappa)
-            rng = np.random.default_rng(9)
-            beta = rng.uniform(0, 2 * np.pi, 1000)
-            alpha = rng.uniform(-np.pi / 2 + 1e-6, np.pi / 2 - 1e-6, 1000)
-            tau = exit_time(alpha, cp)
-            zend = geodesic_point(beta, alpha, tau, cp)
-            b2, a2 = scattering_angles(beta, alpha, cp)
-            assert np.max(np.abs(zend - np.exp(1j * b2))) < 1e-9
-            vel = geodesic_velocity(beta, alpha, tau, cp)
-            assert np.max(np.abs(vel / np.abs(vel) - np.exp(1j * (b2 + np.pi + a2)))) < 1e-9
+    def test_scattering_consistency(self, hold):
+        hold(selftest.scattering_consistency, *KAPPAS)
 
     def test_rejects_bad_arclength(self):
         cp = CurvatureParam(0.2)
@@ -308,41 +274,20 @@ class TestSignature:
         assert np.max(np.abs(sig_inverse(sig(a, cp), cp) - a)) < 1e-12
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_derivative_bounds(self, kappa):
-        cp = CurvatureParam(kappa)
-        a = np.linspace(-np.pi, np.pi, 2000)
-        sp = sig_prime(a, cp)
-        lo, hi = min(cp.lam, 1 / cp.lam), max(cp.lam, 1 / cp.lam)
-        assert np.all(sp >= lo - 1e-12) and np.all(sp <= hi + 1e-12)
+    def test_derivative_bounds(self, kappa, hold):
+        hold(selftest.sig_bounds, kappa)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_linear_fractional_identity(self, kappa):
-        cp = CurvatureParam(kappa)
-        rng = np.random.default_rng(14)
-        a = rng.uniform(-np.pi, np.pi, 1000)
-        lhs = np.exp(2j * sig(a, cp)) * (1 + kappa * np.exp(2j * a))
-        rhs = np.exp(2j * a) + kappa
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+    def test_linear_fractional_identity(self, kappa, hold):
+        hold(selftest.lft_identity, kappa)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_sqrt_jacobian_real(self, kappa):
-        cp = CurvatureParam(kappa)
-        rng = np.random.default_rng(15)
-        a = rng.uniform(-np.pi, np.pi, 1000)
-        s = sig(a, cp)
-        f = np.exp(1j * a) * (np.exp(-1j * s) - kappa * np.exp(1j * s))
-        assert np.max(np.abs(f.imag)) < 1e-12
-        assert np.all(f.real > 0)
-        assert np.max(np.abs(f.real - np.sqrt((1 - kappa**2) * sig_prime(a, cp)))) < 1e-12
+    def test_sqrt_jacobian_real(self, kappa, hold):
+        hold(selftest.sqrt_jacobian, kappa)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_sine_cosine_relations(self, kappa):
-        cp = CurvatureParam(kappa)
-        rng = np.random.default_rng(16)
-        a = rng.uniform(-np.pi, np.pi, 1000)
-        s, sp = sig(a, cp), sig_prime(a, cp)
-        assert np.max(np.abs(np.sqrt(sp / cp.lam) * np.cos(a) - np.cos(s))) < 1e-12
-        assert np.max(np.abs(np.sqrt(sp * cp.lam) * np.sin(a) - np.sin(s))) < 1e-12
+    def test_sine_cosine_relations(self, kappa, hold):
+        hold(selftest.sine_cosine, kappa)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_derivative_dual_representation(self, kappa):
@@ -358,20 +303,10 @@ class TestSignature:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     @pytest.mark.parametrize("kappa", [-0.7, -0.2, 0.4, 0.8])
-    def test_holomorphy(self, kappa):
-        # e^{2i sig} has no negative and no odd fiber modes; mean is kappa
+    def test_holomorphy(self, kappa, hold):
+        # e^{2i sig} itself is the registry entry; its powers are checked here
+        hold(selftest.holomorphy, kappa)
         cp = CurvatureParam(kappa)
-        n = 512
-        a = np.arange(n) * 2 * np.pi / n
-        coeffs = np.fft.fft(np.exp(2j * sig(a, cp))) / n
-        m = np.fft.fftfreq(n, 1.0 / n).astype(int)
-        assert np.max(np.abs(coeffs[m < 0])) < 1e-10
-        assert np.max(np.abs(coeffs[m % 2 == 1])) < 1e-10
-        assert abs(coeffs[0] - kappa) < 1e-10
-        # geometric-series coefficients: (kappa - 1/kappa)(-kappa)^p at mode 2p
-        for p in (1, 2, 3):
-            want = (kappa - 1 / kappa) * (-kappa) ** p
-            assert coeffs[m == 2 * p][0] == pytest.approx(want, abs=1e-10)
         # powers inherit the one-sided even structure: e^{2iq sig} is
         # holomorphic even for q > 0 and anti-holomorphic even for q < 0
         # (finer grid: the power spectra decay like |kappa|^{m/2})
@@ -472,15 +407,8 @@ class TestFootpoint:
         assert am == pytest.approx(want, abs=1e-15)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_sine_identity(self, kappa):
-        cp = CurvatureParam(kappa)
-        rng = np.random.default_rng(19)
-        rho = rng.uniform(0, 0.99, 1000)
-        th = rng.uniform(0, 2 * np.pi, 1000)
-        _, am = footpoint_angles(rho, 0.0, th, cp)
-        lhs = np.sin(sig(am, cp)) / np.sqrt(sig_prime(am, cp))
-        rhs = -math.sqrt(1 - kappa**2) * rho * np.sin(th) / (1 + kappa * rho**2)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
+    def test_sine_identity(self, kappa, hold):
+        hold(selftest.footpoint_sine, kappa)
 
     def test_rotation_equivariance(self):
         cp = CurvatureParam(0.4)
@@ -512,20 +440,8 @@ class TestFiberChange:
         assert jac == pytest.approx(fd, abs=1e-8)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_relations_to_footpoint(self, kappa):
-        # jacobian and sine of the substituted angle in terms of the
-        # signature derivative at the footpoint
-        cp = CurvatureParam(kappa)
-        rng = np.random.default_rng(21)
-        rho = rng.uniform(0, 0.99, 1000)
-        th = rng.uniform(0, 2 * np.pi, 1000)
-        thp, jac = fiber_change(rho, th, cp)
-        _, am = footpoint_angles(rho, 0.0, th, cp)
-        sp = sig_prime(am, cp)
-        ratio = (1 - kappa * rho**2) / (1 + kappa * rho**2)
-        assert np.max(np.abs(jac - ratio / cp.lam * sp)) < 1e-9
-        assert np.max(np.abs(np.sin(thp) - ratio * np.sqrt(sp / cp.lam) * np.sin(th))) < 1e-9
-        assert np.all(jac > 0)
+    def test_relations_to_footpoint(self, kappa, hold):
+        hold(selftest.fiber_closed_forms, kappa)
 
 
 class TestFanBeamPoint:

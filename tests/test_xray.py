@@ -7,16 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diskxray import basis, xray
-from diskxray.geometry import CurvatureParam, FanBeamPoint, exit_time, geodesic_point, sig
+from diskxray import basis, selftest, xray
+from diskxray.geometry import CurvatureParam, FanBeamPoint, exit_time
 
 
 def ones(z):
     return np.ones(np.shape(z), dtype=complex)
 
 
-def band_limited(cp, nmax, seed, weighted=True):
-    """Random band-limited disk function (and its coefficient table)."""
+def band_limited(cp, nmax, seed):
+    """Random band-limited w_kappa-weighted disk function (and its coefficient table)."""
     rng = np.random.default_rng(seed)
     tab = basis.CoeffTable(nmax=nmax)
     for n in range(nmax + 1):
@@ -27,33 +27,23 @@ def band_limited(cp, nmax, seed, weighted=True):
         out = np.zeros(np.shape(z), dtype=complex)
         for (n, k), c in tab.items():
             out += c * basis.zernike_kappa_hat(n, k, z, cp)
-        if weighted:
-            out *= basis.w_kappa(z, cp)
-        return out
+        return out * basis.w_kappa(z, cp)
 
     return f, tab
 
 
 class TestGrids:
     @pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5])
-    def test_boundary_mass(self, kappa):
-        cp = CurvatureParam(kappa)
-        g = xray.boundary_grid(cp, 16, 96)
-        assert np.sum(g.weights()) == pytest.approx(2 * np.pi**2 / (1 + kappa), abs=1e-10)
+    def test_boundary_mass(self, kappa, hold):
+        hold(selftest.quadrature_masses, kappa)
 
     @pytest.mark.parametrize("kappa", [-0.9, 0.9])
-    def test_boundary_mass_extreme(self, kappa):
-        # node placement follows the signature, so the flat integrand
-        # needs a denser fiber rule at extreme curvature
-        cp = CurvatureParam(kappa)
-        g = xray.boundary_grid(cp, 16, 512)
-        assert np.sum(g.weights()) == pytest.approx(2 * np.pi**2 / (1 + kappa), abs=1e-10)
+    def test_boundary_mass_extreme(self, kappa, hold):
+        hold(selftest.quadrature_masses, kappa)
 
     @pytest.mark.parametrize("kappa", [-0.9, -0.5, 0.0, 0.5, 0.9])
-    def test_disk_mass(self, kappa):
-        cp = CurvatureParam(kappa)
-        g = xray.disk_grid(cp, 128, 16)
-        assert np.sum(g.weights()) == pytest.approx(np.pi / (1 + kappa), abs=1e-10)
+    def test_disk_mass(self, kappa, hold):
+        hold(selftest.quadrature_masses, kappa)
 
     def test_alpha_nodes_strictly_inward(self):
         g = xray.boundary_grid(CurvatureParam(0.8), 8, 64)
@@ -125,14 +115,8 @@ class TestForward:
             want = xray.singular_value(0, cp) * basis.psi_kappa_hat(0, 0, bp.beta, bp.alpha, cp)
             assert got == pytest.approx(complex(want), abs=1e-8)
 
-    def test_quadrature_convergence(self):
-        cp = CurvatureParam(0.5)
-        f = lambda z: np.exp(z) * basis.w_kappa(z, cp)
-        vals = [
-            xray._forward_batch(f, [0.7], [0.3], cp, xray.GeodesicQuad(n_nodes=n))[0]
-            for n in (16, 32, 64)
-        ]
-        assert abs(vals[1] - vals[2]) < 1e-9
+    def test_quadrature_convergence(self, hold):
+        hold(selftest.quadrature_convergence, 0.5)
 
 
 class TestSinogram:
@@ -191,16 +175,8 @@ class TestAdjoint:
             xray.adjoint_sharp(lambda b, a: ones(b), 0.2 + 0j, cp, n_theta=n_theta)
 
     @pytest.mark.parametrize("kappa", [-0.5, 0.5])
-    def test_kernel_modes(self, kappa):
-        # psi/mu with k outside [0, n] integrates to zero over every fiber
-        cp = CurvatureParam(kappa)
-        rng = np.random.default_rng(2)
-        z = rng.uniform(0, 0.9, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi, 10))
-        for n in range(5):
-            for k in (-2, -1, n + 1, n + 2):
-                g = lambda beta, alpha, n=n, k=k: basis.psi_over_mu(n, k, beta, alpha, cp)
-                vals = xray.adjoint_sharp(g, z, cp)
-                assert np.max(np.abs(vals)) < 1e-7
+    def test_kernel_modes(self, kappa, hold):
+        hold(selftest.adjoint_kernel, kappa)
 
     @pytest.mark.parametrize("kappa", [-0.5, 0.5])
     def test_produces_deformed_zernike(self, kappa):
@@ -225,31 +201,20 @@ class TestAdjoint:
         assert np.max(np.abs(got - basis.zernike_kappa(2, 1, z, cp))) < 1e-7
 
     def test_adjoint_duality(self):
-        # <I(w f), g> on the boundary equals <f, adjoint(g/mu)> on the disk
-        cp = CurvatureParam(0.5)
-        f, _ = band_limited(cp, 3, seed=5, weighted=False)
-        rng = np.random.default_rng(6)
-        gtab = basis.CoeffTable(nmax=3)
-        for n in range(4):
-            for k in range(-1, n + 2):
-                gtab.entries[(n, k)] = complex(rng.normal(), rng.normal())
+        # the registry entry with g padded by the co-kernel modes k = -1, n + 1
+        check = next(c for c in selftest.CHECKS if c.measure is selftest.adjoint_duality)
+        assert selftest.adjoint_duality(CurvatureParam(0.5), kpad=1) < check.tol
 
-        def g(beta, alpha):
-            out = np.zeros(np.shape(beta), complex)
-            for (n, k), c in gtab.items():
-                out += c * basis.psi_kappa_hat(n, k, beta, alpha, cp)
-            return out
+    @pytest.mark.parametrize("n_theta", [2.5, 3.0])
+    def test_rejects_non_integer_theta_rule(self, n_theta):
+        with pytest.raises(TypeError):
+            xray.adjoint_sharp(lambda b, a: ones(b), 0.3 + 0j, CurvatureParam(0.0), n_theta=n_theta)
 
-        bg = xray.boundary_grid(cp, 32, 48)
-        bb, aa = bg.mesh()
-        sino = xray.sinogram(lambda z: basis.w_kappa(z, cp) * f(z), bg, cp)
-        lhs = xray.boundary_inner(sino, bg.with_values(g(bb, aa)))
-
-        dg = xray.disk_grid(cp, 64, 32, measure="weighted")
-        pts = dg.points()
-        back = xray.adjoint_sharp(lambda b, a: g(b, a) / np.cos(a), pts, cp, n_theta=512)
-        rhs = xray.disk_inner(dg.with_values(f(pts)), dg.with_values(back))
-        assert abs(lhs - rhs) < 1e-6 * abs(lhs)
+    def test_numpy_integer_theta_rule(self):
+        g = lambda beta, alpha: np.exp(1j * beta)
+        cp = CurvatureParam(0.0)
+        want = xray.adjoint_sharp(g, 0.3 + 0j, cp, n_theta=64)
+        assert xray.adjoint_sharp(g, 0.3 + 0j, cp, n_theta=np.int64(64)) == want
 
 
 def psi_sinogram(cp, nmax=6, seed=0):
@@ -580,16 +545,5 @@ class TestRandomCurvatures:
 
 
 class TestEuclideanDegeneration:
-    def test_small_kappa_matches_zero(self):
-        tiny, zero = CurvatureParam(1e-12), CurvatureParam(0.0)
-        a = np.linspace(-1.4, 1.4, 101)
-        assert np.max(np.abs(exit_time(a, tiny) - exit_time(a, zero))) < 1e-8
-        assert np.max(np.abs(sig(a, tiny) - a)) < 1e-8
-        t = np.linspace(0, 1.0, 9)
-        assert np.max(np.abs(
-            geodesic_point(0.3, 0.5, t, tiny) - geodesic_point(0.3, 0.5, t, zero)
-        )) < 1e-8
-        bp = FanBeamPoint(0.2, 0.4)
-        f = lambda z: np.exp(z)
-        assert abs(xray.forward(f, bp, tiny) - xray.forward(f, bp, zero)) < 1e-8
-        assert abs(xray.singular_value(3, tiny) - xray.singular_value(3, zero)) < 1e-8
+    def test_small_kappa_matches_zero(self, hold):
+        hold(selftest.euclidean_degeneration, 0.0)
