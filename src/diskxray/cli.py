@@ -205,14 +205,15 @@ def cmd_basis(cfg: RunConfig) -> int:
 
 
 def _load_phantom(cfg: RunConfig, phantom: str | None):
-    """Phantom as a disk callable: built-in name or coefficient file.
+    """Phantom from a built-in name or a coefficient file.
 
-    A coefficient file gives w_kappa times its deformed-Zernike series,
-    evaluated for all modes at once by `basis.zernike_kappa_series`.  A
+    `unit` is the constant disk callable.  A coefficient file gives its
+    `CoeffTable`, standing for w_kappa times the deformed-Zernike series;
+    an entry with k outside [0, n] names no disk mode (its psi_hat is
+    co-kernel content) and raises ValueError like `zernike` does.  A
     malformed file or a kappa mismatch is a config error; a NaN or inf
     coefficient is bad data and raises `xray._NonFiniteValues`.
     """
-    cp = cfg.cp()
     if phantom == "unit" or (phantom is None and cfg.input is None):
         return lambda z: np.ones(np.shape(z), dtype=complex)
     path = cfg.input if phantom is None else phantom
@@ -226,14 +227,31 @@ def _load_phantom(cfg: RunConfig, phantom: str | None):
         raise ConfigError(
             f"coefficient file kappa={kappa_file} does not match config kappa={cfg.kappa}"
         )
-    return lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_series(table, z, cp)
+    for n, k in table.entries:
+        if not 0 <= k <= n:
+            raise ValueError(f"zernike requires 0 <= k <= n, got (n,k)=({n},{k})")
+    return table
 
 
 def cmd_forward(cfg: RunConfig, phantom: str | None) -> int:
+    """Sinogram of a phantom, with optional seeded noise.
+
+    A coefficient table goes through the SVD, I(w_kappa sum c Z_hat) =
+    sum sigma_n c psi_hat, which `synthesize` samples exactly at every
+    node; a callable phantom is integrated by geodesic quadrature.
+    """
     cp = cfg.cp()
     outdir = _outdir(cfg)
     f = _load_phantom(cfg, phantom)
-    grid = xray.sinogram(f, cfg.boundary_template(), cp, cfg.quad())
+    template = cfg.boundary_template()
+    if isinstance(f, basis.CoeffTable):
+        image = basis.CoeffTable(nmax=f.nmax, entries={
+            (n, k): xray.singular_value(n, cp) * c for (n, k), c in f.items()})
+        grid = xray.synthesize(image, template, cp)
+        route = {"forward": "svd", "phantom_modes": len(f.entries)}
+    else:
+        grid = xray.sinogram(f, template, cp, cfg.quad())
+        route = {"forward": "quadrature", "geodesic_nodes": cfg.geodesic_nodes}
     level = cfg.noise["level"]
     if level > 0.0:
         rng = np.random.default_rng(cfg.noise["seed"])
@@ -241,7 +259,7 @@ def cmd_forward(cfg: RunConfig, phantom: str | None) -> int:
         noise = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         grid = grid.with_values(grid.values + level * rms * noise / math.sqrt(2.0))
     fileio.write_sinogram_csv(outdir / "sinogram.csv", grid)
-    _write_sidecar(outdir, "sinogram", cfg, {"noise_applied": level > 0.0})
+    _write_sidecar(outdir, "sinogram", cfg, {"noise_applied": level > 0.0, **route})
     print(f"wrote {outdir}/sinogram.csv")
     return EXIT_OK
 

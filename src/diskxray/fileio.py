@@ -27,14 +27,21 @@ def fmt(x: float) -> str:
 def _write_grid_csv(path, header, outer, inner, values) -> None:
     """Header row, then one ``outer,inner,re,im`` row per node, row-major.
 
-    The body is formatted in one pass; its bytes are those of `fmt` on
-    each field joined by `csv.writer` (comma, CRLF, nothing to quote).
+    Its bytes are those of `fmt` on each field joined by `csv.writer`
+    (comma, CRLF, nothing to quote).  Each distinct coordinate is
+    formatted once and the row prefixes are joined from those, so the
+    per-row pass formats only the values.
     """
-    outer_col, inner_col = np.meshgrid(outer, inner, indexing="ij")
-    table = np.stack([outer_col, inner_col, values.real, values.imag], axis=-1).reshape(-1, 4)
+    outer_s = ["%.17g," % x for x in outer.tolist()]
+    inner_s = ["%.17g," % x for x in inner.tolist()]
+    flat = values.ravel()
+    fields = [None] * (3 * flat.size)
+    fields[0::3] = [o + i for o in outer_s for i in inner_s]
+    fields[1::3] = flat.real.tolist()
+    fields[2::3] = flat.imag.tolist()
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write("%.17g,%.17g,%.17g,%.17g\r\n" * len(table) % tuple(table.ravel().tolist()))
+        fh.write("%s%.17g,%.17g\r\n" * flat.size % tuple(fields))
 
 
 def write_sinogram_csv(path, grid: BoundaryGrid) -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,6 +215,16 @@ class DiskGrid:
         return math.sqrt(abs(disk_inner(self, self)))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n
+    (`leggauss` solves an eigenproblem) and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def boundary_grid(cp: CurvatureParam, n_beta: int = 128, n_alpha: int = 64) -> BoundaryGrid:
     """Empty sinogram grid for the given curvature.
 
@@ -229,7 +240,7 @@ def boundary_grid(cp: CurvatureParam, n_beta: int = 128, n_alpha: int = 64) -> B
     from .geometry import sig_inverse
 
     beta = np.arange(n_beta) * TWO_PI / n_beta
-    x, w = np.polynomial.legendre.leggauss(n_alpha)
+    x, w = _gauss_legendre(n_alpha)
     s = 0.5 * math.pi * x
     alpha = sig_inverse(s, cp)
     return BoundaryGrid(
@@ -243,7 +254,7 @@ def boundary_grid(cp: CurvatureParam, n_beta: int = 128, n_alpha: int = 64) -> B
 
 def disk_grid(cp: CurvatureParam, n_rho: int = 128, n_omega: int = 256, measure: str = "vol") -> DiskGrid:
     """Empty polar grid over the unit disk for the given curvature."""
-    x, w = np.polynomial.legendre.leggauss(n_rho)
+    x, w = _gauss_legendre(n_rho)
     rho = 0.5 * (x + 1.0)
     omega = np.arange(n_omega) * TWO_PI / n_omega
     return DiskGrid(
@@ -316,7 +327,7 @@ def _forward_batch(f, beta, alpha, cp: CurvatureParam, quad: GeodesicQuad):
     if tau.size == 0:
         return out
     n_panels, per = quad.panels(float(tau.max(initial=0.0)))
-    x, w = np.polynomial.legendre.leggauss(per)
+    x, w = _gauss_legendre(per)
     for panel in range(n_panels):
         lo = tau * (panel / n_panels)
         hi = tau * ((panel + 1) / n_panels)
@@ -348,18 +359,26 @@ def forward(f, bp: FanBeamPoint, cp: CurvatureParam, quad: GeodesicQuad | None =
 
 
 def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, quad: GeodesicQuad | None = None) -> BoundaryGrid:
-    """X-ray transform of f sampled on every node of the template grid.
+    """X-ray transform of f sampled on every node of the template grid,
+    by geodesic quadrature.
 
-    f is a callable on the disk (vectorized over complex arrays); a
-    coefficient table is passed as the callable
-    z -> w_kappa(z) * basis.zernike_kappa_series(table, z, cp).
-    Deterministic for fixed inputs; nodes are independent, so callers
-    may parallelize over them freely.
+    f is a callable on the disk (vectorized over complex arrays).  A
+    coefficient table c needs no quadrature: by the SVD, the transform of
+    w_kappa * sum c_{n,k} zernike_kappa_hat(n, k) is
+    `synthesize` of the table c_{n,k} * singular_value(n) on the
+    template, exact at every node (the CLI's `forward` takes that route).
+    Passed here as the callable
+    z -> w_kappa(z) * basis.zernike_kappa_series(table, z, cp), it is
+    integrated instead, which makes this the independent check of that
+    route.  Deterministic for fixed inputs; nodes are independent, so
+    callers may parallelize over them freely.
     """
     if not callable(f):
         raise TypeError(
             f"sinogram needs a callable on the disk, not a {type(f).__name__}; "
-            "evaluate a coefficient table through basis.zernike_kappa_series"
+            "a coefficient table maps exactly to synthesize(c_nk * singular_value(n)) "
+            "on the template, or integrate it as the callable "
+            "w_kappa * basis.zernike_kappa_series"
         )
     quad = quad or GeodesicQuad()
     bb, aa = template.mesh()

@@ -305,6 +305,66 @@ class TestForwardCommand:
         assert (tmp_path / "a/sinogram.csv").read_bytes() != (tmp_path / "b/sinogram.csv").read_bytes()
 
 
+class TestForwardRoutes:
+    """A coefficient phantom goes through the SVD; `unit` and callables
+    through geodesic quadrature, which is the SVD route's oracle."""
+
+    @staticmethod
+    def _phantom(path, kappa, nmax=6, seed=0):
+        rng = np.random.default_rng(seed)
+        tab = basis.CoeffTable(nmax=nmax)
+        for n in range(nmax + 1):
+            for k in range(n + 1):
+                tab[(n, k)] = complex(rng.normal(), rng.normal())
+        fileio.write_coeff_json(path, tab, CurvatureParam(kappa))
+        return tab
+
+    @pytest.mark.parametrize("kappa, nodes", [(-0.9, 64), (-0.5, 64), (0.0, 64), (0.4, 64), (0.9, 128)])
+    def test_coefficient_phantom_matches_quadrature(self, tmp_path, kappa, nodes):
+        cp = CurvatureParam(kappa)
+        tab = self._phantom(tmp_path / "f.json", kappa)
+        assert len(tab.entries) == 28
+        assert run_cli("--kappa", kappa, "--out", tmp_path, "forward",
+                       "--phantom", tmp_path / "f.json") == 0
+        template = cli.RunConfig(kappa=kappa).validate().boundary_template()
+        got = fileio.read_sinogram_csv(tmp_path / "sinogram.csv", template)
+        f = lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_series(tab, z, cp)
+        want = xray.sinogram(f, template, cp, xray.GeodesicQuad(n_nodes=nodes))
+        assert np.max(np.abs(got.values - want.values)) < 1e-10
+
+    def test_coefficient_phantom_noise_is_seeded(self, tmp_path):
+        self._phantom(tmp_path / "f.json", 0.3)
+        for seed, sub in ((1, "a"), (1, "b"), (2, "c")):
+            assert run_cli("--kappa", 0.3, "--seed", seed, "--noise", 0.01, "--out", tmp_path / sub,
+                           "forward", "--phantom", tmp_path / "f.json") == 0
+        a, b, c = ((tmp_path / sub / "sinogram.csv").read_bytes() for sub in "abc")
+        assert a == b
+        assert a != c
+
+    def test_sidecar_names_the_route(self, tmp_path):
+        self._phantom(tmp_path / "f.json", 0.3)
+        run_cli("--kappa", 0.3, "--out", tmp_path / "svd", "forward", "--phantom", tmp_path / "f.json")
+        meta = json.loads((tmp_path / "svd/sinogram.meta.json").read_text())
+        assert meta["forward"] == "svd"
+        assert meta["phantom_modes"] == 28
+        run_cli("--kappa", 0.3, "--out", tmp_path / "quad", "forward", "--phantom", "unit")
+        meta = json.loads((tmp_path / "quad/sinogram.meta.json").read_text())
+        assert meta["forward"] == "quadrature"
+        assert meta["geodesic_nodes"] == 64
+
+    @pytest.mark.parametrize("n, k", [(2, -1), (1, 2)])
+    def test_cokernel_entry_rejected(self, tmp_path, capsys, n, k):
+        # psi_hat(n, k) with k outside [0, n] is co-kernel content, not the
+        # image of any disk mode: no sinogram may come out of it
+        doc = {"kappa": 0.3, "nmax": 2, "entries": [
+            {"n": 0, "k": 0, "re": 1.0, "im": 0.0}, {"n": n, "k": k, "re": 1.0, "im": 0.0}]}
+        (tmp_path / "f.json").write_text(json.dumps(doc))
+        assert run_cli("--kappa", 0.3, "--out", tmp_path / "o", "forward",
+                       "--phantom", tmp_path / "f.json") == cli.EXIT_NUMERICAL
+        assert f"zernike requires 0 <= k <= n, got (n,k)=({n},{k})" in capsys.readouterr().err
+        assert not (tmp_path / "o/sinogram.csv").exists()
+
+
 class TestInvertCommand:
     def test_round_trip(self, tmp_path):
         cp = CurvatureParam(0.4)

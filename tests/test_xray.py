@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diskxray import basis, selftest, xray
+from diskxray import basis, geometry, selftest, xray
 from diskxray.geometry import CurvatureParam, FanBeamPoint, exit_time
 
 
@@ -44,6 +44,26 @@ class TestGrids:
     @pytest.mark.parametrize("kappa", [-0.9, -0.5, 0.0, 0.5, 0.9])
     def test_disk_mass(self, kappa, hold):
         hold(selftest.quadrature_masses, kappa)
+
+    def test_cached_gauss_legendre_nodes_are_leggauss(self):
+        cp = CurvatureParam(0.4)
+        for n in (1, 7, 64):
+            x, w = np.polynomial.legendre.leggauss(n)
+            bg = xray.boundary_grid(cp, 4, n)
+            assert np.array_equal(bg.alpha, geometry.sig_inverse(0.5 * np.pi * x, cp))
+            assert np.array_equal(bg.alpha_weights, 0.5 * np.pi * w / geometry.sig_prime(bg.alpha, cp))
+            dg = xray.disk_grid(cp, n, 4)
+            assert np.array_equal(dg.rho, 0.5 * (x + 1.0))
+            assert np.array_equal(dg.rho_weights, 0.5 * w)
+            cx, cw = xray._gauss_legendre(n)
+            assert np.array_equal(cx, x) and np.array_equal(cw, w)
+
+    def test_cached_gauss_legendre_nodes_are_read_only(self):
+        x, w = xray._gauss_legendre(16)
+        for arr in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        assert np.array_equal(xray._gauss_legendre(16)[0], np.polynomial.legendre.leggauss(16)[0])
 
     def test_alpha_nodes_strictly_inward(self):
         g = xray.boundary_grid(CurvatureParam(0.8), 8, 64)
