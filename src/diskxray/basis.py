@@ -107,17 +107,19 @@ class CoeffTable:
 def cheb_w(n: int, t):
     """W_n(t): degree-n polynomial with W_0 = 1, W_1 = 2it and
     W_{n+1} = 2it W_n + W_{n-1}; equals i^n times the Chebyshev
-    polynomial of the second kind U_n(t)."""
+    polynomial of the second kind U_n(t).  Computed that way: the real
+    recurrence U_{n+1} = 2t U_n - U_{n-1}, then one exact product with
+    i^n.  The values equal the complex recurrence's; only the sign of
+    the zero part may differ."""
     if n < 0:
         raise ValueError("cheb_w requires n >= 0")
     t = np.asarray(t, dtype=float)
-    w_prev = np.ones(t.shape, dtype=complex)
+    u_prev, u = np.ones(t.shape), 2.0 * t
     if n == 0:
-        return w_prev
-    w = 2j * t
+        return u_prev.astype(complex)
     for _ in range(n - 1):
-        w_prev, w = w, 2j * t * w + w_prev
-    return w
+        u_prev, u = u, 2.0 * t * u - u_prev
+    return (1 + 0j, 1j, -1 + 0j, -1j)[n % 4] * u
 
 
 # ---------------------------------------------------------------------------

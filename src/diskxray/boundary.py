@@ -130,8 +130,9 @@ def _extend_spectrum(u: BoundaryGrid, sign: float, cp: CurvatureParam, freqs, ph
     targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
     if np.any(np.abs(targets) > HALF_PI + 1e-9):
         raise ValueError("scattered fiber node left the inward range")
-    _, spectrum_at = _fiber_spectrum(u, cp)
-    spec = spectrum_at(np.clip(targets, -HALF_PI, HALF_PI)).T[freqs % len(u.beta)]
+    _, nodal, rows_at = _fiber_spectrum(u, cp)
+    rows = rows_at(np.clip(targets, -HALF_PI, HALF_PI))
+    spec = (rows @ nodal.view(float)).view(complex).T[freqs % len(u.beta)]
     spec[:, ~inward] *= sign * phase[:, ~inward]
     return spec
 

@@ -108,7 +108,8 @@ class BoundaryGrid:
         """
         if self.fn is not None:
             return self.fn
-        freqs, spectrum_at = _fiber_spectrum(self, CurvatureParam(self.kappa))
+        freqs, spec, rows_at = _fiber_spectrum(self, CurvatureParam(self.kappa))
+        spec_ri = spec.view(float)
         n_pos = int(np.count_nonzero(freqs >= 0))  # numpy order: 0, 1, ..., then negatives
 
         def fn(beta_pts, alpha_pts):
@@ -117,7 +118,7 @@ class BoundaryGrid:
             aflat = np.broadcast_to(np.asarray(alpha_pts, dtype=float), shape).ravel()
             out = np.empty(bflat.shape, dtype=complex)
             for lo in range(0, len(out), _BLOCK):
-                coeff = spectrum_at(aflat[lo:lo + _BLOCK])
+                coeff = (rows_at(aflat[lo:lo + _BLOCK]) @ spec_ri).view(complex)
                 x = np.exp(1j * bflat[lo:lo + _BLOCK])
                 # Horner from both band edges toward frequency 0, where
                 # band-limited data has its mass: a sweep from one edge to
@@ -134,13 +135,15 @@ class BoundaryGrid:
 
 
 def _fiber_spectrum(grid: BoundaryGrid, cp: CurvatureParam):
-    """Beta frequencies (numpy order) of the grid samples and a map from
-    1-d fiber angles to the beta spectrum there: sqrt(sig') divided out
-    at the nodes, barycentric in s = sig(alpha) as one real matrix
-    product, sqrt(sig') restored at the targets."""
+    """Beta frequencies (numpy order) of the grid samples, their beta
+    spectrum at the alpha nodes with sqrt(sig') divided out (n_alpha x
+    n_beta, C order), and a map from 1-d fiber angles to barycentric rows
+    in s = sig(alpha) with sqrt(sig') restored: rows @ spec is the
+    spectrum at those angles, one real matrix product on
+    spec.view(float)."""
     nb = len(grid.beta)
     spec = np.fft.fft(grid.values / np.sqrt(sig_prime(grid.alpha, cp)), axis=0) / nb
-    spec_ri = np.ascontiguousarray(spec.T).view(float)  # (n_alpha, 2 n_beta), re/im interleaved
+    spec = np.ascontiguousarray(spec.T)
     nodes = sig(grid.alpha, cp)
     diff = (4.0 / np.ptp(nodes)) * (nodes[:, None] - nodes)  # capacity scaling: no overflow
     np.fill_diagonal(diff, 1.0)
@@ -148,17 +151,18 @@ def _fiber_spectrum(grid: BoundaryGrid, cp: CurvatureParam):
     if not np.isfinite(weights).all():
         raise ValueError("alpha nodes must be distinct")
 
-    def spectrum_at(alpha):
+    def rows_at(alpha):
+        rows = np.subtract.outer(sig(alpha, cp), nodes)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rows = weights / (sig(alpha, cp)[:, None] - nodes)
+            np.divide(weights, rows, out=rows)  # in place: a fresh array costs page faults
             total = rows.sum(axis=1)
         hit = np.isinf(total)  # target on a node: that node's sample, exactly
         rows[hit] = np.isinf(rows[hit])
         total[hit] = 1.0
         rows *= (np.sqrt(sig_prime(alpha, cp)) / total)[:, None]
-        return (rows @ spec_ri).view(complex)
+        return rows
 
-    return np.fft.fftfreq(nb, 1.0 / nb).astype(int), spectrum_at
+    return np.fft.fftfreq(nb, 1.0 / nb).astype(int), spec, rows_at
 
 
 @dataclass
@@ -394,27 +398,133 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     """Fiber integral of g over footpoints: the distinguished adjoint.
 
     For each interior z integrates g(beta_-(z, theta), alpha_-(z, theta))
-    over the full fiber circle with the uniform trapezoid rule (the
-    integrand is smooth and periodic, so this converges spectrally).
-    g is a callable on the inward bundle or a BoundaryGrid.  A grid is
-    evaluated through its blocked interpolant, so beyond the footpoint
-    angles and values (z.size * n_theta of each) the memory needed is
-    bounded whatever the target count.
+    over the full fiber circle with the n_theta-point trapezoid rule
+    theta_j = 2 pi j / n_theta (the integrand is smooth and periodic, so
+    this converges spectrally).  g is a callable on the inward bundle or
+    a BoundaryGrid.
+
+    A grid is summed through its beta spectrum, once per rotation class
+    of points rather than once per point.  The metric is radial, so the
+    footpoint map commutes with rotations:
+
+        alpha_-(rho e^{i omega}, theta) = alpha_-(rho, theta - omega),
+        beta_-(rho e^{i omega}, theta) = beta_-(rho, theta - omega) + omega.
+
+    Two points of one radius whose angles differ by a multiple of
+    2 pi / n_theta therefore have the same fiber nodes, re-indexed: each
+    point keeps its own n_theta nodes, and the sum over them is the same
+    sum.  Per class of radius rho and offset delta from the theta nodes
+    the fiber sum S_f = sum_j u_f(alpha_j) e^{i f beta_j} of each beta
+    frequency f is formed once, and a point rho e^{i omega} of the class
+    gets (2 pi / n_theta) sum_f S_f e^{i f (omega - delta)}.  Radii and
+    offsets are grouped to a few rounding units.  Points and fiber nodes
+    go through in fixed blocks, so the memory needed is bounded whatever
+    the point count.
     """
     n_theta = operator.index(n_theta)  # a float would space the nodes 2 pi / n_theta apart
     if n_theta < 1:
         raise ValueError(f"adjoint_sharp needs n_theta >= 1, got {n_theta}")
-    if isinstance(g, BoundaryGrid):
-        g = g.interpolant()
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("adjoint_sharp requires finite points")
     rho = np.abs(z)
     if np.any(rho >= 1.0):
         raise ValueError("adjoint_sharp requires interior points, |z| < 1")
     omega = np.angle(z)
     theta = np.arange(n_theta) * TWO_PI / n_theta
+    if isinstance(g, BoundaryGrid):
+        if g.fn is None:
+            out = _grid_adjoint(g, rho.ravel(), omega.ravel(), theta, cp)
+            return out.reshape(z.shape)[()]  # a scalar for a 0-d z, as below
+        g = g.fn
     bm, am = footpoint_angles(rho[..., None], omega[..., None], theta, cp)
     vals = np.asarray(g(bm, am), dtype=complex)
     return vals.mean(axis=-1) * TWO_PI
+
+
+# grouping of radii (<= 1) and of angle offsets (<= pi): on polar grids
+# the points of one class spread by up to 2 eps in radius, 7 eps in offset
+_CLASS_TOL = 32 * np.finfo(float).eps
+
+
+def _classes(key):
+    """Labels 0, 1, ... of 1-d keys grouped in sorted order: a class
+    starts where consecutive keys differ by more than _CLASS_TOL, and
+    again every _CLASS_TOL past its first key, so no class spans more."""
+    order = np.argsort(key, kind="stable")
+    k = key[order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = np.diff(k) > _CLASS_TOL
+    first = k[np.maximum.accumulate(np.where(new, np.arange(len(k)), 0))]
+    cell = np.floor((k - first) / _CLASS_TOL)
+    new[1:] |= cell[1:] != cell[:-1]
+    labels = np.empty(len(k), dtype=np.intp)
+    labels[order] = np.cumsum(new) - 1
+    return labels
+
+
+def _powers(x, top):
+    """x**m for m = 0 .. top - 1, one row per m, one column per entry of
+    the 1-d x, by doubling: rows k .. 2k - 1 are rows 0 .. k - 1 times
+    x**k."""
+    p = np.empty((top, len(x)), dtype=complex)
+    p[0] = 1.0
+    k = 1
+    while k < top:
+        m = min(k, top - k)
+        np.multiply(p[:m], p[k - 1] * x, out=p[k:k + m])
+        k += m
+    return p
+
+
+def _grid_adjoint(grid: BoundaryGrid, rho, omega, theta, cp: CurvatureParam):
+    """`adjoint_sharp` of grid samples at the flat points rho e^{i omega},
+    one fiber sum per rotation class (see there).
+
+    With x = e^{i beta} the beta spectrum is two-sided,
+    u = sum_m u_m x^m + conj(sum_m conj(u_-m) x^m) over 0 <= m < top, so
+    only the powers x^m are needed.  A block of fiber nodes of a few
+    classes gives their barycentric rows R (nodes x n_alpha) and powers
+    X (top x nodes); the real matrix product of the re and im planes of X
+    with R folds each class's nodes, and the two halves of the nodal
+    spectrum turn the result into that class's S_m and conj(S_-m).
+    """
+    freqs, spec, rows_at = _fiber_spectrum(grid, cp)
+    top = int(np.abs(freqs).max()) + 1
+    halves = np.zeros((2, top, spec.shape[0]), dtype=complex)
+    halves[0, freqs[freqs >= 0]] = spec[:, freqs >= 0].T
+    halves[1, -freqs[freqs < 0]] = spec[:, freqs < 0].T.conj()
+
+    n_theta = len(theta)
+    step = TWO_PI / n_theta
+    delta = omega - np.round(omega / step) * step  # offset from the nearest theta node
+    delta[delta > 0.5 * step - _CLASS_TOL] -= step  # a half-step tie joins -step / 2
+    radius_class, phase_class = _classes(rho), _classes(delta)
+    _, first, cls = np.unique(radius_class * (phase_class.max(initial=-1) + 1) + phase_class,
+                              return_index=True, return_inverse=True)
+    rho_c, delta_c = rho[first], delta[first]
+
+    sums = np.zeros((2, len(first), top), dtype=complex)
+    per = max(1, _BLOCK // n_theta)  # classes per block
+    span = min(n_theta, _BLOCK)  # fiber nodes per block
+    for c0 in range(0, len(first), per):
+        cs = slice(c0, c0 + per)
+        for j0 in range(0, n_theta, span):
+            bm, am = footpoint_angles(rho_c[cs, None], delta_c[cs, None], theta[j0:j0 + span], cp)
+            nc, nj = am.shape
+            rows = rows_at(am.ravel()).reshape(nc, nj, -1)
+            x = _powers(np.exp(1j * bm.ravel()), top)
+            planes = np.stack((x.real, x.imag)).reshape(2 * top, nc, nj).transpose(1, 0, 2)
+            folded = np.matmul(planes, rows)  # (class, re/im and m, alpha node)
+            sums[:, cs] += np.einsum("cma,sma->scm", folded[:, :top] + 1j * folded[:, top:], halves)
+
+    out = np.empty(len(rho), dtype=complex)
+    for lo in range(0, len(out), _BLOCK):
+        c = cls[lo:lo + _BLOCK]
+        y = _powers(np.exp(1j * (omega[lo:lo + _BLOCK] - delta_c[c])), top)
+        pos, neg = np.einsum("spm,mp->sp", sums[:, c], y)
+        out[lo:lo + _BLOCK] = pos + neg.conj()
+    return out * step
 
 
 # ---------------------------------------------------------------------------

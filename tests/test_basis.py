@@ -50,6 +50,17 @@ class TestChebW:
         with pytest.raises(ValueError):
             basis.cheb_w(-1, 0.0)
 
+    def test_real_recurrence_matches_complex(self):
+        # W_n = i^n U_n has one nonzero part, so the real recurrence times
+        # the exact i^n must reproduce W_{n+1} = 2it W_n + W_{n-1} exactly
+        t = np.random.default_rng(2).uniform(-1, 1, (256, 64))
+        w_prev, w = np.ones(t.shape, dtype=complex), 2j * t
+        assert np.array_equal(basis.cheb_w(0, t), w_prev)
+        for n in range(1, 31):
+            got = basis.cheb_w(n, t)
+            assert got.dtype == complex and np.array_equal(got, w), n
+            w_prev, w = w, 2j * t * w + w_prev
+
 
 class TestZernike:
     def test_power_convention(self):

@@ -230,6 +230,15 @@ class TestAdjoint:
         with pytest.raises(TypeError):
             xray.adjoint_sharp(lambda b, a: ones(b), 0.3 + 0j, CurvatureParam(0.0), n_theta=n_theta)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.nan)])
+    def test_rejects_non_finite_points(self, bad):
+        # a NaN radius fails no |z| < 1 test: it must be stopped on entry
+        cp = CurvatureParam(0.4)
+        z = np.array([0.2 + 0.1j, bad])
+        for g in (xray.boundary_grid(cp, 16, 16), lambda b, a: ones(b)):
+            with pytest.raises(ValueError, match="finite"):
+                xray.adjoint_sharp(g, z, cp)
+
     def test_numpy_integer_theta_rule(self):
         g = lambda beta, alpha: np.exp(1j * beta)
         cp = CurvatureParam(0.0)
@@ -244,6 +253,16 @@ def psi_sinogram(cp, nmax=6, seed=0):
     return xray.synthesize(tab, xray.boundary_grid(cp, 96, 64), cp)
 
 
+def hold_to_per_target(grid, z, cp, n_theta=512):
+    """Grid-input adjoint_sharp (one fiber sum per rotation class) against
+    the per-target route through the grid's interpolant, to 1e-13."""
+    got = xray.adjoint_sharp(grid, z, cp, n_theta=n_theta)
+    want = xray.adjoint_sharp(grid.interpolant(), z, cp, n_theta=n_theta)
+    assert np.shape(got) == np.shape(want) == np.shape(z)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    return got
+
+
 class TestGridInterpolant:
     @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
     def test_grid_adjoint_matches_exact_callable(self, kappa):
@@ -253,6 +272,70 @@ class TestGridInterpolant:
         got = xray.adjoint_sharp(exact.with_values(exact.values), z, cp)
         want = xray.adjoint_sharp(exact, z, cp)
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    def test_shared_fibers_match_per_target_route_on_polar_grid(self, kappa):
+        # 12 radii x 3 offsets from the 512 theta nodes share 36 fibers
+        cp = CurvatureParam(kappa)
+        grid = psi_sinogram(cp)
+        hold_to_per_target(grid.with_values(grid.values), xray.disk_grid(cp, 12, 24).points(), cp)
+
+    @pytest.mark.parametrize("n_theta", [1, 7, 512])
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    def test_shared_fibers_match_per_target_route(self, kappa, n_theta):
+        cp = CurvatureParam(kappa)
+        exact = psi_sinogram(cp)
+        grid = exact.with_values(exact.values)
+        rng = np.random.default_rng(7)
+        radii = xray.disk_grid(cp, 6, 1).rho
+        polar = xray.disk_grid(cp, 4, 6).points()
+        cases = {
+            "no shared phase": radii[:, None] * np.exp(1j * rng.uniform(-np.pi, np.pi, (6, 4))),
+            "distinct radii": np.sqrt(rng.uniform(0, 0.95, 30)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 30)),
+            "duplicates": np.repeat(polar.ravel(), 2),
+            "origin": np.array([0j, complex(-0.0, -0.0), 0.3 + 0j, 0j]),
+            "across pi": 0.6 * np.exp(1j * np.array([np.pi, -np.pi, np.pi - 1e-9, -np.pi + 1e-9])),
+            "on the negative axis": np.array([complex(-0.6, 0.0), complex(-0.6, -0.0), -0.2 + 1e-17j]),
+            "scalar": np.complex128(0.3 - 0.2j),
+            "empty": np.empty((0, 3), dtype=complex),
+        }
+        for name, z in cases.items():
+            got = hold_to_per_target(grid, z, cp, n_theta)
+            if name == "duplicates":
+                assert np.array_equal(got[0::2], got[1::2])
+            if name == "scalar":
+                assert np.shape(got) == ()
+
+    def test_theta_rule_longer_than_a_block(self):
+        # one class's fiber nodes then span several blocks
+        cp = CurvatureParam(0.4)
+        exact = psi_sinogram(cp)
+        z = xray.disk_grid(cp, 2, 3).points()
+        hold_to_per_target(exact.with_values(exact.values), z, cp, n_theta=2 * xray._BLOCK + 3)
+
+    def test_fibers_evaluated_once_per_class(self, monkeypatch):
+        # |rho e^{i omega}| differs by an ulp across omega, so grouping
+        # radii on exact equality would find 80 classes on 12x24, not 36
+        cp = CurvatureParam(0.4)
+        exact = psi_sinogram(cp)
+        grid = exact.with_values(exact.values)
+        nodes = []
+        footpoint_angles = xray.footpoint_angles
+
+        def counted(*args):
+            bm, am = footpoint_angles(*args)
+            nodes.append(am.size)
+            return bm, am
+
+        monkeypatch.setattr(xray, "footpoint_angles", counted)
+        rng = np.random.default_rng(8)
+        distinct = np.sqrt(rng.uniform(0, 0.95, 288)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 288))
+        for z, classes in ((xray.disk_grid(cp, 12, 24).points(), 36),
+                           (xray.disk_grid(cp, 128, 256).points(), 128),
+                           (distinct, 288)):
+            nodes.clear()
+            xray.adjoint_sharp(grid, z, cp, n_theta=512)
+            assert sum(nodes) == classes * 512
 
     @pytest.mark.parametrize("kappa", [-0.9, 0.4])
     def test_reproduces_samples_at_nodes(self, kappa):
@@ -282,18 +365,21 @@ class TestGridInterpolant:
 
     def test_adjoint_memory_bounded(self):
         # 12x24 points at n_theta 512 are 147456 targets; a dense
-        # targets x n_beta evaluation would hold hundreds of MB
+        # targets x n_beta evaluation would hold hundreds of MB.  The
+        # CLI-default 128x256 disk grid has 32768 points, so its per-point
+        # phase sums must be blocked as well
         cp = CurvatureParam(0.4)
         exact = psi_sinogram(cp)
         grid = exact.with_values(exact.values)
-        z = xray.disk_grid(cp, 12, 24).points()
-        tracemalloc.start()
-        try:
-            xray.adjoint_sharp(grid, z, cp, n_theta=512)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        for shape in ((12, 24), (128, 256)):
+            z = xray.disk_grid(cp, *shape).points()
+            tracemalloc.start()
+            try:
+                xray.adjoint_sharp(grid, z, cp, n_theta=512)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, shape
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_values(self, bad):
