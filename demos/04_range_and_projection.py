@@ -34,7 +34,7 @@ cu = boundary.c_minus(sino, cp, tpl, 128, 256)
 print(f"  ||C- u|| / ||u||          = {cu.norm() / sino.norm():.2e}")
 rep = boundary.moment_residuals(sino, 8, 3, cp)
 print(f"  worst normalized moment   = {rep.max_normalized(cp):.2e}")
-proj = boundary.project_to_range(sino, cp, n_beta=128, n_fiber=256)
+proj = boundary.project_to_range(sino, cp)
 print(f"  projection relative change = {proj.relative_change:.2e}")
 print(f"  range verdict: {rep.in_range}")
 
@@ -46,7 +46,7 @@ cu = boundary.c_minus(u, cp, tpl, 128, 256)
 print(f"  ||C- u|| / ||u||          = {cu.norm() / u.norm():.2e}   (eigenfunction: stays order 1)")
 rep = boundary.moment_residuals(u, 4, 2, cp)
 print(f"  worst normalized moment   = {rep.max_normalized(cp):.2e}")
-proj = boundary.project_to_range(u, cp, n_beta=128, n_fiber=256)
+proj = boundary.project_to_range(u, cp)
 print(f"  norm after projection     = {proj.projected.norm():.2e}")
 print(f"  range verdict: {rep.in_range}")
 
@@ -54,7 +54,7 @@ print(f"  range verdict: {rep.in_range}")
 # recovers the sinogram part exactly.
 print("\ncandidate 3: sinogram + 0.3 * psi_{2,-1}")
 mixed = tpl.with_values(sino.values + 0.3 * basis.psi_kappa_hat(2, -1, bb, aa, cp))
-proj = boundary.project_to_range(mixed, cp, n_beta=128, n_fiber=256)
+proj = boundary.project_to_range(mixed, cp)
 resid = tpl.with_values(proj.projected.values - sino.values)
 print(f"  contamination removed: residual vs clean sinogram = {resid.norm() / sino.norm():.2e}")
 

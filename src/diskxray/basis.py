@@ -104,22 +104,27 @@ class CoeffTable:
 # Chebyshev-type family W_n
 # ---------------------------------------------------------------------------
 
+def _cheb_u(n: int, t) -> np.ndarray:
+    """Chebyshev polynomial of the second kind U_n(t), by the real
+    recurrence U_{n+1} = 2t U_n - U_{n-1}."""
+    t = np.asarray(t, dtype=float)
+    u_prev, u = np.ones(t.shape), 2.0 * t
+    if n == 0:
+        return u_prev
+    for _ in range(n - 1):
+        u_prev, u = u, 2.0 * t * u - u_prev
+    return u
+
+
 def cheb_w(n: int, t):
     """W_n(t): degree-n polynomial with W_0 = 1, W_1 = 2it and
     W_{n+1} = 2it W_n + W_{n-1}; equals i^n times the Chebyshev
     polynomial of the second kind U_n(t).  Computed that way: the real
-    recurrence U_{n+1} = 2t U_n - U_{n-1}, then one exact product with
-    i^n.  The values equal the complex recurrence's; only the sign of
-    the zero part may differ."""
+    recurrence, then one exact product with i^n.  The values equal the
+    complex recurrence's; only the sign of the zero part may differ."""
     if n < 0:
         raise ValueError("cheb_w requires n >= 0")
-    t = np.asarray(t, dtype=float)
-    u_prev, u = np.ones(t.shape), 2.0 * t
-    if n == 0:
-        return u_prev.astype(complex)
-    for _ in range(n - 1):
-        u_prev, u = u, 2.0 * t * u - u_prev
-    return (1 + 0j, 1j, -1 + 0j, -1j)[n % 4] * u
+    return (1 + 0j, 1j, -1 + 0j, -1j)[n % 4] * _cheb_u(n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +317,11 @@ def psi_over_mu(n: int, k: int, beta, alpha, cp: CurvatureParam):
         raise ValueError("psi_over_mu requires n >= 0")
     beta = np.asarray(beta, dtype=float)
     s = sig(alpha, cp)
-    amp = math.sqrt((1.0 + cp.kappa) / (1.0 - cp.kappa)) * sig_prime(alpha, cp)
-    return (-1) ** n / (2.0 * math.pi) * amp * np.exp(1j * (n - 2 * k) * (beta + s)) * cheb_w(n, np.sin(s))
+    # the real amplitude sqrt((1+kappa)/(1-kappa)) sig' U_n(sin s) / (2 pi),
+    # times (-1)^n i^n = (-i)^n, leaves one complex product with the phase
+    amp = (math.sqrt((1.0 + cp.kappa) / (1.0 - cp.kappa)) / (2.0 * math.pi)) * sig_prime(alpha, cp)
+    amp *= _cheb_u(n, np.sin(s))
+    return ((1, -1j, -1, 1j)[n % 4] * amp) * np.exp(1j * (n - 2 * k) * (beta + s))
 
 
 def norms(n: int, k: int, cp: CurvatureParam) -> tuple[float, float]:

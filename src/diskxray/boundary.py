@@ -14,18 +14,22 @@ act diagonally on the u'/v' families: with s(x) = sign(x),
     P_- v'_{p,q} =   -i   (s(2q+1) - s(2p-2q-1)) u'_{p,q}
 
 and id + C_-^2 is the orthogonal projection onto the range of the X-ray
-transform inside the antipodally symmetric subspace.
+transform inside the antipodally symmetric subspace.  `project_to_range`
+computes that projection without the torus: the range is the closed span
+of psi_{n,k}, 0 <= k <= n, orthogonal to the co-kernel, so on a grid it
+is the orthogonal projector onto the range modes the grid resolves (see
+`xray._FiberPlan`).  The torus chain A_-^* C_-^2 A_- stays as its slow
+oracle.
 
 Grid implementation notes: all torus operations act on uniform grids via
 FFTs.  The scattering relation maps fiber nodes to fiber nodes when the
 fiber size is even, and shifts beta by the off-grid amount pi + 2 sig(a),
 applied exactly as a phase on the beta spectrum.  Every torus step
-commutes with shifts in beta, so the range projector runs extension, C-
-twice and restriction on one beta spectrum, forming only the frequencies
-its input and output carry.  Operators accept callables or
-BoundaryGrids; grid inputs are interpolated spectrally (trigonometric in
-beta, barycentric in the substituted fiber variable s = sig(alpha) after
-removing the sqrt(sig') weight).
+commutes with shifts in beta, so each acts on one beta spectrum, forming
+only the frequencies its input and output carry.  Operators accept
+callables or BoundaryGrids; grid inputs are interpolated spectrally
+(trigonometric in beta, barycentric in the substituted fiber variable
+s = sig(alpha) after removing the sqrt(sig') weight).
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import HALF_PI, TWO_PI, CurvatureParam, sig, wrap_pi
-from .xray import BoundaryGrid, _fiber_spectrum, _mode_inner
-from . import basis
+from .xray import BoundaryGrid, _fiber_plan, _fiber_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +104,6 @@ def _as_callable(u):
 # public TorusGrid operators are the same helpers between one FFT over beta
 # and one inverse FFT.
 
-def _band(n_source: int, n_limit: int) -> np.ndarray:
-    """Beta frequencies (numpy order) of an n_source-point grid that an
-    n_limit-point grid carries below its Nyquist row."""
-    freqs = _beta_freqs(n_source)
-    return freqs[np.abs(freqs) <= n_limit // 2 - 1]
-
-
 def _fiber_nodes(n_fiber: int):
     """Uniform fiber angles wrapped to [-pi, pi), and which are inward."""
     alpha = wrap_pi(np.arange(n_fiber) * TWO_PI / n_fiber)
@@ -119,22 +115,6 @@ def _scattering_phase(freqs, n_fiber: int, cp: CurvatureParam) -> np.ndarray:
     phase, one row per beta frequency, one column per uniform fiber node."""
     alpha = np.arange(n_fiber) * TWO_PI / n_fiber
     return np.exp(1j * np.outer(freqs, np.pi + 2.0 * sig(alpha, cp)))
-
-
-def _extend_spectrum(u: BoundaryGrid, sign: float, cp: CurvatureParam, freqs, phase) -> np.ndarray:
-    """Beta spectrum (coefficients, frequencies freqs within u's band) of
-    the torus extension of grid samples: one barycentric pass gives u's
-    spectrum at every fiber target, and outward nodes take the scattering
-    phase and the parity sign."""
-    alpha, inward = _fiber_nodes(phase.shape[1])
-    targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
-    if np.any(np.abs(targets) > HALF_PI + 1e-9):
-        raise ValueError("scattered fiber node left the inward range")
-    _, nodal, rows_at = _fiber_spectrum(u, cp)
-    rows = rows_at(np.clip(targets, -HALF_PI, HALF_PI))
-    spec = (rows @ nodal.view(float)).view(complex).T[freqs % len(u.beta)]
-    spec[:, ~inward] *= sign * phase[:, ~inward]
-    return spec
 
 
 def _pullback_spectrum(spec: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -215,16 +195,26 @@ def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int =
 
     if isinstance(u, BoundaryGrid) and u.fn is not None:
         u = u.fn  # exact callable beats grid interpolation
+    alpha, inward = _fiber_nodes(n_fiber)
     if isinstance(u, BoundaryGrid):
-        # structured path: the extension's beta spectrum, one inverse FFT
-        freqs = _band(len(u.beta), n_beta)
+        # structured path: one barycentric pass gives u's beta spectrum at
+        # every fiber target, outward nodes take the scattering phase and
+        # the parity sign, and one inverse FFT over beta follows; only the
+        # frequencies the torus carries below its Nyquist row are formed
+        targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
+        if np.any(np.abs(targets) > HALF_PI + 1e-9):
+            raise ValueError("scattered fiber node left the inward range")
+        freqs = _beta_freqs(len(u.beta))
+        freqs = freqs[np.abs(freqs) <= n_beta // 2 - 1]
+        _, nodal, rows_at = _fiber_spectrum(u, cp)
+        rows = rows_at(np.clip(targets, -HALF_PI, HALF_PI))
+        spec = (rows @ nodal.view(float)).view(complex).T[freqs % len(u.beta)]
+        spec[:, ~inward] *= sign * _scattering_phase(freqs, n_fiber, cp)[:, ~inward]
         spec_t = np.zeros((n_beta, n_fiber), dtype=complex)
-        spec_t[freqs % n_beta] = _extend_spectrum(u, sign, cp, freqs,
-                                                  _scattering_phase(freqs, n_fiber, cp))
+        spec_t[freqs % n_beta] = spec
         return TorusGrid(kappa=cp.kappa, values=np.fft.ifft(spec_t, axis=0, norm="forward"))
 
     fn = _as_callable(u)
-    alpha, inward = _fiber_nodes(n_fiber)
     vals = np.empty((n_beta, n_fiber), dtype=complex)
     bb = (np.arange(n_beta) * TWO_PI / n_beta)[:, None]
     a_in = alpha[inward]
@@ -401,40 +391,52 @@ def classify(u: BoundaryGrid, cp: CurvatureParam, n_beta: int = 128, n_fiber: in
 
 @dataclass
 class ProjectionResult:
+    """The projected grid, ||P u - u|| / ||u|| for the antipodally even
+    part u, the norm of the odd part removed first, the band N of range
+    modes n <= N projected onto and that band's Gram deviation."""
+
     projected: BoundaryGrid
     relative_change: float
     removed_odd_norm: float
+    band: int
+    gram_deviation: float
 
 
 def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None,
                      n_beta: int | None = None, n_fiber: int | None = None) -> ProjectionResult:
-    """Orthogonal projection id + C-^2 onto the range of the X-ray transform.
+    """Orthogonal projection onto the range of the X-ray transform.
 
     Antipodally odd content is removed first and its norm reported.  The
-    composition C-(C- u) happens entirely on the torus extension, so no
-    intermediate re-interpolation is involved.
+    range is the closed span of psi_hat_{n,k}, 0 <= k <= n, and is
+    orthogonal to the co-kernel (k outside [0, n]), so on the grid the
+    projection is onto the span of the range modes n <= N of the largest
+    band N < n_beta/2 whose discrete Gram deviation stays within
+    `xray.GRAM_TOL`: per beta frequency an orthonormal basis Q of that
+    frequency's range modes, applied as Q Q^H to one FFT over beta.  It is
+    exact on the band (idempotent and self-adjoint in the grid's inner
+    product) at every kappa in (-1, 1).  It equals id + C-^2, whose torus
+    composition A_-^* C-^2 A_- (`extend`, `c_minus_torus`,
+    `_restrict_plain`) is its slow oracle; n_beta and n_fiber are that
+    torus's sizes, still validated but unused here.
     """
     if isinstance(u, BoundaryGrid) and template is None:
         template = u
     if template is None:
         raise ValueError("a template BoundaryGrid is required for callable input")
-    nb, nf = _torus_shape(n_beta, n_fiber)
+    _torus_shape(n_beta, n_fiber)
     if not isinstance(u, BoundaryGrid):
         u = template.with_values(u(*template.mesh()))
     u_even, removed = symmetrize(u, cp)
-    # extension, C- twice and restriction on one beta spectrum: only the
-    # frequencies that both u_even and the template carry are formed, and
-    # the scattering phase is built once
-    freqs = _band(len(u_even.beta), min(nb, len(template.beta)))
-    phase = _scattering_phase(freqs, nf, cp)
-    spec = _extend_spectrum(u_even, -1.0, cp, freqs, phase)
-    spec = _c_minus_spectrum(_c_minus_spectrum(spec, phase), phase)
-    correction = template.with_values(
-        _eval_spectrum(freqs, spec, template.alpha, len(template.beta)))
-    projected = template.with_values(u_even.values + correction.values)
+    plan = _fiber_plan(u_even, cp)
+    if plan.band < 0:
+        raise ValueError(
+            f"no band of range modes is resolvable on {len(u.alpha)} alpha nodes "
+            f"(Gram deviation {plan.gram_deviation(0):.1e} at n = 0)")
+    projected = template.with_values(plan.project(u_even.values))
     norm = u_even.norm()
-    rel = correction.norm() / norm if norm > 0 else 0.0
-    return ProjectionResult(projected=projected, relative_change=rel, removed_odd_norm=removed)
+    rel = u_even.with_values(projected.values - u_even.values).norm() / norm if norm > 0 else 0.0
+    return ProjectionResult(projected=projected, relative_change=rel, removed_odd_norm=removed,
+                            band=plan.band, gram_deviation=plan.gram_deviation(plan.band))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +477,9 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam,
         )
     modes = [(n, k) for n in range(nmax + 1)
              for k in (*range(-kpad, 0), *range(n + 1, n + kpad + 1))]
-    inner = _mode_inner(u, modes, basis.psi_kappa, cp)
+    n, k = np.array(modes).T
+    # psi = psi_hat / (2 sqrt(1 + kappa))
+    inner = _fiber_plan(u, cp).inner(u.values, n, k) / (2.0 * math.sqrt(1.0 + cp.kappa))
     rows = [(n, k, val) for (n, k), val in zip(modes, np.abs(inner).tolist())]
     report = MomentReport(rows=rows, u_norm=u.norm(), threshold=threshold, in_range=False)
     report.in_range = report.max_normalized(cp) < threshold

@@ -47,6 +47,8 @@ class RunConfig:
     n_alpha: int = 64
     n_rho: int = 128
     n_omega: int = 256
+    # torus sizes of the P-/C- operator calculus: still accepted and
+    # validated, but unused, since the range projector needs no torus
     fiber_fft: int = 1024
     torus_beta: int = 256
     geodesic_nodes: int = 64
@@ -291,6 +293,7 @@ def cmd_invert(cfg: RunConfig) -> int:
         "accepted_modes": len(res.accepted),
         "sigma_min": res.sigma_min,
         "noise_amplification_bound": res.noise_amplification_bound,
+        "gram_deviation": res.gram_deviation,
         "moment_verdict_in_range": bool(moments.in_range),
         "moment_max_normalized": moments.max_normalized(cp),
         "coefficients": [
@@ -310,11 +313,13 @@ def cmd_project(cfg: RunConfig) -> int:
     cp = cfg.cp()
     outdir = _outdir(cfg)
     grid = _read_input_sinogram(cfg)
-    res = boundary.project_to_range(grid, cp, n_beta=cfg.torus_beta, n_fiber=cfg.fiber_fft)
+    res = boundary.project_to_range(grid, cp)
     fileio.write_sinogram_csv(outdir / "projected.csv", res.projected)
     report = {
         "relative_change": res.relative_change,
         "removed_odd_norm": res.removed_odd_norm,
+        "band": res.band,
+        "gram_deviation": res.gram_deviation,
     }
     with open(outdir / "projection_report.json", "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

@@ -409,8 +409,8 @@ def projection(cp):
     co-kernel mode projects to 0."""
     tpl = xray.boundary_grid(cp, 48, 48)
     sg = xray.sinogram(_phantom(cp, 14), tpl, cp)
-    e_range = boundary.project_to_range(sg, cp, n_beta=128, n_fiber=256).relative_change
-    cok = boundary.project_to_range(lambda b, a: basis.psi_kappa_hat(2, -1, b, a, cp), cp, tpl, 128, 256)
+    e_range = boundary.project_to_range(sg, cp).relative_change
+    cok = boundary.project_to_range(lambda b, a: basis.psi_kappa_hat(2, -1, b, a, cp), cp, tpl)
     e_mom = boundary.moment_residuals(sg, 6, 2, cp).max_normalized(cp)
     return float(max(e_range, cok.projected.norm(), e_mom))
 
@@ -450,10 +450,12 @@ CHECKS: tuple[Check, ...] = (
     Check("euclidean degeneration at kappa=1e-12", euclidean_degeneration, 1e-8, (0.0,)),
     Check("forward quadrature two-level agreement (kappa={kappa})", quadrature_convergence, 1e-9,
           (-0.5, 0.0, 0.5)),
-    # acceptance criterion 4 holds this identity for |p|, |q| <= 5 at fiber size 1024
+    # acceptance criterion 4 holds this identity for |p|, |q| <= 5 at fiber size 1024;
+    # the torus operators keep the |kappa| -> 1 cliff (4.4e-2 at +-0.9 here),
+    # so the grid stays at moderate kappa
     Check("P-/C- spectral rules (kappa={kappa})", operator_rules, 1e-6, (0.0, 0.5)),
     # acceptance criterion 5 holds this identity for five band-5 sinograms
-    Check("range projection and moments (kappa={kappa})", projection, 1e-6, (0.3,)),
+    Check("range projection and moments (kappa={kappa})", projection, 1e-6, (-0.9, 0.3, 0.9)),
 )
 
 

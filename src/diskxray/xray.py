@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -538,20 +538,127 @@ def singular_value(n: int, cp: CurvatureParam) -> float:
     return 2.0 * math.sqrt(math.pi) / (math.sqrt(1.0 - cp.kappa) * math.sqrt(n + 1))
 
 
-def _mode_inner(g: BoundaryGrid, modes, family, cp: CurvatureParam) -> np.ndarray:
-    """Inner products <g, family(n, k)> for each (n, k) in modes.
+# largest max |G - I| the discrete Gram matrix of a band of range modes
+# may show: 1.3e-7 at nmax 31 on 64 alpha nodes would pass as cross-talk
+GRAM_TOL = 1e-9
 
-    The boundary families factor as e^{i(n-2k) beta} family(n, k, 0, alpha),
-    and on the uniform beta grid the beta sum of g e^{-i m beta} is bin
-    m % n_beta of one FFT over beta; each mode then costs one dot product
-    of that bin with its fiber factor over the alpha nodes.
+
+class _FiberPlan:
+    """What the SVD engine and the range projector need of one boundary
+    geometry (kappa, alpha nodes and weights, n_beta), never of values.
+
+    psi_hat(n, k) is e^{i(n-2k) beta} times the fiber factor
+
+        (-1)^n sqrt(1+kappa) / (2 pi) sqrt(sig') (e^{i(2n-2k+1)s} + (-1)^n e^{-i(2k+1)s}),
+
+    s = sig(alpha), so every fiber factor is a signed sum of two rows of
+    one table sqrt(sig') e^{ims}, m odd, each entry one direct exp.  On the uniform beta grid the
+    beta sum of g e^{-i f beta} is bin f % n_beta of one FFT over beta, and
+    modes in different bins are orthogonal; within a bin the alpha
+    quadrature decides.  The plan holds the Gram deviation max |G - I| of
+    each band n <= N (`gram[N]`, N < n_beta/2 and at most n_alpha), the
+    largest band within GRAM_TOL (`band`), and per beta bin of that band an
+    orthonormal basis Q of its range modes in the sqrt(w)-weighted inner
+    product: Q Q^H in every bin is the exact orthogonal projector onto the
+    resolved range.
     """
-    nb = len(g.beta)
-    spec = np.fft.fft(g.values, axis=0)
-    w = (TWO_PI / nb) * g.alpha_weights / (1.0 + g.kappa)
-    rows = np.array([(n - 2 * k) % nb for n, k in modes], dtype=int)
-    fibers = np.array([family(n, k, 0.0, g.alpha, cp) for n, k in modes])
-    return (spec[rows] * np.conj(fibers)) @ w
+
+    def __init__(self, kappa: float, n_beta: int, alpha: np.ndarray, w: np.ndarray):
+        cp = CurvatureParam(kappa)
+        self.n_beta = n_beta
+        # alpha weights of one beta bin: <u, v> = sum_f sum_alpha w u_f conj(v_f)
+        # with u_f the beta FFT of u divided by n_beta
+        self.w = w
+        self._s, self._root = sig(alpha, cp), np.sqrt(sig_prime(alpha, cp))
+        self._scale = math.sqrt(1.0 + kappa) / TWO_PI
+        top = min((n_beta - 1) // 2, len(alpha))  # candidate bands
+        self._m_top = 2 * top + 1
+        self._table = np.exp(1j * np.outer(np.arange(-self._m_top, self._m_top + 1, 2), self._s))
+        self._table *= self._root  # row (m + m_top) / 2: sqrt(sig') e^{ims}
+
+        dev = np.zeros(top + 1)
+        for f in range(-top, top + 1):  # bin by bin: small temporaries
+            n, fibers = self._bin(f, top)
+            gram = (fibers * w) @ fibers.conj().T
+            np.maximum.at(dev, np.maximum.outer(n, n).ravel(), np.abs(gram - np.eye(len(n))).ravel())
+        self.gram = np.maximum.accumulate(dev)
+        self.band = int(np.count_nonzero(self.gram <= GRAM_TOL)) - 1
+        self._bins = np.arange(-self.band, self.band + 1) % n_beta
+        for arr in (self.w, self.gram, self._table):
+            arr.setflags(write=False)
+
+    def _bin(self, f: int, top: int):
+        """Degrees n = |f|, |f| + 2, ... <= top of the range modes in beta
+        bin f (k = (n - f) / 2) and their fiber factors."""
+        n = np.arange(abs(f), top + 1, 2)
+        return n, self.fibers(n, (n - f) // 2)
+
+    @cached_property
+    def _q(self) -> np.ndarray:
+        """Per bin of the band, an orthonormal basis of its range modes in
+        the sqrt(w)-scaled inner product; zero columns pad the narrower
+        bins.  Built on the first projection."""
+        sqrt_w = np.sqrt(self.w)
+        q = np.zeros((len(self._bins), len(self.w), self.band // 2 + 1), dtype=complex)
+        for q_f, f in zip(q, range(-self.band, self.band + 1)):
+            basis_f = np.linalg.qr((self._bin(f, self.band)[1] * sqrt_w).T)[0]
+            q_f[:, :basis_f.shape[1]] = basis_f
+        q.setflags(write=False)
+        return q
+
+    def gram_deviation(self, nmax: int) -> float:
+        """max |G - I| over the range modes n <= nmax; inf past the
+        candidate bands."""
+        return float(self.gram[nmax]) if nmax < len(self.gram) else math.inf
+
+    def fibers(self, n, k) -> np.ndarray:
+        """Fiber factors psi_hat(n, k, 0, alpha), one row per mode."""
+        n, k = np.asarray(n, dtype=int), np.asarray(k, dtype=int)
+        m = np.concatenate((2 * n - 2 * k + 1, -2 * k - 1))
+        if m.size and np.abs(m).max() <= self._m_top:
+            rows = self._table[(m + self._m_top) // 2]
+        else:  # exponents past the table (synthesis of arbitrary modes)
+            rows = np.exp(1j * np.outer(m, self._s)) * self._root
+        sign = (1 - 2 * (n % 2))[:, None]
+        return (rows[:len(n)] + sign * rows[len(n):]) * (sign * self._scale)
+
+    def inner(self, values: np.ndarray, n, k) -> np.ndarray:
+        """<g, psi_hat(n, k)> for grid values g, one per mode."""
+        spec = np.fft.fft(values, axis=0)
+        rows = (np.asarray(n) - 2 * np.asarray(k)) % self.n_beta
+        return (spec[rows] * self.fibers(n, k).conj()) @ (self.w / self.n_beta)
+
+    def synthesize(self, n, k, coeffs) -> np.ndarray:
+        """Grid values of sum c psi_hat(n, k): each mode into its beta bin,
+        then one inverse FFT."""
+        spec = np.zeros((self.n_beta, len(self.w)), dtype=complex)
+        rows = (np.asarray(n) - 2 * np.asarray(k)) % self.n_beta
+        np.add.at(spec, rows, np.asarray(coeffs)[:, None] * self.fibers(n, k))
+        return np.fft.ifft(spec, axis=0, norm="forward")
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of grid values onto the range modes of
+        the band: Q Q^H on each bin of one beta FFT, one inverse FFT."""
+        sqrt_w = np.sqrt(self.w)
+        spec = np.fft.fft(values, axis=0)
+        y = (spec[self._bins] * sqrt_w)[:, :, None]
+        coeffs = np.matmul(self._q.transpose(0, 2, 1), y.conj()).conj()  # Q^H y, no copy of Q
+        out = np.zeros_like(spec)
+        out[self._bins] = (self._q @ coeffs)[:, :, 0] / sqrt_w
+        return np.fft.ifft(out, axis=0)
+
+
+@lru_cache(maxsize=16)
+def _cached_plan(kappa: float, n_beta: int, alpha: bytes, w: bytes) -> _FiberPlan:
+    return _FiberPlan(kappa, n_beta, np.frombuffer(alpha), np.frombuffer(w).copy())
+
+
+def _fiber_plan(g: BoundaryGrid, cp: CurvatureParam) -> _FiberPlan:
+    """The fiber plan of g's geometry, built once per (kappa, n_beta,
+    alpha nodes, weights) and shared."""
+    w = TWO_PI * np.asarray(g.alpha_weights, dtype=float) / (1.0 + g.kappa)
+    return _cached_plan(float(cp.kappa), len(g.beta),
+                        np.asarray(g.alpha, dtype=float).tobytes(), w.tobytes())
 
 
 def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
@@ -559,22 +666,26 @@ def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
 
     Returns the table of inner products <g, psi_hat_{n,k}> for
     0 <= k <= n <= nmax.  Rejects band limits the grid cannot resolve:
-    2 (nmax+1) fiber oscillations need at least that many alpha nodes,
-    and the beta frequencies n - 2k in [-nmax, nmax] need nmax < n_beta/2,
-    or a mode would be read from an aliased FFT bin.
+    the beta frequencies n - 2k in [-nmax, nmax] need nmax < n_beta/2, or
+    a mode would be read from an aliased FFT bin, and the modes must be
+    orthonormal on the alpha nodes to within GRAM_TOL, or each
+    coefficient would carry cross-talk from its neighbours.
     """
     if nmax < 0:
         raise ValueError("analyze requires nmax >= 0")
-    if 2 * (nmax + 1) > len(g.alpha):
-        raise ValueError(
-            f"band limit nmax={nmax} not resolvable on {len(g.alpha)} alpha nodes"
-        )
     if 2 * nmax >= len(g.beta):
         raise ValueError(
             f"band limit nmax={nmax} not resolvable on {len(g.beta)} beta nodes"
         )
+    plan = _fiber_plan(g, cp)
+    dev = plan.gram_deviation(nmax)
+    if not dev <= GRAM_TOL:
+        raise ValueError(
+            f"band limit nmax={nmax} not resolvable on {len(g.alpha)} alpha nodes: "
+            f"Gram deviation {dev:.1e} exceeds {GRAM_TOL:.0e}"
+        )
     modes = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
-    inner = _mode_inner(g, modes, basis.psi_kappa_hat, cp)
+    inner = plan.inner(g.values, *np.array(modes).T)
     return basis.CoeffTable(nmax=nmax, entries=dict(zip(modes, inner.tolist())))
 
 
@@ -590,17 +701,21 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
     """
     items = table.items()
     if isinstance(template, BoundaryGrid):
-        nb = len(template.beta)
-        spec = np.zeros(template.shape, dtype=complex)
-        for (n, k), c in items:
-            spec[(n - 2 * k) % nb] += c * basis.psi_kappa_hat(n, k, 0.0, template.alpha, cp)
-        vals = np.fft.ifft(spec, axis=0, norm="forward")
+        n, k = np.array([nk for nk, _ in items], dtype=int).reshape(-1, 2).T
+        coeffs = np.array([c for _, c in items], dtype=complex)
+        vals = _fiber_plan(template, cp).synthesize(n, k, coeffs)
+        scale = math.sqrt(1.0 + cp.kappa) / TWO_PI
 
         def fn(beta, alpha):
+            # the plan's fiber identity, with sig and sig' formed once
+            beta = np.asarray(beta, dtype=float)
+            s = sig(alpha, cp)
             out = 0.0
             for (n, k), c in items:
-                out = out + c * basis.psi_kappa_hat(n, k, beta, alpha, cp)
-            return out
+                sign = (-1) ** n
+                fiber = np.exp(1j * (2 * n - 2 * k + 1) * s) + sign * np.exp(-1j * (2 * k + 1) * s)
+                out = out + (sign * scale * c) * np.exp(1j * (n - 2 * k) * beta) * fiber
+            return np.sqrt(sig_prime(alpha, cp)) * out
 
         return template.with_values(vals, fn=fn)
     if isinstance(template, DiskGrid):
@@ -615,7 +730,8 @@ class InversionResult:
     recon holds w_kappa * sum (c_{n,k}/sigma_n) Z_hat on the disk grid;
     coeffs are the disk-side coefficients c_{n,k}/sigma_n; residual is the
     data-space misfit of the fitted band relative to ||g||;
-    discarded_energy sums |c|^2 over analyzed-but-rejected modes.
+    discarded_energy sums |c|^2 over analyzed-but-rejected modes;
+    gram_deviation is max |G - I| of the analyzed band on the grid.
     """
 
     recon: DiskGrid
@@ -625,6 +741,7 @@ class InversionResult:
     discarded_energy: float
     sigma_min: float
     noise_amplification_bound: float
+    gram_deviation: float
 
 
 def invert(
@@ -655,10 +772,9 @@ def invert(
     if not accepted:
         raise ValueError("no singular values above the cutoff; nothing to invert")
 
-    fitted = basis.CoeffTable(nmax=nmax)
-    for (n, k) in accepted:
-        fitted[(n, k)] = c[(n, k)]
-    misfit = g.with_values(g.values - synthesize(fitted, g, cp).values)
+    plan = _fiber_plan(g, cp)
+    n, k = np.array(accepted).T
+    misfit = g.with_values(g.values - plan.synthesize(n, k, [c[nk] for nk in accepted]))
     gnorm = g.norm()
     residual = misfit.norm() / gnorm if gnorm > 0 else 0.0
 
@@ -675,4 +791,5 @@ def invert(
         discarded_energy=discarded,
         sigma_min=sig_min,
         noise_amplification_bound=1.0 / sig_min,
+        gram_deviation=plan.gram_deviation(nmax),
     )

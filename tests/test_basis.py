@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_chebyu
 
 from diskxray import basis, selftest
-from diskxray.geometry import CurvatureParam
+from diskxray.geometry import CurvatureParam, sig, sig_prime
 from diskxray.xray import disk_grid, disk_inner
 
 
@@ -344,6 +344,23 @@ class TestPsi:
         vals = basis.psi_over_mu(3, 1, 0.0, np.array([np.pi / 2, -np.pi / 2]), cp)
         assert np.all(np.isfinite(vals))
 
+
+    def test_psi_over_mu_real_amplitude_matches_complex_form(self):
+        # the real amplitude times (-i)^n against the complex product of
+        # (-1)^n / 2 pi, the amplitude, the phase and W_n(sin s)
+        rng = np.random.default_rng(4)
+        beta = rng.uniform(0, 2 * np.pi, 2000)
+        alpha = rng.uniform(-np.pi / 2, np.pi / 2, 2000)
+        for kappa in (-0.9, 0.0, 0.4, 0.9):
+            cp = CurvatureParam(kappa)
+            s = sig(alpha, cp)
+            amp = math.sqrt((1 + kappa) / (1 - kappa)) * sig_prime(alpha, cp)
+            for n in range(31):
+                for k in (-1, 0, n // 2, n + 1):
+                    want = ((-1) ** n / (2 * math.pi) * amp * np.exp(1j * (n - 2 * k) * (beta + s))
+                            * basis.cheb_w(n, np.sin(s)))
+                    got = basis.psi_over_mu(n, k, beta, alpha, cp)
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 class TestBoundaryFamily:
     def test_redundancies(self):

@@ -358,6 +358,12 @@ class TestProjection:
         with pytest.raises(ValueError, match="torus size"):
             boundary.extend(u, "-", CP, nb, nf)
 
+    def test_rejects_grid_without_a_band(self):
+        # two alpha nodes do not even hold n = 0 orthonormal
+        tpl = template(n_alpha=2)
+        with pytest.raises(ValueError, match="no band"):
+            boundary.project_to_range(tpl.with_values(np.ones(tpl.shape)), CP)
+
     def test_torus_size_defaults_only_for_none(self):
         assert boundary._torus_shape(None, None) == (256, 1024)
         assert boundary._torus_shape(2, 2) == (2, 2)
@@ -549,8 +555,9 @@ class TestSpectralMomentsOracle:
 
 
 class TestSpectralProjector:
-    """project_to_range runs extend, C- twice and the restriction on one
-    beta spectrum; the public TorusGrid operators are the oracle."""
+    """project_to_range is the exact orthogonal projector onto the range
+    modes the grid resolves; the public torus chain A_-^* C-^2 A_- is its
+    slow oracle."""
 
     @staticmethod
     def mixed(cp, tpl, seed):
@@ -560,23 +567,69 @@ class TestSpectralProjector:
                    for n in range(7) for k in range(-2, n + 3))
         return tpl.with_values(vals + 0.1 * rng.normal(size=tpl.shape))
 
-    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
-    @pytest.mark.parametrize("sizes", [(64, 48, 256, 1024), (45, 32, 32, 128)])
-    def test_matches_torus_operator_chain(self, kappa, sizes):
-        # the second size has an odd template and a torus narrower in beta
-        # than the template, so the torus band limits the result
-        nb_t, na_t, nb, nf = sizes
+    @staticmethod
+    def band_limited(cp, tpl, seed):
+        # range plus co-kernel modes, n <= 6, k in [-2, n + 2]
+        rng = np.random.default_rng(seed)
+        bb, aa = tpl.mesh()
+        return tpl.with_values(sum(
+            complex(rng.normal(), rng.normal()) * basis.psi_kappa_hat(n, k, bb, aa, cp)
+            for n in range(7) for k in range(-2, n + 3)))
+
+    @pytest.mark.parametrize("kappa, torus, tol", [
+        (-0.5, (256, 1024), 1e-11),
+        (0.0, (256, 1024), 1e-11),
+        (0.4, (256, 1024), 1e-11),
+        (0.9, (512, 2048), 1e-9),  # the torus needs the larger size near the cliff
+    ], ids=["-0.5-256x1024", "0.0-256x1024", "0.4-256x1024", "0.9-512x2048"])
+    def test_matches_torus_operator_chain(self, kappa, torus, tol):
+        nb, nf = torus
         cp = CurvatureParam(kappa)
-        u = self.mixed(cp, xray.boundary_grid(cp, nb_t, na_t), 3)
-        got = boundary.project_to_range(u, cp, n_beta=nb, n_fiber=nf)
+        u = self.band_limited(cp, xray.boundary_grid(cp, 64, 48), 3)
+        got = boundary.project_to_range(u, cp)
         u_even, removed = boundary.symmetrize(u, cp)
         tg = boundary.extend(u_even, "-", cp, nb, nf)
         cc = boundary.c_minus_torus(boundary.c_minus_torus(tg, cp), cp)
-        correction = boundary._restrict_plain(cc, u)
-        want = u_even.values + correction.values
-        assert np.linalg.norm(got.projected.values - want) <= 1e-13 * np.linalg.norm(want)
+        want = u_even.values + boundary._restrict_plain(cc, u).values
+        assert np.linalg.norm(got.projected.values - want) <= tol * np.linalg.norm(want)
         assert got.removed_odd_norm == removed
-        assert got.relative_change == pytest.approx(correction.norm() / u_even.norm(), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [-0.99, -0.9, 0.9, 0.99])
+    def test_recovers_range_part_exactly(self, kappa):
+        # the range_check input on the CLI grid: every range mode n <= 16
+        # plus co-kernel modes k = -1, n + 1; the torus chain errs by
+        # 0.15-0.65 here
+        cp = CurvatureParam(kappa)
+        tpl = xray.boundary_grid(cp, 96, 64)
+        bb, aa = tpl.mesh()
+        rng = np.random.default_rng(5)
+        coef = lambda: complex(rng.normal(), rng.normal())
+        u_range = sum(coef() * basis.psi_kappa_hat(n, k, bb, aa, cp)
+                      for n in range(17) for k in range(n + 1))
+        co = sum(coef() * basis.psi_kappa_hat(n, k, bb, aa, cp)
+                 for n in range(17) for k in (-1, n + 1))
+        got = boundary.project_to_range(tpl.with_values(u_range + 0.3 * co), cp)
+        assert np.linalg.norm(got.projected.values - u_range) <= 1e-13 * np.linalg.norm(u_range)
+        assert got.band == 29
+
+    def test_exact_on_its_band(self):
+        # idempotent and self-adjoint in the grid inner product to rounding
+        # on white noise, and the identity on every range mode n <= band
+        cp = CurvatureParam(0.9)
+        tpl = xray.boundary_grid(cp, 96, 64)
+        rng = np.random.default_rng(6)
+        noise = lambda: tpl.with_values(rng.normal(size=tpl.shape) + 1j * rng.normal(size=tpl.shape))
+        u, v = noise(), noise()
+        pu = boundary.project_to_range(u, cp)
+        pv = boundary.project_to_range(v, cp).projected
+        ppu = boundary.project_to_range(pu.projected, cp).projected
+        assert np.linalg.norm(ppu.values - pu.projected.values) <= 1e-13 * np.linalg.norm(u.values)
+        lhs, rhs = xray.boundary_inner(pu.projected, v), xray.boundary_inner(u, pv)
+        assert abs(lhs - rhs) <= 1e-13 * u.norm() * v.norm()
+        bb, aa = tpl.mesh()
+        for n, k in [(0, 0), (pu.band, 0), (pu.band, pu.band // 2)]:
+            mode = tpl.with_values(basis.psi_kappa_hat(n, k, bb, aa, cp))
+            assert boundary.project_to_range(mode, cp).relative_change < 1e-13
 
     def test_memory_bounded(self):
         cp = CurvatureParam(0.4)

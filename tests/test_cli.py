@@ -404,6 +404,25 @@ class TestInvertCommand:
         report = json.loads((tmp_path / "o/report.json").read_text())
         assert all(c["re"] == 0 and c["im"] == 0 for c in report["coefficients"])
 
+    def test_report_has_gram_deviation(self, tmp_path):
+        cp = CurvatureParam(0.2)
+        tpl = cli.RunConfig(kappa=0.2).validate().boundary_template()
+        fileio.write_sinogram_csv(tmp_path / "z.csv", tpl)
+        assert run_cli("--kappa", 0.2, "--nmax", 6, "--out", tmp_path / "o", "invert",
+                       "--in", tmp_path / "z.csv") == 0
+        report = json.loads((tmp_path / "o/report.json").read_text())
+        assert report["gram_deviation"] == xray._fiber_plan(tpl, cp).gram_deviation(6)
+        assert report["gram_deviation"] < 1e-13
+
+    def test_unresolved_band_is_numerical_error(self, tmp_path):
+        # nmax 31 on 96 x 64: 2 (nmax + 1) <= n_alpha holds, but the range
+        # modes are orthonormal on the alpha nodes only to 1.3e-7
+        tpl = cli.RunConfig(kappa=0.2).validate().boundary_template()
+        fileio.write_sinogram_csv(tmp_path / "z.csv", tpl)
+        assert run_cli("--kappa", 0.2, "--nmax", 31, "--out", tmp_path / "o", "invert",
+                       "--in", tmp_path / "z.csv") == cli.EXIT_NUMERICAL
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_noise_amplification_within_bound(self, tmp_path):
         # over 20 seeds the measured in-band amplification stays within a
         # factor 2 of the reported bound 1/sigma_min
@@ -464,6 +483,21 @@ class TestProjectCommand:
         assert report["relative_change"] == pytest.approx(1.0, abs=1e-6)
         out = fileio.read_sinogram_csv(tmp_path / "p/projected.csv", tpl)
         assert out.norm() / grid.norm() < 1e-6
+
+    def test_report_has_band_and_gram_deviation(self, tmp_path):
+        # the largest band within xray.GRAM_TOL on the 64 alpha nodes of the
+        # CLI grid is n <= 29, at every kappa
+        cfg = cli.RunConfig(kappa=0.9).validate()
+        tpl = cfg.boundary_template()
+        bb, aa = tpl.mesh()
+        grid = tpl.with_values(basis.psi_kappa_hat(3, 1, bb, aa, cfg.cp()))
+        fileio.write_sinogram_csv(tmp_path / "u.csv", grid)
+        assert run_cli("--kappa", 0.9, "--out", tmp_path / "p", "project",
+                       "--in", tmp_path / "u.csv") == 0
+        report = json.loads((tmp_path / "p/projection_report.json").read_text())
+        assert report["band"] == 29
+        assert 0 < report["gram_deviation"] <= xray.GRAM_TOL
+        assert report["relative_change"] < 1e-13
 
     def test_zero_input(self, tmp_path):
         cfg = cli.RunConfig(kappa=0.3).validate()

@@ -35,16 +35,16 @@ def test_svd_round_trip(kappa, nmax, seed):
 
 
 @settings(max_examples=10, deadline=None)
-@given(kappa=st.floats(-0.7, 0.7), nmax=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+@given(kappa=st.floats(-0.95, 0.95), nmax=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_projector_idempotent(kappa, nmax, seed):
-    # range modes plus co-kernel modes (k outside [0, n]).  On a 32 x 48
-    # template and a 128 x 512 torus the property holds to about 1e-12 up
-    # to |kappa| = 0.7 and 4e-9 at 0.75; at 0.9 the projector's known
-    # discretisation cliff (|kappa| -> 1) gives 5e-2, so the property is
-    # stated on [-0.7, 0.7]
+    # range modes plus co-kernel modes (k outside [0, n]) on a 32 x 48
+    # template.  The projector is Q Q^H per beta bin with Q orthonormal in
+    # the grid's inner product, so it is idempotent to rounding at every
+    # kappa; the torus chain id + C-^2 it replaced gave 5e-2 at |kappa| =
+    # 0.9, and the property used to be stated on [-0.7, 0.7] only
     cp = CurvatureParam(kappa)
     u = xray.synthesize(random_table(nmax, seed, k_pad=2), xray.boundary_grid(cp, 32, 48), cp)
-    once = boundary.project_to_range(u, cp, n_beta=128, n_fiber=512)
-    twice = boundary.project_to_range(once.projected, cp, n_beta=128, n_fiber=512)
+    once = boundary.project_to_range(u, cp)
+    twice = boundary.project_to_range(once.projected, cp)
     diff = np.linalg.norm(twice.projected.values - once.projected.values)
     assert diff <= 1e-9 * np.linalg.norm(u.values)

@@ -465,6 +465,27 @@ class TestAnalyzeSynthesize:
         with pytest.raises(ValueError, match="resolvable"):
             xray.analyze(tpl, 5, cp)
 
+    def test_gram_guard(self):
+        # on 64 alpha nodes the range modes n <= 29 are orthonormal to
+        # 5.9e-10; nmax 30 (9.9e-9) and 31 (1.3e-7) pass the old
+        # 2 (nmax + 1) <= n_alpha rule, and nmax 31 recovered coefficients
+        # only to 3.7e-7
+        cp = CurvatureParam(0.4)
+        tpl = xray.boundary_grid(cp, 96, 64)
+        rng = np.random.default_rng(11)
+        for nmax in (0, 16, 29):
+            tab = basis.CoeffTable(nmax=nmax, entries={
+                (n, k): complex(rng.normal(), rng.normal())
+                for n in range(nmax + 1) for k in range(n + 1)})
+            back = xray.analyze(xray.synthesize(tab, tpl, cp), nmax, cp)
+            err = max(abs(back[nk] - c) for nk, c in tab.items())
+            assert err < 1e-8
+        for nmax in (30, 31):
+            with pytest.raises(ValueError, match="Gram deviation"):
+                xray.analyze(tpl, nmax, cp)
+            with pytest.raises(ValueError, match="Gram deviation"):
+                xray.invert(tpl, nmax, cp)
+
     def test_synthesize_requires_grid(self):
         with pytest.raises(TypeError):
             xray.synthesize(basis.CoeffTable(nmax=1), object(), CurvatureParam(0.0))
@@ -485,8 +506,13 @@ class TestSpectralEngineOracle:
     @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
     @pytest.mark.parametrize("nmax", [0, 6, 16])
     def test_analyze_matches_full_grid_quadrature(self, kappa, nmax):
+        # n_alpha = 2 nmax + 4 met the old 2 (nmax + 1) <= n_alpha rule; the
+        # Gram guard rejects it (deviation 1e-3, 3e-4, 4e-6), and 2 nmax + 12
+        # is a few nodes above the smallest size it accepts
         cp = CurvatureParam(kappa)
-        g = xray.boundary_grid(cp, 2 * nmax + 1, 2 * nmax + 4)
+        with pytest.raises(ValueError, match="Gram deviation"):
+            xray.analyze(xray.boundary_grid(cp, 2 * nmax + 1, 2 * nmax + 4), nmax, cp)
+        g = xray.boundary_grid(cp, 2 * nmax + 1, 2 * nmax + 12)
         rng = np.random.default_rng(nmax)
         g = g.with_values(rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
         table = xray.analyze(g, nmax, cp)
@@ -531,6 +557,43 @@ class TestSpectralEngineOracle:
             xray.analyze(tpl, top + 1, cp)
         with pytest.raises(ValueError, match="beta nodes"):
             xray.invert(tpl.with_values(np.ones(tpl.shape)), top + 1, cp)
+
+
+class TestFiberPlan:
+    """xray._FiberPlan: one per geometry, fibers from one exponential table."""
+
+    @pytest.mark.parametrize("kappa", [-0.99, 0.0, 0.9])
+    def test_fibers_match_psi_kappa_hat(self, kappa):
+        # range and co-kernel modes, and exponents past the plan's table
+        cp = CurvatureParam(kappa)
+        tpl = xray.boundary_grid(cp, 24, 32)
+        plan = xray._fiber_plan(tpl, cp)
+        modes = [(n, k) for n in range(40) for k in range(-3, n + 4)]
+        n, k = np.array(modes).T
+        want = np.array([basis.psi_kappa_hat(n, k, 0.0, tpl.alpha, cp) for n, k in modes])
+        assert np.abs(plan.fibers(n, k) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_one_plan_per_geometry(self):
+        cp = CurvatureParam(0.4)
+        a, b = xray.boundary_grid(cp, 96, 64), xray.boundary_grid(cp, 96, 64)
+        b = b.with_values(np.ones(b.shape))
+        plan = xray._fiber_plan(a, cp)
+        assert xray._fiber_plan(b, cp) is plan  # values play no part
+        assert xray._fiber_plan(xray.boundary_grid(cp, 64, 64), cp) is not plan
+        assert xray._fiber_plan(xray.boundary_grid(CurvatureParam(0.3), 96, 64),
+                                CurvatureParam(0.3)) is not plan
+        with pytest.raises(ValueError):
+            plan.gram[0] = 0.0
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    def test_band_from_gram_deviation(self, kappa):
+        cp = CurvatureParam(kappa)
+        for n_alpha, band in ((48, 20), (64, 29)):
+            plan = xray._fiber_plan(xray.boundary_grid(cp, 96, n_alpha), cp)
+            assert plan.band == band
+            assert plan.gram_deviation(band) <= xray.GRAM_TOL < plan.gram_deviation(band + 1)
+        # the beta grid caps the band below n_beta / 2
+        assert xray._fiber_plan(xray.boundary_grid(cp, 24, 64), cp).band == 11
 
 
 class TestSingularValues:
