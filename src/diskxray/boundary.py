@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import HALF_PI, TWO_PI, CurvatureParam, sig, wrap_pi
-from .xray import BoundaryGrid, _fiber_plan, _fiber_spectrum
+from .xray import BoundaryGrid, _check_kappa, _fiber_plan, _fiber_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +423,7 @@ def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None
         template = u
     if template is None:
         raise ValueError("a template BoundaryGrid is required for callable input")
+    _check_kappa(template, cp)
     _torus_shape(n_beta, n_fiber)
     if not isinstance(u, BoundaryGrid):
         u = template.with_values(u(*template.mesh()))
@@ -469,6 +470,7 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam,
     The beta frequencies n - 2k reach nmax + 2 kpad in size, which must
     stay below n_beta/2, or a moment would be read from an aliased bin.
     """
+    _check_kappa(u, cp)
     if kpad < 1:
         raise ValueError("kpad must be >= 1")
     if 2 * (nmax + 2 * kpad) >= len(u.beta):

@@ -271,6 +271,13 @@ def disk_grid(cp: CurvatureParam, n_rho: int = 128, n_omega: int = 256, measure:
     )
 
 
+def _check_kappa(grid, cp: CurvatureParam):
+    """Reject a grid built for another curvature than cp: its weights and
+    nodes would be read in the wrong geometry and give a plausible number."""
+    if grid.kappa != cp.kappa:
+        raise ValueError(f"grid kappa={grid.kappa} does not match cp kappa={cp.kappa}")
+
+
 def _check_same_boundary(g1: BoundaryGrid, g2: BoundaryGrid):
     if (
         g1.kappa != g2.kappa
@@ -403,8 +410,8 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     this converges spectrally).  g is a callable on the inward bundle or
     a BoundaryGrid.
 
-    A grid is summed through its beta spectrum, once per rotation class
-    of points rather than once per point.  The metric is radial, so the
+    A grid is summed through its beta spectrum, once per O(2) class of
+    points rather than once per point.  The metric is radial, so the
     footpoint map commutes with rotations:
 
         alpha_-(rho e^{i omega}, theta) = alpha_-(rho, theta - omega),
@@ -416,10 +423,20 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     sum.  Per class of radius rho and offset delta from the theta nodes
     the fiber sum S_f = sum_j u_f(alpha_j) e^{i f beta_j} of each beta
     frequency f is formed once, and a point rho e^{i omega} of the class
-    gets (2 pi / n_theta) sum_f S_f e^{i f (omega - delta)}.  Radii and
-    offsets are grouped to a few rounding units.  Points and fiber nodes
-    go through in fixed blocks, so the memory needed is bounded whatever
-    the point count.
+    gets (2 pi / n_theta) sum_f S_f e^{i f (omega - delta)}.
+
+    It commutes with the reflection z -> conj(z) as well: alpha_- and the
+    fiber change are odd in theta - omega, so the footpoints of (rho,
+    -delta) are those of (rho, delta) with (beta, alpha) -> (-beta,
+    -alpha).  When the alpha nodes are mirror-antisymmetric (every
+    `boundary_grid` is), the barycentric rows at -alpha are those at alpha
+    reversed, so classes are keyed on (rho, |delta|): the fiber is folded
+    once at +|delta| and the fold of -|delta| is its conjugate with the
+    alpha axis reversed.  A class with delta = 0 is its own mirror image,
+    and its nodes 0 .. n_theta/2 carry the sum.  Other alpha nodes fall
+    back to (rho, delta) classes.  Radii and offsets are grouped to a few
+    rounding units.  Points and fiber nodes go through in fixed blocks, so
+    the memory needed is bounded whatever the point count.
     """
     n_theta = operator.index(n_theta)  # a float would space the nodes 2 pi / n_theta apart
     if n_theta < 1:
@@ -433,6 +450,7 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     omega = np.angle(z)
     theta = np.arange(n_theta) * TWO_PI / n_theta
     if isinstance(g, BoundaryGrid):
+        _check_kappa(g, cp)
         if g.fn is None:
             out = _grid_adjoint(g, rho.ravel(), omega.ravel(), theta, cp)
             return out.reshape(z.shape)[()]  # a scalar for a 0-d z, as below
@@ -479,15 +497,19 @@ def _powers(x, top):
 
 def _grid_adjoint(grid: BoundaryGrid, rho, omega, theta, cp: CurvatureParam):
     """`adjoint_sharp` of grid samples at the flat points rho e^{i omega},
-    one fiber sum per rotation class (see there).
+    one fiber sum per O(2) class (see there).
 
     With x = e^{i beta} the beta spectrum is two-sided,
     u = sum_m u_m x^m + conj(sum_m conj(u_-m) x^m) over 0 <= m < top, so
     only the powers x^m are needed.  A block of fiber nodes of a few
     classes gives their barycentric rows R (nodes x n_alpha) and powers
     X (top x nodes); the real matrix product of the re and im planes of X
-    with R folds each class's nodes, and the two halves of the nodal
-    spectrum turn the result into that class's S_m and conj(S_-m).
+    with R folds each class's nodes into F (top x n_alpha), and the two
+    halves of the nodal spectrum turn F into that class's S_m and
+    conj(S_-m).  The mirror class folds conj(F) with the alpha axis
+    reversed; a class that is its own mirror image folds nodes
+    0 .. n_theta/2 (weight 1/2 on theta = 0 and pi, which pair with
+    themselves) into F and takes F + conj(F) reversed.
     """
     freqs, spec, rows_at = _fiber_spectrum(grid, cp)
     top = int(np.abs(freqs).max()) + 1
@@ -499,31 +521,59 @@ def _grid_adjoint(grid: BoundaryGrid, rho, omega, theta, cp: CurvatureParam):
     step = TWO_PI / n_theta
     delta = omega - np.round(omega / step) * step  # offset from the nearest theta node
     delta[delta > 0.5 * step - _CLASS_TOL] -= step  # a half-step tie joins -step / 2
-    radius_class, phase_class = _classes(rho), _classes(delta)
+    delta[np.abs(delta) <= _CLASS_TOL] = 0.0  # on a node: exactly its own mirror image
+    mirror = np.array_equal(grid.alpha, -grid.alpha[::-1])
+    key = np.abs(delta) if mirror else delta
+    radius_class, phase_class = _classes(rho), _classes(key)
     _, first, cls = np.unique(radius_class * (phase_class.max(initial=-1) + 1) + phase_class,
                               return_index=True, return_inverse=True)
-    rho_c, delta_c = rho[first], delta[first]
+    rho_c, key_c = rho[first], key[first]  # each class is folded at +key
+    own = mirror & (key_c == 0.0)
 
-    sums = np.zeros((2, len(first), top), dtype=complex)
-    per = max(1, _BLOCK // n_theta)  # classes per block
-    span = min(n_theta, _BLOCK)  # fiber nodes per block
-    for c0 in range(0, len(first), per):
-        cs = slice(c0, c0 + per)
-        for j0 in range(0, n_theta, span):
-            bm, am = footpoint_angles(rho_c[cs, None], delta_c[cs, None], theta[j0:j0 + span], cp)
-            nc, nj = am.shape
-            rows = rows_at(am.ravel()).reshape(nc, nj, -1)
-            x = _powers(np.exp(1j * bm.ravel()), top)
-            planes = np.stack((x.real, x.imag)).reshape(2 * top, nc, nj).transpose(1, 0, 2)
-            folded = np.matmul(planes, rows)  # (class, re/im and m, alpha node)
-            sums[:, cs] += np.einsum("cma,sma->scm", folded[:, :top] + 1j * folded[:, top:], halves)
+    # one output slot per class and sign of delta present; target[s, c] is
+    # the slot of class c's fold (s = 0) or of its mirror image (s = 1),
+    # -1 where no point needs it, and both for a class that is its own
+    slots, slot = np.unique(2 * cls + (delta < 0) * mirror, return_inverse=True)
+    target = np.full((2, len(first)), -1)
+    target[slots % 2, slots // 2] = np.arange(len(slots))
+    target[1, own] = target[0, own]
+    half = np.arange(n_theta // 2 + 1)
+    half_weights = np.where((half == 0) | (2 * half == n_theta), 0.5, 1.0)
 
+    sums = np.zeros((2, len(slots), top), dtype=complex)
+    # full folds first: the half folds' smaller blocks then reuse their memory
+    for members, node_weights in ((np.flatnonzero(~own), None), (np.flatnonzero(own), half_weights)):
+        n_nodes = n_theta if node_weights is None else len(node_weights)
+        per = max(1, _BLOCK // n_nodes)  # classes per block
+        span = min(n_nodes, _BLOCK)  # fiber nodes per block
+        for c0 in range(0, len(members), per):
+            cs = members[c0:c0 + per]
+            for j0 in range(0, n_nodes, span):
+                nodes = theta[j0:min(j0 + span, n_nodes)]
+                bm, am = footpoint_angles(rho_c[cs, None], key_c[cs, None], nodes, cp)
+                nc, nj = am.shape
+                rows = rows_at(am.ravel()).reshape(nc, nj, -1)
+                if node_weights is not None:
+                    rows *= node_weights[j0:j0 + nj, None]
+                x = _powers(np.exp(1j * bm.ravel()), top)
+                planes = np.stack((x.real, x.imag)).reshape(2 * top, nc, nj).transpose(1, 0, 2)
+                folded = np.matmul(planes, rows)  # (class, re/im and m, alpha node)
+                del rows, x, planes  # before the next block allocates its own
+                fold = folded[:, :top] + 1j * folded[:, top:]
+                for dest, f in ((target[0, cs], fold), (target[1, cs], fold.conj()[:, :, ::-1])):
+                    hit = dest >= 0
+                    sums[:, dest[hit]] += np.einsum("cma,sma->scm", f[hit], halves)
+
+    delta_s = np.where(slots % 2, -1.0, 1.0) * key_c[slots // 2]
     out = np.empty(len(rho), dtype=complex)
     for lo in range(0, len(out), _BLOCK):
-        c = cls[lo:lo + _BLOCK]
-        y = _powers(np.exp(1j * (omega[lo:lo + _BLOCK] - delta_c[c])), top)
+        c = slot[lo:lo + _BLOCK]
+        y = _powers(np.exp(1j * (omega[lo:lo + _BLOCK] - delta_s[c])), top)
         pos, neg = np.einsum("spm,mp->sp", sums[:, c], y)
         out[lo:lo + _BLOCK] = pos + neg.conj()
+    if not np.isfinite(out).all():
+        raise ValueError("the grid's alpha nodes cannot support the fiber interpolant: "
+                         "the grid adjoint is not finite")
     return out * step
 
 
@@ -671,6 +721,7 @@ def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
     orthonormal on the alpha nodes to within GRAM_TOL, or each
     coefficient would carry cross-talk from its neighbours.
     """
+    _check_kappa(g, cp)
     if nmax < 0:
         raise ValueError("analyze requires nmax >= 0")
     if 2 * nmax >= len(g.beta):
@@ -700,6 +751,8 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
     BoundaryGrid result carries an exact callable.
     """
     items = table.items()
+    if isinstance(template, (BoundaryGrid, DiskGrid)):
+        _check_kappa(template, cp)
     if isinstance(template, BoundaryGrid):
         n, k = np.array([nk for nk, _ in items], dtype=int).reshape(-1, 2).T
         coeffs = np.array([c for _, c in items], dtype=complex)

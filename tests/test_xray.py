@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diskxray import basis, geometry, selftest, xray
+from diskxray import basis, boundary, geometry, selftest, xray
 from diskxray.geometry import CurvatureParam, FanBeamPoint, exit_time
 
 
@@ -254,13 +254,29 @@ def psi_sinogram(cp, nmax=6, seed=0):
 
 
 def hold_to_per_target(grid, z, cp, n_theta=512):
-    """Grid-input adjoint_sharp (one fiber sum per rotation class) against
+    """Grid-input adjoint_sharp (one fiber sum per O(2) class) against
     the per-target route through the grid's interpolant, to 1e-13."""
     got = xray.adjoint_sharp(grid, z, cp, n_theta=n_theta)
     want = xray.adjoint_sharp(grid.interpolant(), z, cp, n_theta=n_theta)
     assert np.shape(got) == np.shape(want) == np.shape(z)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     return got
+
+
+def count_fiber_nodes(monkeypatch, grid, z, cp, n_theta=512):
+    """Fiber nodes grid-input adjoint_sharp forms, through footpoint_angles."""
+    nodes = []
+    footpoint_angles = xray.footpoint_angles
+
+    def counted(*args):
+        bm, am = footpoint_angles(*args)
+        nodes.append(am.size)
+        return bm, am
+
+    with monkeypatch.context() as m:
+        m.setattr(xray, "footpoint_angles", counted)
+        xray.adjoint_sharp(grid, z, cp, n_theta=n_theta)
+    return sum(nodes)
 
 
 class TestGridInterpolant:
@@ -315,27 +331,66 @@ class TestGridInterpolant:
 
     def test_fibers_evaluated_once_per_class(self, monkeypatch):
         # |rho e^{i omega}| differs by an ulp across omega, so grouping
-        # radii on exact equality would find 80 classes on 12x24, not 36
+        # radii on exact equality would find 80 classes on 12x24, not 36.
+        # 12x24: 12 radii on the theta nodes (delta = 0, each its own
+        # mirror image: nodes 0 .. 256) and 12 mirror pairs delta = +-step/3
+        # (one fold of 512 nodes each); 128x256 is all on the nodes;
+        # random points have no mirror partners
         cp = CurvatureParam(0.4)
         exact = psi_sinogram(cp)
         grid = exact.with_values(exact.values)
-        nodes = []
-        footpoint_angles = xray.footpoint_angles
-
-        def counted(*args):
-            bm, am = footpoint_angles(*args)
-            nodes.append(am.size)
-            return bm, am
-
-        monkeypatch.setattr(xray, "footpoint_angles", counted)
         rng = np.random.default_rng(8)
         distinct = np.sqrt(rng.uniform(0, 0.95, 288)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 288))
-        for z, classes in ((xray.disk_grid(cp, 12, 24).points(), 36),
-                           (xray.disk_grid(cp, 128, 256).points(), 128),
-                           (distinct, 288)):
-            nodes.clear()
-            xray.adjoint_sharp(grid, z, cp, n_theta=512)
-            assert sum(nodes) == classes * 512
+        for z, nodes in ((xray.disk_grid(cp, 12, 24).points(), 12 * 257 + 12 * 512),
+                         (xray.disk_grid(cp, 128, 256).points(), 128 * 257),
+                         (distinct, 288 * 512)):
+            assert count_fiber_nodes(monkeypatch, grid, z, cp) == nodes
+
+    def test_half_step_ties_on_mirror_path(self):
+        # 24 angles on 36 theta nodes: odd multiples of 2 pi / 24 sit half
+        # a step off the nodes, where the offset's sign is a tie
+        cp = CurvatureParam(0.4)
+        exact = psi_sinogram(cp)
+        hold_to_per_target(exact.with_values(exact.values), xray.disk_grid(cp, 4, 24).points(), cp,
+                           n_theta=36)
+
+    @pytest.mark.parametrize("n_theta", [1, 2, 7])
+    def test_odd_and_tiny_theta_rules_on_mirror_path(self, n_theta):
+        # on-node classes fold nodes 0 .. n_theta/2 with weight 1/2 on the
+        # nodes that are their own mirror images; z and conj(z) pair up
+        cp = CurvatureParam(-0.5)
+        exact = psi_sinogram(cp)
+        rng = np.random.default_rng(9)
+        z = np.sqrt(rng.uniform(0, 0.95, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
+        points = np.concatenate((xray.disk_grid(cp, 4, 24).points().ravel(), z, z.conj()))
+        hold_to_per_target(exact.with_values(exact.values), points, cp, n_theta=n_theta)
+
+    @pytest.mark.parametrize("kappa", [-0.99, 0.99])
+    def test_mirror_path_near_degenerate(self, kappa):
+        cp = CurvatureParam(kappa)
+        exact = psi_sinogram(cp)
+        hold_to_per_target(exact.with_values(exact.values), xray.disk_grid(cp, 12, 24).points(), cp)
+
+    def test_asymmetric_alpha_nodes_fall_back_to_rotation_classes(self, monkeypatch):
+        # dropping one node breaks alpha -> -alpha: 36 (rho, delta) classes
+        # of 512 nodes each, no mirror folds
+        cp = CurvatureParam(0.4)
+        exact = psi_sinogram(cp)
+        grid = dataclasses.replace(exact, alpha=exact.alpha[1:], alpha_weights=exact.alpha_weights[1:],
+                                   values=exact.values[:, 1:], fn=None)
+        z = xray.disk_grid(cp, 12, 24).points()
+        hold_to_per_target(grid, z, cp)
+        assert count_fiber_nodes(monkeypatch, grid, z, cp) == 36 * 512
+
+    def test_unsupported_alpha_nodes_rejected(self):
+        # 64 random nodes: barycentric weights from 2e-17 to 9e20, and the
+        # fiber sums come out as nan
+        cp = CurvatureParam(0.4)
+        alpha = np.sort(np.random.default_rng(0).uniform(-1.5, 1.5, 64))
+        grid = xray.BoundaryGrid(kappa=cp.kappa, beta=np.arange(16) * 2 * np.pi / 16, alpha=alpha,
+                                 alpha_weights=np.ones(64), values=np.ones((16, 64), dtype=complex))
+        with pytest.raises(ValueError, match="alpha nodes"), np.errstate(all="ignore"):
+            xray.adjoint_sharp(grid, xray.disk_grid(cp, 3, 4).points(), cp)
 
     @pytest.mark.parametrize("kappa", [-0.9, 0.4])
     def test_reproduces_samples_at_nodes(self, kappa):
@@ -391,6 +446,45 @@ class TestGridInterpolant:
             xray.adjoint_sharp(grid.with_values(values), np.array([0.3 + 0.1j]), cp)
         with pytest.raises(ValueError):
             dataclasses.replace(grid, values=values)
+
+
+class TestKappaMismatch:
+    """A grid of one curvature handed to an entry point with another cp is
+    rejected with both values named, not read in the wrong geometry."""
+
+    GRID, CP = CurvatureParam(0.4), CurvatureParam(-0.5)
+    MESSAGE = r"kappa=0\.4 .*kappa=-0\.5"
+
+    def ones_grid(self):
+        grid = xray.boundary_grid(self.GRID, 16, 64)
+        return grid.with_values(np.ones(grid.shape))
+
+    def test_adjoint_sharp(self):
+        # would return -68.4 where 2 pi is right
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            xray.adjoint_sharp(self.ones_grid(), np.array([0.3 + 0.1j]), self.CP)
+        assert abs(xray.adjoint_sharp(self.ones_grid(), 0.3 + 0.1j, self.GRID) - 2 * np.pi) < 1e-8
+
+    def test_analyze(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            xray.analyze(self.ones_grid(), 2, self.CP)
+
+    def test_synthesize(self):
+        table = basis.CoeffTable(nmax=1, entries={(1, 0): 1.0})
+        for template in (self.ones_grid(), xray.disk_grid(self.GRID, 4, 4)):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                xray.synthesize(table, template, self.CP)
+
+    def test_project_to_range(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            boundary.project_to_range(self.ones_grid(), self.CP)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            boundary.project_to_range(lambda b, a: ones(b), self.CP, template=self.ones_grid())
+
+    def test_moment_residuals(self):
+        # would report in_range=True
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            boundary.moment_residuals(self.ones_grid(), 2, 1, self.CP)
 
 
 class TestInnerProducts:
