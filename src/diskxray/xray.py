@@ -137,14 +137,20 @@ class BoundaryGrid:
 def _fiber_spectrum(grid: BoundaryGrid, cp: CurvatureParam):
     """Beta frequencies (numpy order) of the grid samples, their beta
     spectrum at the alpha nodes with sqrt(sig') divided out (n_alpha x
-    n_beta, C order), and a map from 1-d fiber angles to barycentric rows
-    in s = sig(alpha) with sqrt(sig') restored: rows @ spec is the
-    spectrum at those angles, one real matrix product on
+    n_beta, C order), and `_fiber_rows`' map of the alpha nodes: rows @
+    spec is the spectrum at those angles, one real matrix product on
     spec.view(float)."""
     nb = len(grid.beta)
-    spec = np.fft.fft(grid.values / np.sqrt(sig_prime(grid.alpha, cp)), axis=0) / nb
-    spec = np.ascontiguousarray(spec.T)
-    nodes = sig(grid.alpha, cp)
+    root, rows_at = _fiber_rows(grid.alpha, cp)
+    spec = np.ascontiguousarray((np.fft.fft(grid.values / root, axis=0) / nb).T)
+    return np.fft.fftfreq(nb, 1.0 / nb).astype(int), spec, rows_at
+
+
+def _fiber_rows(alpha, cp: CurvatureParam):
+    """sqrt(sig') at the alpha nodes, and a map from 1-d fiber angles to
+    barycentric rows in s = sig(alpha) with sqrt(sig') restored: for
+    samples u at the nodes, rows_at(a) @ (u / sqrt(sig')) is u at a."""
+    nodes = sig(alpha, cp)
     diff = (4.0 / np.ptp(nodes)) * (nodes[:, None] - nodes)  # capacity scaling: no overflow
     np.fill_diagonal(diff, 1.0)
     weights = 1.0 / diff.prod(axis=1)
@@ -162,7 +168,7 @@ def _fiber_spectrum(grid: BoundaryGrid, cp: CurvatureParam):
         rows *= (np.sqrt(sig_prime(alpha, cp)) / total)[:, None]
         return rows
 
-    return np.fft.fftfreq(nb, 1.0 / nb).astype(int), spec, rows_at
+    return np.sqrt(sig_prime(alpha, cp)), rows_at
 
 
 @dataclass
@@ -435,8 +441,21 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     alpha axis reversed.  A class with delta = 0 is its own mirror image,
     and its nodes 0 .. n_theta/2 carry the sum.  Other alpha nodes fall
     back to (rho, delta) classes.  Radii and offsets are grouped to a few
-    rounding units.  Points and fiber nodes go through in fixed blocks, so
-    the memory needed is bounded whatever the point count.
+    rounding units.
+
+    None of this depends on the values: the class folds are a plan of the
+    geometry (`_AdjointPlan`), built once per (kappa, n_beta, alpha
+    nodes, points, n_theta) and memoised on the bytes of those, never on
+    identity or values, for the last four geometries.  A call with new
+    values on a known geometry is one beta FFT, a few contractions over
+    the kept folds and one sum per point.  A class keeps one fold of top x n_alpha (top =
+    n_beta // 2 + 1), its mirror image is formed per call, and a class
+    that is its own mirror image keeps half its alpha columns.  The plan
+    keeps its folds when they fit in 8 MB (_PLAN_BYTES; 3.2 MB for the
+    CLI-default 128x256 points on a 96x64 grid); past that it keeps only
+    each point's slot and each call folds the fibers again, block by
+    block.  Fiber nodes and points go through in fixed blocks, so the
+    memory held and used is bounded whatever the point count.
     """
     n_theta = operator.index(n_theta)  # a float would space the nodes 2 pi / n_theta apart
     if n_theta < 1:
@@ -447,15 +466,14 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     rho = np.abs(z)
     if np.any(rho >= 1.0):
         raise ValueError("adjoint_sharp requires interior points, |z| < 1")
-    omega = np.angle(z)
-    theta = np.arange(n_theta) * TWO_PI / n_theta
     if isinstance(g, BoundaryGrid):
         _check_kappa(g, cp)
         if g.fn is None:
-            out = _grid_adjoint(g, rho.ravel(), omega.ravel(), theta, cp)
+            out = _adjoint_plan(g, z, n_theta).apply(g.values)
             return out.reshape(z.shape)[()]  # a scalar for a 0-d z, as below
         g = g.fn
-    bm, am = footpoint_angles(rho[..., None], omega[..., None], theta, cp)
+    theta = np.arange(n_theta) * TWO_PI / n_theta
+    bm, am = footpoint_angles(rho[..., None], np.angle(z)[..., None], theta, cp)
     vals = np.asarray(g(bm, am), dtype=complex)
     return vals.mean(axis=-1) * TWO_PI
 
@@ -495,86 +513,163 @@ def _powers(x, top):
     return p
 
 
-def _grid_adjoint(grid: BoundaryGrid, rho, omega, theta, cp: CurvatureParam):
-    """`adjoint_sharp` of grid samples at the flat points rho e^{i omega},
-    one fiber sum per O(2) class (see there).
+# the largest fold storage an adjoint plan keeps: the CLI-default 128x256
+# points on the 96x64 grid need 3.2 MB; past it the folds stream per call
+_PLAN_BYTES = 8 * 2**20
+# fiber nodes per block of a fold build: a streamed build runs on every
+# call and wants few blocks; a kept build runs once, and its smaller
+# temporaries leave less free heap resident beside the folds it keeps
+_FOLD_NODES, _KEPT_FOLD_NODES = 512, 128
+_SUM_POINTS = 256  # points per block of the output sum: bounds its gathered sums
+
+
+class _AdjointPlan:
+    """What grid-input `adjoint_sharp` needs of one geometry (kappa,
+    n_beta, alpha nodes, points, n_theta), never of values: sqrt(sig') at
+    the alpha nodes, each point's output slot and phase e^{i(omega -
+    delta)}, and the canonical fold of every O(2) class (see there).
 
     With x = e^{i beta} the beta spectrum is two-sided,
     u = sum_m u_m x^m + conj(sum_m conj(u_-m) x^m) over 0 <= m < top, so
     only the powers x^m are needed.  A block of fiber nodes of a few
     classes gives their barycentric rows R (nodes x n_alpha) and powers
     X (top x nodes); the real matrix product of the re and im planes of X
-    with R folds each class's nodes into F (top x n_alpha), and the two
-    halves of the nodal spectrum turn F into that class's S_m and
-    conj(S_-m).  The mirror class folds conj(F) with the alpha axis
-    reversed; a class that is its own mirror image folds nodes
-    0 .. n_theta/2 (weight 1/2 on theta = 0 and pi, which pair with
-    themselves) into F and takes F + conj(F) reversed.
+    with R folds each class's nodes into F (top x n_alpha).  Contracted
+    with the two halves of a nodal spectrum, F gives that class's S_m and
+    conj(S_-m), and the mirror slot contracts conj(F) with the alpha axis
+    reversed, never stored.  A class that is its own mirror image folds
+    nodes 0 .. n_theta/2 (weight 1/2 on theta = 0 and pi, which pair with
+    themselves) and keeps the first ceil(n_alpha/2) columns of
+    G = F + conj(F) reversed: G[m, n_alpha-1-a] = conj(G[m, a]).
+
+    One generator yields the folds, a block of fiber nodes at a time.
+    They are kept, read-only, when they fit in _PLAN_BYTES; past that each
+    apply streams the generator again, so the memory held and used stays
+    bounded whatever the point count.
     """
-    freqs, spec, rows_at = _fiber_spectrum(grid, cp)
-    top = int(np.abs(freqs).max()) + 1
-    halves = np.zeros((2, top, spec.shape[0]), dtype=complex)
-    halves[0, freqs[freqs >= 0]] = spec[:, freqs >= 0].T
-    halves[1, -freqs[freqs < 0]] = spec[:, freqs < 0].T.conj()
 
-    n_theta = len(theta)
-    step = TWO_PI / n_theta
-    delta = omega - np.round(omega / step) * step  # offset from the nearest theta node
-    delta[delta > 0.5 * step - _CLASS_TOL] -= step  # a half-step tie joins -step / 2
-    delta[np.abs(delta) <= _CLASS_TOL] = 0.0  # on a node: exactly its own mirror image
-    mirror = np.array_equal(grid.alpha, -grid.alpha[::-1])
-    key = np.abs(delta) if mirror else delta
-    radius_class, phase_class = _classes(rho), _classes(key)
-    _, first, cls = np.unique(radius_class * (phase_class.max(initial=-1) + 1) + phase_class,
-                              return_index=True, return_inverse=True)
-    rho_c, key_c = rho[first], key[first]  # each class is folded at +key
-    own = mirror & (key_c == 0.0)
+    def __init__(self, kappa: float, n_beta: int, alpha: np.ndarray, z: np.ndarray, n_theta: int):
+        self._cp = CurvatureParam(kappa)
+        self._root, self._rows_at = _fiber_rows(alpha, self._cp)
+        self._freqs = np.fft.fftfreq(n_beta, 1.0 / n_beta).astype(int)
+        self._top = n_beta // 2 + 1  # 1 + the largest |beta frequency|
+        self._theta = np.arange(n_theta) * TWO_PI / n_theta
+        rho, omega = np.abs(z), np.angle(z)
 
-    # one output slot per class and sign of delta present; target[s, c] is
-    # the slot of class c's fold (s = 0) or of its mirror image (s = 1),
-    # -1 where no point needs it, and both for a class that is its own
-    slots, slot = np.unique(2 * cls + (delta < 0) * mirror, return_inverse=True)
-    target = np.full((2, len(first)), -1)
-    target[slots % 2, slots // 2] = np.arange(len(slots))
-    target[1, own] = target[0, own]
-    half = np.arange(n_theta // 2 + 1)
-    half_weights = np.where((half == 0) | (2 * half == n_theta), 0.5, 1.0)
+        step = TWO_PI / n_theta
+        delta = omega - np.round(omega / step) * step  # offset from the nearest theta node
+        delta[delta > 0.5 * step - _CLASS_TOL] -= step  # a half-step tie joins -step / 2
+        delta[np.abs(delta) <= _CLASS_TOL] = 0.0  # on a node: exactly its own mirror image
+        mirror = np.array_equal(alpha, -alpha[::-1])
+        key = np.abs(delta) if mirror else delta
+        radius_class, phase_class = _classes(rho), _classes(key)
+        _, first, cls = np.unique(radius_class * (phase_class.max(initial=-1) + 1) + phase_class,
+                                  return_index=True, return_inverse=True)
+        self._rho, self._key = rho[first], key[first]  # each class is folded at +key
+        own = mirror & (self._key == 0.0)
+        self._members = (np.flatnonzero(~own), np.flatnonzero(own))  # full and half folds
 
-    sums = np.zeros((2, len(slots), top), dtype=complex)
-    # full folds first: the half folds' smaller blocks then reuse their memory
-    for members, node_weights in ((np.flatnonzero(~own), None), (np.flatnonzero(own), half_weights)):
-        n_nodes = n_theta if node_weights is None else len(node_weights)
-        per = max(1, _BLOCK // n_nodes)  # classes per block
-        span = min(n_nodes, _BLOCK)  # fiber nodes per block
-        for c0 in range(0, len(members), per):
-            cs = members[c0:c0 + per]
-            for j0 in range(0, n_nodes, span):
-                nodes = theta[j0:min(j0 + span, n_nodes)]
-                bm, am = footpoint_angles(rho_c[cs, None], key_c[cs, None], nodes, cp)
-                nc, nj = am.shape
-                rows = rows_at(am.ravel()).reshape(nc, nj, -1)
-                if node_weights is not None:
-                    rows *= node_weights[j0:j0 + nj, None]
-                x = _powers(np.exp(1j * bm.ravel()), top)
-                planes = np.stack((x.real, x.imag)).reshape(2 * top, nc, nj).transpose(1, 0, 2)
-                folded = np.matmul(planes, rows)  # (class, re/im and m, alpha node)
-                del rows, x, planes  # before the next block allocates its own
-                fold = folded[:, :top] + 1j * folded[:, top:]
-                for dest, f in ((target[0, cs], fold), (target[1, cs], fold.conj()[:, :, ::-1])):
-                    hit = dest >= 0
-                    sums[:, dest[hit]] += np.einsum("cma,sma->scm", f[hit], halves)
+        # one output slot per class and sign of delta present; target[s, c] is
+        # the slot of class c's fold (s = 0) or of its mirror image (s = 1),
+        # -1 where no point needs it, and both for a class that is its own
+        slots, self._slot = np.unique(2 * cls + (delta < 0) * mirror, return_inverse=True)
+        self._n_slots, self._target = len(slots), np.full((2, len(first)), -1)
+        self._target[slots % 2, slots // 2] = np.arange(len(slots))
+        self._target[1, own] = self._target[0, own]
+        delta_s = np.where(slots % 2, -1.0, 1.0) * self._key[slots // 2]
+        self._turn = np.exp(1j * (omega - delta_s[self._slot]))
 
-    delta_s = np.where(slots % 2, -1.0, 1.0) * key_c[slots // 2]
-    out = np.empty(len(rho), dtype=complex)
-    for lo in range(0, len(out), _BLOCK):
-        c = slot[lo:lo + _BLOCK]
-        y = _powers(np.exp(1j * (omega[lo:lo + _BLOCK] - delta_s[c])), top)
-        pos, neg = np.einsum("spm,mp->sp", sums[:, c], y)
-        out[lo:lo + _BLOCK] = pos + neg.conj()
-    if not np.isfinite(out).all():
-        raise ValueError("the grid's alpha nodes cannot support the fiber interpolant: "
-                         "the grid adjoint is not finite")
-    return out * step
+        widths = (len(alpha), (len(alpha) + 1) // 2)
+        size = sum(len(m) * w for m, w in zip(self._members, widths)) * self._top * 16
+        self._folds = None  # stream them on every apply
+        if size <= _PLAN_BYTES:
+            kept = [np.empty((len(m), self._top, w), dtype=complex) for m, w in zip(self._members, widths)]
+            for kind, part, fold in self._fold_blocks(_KEPT_FOLD_NODES):
+                kept[kind][part] = fold
+            self._folds = tuple((kind, slice(None), f) for kind, f in enumerate(kept) if len(f))
+        for arr in (self._root, self._freqs, self._theta, self._rho, self._key, *self._members,
+                    self._slot, self._target, self._turn, *(f for _, _, f in self._folds or ())):
+            arr.setflags(write=False)
+
+    def _fold_blocks(self, block_nodes: int):
+        """(kind, part, folds): the folds of classes members[kind][part],
+        full (kind 0) or the stored half of G (kind 1), at most block_nodes
+        fiber nodes at a time."""
+        n_theta, top = len(self._theta), self._top
+        half = np.arange(n_theta // 2 + 1)
+        half_weights = np.where((half == 0) | (2 * half == n_theta), 0.5, 1.0)
+        n_alpha = len(self._root)
+        for kind, members in enumerate(self._members):
+            n_nodes = len(half_weights) if kind else n_theta
+            per = max(1, block_nodes // n_nodes)  # classes per block
+            span = min(n_nodes, block_nodes)  # fiber nodes per block
+            for c0 in range(0, len(members), per):
+                cs = members[c0:c0 + per]
+                fold = np.zeros((len(cs), top, n_alpha), dtype=complex)
+                for j0 in range(0, n_nodes, span):
+                    nodes = self._theta[j0:min(j0 + span, n_nodes)]
+                    bm, am = footpoint_angles(self._rho[cs, None], self._key[cs, None], nodes, self._cp)
+                    nc, nj = am.shape
+                    rows = self._rows_at(am.ravel()).reshape(nc, nj, -1)
+                    if kind:
+                        rows *= half_weights[j0:j0 + nj, None]
+                    x = _powers(np.exp(1j * bm.ravel()), top)
+                    planes = np.stack((x.real, x.imag)).reshape(2 * top, nc, nj).transpose(1, 0, 2)
+                    folded = np.matmul(planes, rows)  # (class, re/im and m, alpha node)
+                    del rows, x, planes  # before the next block allocates its own
+                    fold.real += folded[:, :top]
+                    fold.imag += folded[:, top:]
+                if kind:
+                    w = (n_alpha + 1) // 2
+                    fold = fold[:, :, :w] + fold[:, :, ::-1][:, :, :w].conj()
+                yield kind, slice(c0, c0 + per), fold
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """`adjoint_sharp` of grid values (n_beta x n_alpha) at the plan's
+        points, flat: one beta FFT, one contraction per block of folds and
+        one blocked sum over the points."""
+        n_alpha = values.shape[1]
+        spec = np.fft.fft(values / self._root, axis=0) / len(values)
+        up = self._freqs >= 0
+        halves = np.zeros((2, self._top, n_alpha), dtype=complex)
+        halves[0, self._freqs[up]] = spec[up]
+        halves[1, -self._freqs[~up]] = spec[~up].conj()
+        mirror = halves[:, :, ::-1].conj()  # conj(F) reversed against halves = conj(F against mirror)
+
+        sums = np.zeros((2, self._n_slots, self._top), dtype=complex)
+        for kind, part, fold in self._folds if self._folds is not None else self._fold_blocks(_FOLD_NODES):
+            cs = self._members[kind][part]
+            # a half of G contracts its conjugate mirror image past the stored columns
+            mirrored = n_alpha // 2 if kind else n_alpha
+            for dest, h, width, flip in ((self._target[0, cs], halves, fold.shape[2], False),
+                                         (self._target[1, cs], mirror, mirrored, True)):
+                hit = dest >= 0
+                if hit.any():  # contract the whole block: a kept one is not copied
+                    s = np.einsum("cma,sma->scm", fold[:, :, :width], h[:, :, :width])[:, hit]
+                    sums[:, dest[hit]] += s.conj() if flip else s
+
+        out = np.empty(len(self._slot), dtype=complex)
+        for lo in range(0, len(out), _SUM_POINTS):
+            y = _powers(self._turn[lo:lo + _SUM_POINTS], self._top)
+            pos, neg = np.einsum("spm,mp->sp", sums[:, self._slot[lo:lo + _SUM_POINTS]], y)
+            out[lo:lo + _SUM_POINTS] = pos + neg.conj()
+        if not np.isfinite(out).all():
+            raise ValueError("the grid's alpha nodes cannot support the fiber interpolant: "
+                             "the grid adjoint is not finite")
+        return out * (TWO_PI / len(self._theta))
+
+
+@lru_cache(maxsize=4)
+def _cached_adjoint_plan(kappa: float, n_beta: int, alpha: bytes, z: bytes, n_theta: int) -> _AdjointPlan:
+    return _AdjointPlan(kappa, n_beta, np.frombuffer(alpha), np.frombuffer(z, dtype=complex), n_theta)
+
+
+def _adjoint_plan(g: BoundaryGrid, z: np.ndarray, n_theta: int) -> _AdjointPlan:
+    """The adjoint plan of g's geometry at the points z, built once per
+    (kappa, n_beta, alpha nodes, points, n_theta) and shared: keyed on
+    bytes, so a caller's array changed in place is a new key."""
+    return _cached_adjoint_plan(float(g.kappa), len(g.beta), np.asarray(g.alpha, dtype=float).tobytes(),
+                                np.asarray(z, dtype=complex).tobytes(), n_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +729,7 @@ class _FiberPlan:
         self.gram = np.maximum.accumulate(dev)
         self.band = int(np.count_nonzero(self.gram <= GRAM_TOL)) - 1
         self._bins = np.arange(-self.band, self.band + 1) % n_beta
-        for arr in (self.w, self.gram, self._table):
+        for arr in (self.w, self.gram, self._s, self._root, self._table, self._bins):
             arr.setflags(write=False)
 
     def _bin(self, f: int, top: int):

@@ -263,8 +263,11 @@ def hold_to_per_target(grid, z, cp, n_theta=512):
     return got
 
 
-def count_fiber_nodes(monkeypatch, grid, z, cp, n_theta=512):
-    """Fiber nodes grid-input adjoint_sharp forms, through footpoint_angles."""
+def count_fiber_nodes(monkeypatch, grid, z, cp, n_theta=512, cold=True):
+    """Fiber nodes grid-input adjoint_sharp forms, through footpoint_angles,
+    from an empty plan cache unless cold is False."""
+    if cold:
+        xray._cached_adjoint_plan.cache_clear()
     nodes = []
     footpoint_angles = xray.footpoint_angles
 
@@ -381,6 +384,78 @@ class TestGridInterpolant:
         z = xray.disk_grid(cp, 12, 24).points()
         hold_to_per_target(grid, z, cp)
         assert count_fiber_nodes(monkeypatch, grid, z, cp) == 36 * 512
+
+    def test_plan_serves_new_values_without_fiber_nodes(self, monkeypatch):
+        # the folds depend on the geometry alone: a second call with other
+        # values forms no fiber node and still matches the per-target route
+        cp = CurvatureParam(0.4)
+        z = xray.disk_grid(cp, 12, 24).points()
+        first, second = (g.with_values(g.values) for g in (psi_sinogram(cp, seed=0), psi_sinogram(cp, seed=1)))
+        assert count_fiber_nodes(monkeypatch, first, z, cp) == 12 * 257 + 12 * 512
+        assert count_fiber_nodes(monkeypatch, second, z, cp, cold=False) == 0
+        hold_to_per_target(second, z, cp)
+
+    def test_plan_keyed_on_bytes_not_identity(self):
+        # the caller's points and alpha nodes changed in place between calls
+        # are a new geometry, not the memoised one
+        cp = CurvatureParam(0.4)
+        exact = psi_sinogram(cp)
+        grid = dataclasses.replace(exact, alpha=exact.alpha.copy(), fn=None)
+        z = xray.disk_grid(cp, 4, 6).points()
+        before = hold_to_per_target(grid, z, cp)
+        z *= 0.5
+        moved = hold_to_per_target(grid, z, cp)
+        assert np.linalg.norm(moved - before) > 1e-3 * np.linalg.norm(before)
+        grid.alpha[:] = xray.boundary_grid(CurvatureParam(0.0), 96, 64).alpha
+        renoded = hold_to_per_target(grid, z, cp)
+        assert np.linalg.norm(renoded - moved) > 1e-3 * np.linalg.norm(moved)
+
+    def test_odd_alpha_count_on_mirror_path(self, monkeypatch):
+        # 63 nodes: the middle column of an own-image fold is real and kept once
+        cp = CurvatureParam(0.4)
+        _, tab = band_limited(cp, 6, 0)
+        exact = xray.synthesize(tab, xray.boundary_grid(cp, 96, 63), cp)
+        grid = exact.with_values(exact.values)
+        z = xray.disk_grid(cp, 12, 24).points()
+        assert count_fiber_nodes(monkeypatch, grid, z, cp) == 12 * 257 + 12 * 512  # mirror classes
+        hold_to_per_target(grid, z, cp)
+
+    def test_plan_arrays_read_only(self):
+        cp = CurvatureParam(0.4)
+        plan = xray._adjoint_plan(xray.boundary_grid(cp, 96, 64), xray.disk_grid(cp, 12, 24).points(), 512)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays(item)
+
+        found = list(arrays(list(vars(plan).values())))
+        assert plan._folds and len(found) > 10
+        assert not any(a.flags.writeable for a in found)
+
+    def test_plan_past_budget_streams_its_folds(self):
+        # 400 distinct radii are 400 classes of 49x64 folds, 20 MB, past
+        # _PLAN_BYTES: the plan keeps only its slots and every call folds
+        # the fibers again, so little stays behind after a call
+        cp = CurvatureParam(0.4)
+        exact = psi_sinogram(cp)
+        grid = exact.with_values(exact.values)
+        rng = np.random.default_rng(10)
+        z = np.sqrt(rng.uniform(0, 0.95, 400)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+        xray._cached_adjoint_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            got = xray.adjoint_sharp(grid, z, cp)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+        assert xray._adjoint_plan(grid, z, 512)._folds is None
+        want = xray.adjoint_sharp(grid.interpolant(), z, cp)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        hold_to_per_target(grid, z, cp)  # a second call streams the same folds
 
     def test_unsupported_alpha_nodes_rejected(self):
         # 64 random nodes: barycentric weights from 2e-17 to 9e20, and the
