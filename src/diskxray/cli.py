@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -158,9 +159,7 @@ def _write_sidecar(outdir: Path, name: str, cfg: RunConfig, extra: dict | None =
     }
     if extra:
         doc.update(extra)
-    with open(outdir / f"{name}.meta.json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    fileio._write_json(outdir / f"{name}.meta.json", doc, sort_keys=True)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -300,9 +299,7 @@ def cmd_invert(cfg: RunConfig) -> int:
             {"n": n, "k": k, "re": c.real, "im": c.imag} for (n, k), c in res.coeffs.items()
         ],
     }
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    fileio._write_json(outdir / "report.json", report, sort_keys=True)
     fileio.write_moments_csv(outdir / "moments.csv", moments.rows)
     _write_sidecar(outdir, "invert", cfg)
     print(f"wrote {outdir}/reconstruction.csv, coefficients.json, report.json")
@@ -321,9 +318,7 @@ def cmd_project(cfg: RunConfig) -> int:
         "band": res.band,
         "gram_deviation": res.gram_deviation,
     }
-    with open(outdir / "projection_report.json", "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    fileio._write_json(outdir / "projection_report.json", report, sort_keys=True)
     _write_sidecar(outdir, "project", cfg)
     print(f"wrote {outdir}/projected.csv (relative change {res.relative_change:.3e})")
     return EXIT_OK
@@ -395,8 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
         cfg = _apply_overrides(cfg, args)

@@ -138,9 +138,14 @@ def write_coeff_json(path, table: CoeffTable, cp: CurvatureParam) -> None:
             for (n, k), c in table.items()
         ],
     }
+    _write_json(path, doc)
+
+
+def _write_json(path, doc, sort_keys=False) -> None:
+    """`doc` as the bytes of `json.dump(doc, fh, indent=1, sort_keys=...)`
+    plus a newline, in one write (`json.dump` writes once per token)."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n")
 
 
 def read_coeff_json(path) -> tuple[CoeffTable, float]:

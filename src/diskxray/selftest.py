@@ -314,6 +314,27 @@ def _phantom(cp, seed, nmax=4):
     return lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_series(tab, z, cp)
 
 
+def _psi_hat_over_mu_series(table, beta, alpha, cp):
+    """sum c psi_hat_{n,k} / mu over a table: the terms c 2 sqrt(1 + kappa)
+    `basis.psi_over_mu`(n, k), with sig, sig', sin s and the U_n recurrence
+    formed once per call instead of once per mode, and one phase
+    e^{i m (beta + s)} per angular frequency m = n - 2k."""
+    items = table.items()
+    s = sig(alpha, cp)
+    theta = np.asarray(beta, dtype=float) + s
+    t = np.sin(s)
+    u = [np.ones(t.shape), 2.0 * t]  # U_n(sin s) by the real recurrence
+    while len(u) <= table.nmax:
+        u.append(2.0 * t * u[-1] - u[-2])
+    out = 0.0
+    for m in sorted({n - 2 * k for (n, k), _ in items}):
+        radial = sum((1, -1j, -1, 1j)[n % 4] * c * u[n] for (n, k), c in items if n - 2 * k == m)
+        out = out + radial * np.exp(1j * m * theta)
+    k_ = cp.kappa
+    scale = (1.0 + k_) / (math.pi * math.sqrt(1.0 - k_))  # 2 sqrt(1+k) sqrt((1+k)/(1-k)) / (2 pi)
+    return scale * sig_prime(alpha, cp) * out
+
+
 def adjoint_duality(cp, nmax=3, kpad=0):
     """<I(w f), g> on the boundary equals <f, I*(g / mu)> on the disk, relative.
     g spans the modes n <= nmax, k = -kpad .. n + kpad; pytest also holds
@@ -330,14 +351,9 @@ def adjoint_duality(cp, nmax=3, kpad=0):
     g = bg.with_values(sum(c * basis.psi_kappa_hat(n, k, bb, aa, cp) for (n, k), c in gtab.items()))
     lhs = xray.boundary_inner(xray.sinogram(lambda z: basis.w_kappa(z, cp) * f(z), bg, cp), g)
 
-    # psihat / mu = 2 sqrt(1 + kappa) psi_over_mu, free of the 0/0 at mu = 0
-    scale = 2.0 * math.sqrt(1.0 + cp.kappa)
-
-    def g_over_mu(beta, alpha):
-        return sum(c * scale * basis.psi_over_mu(n, k, beta, alpha, cp) for (n, k), c in gtab.items())
-
     dg = xray.disk_grid(cp, 64, 32, measure="weighted")
     pts = dg.points()
+    g_over_mu = lambda beta, alpha: _psi_hat_over_mu_series(gtab, beta, alpha, cp)
     back = xray.adjoint_sharp(g_over_mu, pts, cp, n_theta=512)
     rhs = xray.disk_inner(dg.with_values(f(pts)), dg.with_values(back))
     return abs(lhs - rhs) / abs(lhs)

@@ -841,9 +841,14 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
     On a BoundaryGrid the basis is psi_kappa_hat: each mode adds c times
     its fiber factor into beta bin (n - 2k) % n_beta, and one inverse FFT
     over beta gives the samples.  On a DiskGrid it is zernike_kappa_hat
-    (which requires 0 <= k <= n), summed for all modes at once by
-    `basis.zernike_kappa_series`.  Returns a grid of the same kind; the
-    BoundaryGrid result carries an exact callable.
+    (which requires 0 <= k <= n).  The radial map keeps the angle, so
+    Z_hat_{n,k}(rho e^{i omega}) = Z_hat_{n,k}(rho) e^{i m omega} with
+    m = n - 2k: the modes are grouped by m, each group's radial sum R_m
+    is `basis.zernike_kappa_series` at the real radii, and the samples
+    are the direct product R (n_rho x #m) @ e^{i m omega} (#m x n_omega),
+    exact for any omega nodes.  `basis.zernike_kappa_series` at the
+    grid's points is the point-wise oracle.  Returns a grid of the same
+    kind; the BoundaryGrid result carries an exact callable.
     """
     items = table.items()
     if isinstance(template, (BoundaryGrid, DiskGrid)):
@@ -867,7 +872,14 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
 
         return template.with_values(vals, fn=fn)
     if isinstance(template, DiskGrid):
-        return template.with_values(basis.zernike_kappa_series(table, template.points(), cp))
+        by_m = {}
+        for (n, k), c in items:
+            by_m.setdefault(n - 2 * k, {})[(n, k)] = c
+        radial = np.zeros((len(template.rho), len(by_m)), dtype=complex)
+        for j, entries in enumerate(by_m.values()):
+            sub = basis.CoeffTable(nmax=table.nmax, entries=entries)
+            radial[:, j] = basis.zernike_kappa_series(sub, template.rho, cp)
+        return template.with_values(radial @ np.exp(1j * np.outer(list(by_m), template.omega)))
     raise TypeError(f"cannot synthesize onto {type(template).__name__}")
 
 
@@ -928,7 +940,7 @@ def invert(
 
     template = disk_template if disk_template is not None else disk_grid(cp)
     recon = synthesize(f_table, template, cp)
-    recon.values *= basis.w_kappa(template.points(), cp)
+    recon.values *= basis.w_kappa(template.rho, cp)[:, None]
 
     sig_min = min(singular_value(n, cp) for (n, k) in accepted)
     return InversionResult(

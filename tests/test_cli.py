@@ -1,6 +1,7 @@
 """Command-line surface: config handling, file formats, all subcommands."""
 
 import csv
+import io
 import json
 import math
 
@@ -571,6 +572,79 @@ class TestSelftestCommand:
         assert "[pass] linear-fractional signature identity (kappa=0.4)" in out
         assert "[FAIL] always fails (kappa=0.4)" in out
         assert "1 of 2 checks failed" in out
+
+
+class TestOneParserPerProcess:
+    """`main` reuses one parser per process; no call may leak into the next."""
+
+    @staticmethod
+    def _spectrum_rows(path):
+        with open(path) as fh:
+            return list(csv.DictReader(fh))
+
+    def test_parser_built_once(self, monkeypatch, tmp_path):
+        real, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli("--kappa", 0.5, "--nmax", 1, "--out", tmp_path, "spectrum") == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_phantom_does_not_carry_over(self, tmp_path):
+        cp = CurvatureParam(0.3)
+        tab = basis.CoeffTable(nmax=2)
+        tab[(1, 0)] = 0.7
+        fileio.write_coeff_json(tmp_path / "f.json", tab, cp)
+        assert run_cli("--kappa", 0.3, "--out", tmp_path / "a", "forward",
+                       "--phantom", tmp_path / "f.json") == 0
+        assert run_cli("--kappa", 0.3, "--out", tmp_path / "b", "forward") == 0
+        assert json.loads((tmp_path / "b/sinogram.meta.json").read_text())["forward"] == "quadrature"
+        template = cli.RunConfig(kappa=0.3).validate().boundary_template()
+        grid = fileio.read_sinogram_csv(tmp_path / "b/sinogram.csv", template)
+        assert np.max(np.abs(grid.values - exit_time(grid.alpha, cp)[None, :])) < 1e-10
+
+    def test_nmax_does_not_carry_over(self, tmp_path):
+        assert run_cli("--kappa", 0.5, "--nmax", 4, "--out", tmp_path / "a", "spectrum") == 0
+        assert run_cli("--kappa", 0.5, "--out", tmp_path / "b", "spectrum") == 0
+        assert len(self._spectrum_rows(tmp_path / "a/spectrum.csv")) == 15
+        default = cli.RunConfig().nmax
+        assert len(self._spectrum_rows(tmp_path / "b/spectrum.csv")) == (default + 1) * (default + 2) // 2
+        assert json.loads((tmp_path / "b/spectrum.meta.json").read_text())["config"]["nmax"] == default
+
+    def test_valid_call_after_argparse_exit(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--nmax", "four", "spectrum")
+        assert exc.value.code == 2
+        assert "--nmax" in capsys.readouterr().err
+        assert run_cli("--kappa", 0.5, "--nmax", 2, "--out", tmp_path, "spectrum") == 0
+        assert len(self._spectrum_rows(tmp_path / "spectrum.csv")) == 6
+
+
+class TestJsonDocuments:
+    def test_bytes_match_json_dump(self, tmp_path):
+        # each document is written in one call, with the bytes json.dump
+        # gives: indent 1, sorted keys except in coefficient tables, newline
+        cp = CurvatureParam(0.4)
+        tab = basis.CoeffTable(nmax=3)
+        tab[(1, 0)] = 0.7
+        tab[(3, 2)] = -0.2j
+        fileio.write_coeff_json(tmp_path / "f.json", tab, cp)
+        for argv in (("forward", "--phantom", tmp_path / "f.json"),
+                     ("invert", "--in", tmp_path / "sinogram.csv"),
+                     ("project", "--in", tmp_path / "sinogram.csv")):
+            assert run_cli("--kappa", 0.4, "--nmax", 3, "--out", tmp_path, *argv) == 0
+        for name, sort_keys in (("f.json", False), ("coefficients.json", False),
+                                ("report.json", True), ("projection_report.json", True),
+                                ("sinogram.meta.json", True), ("invert.meta.json", True),
+                                ("project.meta.json", True)):
+            raw = (tmp_path / name).read_bytes()
+            buf = io.StringIO()
+            json.dump(json.loads(raw), buf, indent=1, sort_keys=sort_keys)
+            buf.write("\n")
+            assert raw == buf.getvalue().encode(), name
 
 
 class TestExitCodes:

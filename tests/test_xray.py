@@ -221,9 +221,30 @@ class TestAdjoint:
         assert np.max(np.abs(got - basis.zernike_kappa(2, 1, z, cp))) < 1e-7
 
     def test_adjoint_duality(self):
-        # the registry entry with g padded by the co-kernel modes k = -1, n + 1
+        # kpad = 1 pads g by the co-kernel modes k = -1, n + 1; the pinned
+        # values are those of the per-mode sum of psi_over_mu, whose terms
+        # the psi/mu series only regroups
         check = next(c for c in selftest.CHECKS if c.measure is selftest.adjoint_duality)
-        assert selftest.adjoint_duality(CurvatureParam(0.5), kpad=1) < check.tol
+        for kappa, kpad, per_mode in [
+            (0.0, 0, 4.013995950410647e-15), (0.0, 1, 9.291108495117319e-15),
+            (0.5, 0, 1.0017089770825896e-14), (0.5, 1, 1.2453819583131663e-14),
+            (0.9, 0, 3.2829462769067967e-09), (0.9, 1, 4.385028249901608e-09),
+        ]:
+            got = selftest.adjoint_duality(CurvatureParam(kappa), kpad=kpad)
+            assert got < check.tol
+            assert abs(got - per_mode) < 1e-13, (kappa, kpad)
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.5, 0.9])
+    def test_psi_over_mu_series_matches_per_mode_sum(self, kappa):
+        cp = CurvatureParam(kappa)
+        rng = np.random.default_rng(13)
+        tab = selftest._random_table(rng, 4, kpad=2)
+        beta = rng.uniform(0, 2 * np.pi, 500)
+        alpha = np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 497), [-np.pi / 2, 0.0, np.pi / 2]])
+        want = sum(c * 2.0 * math.sqrt(1.0 + kappa) * basis.psi_over_mu(n, k, beta, alpha, cp)
+                   for (n, k), c in tab.items())
+        got = selftest._psi_hat_over_mu_series(tab, beta, alpha, cp)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n_theta", [2.5, 3.0])
     def test_rejects_non_integer_theta_rule(self, n_theta):
@@ -658,6 +679,83 @@ class TestAnalyzeSynthesize:
     def test_synthesize_requires_grid(self):
         with pytest.raises(TypeError):
             xray.synthesize(basis.CoeffTable(nmax=1), object(), CurvatureParam(0.0))
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestPolarSynthesis:
+    """synthesize onto a DiskGrid sums each angular frequency m = n - 2k
+    radially and multiplies by e^{i m omega}; the point-wise series and
+    the per-mode sum at the grid's points are its oracles."""
+
+    @pytest.mark.parametrize("shape", [(128, 256), (7, 5), (1, 3)])
+    @pytest.mark.parametrize("nmax", [0, 6, 16])
+    @pytest.mark.parametrize("kappa", [-0.99, -0.9, 0.0, 0.4, 0.9, 0.99])
+    def test_matches_pointwise_series(self, kappa, nmax, shape):
+        cp = CurvatureParam(kappa)
+        tab = band_limited(cp, nmax, 40 + nmax)[1]
+        grid = xray.disk_grid(cp, *shape)
+        got = xray.synthesize(tab, grid, cp).values
+        z = grid.points()
+        # The oracle evaluates at z = fl(rho e^{i omega}), whose modulus is
+        # rho to an ulp; the series amplifies that by about
+        # (nmax + 1)(1 + kappa rho^2) / (1 - kappa rho^2).  At kappa 0.99,
+        # nmax 16 on 128 radii the exact series moves by 9e-13 between the
+        # two points (long-double check), so 1e-13 alone cannot hold there.
+        r2 = grid.rho**2
+        cond = (nmax + 1) * np.max((1.0 + kappa * r2) / (1.0 - kappa * r2))
+        tol = max(1e-13, 4.0 * np.finfo(float).eps * cond)
+        assert _max_rel(got, basis.zernike_kappa_series(tab, z, cp)) < tol
+        per_mode = sum(c * basis.zernike_kappa_hat(n, k, z, cp) for (n, k), c in tab.items())
+        assert _max_rel(got, per_mode) < 1e-11
+
+    @pytest.mark.parametrize("measure", xray._MEASURES)
+    def test_values_and_tag_for_every_measure(self, measure):
+        cp = CurvatureParam(0.4)
+        tab = band_limited(cp, 6, 41)[1]
+        grid = xray.disk_grid(cp, 7, 5, measure=measure)
+        out = xray.synthesize(tab, grid, cp)
+        assert out.measure == measure
+        assert _max_rel(out.values, basis.zernike_kappa_series(tab, grid.points(), cp)) < 1e-13
+        assert np.array_equal(out.values, xray.synthesize(tab, xray.disk_grid(cp, 7, 5), cp).values)
+
+    def test_empty_table_gives_exact_zeros(self):
+        cp = CurvatureParam(0.4)
+        out = xray.synthesize(basis.CoeffTable(nmax=3), xray.disk_grid(cp, 7, 5), cp)
+        assert out.shape == (7, 5)
+        assert np.array_equal(out.values, np.zeros((7, 5), dtype=complex))
+
+    @pytest.mark.parametrize("nk", [(2, 3), (2, -1)])
+    def test_rejects_index_outside_disk_family(self, nk):
+        cp = CurvatureParam(0.4)
+        tab = band_limited(cp, 3, 42)[1]
+        tab[nk] = 1.0
+        grid = xray.disk_grid(cp, 7, 5)
+        with pytest.raises(ValueError) as pointwise:
+            basis.zernike_kappa_series(tab, grid.points(), cp)
+        with pytest.raises(ValueError) as polar:
+            xray.synthesize(tab, grid, cp)
+        n, k = nk
+        assert str(polar.value) == str(pointwise.value) == f"zernike requires 0 <= k <= n, got (n,k)=({n},{k})"
+
+    def test_rejects_radius_outside_closed_disk(self):
+        cp = CurvatureParam(0.0)  # the map is the identity
+        grid = dataclasses.replace(xray.disk_grid(cp, 3, 4), rho=np.array([0.5, 0.9, 1.01]))
+        with pytest.raises(ValueError, match="closed unit disk"):
+            xray.synthesize(band_limited(cp, 2, 43)[1], grid, cp)
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.4, 0.9])
+    def test_invert_weights_each_radius(self, kappa):
+        cp = CurvatureParam(kappa)
+        tab = band_limited(cp, 6, 44)[1]
+        image = basis.CoeffTable(nmax=6, entries={
+            (n, k): xray.singular_value(n, cp) * c for (n, k), c in tab.items()})
+        res = xray.invert(xray.synthesize(image, xray.boundary_grid(cp, 96, 64), cp), 6, cp)
+        z = res.recon.points()
+        want = basis.w_kappa(z, cp) * basis.zernike_kappa_series(res.coeffs, z, cp)
+        assert _max_rel(res.recon.values, want) < 1e-12
 
 
 def full_grid_inner(g, modes, family, cp):
