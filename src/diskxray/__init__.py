@@ -26,10 +26,8 @@ from .basis import (
     zernike_kappa_hat,
 )
 from .boundary import (
-    SymmetryClass,
     TorusGrid,
     c_minus,
-    classify,
     extend,
     hilbert,
     moment_residuals,
@@ -79,7 +77,6 @@ __all__ = [
     "FanBeamPoint",
     "GeodesicQuad",
     "MoebiusMap",
-    "SymmetryClass",
     "TorusGrid",
     "adjoint_sharp",
     "analyze",
@@ -88,7 +85,6 @@ __all__ = [
     "boundary_inner",
     "c_minus",
     "cheb_w",
-    "classify",
     "conformal_factor",
     "disk_grid",
     "disk_inner",

@@ -83,14 +83,6 @@ def _beta_freqs(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, 1.0 / n).astype(int)
 
 
-def _as_callable(u):
-    if isinstance(u, BoundaryGrid):
-        return u.interpolant()
-    if callable(u):
-        return u
-    raise TypeError("expected a callable on (beta, alpha) or a BoundaryGrid")
-
-
 # ---------------------------------------------------------------------------
 # the beta spectrum of torus functions
 # ---------------------------------------------------------------------------
@@ -193,8 +185,6 @@ def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int =
     sign = 1.0 if parity == "+" else -1.0
     n_beta, n_fiber = _torus_shape(n_beta, n_fiber)
 
-    if isinstance(u, BoundaryGrid) and u.fn is not None:
-        u = u.fn  # exact callable beats grid interpolation
     alpha, inward = _fiber_nodes(n_fiber)
     if isinstance(u, BoundaryGrid):
         # structured path: one barycentric pass gives u's beta spectrum at
@@ -214,14 +204,15 @@ def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int =
         spec_t[freqs % n_beta] = spec
         return TorusGrid(kappa=cp.kappa, values=np.fft.ifft(spec_t, axis=0, norm="forward"))
 
-    fn = _as_callable(u)
+    if not callable(u):
+        raise TypeError("expected a callable on (beta, alpha) or a BoundaryGrid")
     vals = np.empty((n_beta, n_fiber), dtype=complex)
     bb = (np.arange(n_beta) * TWO_PI / n_beta)[:, None]
     a_in = alpha[inward]
-    vals[:, inward] = fn(bb, a_in[None, :])
+    vals[:, inward] = u(bb, a_in[None, :])
     a_out = alpha[~inward]
     shift = np.pi + 2.0 * sig(a_out, cp)
-    vals[:, ~inward] = sign * fn(bb + shift[None, :], wrap_pi(np.pi - a_out)[None, :])
+    vals[:, ~inward] = sign * u(bb + shift[None, :], wrap_pi(np.pi - a_out)[None, :])
     return TorusGrid(kappa=cp.kappa, values=vals)
 
 
@@ -298,15 +289,13 @@ def p_minus_torus(tg: TorusGrid, cp: CurvatureParam) -> TorusGrid:
 def p_minus(w, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
             n_fiber: int | None = None) -> BoundaryGrid:
     """P- w = A_-^* H_- A_+ w on the template grid."""
-    nb, nf = _torus_shape(n_beta, n_fiber)
-    return _restrict_plain(p_minus_torus(extend(w, "+", cp, nb, nf), cp), template)
+    return _restrict_plain(p_minus_torus(extend(w, "+", cp, n_beta, n_fiber), cp), template)
 
 
 def c_minus(u, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
             n_fiber: int | None = None) -> BoundaryGrid:
     """C- u = (1/2) A_-^* H_- A_- u on the template grid."""
-    nb, nf = _torus_shape(n_beta, n_fiber)
-    return _restrict_plain(c_minus_torus(extend(u, "-", cp, nb, nf), cp), template)
+    return _restrict_plain(c_minus_torus(extend(u, "-", cp, n_beta, n_fiber), cp), template)
 
 
 def c_minus_rule(p: int, q: int) -> complex:
@@ -354,42 +343,6 @@ def symmetrize(u: BoundaryGrid, cp: CurvatureParam) -> tuple[BoundaryGrid, float
 
 
 @dataclass
-class SymmetryClass:
-    """Measured symmetry classification of a boundary function.
-
-    sigma1 is the extension parity whose torus extension is smoother
-    (judged by fiber spectral tails), sigma2 the antipodal parity.
-    """
-
-    sigma1: str
-    sigma2: str
-    sa_even_residual: float
-    sa_odd_residual: float
-    tail_plus: float
-    tail_minus: float
-
-
-def classify(u: BoundaryGrid, cp: CurvatureParam, n_beta: int = 128, n_fiber: int = 256) -> SymmetryClass:
-    """Classify u by antipodal parity and by which extension is smooth."""
-    norm = u.norm() or 1.0
-    pulled = sa_pullback(u, cp)
-    even_res = 0.5 * u.with_values(u.values - pulled.values).norm() / norm
-    odd_res = 0.5 * u.with_values(u.values + pulled.values).norm() / norm
-    tails = {}
-    for parity in ("+", "-"):
-        tg = extend(u, parity, cp, n_beta, n_fiber)
-        spec = np.abs(np.fft.fft(tg.values, axis=1)) / n_fiber
-        m = np.abs(_beta_freqs(n_fiber))
-        tail = spec[:, m > n_fiber // 4].sum()
-        total = spec.sum() or 1.0
-        tails[parity] = float(tail / total)
-    sigma1 = "+" if tails["+"] <= tails["-"] else "-"
-    sigma2 = "+" if even_res <= odd_res else "-"
-    return SymmetryClass(sigma1, sigma2, float(even_res), float(odd_res),
-                         tails["+"], tails["-"])
-
-
-@dataclass
 class ProjectionResult:
     """The projected grid, ||P u - u|| / ||u|| for the antipodally even
     part u, the norm of the odd part removed first, the band N of range
@@ -402,8 +355,7 @@ class ProjectionResult:
     gram_deviation: float
 
 
-def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None,
-                     n_beta: int | None = None, n_fiber: int | None = None) -> ProjectionResult:
+def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None) -> ProjectionResult:
     """Orthogonal projection onto the range of the X-ray transform.
 
     Antipodally odd content is removed first and its norm reported.  The
@@ -416,15 +368,13 @@ def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None
     exact on the band (idempotent and self-adjoint in the grid's inner
     product) at every kappa in (-1, 1).  It equals id + C-^2, whose torus
     composition A_-^* C-^2 A_- (`extend`, `c_minus_torus`,
-    `_restrict_plain`) is its slow oracle; n_beta and n_fiber are that
-    torus's sizes, still validated but unused here.
+    `_restrict_plain`) is its slow oracle.
     """
     if isinstance(u, BoundaryGrid) and template is None:
         template = u
     if template is None:
         raise ValueError("a template BoundaryGrid is required for callable input")
     _check_kappa(template, cp)
-    _torus_shape(n_beta, n_fiber)
     if not isinstance(u, BoundaryGrid):
         u = template.with_values(u(*template.mesh()))
     u_even, removed = symmetrize(u, cp)

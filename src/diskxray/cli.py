@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -48,47 +49,36 @@ class RunConfig:
     n_alpha: int = 64
     n_rho: int = 128
     n_omega: int = 256
-    # torus sizes of the P-/C- operator calculus: still accepted and
-    # validated, but unused, since the range projector needs no torus
-    fiber_fft: int = 1024
-    torus_beta: int = 256
     geodesic_nodes: int = 64
-    fiber_nodes: int = 512
     noise: dict = field(default_factory=lambda: {"seed": 0, "level": 0.0})
     reg: dict = field(default_factory=lambda: {"kind": "truncation", "sigma_cutoff": 0.0})
     input: str | None = None
     output: str = "out"
 
-    _INT_FIELDS = (
-        "nmax", "n_beta", "n_alpha", "n_rho", "n_omega",
-        "fiber_fft", "torus_beta", "geodesic_nodes", "fiber_nodes",
-    )
+    _INT_FIELDS = ("nmax", "n_beta", "n_alpha", "n_rho", "n_omega", "geodesic_nodes")
+    _KEYS = {"noise": {"seed", "level"}, "reg": {"kind", "sigma_cutoff"}}
 
     def validate(self) -> "RunConfig":
-        if not -1.0 < float(self.kappa) < 1.0:
+        """Check every field and normalise it in place: numbers must be
+        JSON numbers (a string or a bool is rejected, not coerced), and
+        kappa is stored as a float so equal configs hash alike."""
+        self.kappa = _number("kappa", self.kappa)
+        if not -1.0 < self.kappa < 1.0:
             raise ConfigError(f"kappa must lie in (-1, 1), got {self.kappa}")
         for name in self._INT_FIELDS:
-            val = getattr(self, name)
             floor = 0 if name == "nmax" else 1  # nmax = 0 is a valid band limit
-            if int(val) != val or int(val) < floor:
-                raise ConfigError(f"{name} must be an integer >= {floor}, got {val!r}")
-            setattr(self, name, int(val))
-        try:
-            boundary._torus_shape(self.torus_beta, self.fiber_fft)
-        except ValueError as exc:
-            raise ConfigError(f"torus_beta, fiber_fft: {exc}") from None
-        if set(self.noise) - {"seed", "level"}:
-            raise ConfigError(f"unknown noise keys: {sorted(set(self.noise) - {'seed', 'level'})}")
-        self.noise = {"seed": int(self.noise.get("seed", 0)),
-                      "level": float(self.noise.get("level", 0.0))}
+            setattr(self, name, _number(name, getattr(self, name), floor))
+        noise, reg = _object("noise", self.noise), _object("reg", self.reg)
+        self.noise = {"seed": _number("noise.seed", noise.get("seed", 0), 0),
+                      "level": _number("noise.level", noise.get("level", 0.0))}
         if self.noise["level"] < 0:
             raise ConfigError("noise level must be >= 0")
-        if set(self.reg) - {"kind", "sigma_cutoff"}:
-            raise ConfigError(f"unknown reg keys: {sorted(set(self.reg) - {'kind', 'sigma_cutoff'})}")
-        kind = self.reg.get("kind", "truncation")
+        kind = reg.get("kind", "truncation")
         if kind not in ("truncation", "sigma_cutoff"):
             raise ConfigError(f"reg.kind must be 'truncation' or 'sigma_cutoff', got {kind!r}")
-        self.reg = {"kind": kind, "sigma_cutoff": float(self.reg.get("sigma_cutoff", 0.0))}
+        self.reg = {"kind": kind, "sigma_cutoff": _number("reg.sigma_cutoff", reg.get("sigma_cutoff", 0.0))}
+        if not isinstance(self.output, str) or not isinstance(self.input, (str, type(None))):
+            raise ConfigError(f"input and output must be path strings, got {self.input!r}, {self.output!r}")
         return self
 
     @classmethod
@@ -102,6 +92,8 @@ class RunConfig:
                 raise ConfigError(f"cannot read config {path}: {exc}") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+            if not isinstance(doc, dict):
+                raise ConfigError(f"config {path} must hold a JSON object, got {doc!r}")
             unknown = set(doc) - set(cfg.__dataclass_fields__)
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -130,6 +122,27 @@ class RunConfig:
         return xray.GeodesicQuad(n_nodes=self.geodesic_nodes)
 
 
+def _number(name: str, val, floor: int | None = None):
+    """val as a float, or as an int >= floor when a floor is given (64.0
+    counts).  A bool, a string or a NaN or inf is no number."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+        raise ConfigError(f"{name} must be a finite number, got {val!r}")
+    if floor is None:
+        return float(val)
+    if val != int(val) or val < floor:
+        raise ConfigError(f"{name} must be an integer >= {floor}, got {val!r}")
+    return int(val)
+
+
+def _object(name: str, val) -> dict:
+    """val if it is a JSON object holding only the keys RunConfig allows under name."""
+    if not isinstance(val, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {val!r}")
+    if set(val) - RunConfig._KEYS[name]:
+        raise ConfigError(f"unknown {name} keys: {sorted(set(val) - RunConfig._KEYS[name])}")
+    return val
+
+
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.kappa is not None:
         cfg.kappa = args.kappa
@@ -138,9 +151,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.out is not None:
         cfg.output = args.out
     if args.seed is not None:
-        cfg.noise["seed"] = args.seed
+        _object("noise", cfg.noise)["seed"] = args.seed
     if args.noise is not None:
-        cfg.noise["level"] = args.noise
+        _object("noise", cfg.noise)["level"] = args.noise
     if getattr(args, "input", None) is not None:
         cfg.input = args.input
     return cfg.validate()
@@ -152,7 +165,6 @@ def _write_sidecar(outdir: Path, name: str, cfg: RunConfig, extra: dict | None =
         "config": cfg.as_dict(),
         "quadrature": {
             "geodesic_nodes": cfg.geodesic_nodes,
-            "fiber_nodes": cfg.fiber_nodes,
             "n_beta": cfg.n_beta,
             "n_alpha": cfg.n_alpha,
         },

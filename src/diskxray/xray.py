@@ -65,7 +65,6 @@ class BoundaryGrid:
     alpha: np.ndarray
     alpha_weights: np.ndarray
     values: np.ndarray
-    fn: object = None  # optional exact callable (beta, alpha) -> values
 
     def __post_init__(self):
         if not np.isfinite(self.values).all():
@@ -84,11 +83,11 @@ class BoundaryGrid:
     def mesh(self):
         return np.meshgrid(self.beta, self.alpha, indexing="ij")
 
-    def with_values(self, values, fn=None) -> "BoundaryGrid":
+    def with_values(self, values) -> "BoundaryGrid":
         values = np.asarray(values, dtype=complex)
         if values.shape != (len(self.beta), len(self.alpha)):
             raise ValueError(f"values shape {values.shape} does not match the grid")
-        return replace(self, values=values, fn=fn)
+        return replace(self, values=values)
 
     def norm(self) -> float:
         return math.sqrt(abs(boundary_inner(self, self)))
@@ -106,8 +105,6 @@ class BoundaryGrid:
         one real matrix product and one Horner sum in e^{i beta} per
         block, so its memory is bounded whatever the target count.
         """
-        if self.fn is not None:
-            return self.fn
         freqs, spec, rows_at = _fiber_spectrum(self, CurvatureParam(self.kappa))
         spec_ri = spec.view(float)
         n_pos = int(np.count_nonzero(freqs >= 0))  # numpy order: 0, 1, ..., then negatives
@@ -468,10 +465,8 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
         raise ValueError("adjoint_sharp requires interior points, |z| < 1")
     if isinstance(g, BoundaryGrid):
         _check_kappa(g, cp)
-        if g.fn is None:
-            out = _adjoint_plan(g, z, n_theta).apply(g.values)
-            return out.reshape(z.shape)[()]  # a scalar for a 0-d z, as below
-        g = g.fn
+        out = _adjoint_plan(g, z, n_theta).apply(g.values)
+        return out.reshape(z.shape)[()]  # a scalar for a 0-d z, as below
     theta = np.arange(n_theta) * TWO_PI / n_theta
     bm, am = footpoint_angles(rho[..., None], np.angle(z)[..., None], theta, cp)
     vals = np.asarray(g(bm, am), dtype=complex)
@@ -848,7 +843,7 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
     are the direct product R (n_rho x #m) @ e^{i m omega} (#m x n_omega),
     exact for any omega nodes.  `basis.zernike_kappa_series` at the
     grid's points is the point-wise oracle.  Returns a grid of the same
-    kind; the BoundaryGrid result carries an exact callable.
+    kind.
     """
     items = table.items()
     if isinstance(template, (BoundaryGrid, DiskGrid)):
@@ -856,21 +851,7 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
     if isinstance(template, BoundaryGrid):
         n, k = np.array([nk for nk, _ in items], dtype=int).reshape(-1, 2).T
         coeffs = np.array([c for _, c in items], dtype=complex)
-        vals = _fiber_plan(template, cp).synthesize(n, k, coeffs)
-        scale = math.sqrt(1.0 + cp.kappa) / TWO_PI
-
-        def fn(beta, alpha):
-            # the plan's fiber identity, with sig and sig' formed once
-            beta = np.asarray(beta, dtype=float)
-            s = sig(alpha, cp)
-            out = 0.0
-            for (n, k), c in items:
-                sign = (-1) ** n
-                fiber = np.exp(1j * (2 * n - 2 * k + 1) * s) + sign * np.exp(-1j * (2 * k + 1) * s)
-                out = out + (sign * scale * c) * np.exp(1j * (n - 2 * k) * beta) * fiber
-            return np.sqrt(sig_prime(alpha, cp)) * out
-
-        return template.with_values(vals, fn=fn)
+        return template.with_values(_fiber_plan(template, cp).synthesize(n, k, coeffs))
     if isinstance(template, DiskGrid):
         by_m = {}
         for (n, k), c in items:

@@ -112,8 +112,8 @@ def test_criterion_4_boundary_operator_spectra():
             out = out + c * basis.u_prime(p, q, beta, alpha, cp)
         return out
 
-    once = boundary.project_to_range(fn_u, cp, tpl, 128, 1024)
-    twice = boundary.project_to_range(once.projected, cp, None, 128, 1024)
+    once = boundary.project_to_range(fn_u, cp, tpl)
+    twice = boundary.project_to_range(once.projected, cp, None)
     diff = tpl.with_values(twice.projected.values - once.projected.values)
     base = tpl.with_values(fn_u(*tpl.mesh())).norm()
     report(4, "projector idempotence", diff.norm() / base, 1e-7)
@@ -136,7 +136,7 @@ def test_criterion_5_range_characterization():
             worst_c = max(worst_c, cu.norm() / sg.norm())
             rep = boundary.moment_residuals(sg, 8, 3, cp)
             worst_m = max(worst_m, rep.max_normalized(cp))
-            proj = boundary.project_to_range(sg, cp, n_beta=128, n_fiber=256)
+            proj = boundary.project_to_range(sg, cp)
             worst_p = max(worst_p, proj.relative_change)
     report(5, "C- annihilates sinograms", worst_c, 1e-6)
     report(5, "moment residuals of sinograms, n <= 8", worst_m, 1e-6)
@@ -150,7 +150,7 @@ def test_criterion_5_range_characterization():
     picks = [cokernel[i] for i in rng.choice(len(cokernel), 10, replace=False)]
     for (n, k) in picks:
         fn = lambda beta, alpha, n=n, k=k: basis.psi_kappa_hat(n, k, beta, alpha, cp)
-        res = boundary.project_to_range(fn, cp, tpl, 128, 256)
+        res = boundary.project_to_range(fn, cp, tpl)
         worst = max(worst, res.projected.norm())
     report(5, "projector annihilates co-kernel modes", worst, 1e-6)
 

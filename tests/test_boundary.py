@@ -272,7 +272,7 @@ class TestProjection:
 
         tpl = template()
         sg = xray.sinogram(f, tpl, CP)
-        res = boundary.project_to_range(sg, CP, n_beta=128, n_fiber=256)
+        res = boundary.project_to_range(sg, CP)
         assert res.relative_change < 1e-6
         assert res.removed_odd_norm / sg.norm() < 1e-9
 
@@ -280,7 +280,7 @@ class TestProjection:
         tpl = template()
         for (n, k) in [(2, -1), (0, 1), (3, 5), (4, -2)]:
             fn = lambda beta, alpha, n=n, k=k: basis.psi_kappa_hat(n, k, beta, alpha, CP)
-            res = boundary.project_to_range(fn, CP, tpl, **TORUS)
+            res = boundary.project_to_range(fn, CP, tpl)
             assert res.projected.norm() < 1e-7
 
     def test_idempotent(self):
@@ -297,8 +297,8 @@ class TestProjection:
             return out
 
         tpl = template()
-        once = boundary.project_to_range(fn, CP, tpl, **TORUS)
-        twice = boundary.project_to_range(once.projected, CP, None, **TORUS)
+        once = boundary.project_to_range(fn, CP, tpl)
+        twice = boundary.project_to_range(once.projected, CP, None)
         diff = tpl.with_values(twice.projected.values - once.projected.values)
         base = tpl.with_values(fn(*tpl.mesh())).norm()
         assert diff.norm() / base < 1e-8
@@ -322,8 +322,8 @@ class TestProjection:
             return fn
 
         fu, fv = rand_fn(11), rand_fn(12)
-        pu = boundary.project_to_range(fu, CP, tpl, **TORUS).projected
-        pv = boundary.project_to_range(fv, CP, tpl, **TORUS).projected
+        pu = boundary.project_to_range(fu, CP, tpl).projected
+        pv = boundary.project_to_range(fv, CP, tpl).projected
         bb, aa = tpl.mesh()
         u = tpl.with_values(fu(bb, aa))
         v = tpl.with_values(fv(bb, aa))
@@ -335,7 +335,7 @@ class TestProjection:
         # antipodally odd input: projector reports and removes it
         tpl = template()
         fn = v_fn(2, 0)
-        res = boundary.project_to_range(fn, CP, tpl, **TORUS)
+        res = boundary.project_to_range(fn, CP, tpl)
         bb, aa = tpl.mesh()
         norm = tpl.with_values(fn(bb, aa)).norm()
         assert res.removed_odd_norm == pytest.approx(norm, rel=1e-10)
@@ -352,7 +352,7 @@ class TestProjection:
         nb, nf = sizes
         tpl = template()
         u = tpl.with_values(u_fn(0, 0)(*tpl.mesh()))
-        for op in (boundary.project_to_range, boundary.c_minus, boundary.p_minus):
+        for op in (boundary.c_minus, boundary.p_minus):
             with pytest.raises(ValueError, match="torus size"):
                 op(u, CP, tpl, n_beta=nb, n_fiber=nf)
         with pytest.raises(ValueError, match="torus size"):
@@ -410,10 +410,11 @@ class TestPullbackAlgebra:
         # collapses to zero
         for sigma1, sigma2, p, q in [("+", "+", 3, 1), ("-", "-", 3, 1),
                                      ("+", "-", 4, 1), ("-", "+", 4, 1)]:
-            fn = member(sigma1, sigma2, p, q)
-            grid = tpl.with_values(fn(bb, aa))
-            cls = boundary.classify(grid, CP)
-            assert (cls.sigma1, cls.sigma2) == (sigma1, sigma2), (sigma1, sigma2, cls)
+            grid = tpl.with_values(member(sigma1, sigma2, p, q)(bb, aa))
+            even, odd_norm = boundary.symmetrize(grid, CP)
+            # sigma2 is the antipodal parity: the other part vanishes
+            vanishing = odd_norm if sigma2 == "+" else even.norm()
+            assert vanishing / grid.norm() < 1e-12, (sigma1, sigma2, vanishing)
 
     def test_operators_annihilate_wrong_parity(self):
         # P- kills the antipodally even part of its domain (exact on the grid)
@@ -437,16 +438,19 @@ class TestSymmetrize:
         want_odd = tpl.with_values(basis.v_prime(1, -1, bb, aa, CP)).norm()
         assert odd_norm == pytest.approx(want_odd, rel=1e-10)
 
-    def test_classify(self):
+    def test_u_prime_even_v_prime_odd(self):
+        # u' is antipodally even and v' odd: symmetrize keeps the one whole
+        # and removes the other whole
         tpl = template()
         bb, aa = tpl.mesh()
         u = tpl.with_values(basis.u_prime(2, 3, bb, aa, CP))
-        cls = boundary.classify(u, CP)
-        assert cls.sigma2 == "+" and cls.sigma1 == "-"
-        assert cls.sa_even_residual < 1e-12
+        even, odd_norm = boundary.symmetrize(u, CP)
+        assert odd_norm / u.norm() < 1e-12
+        assert tpl.with_values(even.values - u.values).norm() / u.norm() < 1e-12
         v = tpl.with_values(basis.v_prime(2, 0, bb, aa, CP))
-        cls = boundary.classify(v, CP)
-        assert cls.sigma2 == "-" and cls.sigma1 == "+"
+        even, odd_norm = boundary.symmetrize(v, CP)
+        assert even.norm() / v.norm() < 1e-12
+        assert odd_norm == pytest.approx(v.norm(), rel=1e-12)
 
 
 class TestRangeSurjectivity:
@@ -634,10 +638,10 @@ class TestSpectralProjector:
     def test_memory_bounded(self):
         cp = CurvatureParam(0.4)
         u = self.mixed(cp, xray.boundary_grid(cp, 96, 64), 4)
-        boundary.project_to_range(u, cp, n_beta=256, n_fiber=1024)  # warm the FFT plans
+        boundary.project_to_range(u, cp)  # warm the FFT plans
         tracemalloc.start()
         try:
-            boundary.project_to_range(u, cp, n_beta=256, n_fiber=1024)
+            boundary.project_to_range(u, cp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

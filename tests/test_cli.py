@@ -46,14 +46,41 @@ class TestRunConfig:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig(nmax=2.5).validate()
 
-    @pytest.mark.parametrize("fields", [{"fiber_fft": 1023}, {"fiber_fft": 1},
-                                        {"torus_beta": 1}])
-    def test_rejects_bad_torus_sizes(self, tmp_path, fields):
-        with pytest.raises(cli.ConfigError, match="torus size"):
-            cli.RunConfig(**fields).validate()
+    @pytest.mark.parametrize("key", ["fiber_fft", "torus_beta", "fiber_nodes"])
+    def test_rejects_removed_torus_keys(self, tmp_path, capsys, key):
+        # these sizes configured nothing and are no longer config fields
+        path = write_config(tmp_path / "c.json", **{key: 512})
+        assert run_cli("--config", path, "--out", tmp_path / "o", "spectrum") == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"noise": 3}, "noise"),
+        ({"noise": {"level": "a"}}, "noise.level"),
+        ({"reg": {"sigma_cutoff": "z"}}, "reg.sigma_cutoff"),
+        ({"noise": {"seed": 1.5}}, "noise.seed"),
+        ({"nmax": True}, "nmax"),
+        ({"kappa": "0.4"}, "kappa"),
+        ({"noise": {"seed": -1}}, "noise.seed"),
+        ({"n_beta": "64"}, "n_beta"),
+        ({"reg": []}, "reg"),
+        ({"input": 3}, "input"),
+    ])
+    def test_bad_values_exit_config(self, tmp_path, capsys, fields, name):
+        # rejected with the field named, never coerced or left to a traceback
         path = write_config(tmp_path / "c.json", **fields)
-        assert run_cli("--config", path, "--out", tmp_path / "o", "project",
-                       "--in", tmp_path / "missing.csv") == cli.EXIT_CONFIG
+        assert run_cli("--config", path, "--out", tmp_path / "o", "spectrum") == cli.EXIT_CONFIG
+        assert f"config error: {name} " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_flags_on_a_bad_noise_exit_config(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", noise=3)
+        assert run_cli("--config", path, "--seed", 2, "--out", tmp_path / "o", "spectrum") == cli.EXIT_CONFIG
+        assert "config error: noise " in capsys.readouterr().err
+
+    def test_kappa_stored_as_float(self, tmp_path):
+        cfg = cli.RunConfig.load(write_config(tmp_path / "c.json", kappa=0)).validate()
+        assert type(cfg.kappa) is float
+        assert cfg.hash() == cli.RunConfig(kappa=0.0).validate().hash()
 
     def test_hash_stable_and_sensitive(self):
         a = cli.RunConfig(kappa=0.3).validate()
@@ -352,6 +379,14 @@ class TestForwardRoutes:
         meta = json.loads((tmp_path / "quad/sinogram.meta.json").read_text())
         assert meta["forward"] == "quadrature"
         assert meta["geodesic_nodes"] == 64
+
+    def test_sidecar_quadrature_lists_used_sizes(self, tmp_path):
+        # the geodesic rule of the quadrature route and the boundary grid
+        # every sinogram lives on; no size that no command reads
+        run_cli("--kappa", 0.3, "--out", tmp_path, "forward", "--phantom", "unit")
+        meta = json.loads((tmp_path / "sinogram.meta.json").read_text())
+        cfg = meta["config"]
+        assert meta["quadrature"] == {key: cfg[key] for key in ("geodesic_nodes", "n_beta", "n_alpha")}
 
     @pytest.mark.parametrize("n, k", [(2, -1), (1, 2)])
     def test_cokernel_entry_rejected(self, tmp_path, capsys, n, k):

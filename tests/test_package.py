@@ -21,3 +21,16 @@ def test_import_needs_no_scipy():
                          text=True, check=True).stdout.splitlines()
     assert Path(out[0]).resolve().parent == SRC / "diskxray"
     assert out[1] == "[]"
+
+
+def test_public_surface_pinned():
+    # every exported name resolves, once; the symmetry classifier, wrong
+    # at strong curvature, is gone from the package and its module
+    import diskxray
+    from diskxray import boundary
+
+    assert all(hasattr(diskxray, name) for name in diskxray.__all__)
+    assert len(set(diskxray.__all__)) == len(diskxray.__all__) == 47
+    for gone in ("classify", "SymmetryClass"):
+        assert gone not in diskxray.__all__
+        assert not hasattr(diskxray, gone) and not hasattr(boundary, gone)

@@ -267,9 +267,19 @@ class TestAdjoint:
         assert xray.adjoint_sharp(g, 0.3 + 0j, cp, n_theta=np.int64(64)) == want
 
 
+def psi_series(tab, cp):
+    """The callable sum of c psi_hat_{n,k}(beta, alpha) over tab, mode by
+    mode through `basis.psi_kappa_hat`: it shares no code with
+    `xray._FiberPlan`, which synthesizes and interpolates grids."""
+    def fn(beta, alpha):
+        return sum(c * basis.psi_kappa_hat(n, k, beta, alpha, cp) for (n, k), c in tab.items())
+
+    return fn
+
+
 def psi_sinogram(cp, nmax=6, seed=0):
-    """Random nmax band of psi_hat on the default 96x64 grid; carries the
-    exact callable, drop it with `with_values(values)`."""
+    """Samples of a random nmax band of psi_hat on the default 96x64 grid;
+    `psi_series(band_limited(cp, nmax, seed)[1], cp)` is its exact callable."""
     _, tab = band_limited(cp, nmax, seed)
     return xray.synthesize(tab, xray.boundary_grid(cp, 96, 64), cp)
 
@@ -307,25 +317,22 @@ class TestGridInterpolant:
     @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
     def test_grid_adjoint_matches_exact_callable(self, kappa):
         cp = CurvatureParam(kappa)
-        exact = psi_sinogram(cp)
         z = xray.disk_grid(cp, 4, 6).points()
-        got = xray.adjoint_sharp(exact.with_values(exact.values), z, cp)
-        want = xray.adjoint_sharp(exact, z, cp)
+        got = xray.adjoint_sharp(psi_sinogram(cp), z, cp)
+        want = xray.adjoint_sharp(psi_series(band_limited(cp, 6, 0)[1], cp), z, cp)
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
     def test_shared_fibers_match_per_target_route_on_polar_grid(self, kappa):
         # 12 radii x 3 offsets from the 512 theta nodes share 36 fibers
         cp = CurvatureParam(kappa)
-        grid = psi_sinogram(cp)
-        hold_to_per_target(grid.with_values(grid.values), xray.disk_grid(cp, 12, 24).points(), cp)
+        hold_to_per_target(psi_sinogram(cp), xray.disk_grid(cp, 12, 24).points(), cp)
 
     @pytest.mark.parametrize("n_theta", [1, 7, 512])
     @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
     def test_shared_fibers_match_per_target_route(self, kappa, n_theta):
         cp = CurvatureParam(kappa)
-        exact = psi_sinogram(cp)
-        grid = exact.with_values(exact.values)
+        grid = psi_sinogram(cp)
         rng = np.random.default_rng(7)
         radii = xray.disk_grid(cp, 6, 1).rho
         polar = xray.disk_grid(cp, 4, 6).points()
@@ -349,9 +356,8 @@ class TestGridInterpolant:
     def test_theta_rule_longer_than_a_block(self):
         # one class's fiber nodes then span several blocks
         cp = CurvatureParam(0.4)
-        exact = psi_sinogram(cp)
         z = xray.disk_grid(cp, 2, 3).points()
-        hold_to_per_target(exact.with_values(exact.values), z, cp, n_theta=2 * xray._BLOCK + 3)
+        hold_to_per_target(psi_sinogram(cp), z, cp, n_theta=2 * xray._BLOCK + 3)
 
     def test_fibers_evaluated_once_per_class(self, monkeypatch):
         # |rho e^{i omega}| differs by an ulp across omega, so grouping
@@ -361,8 +367,7 @@ class TestGridInterpolant:
         # (one fold of 512 nodes each); 128x256 is all on the nodes;
         # random points have no mirror partners
         cp = CurvatureParam(0.4)
-        exact = psi_sinogram(cp)
-        grid = exact.with_values(exact.values)
+        grid = psi_sinogram(cp)
         rng = np.random.default_rng(8)
         distinct = np.sqrt(rng.uniform(0, 0.95, 288)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 288))
         for z, nodes in ((xray.disk_grid(cp, 12, 24).points(), 12 * 257 + 12 * 512),
@@ -374,34 +379,30 @@ class TestGridInterpolant:
         # 24 angles on 36 theta nodes: odd multiples of 2 pi / 24 sit half
         # a step off the nodes, where the offset's sign is a tie
         cp = CurvatureParam(0.4)
-        exact = psi_sinogram(cp)
-        hold_to_per_target(exact.with_values(exact.values), xray.disk_grid(cp, 4, 24).points(), cp,
-                           n_theta=36)
+        hold_to_per_target(psi_sinogram(cp), xray.disk_grid(cp, 4, 24).points(), cp, n_theta=36)
 
     @pytest.mark.parametrize("n_theta", [1, 2, 7])
     def test_odd_and_tiny_theta_rules_on_mirror_path(self, n_theta):
         # on-node classes fold nodes 0 .. n_theta/2 with weight 1/2 on the
         # nodes that are their own mirror images; z and conj(z) pair up
         cp = CurvatureParam(-0.5)
-        exact = psi_sinogram(cp)
         rng = np.random.default_rng(9)
         z = np.sqrt(rng.uniform(0, 0.95, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
         points = np.concatenate((xray.disk_grid(cp, 4, 24).points().ravel(), z, z.conj()))
-        hold_to_per_target(exact.with_values(exact.values), points, cp, n_theta=n_theta)
+        hold_to_per_target(psi_sinogram(cp), points, cp, n_theta=n_theta)
 
     @pytest.mark.parametrize("kappa", [-0.99, 0.99])
     def test_mirror_path_near_degenerate(self, kappa):
         cp = CurvatureParam(kappa)
-        exact = psi_sinogram(cp)
-        hold_to_per_target(exact.with_values(exact.values), xray.disk_grid(cp, 12, 24).points(), cp)
+        hold_to_per_target(psi_sinogram(cp), xray.disk_grid(cp, 12, 24).points(), cp)
 
     def test_asymmetric_alpha_nodes_fall_back_to_rotation_classes(self, monkeypatch):
         # dropping one node breaks alpha -> -alpha: 36 (rho, delta) classes
         # of 512 nodes each, no mirror folds
         cp = CurvatureParam(0.4)
-        exact = psi_sinogram(cp)
-        grid = dataclasses.replace(exact, alpha=exact.alpha[1:], alpha_weights=exact.alpha_weights[1:],
-                                   values=exact.values[:, 1:], fn=None)
+        full = psi_sinogram(cp)
+        grid = dataclasses.replace(full, alpha=full.alpha[1:], alpha_weights=full.alpha_weights[1:],
+                                   values=full.values[:, 1:])
         z = xray.disk_grid(cp, 12, 24).points()
         hold_to_per_target(grid, z, cp)
         assert count_fiber_nodes(monkeypatch, grid, z, cp) == 36 * 512
@@ -411,7 +412,7 @@ class TestGridInterpolant:
         # values forms no fiber node and still matches the per-target route
         cp = CurvatureParam(0.4)
         z = xray.disk_grid(cp, 12, 24).points()
-        first, second = (g.with_values(g.values) for g in (psi_sinogram(cp, seed=0), psi_sinogram(cp, seed=1)))
+        first, second = psi_sinogram(cp, seed=0), psi_sinogram(cp, seed=1)
         assert count_fiber_nodes(monkeypatch, first, z, cp) == 12 * 257 + 12 * 512
         assert count_fiber_nodes(monkeypatch, second, z, cp, cold=False) == 0
         hold_to_per_target(second, z, cp)
@@ -420,8 +421,8 @@ class TestGridInterpolant:
         # the caller's points and alpha nodes changed in place between calls
         # are a new geometry, not the memoised one
         cp = CurvatureParam(0.4)
-        exact = psi_sinogram(cp)
-        grid = dataclasses.replace(exact, alpha=exact.alpha.copy(), fn=None)
+        grid = psi_sinogram(cp)
+        grid = dataclasses.replace(grid, alpha=grid.alpha.copy())
         z = xray.disk_grid(cp, 4, 6).points()
         before = hold_to_per_target(grid, z, cp)
         z *= 0.5
@@ -435,8 +436,7 @@ class TestGridInterpolant:
         # 63 nodes: the middle column of an own-image fold is real and kept once
         cp = CurvatureParam(0.4)
         _, tab = band_limited(cp, 6, 0)
-        exact = xray.synthesize(tab, xray.boundary_grid(cp, 96, 63), cp)
-        grid = exact.with_values(exact.values)
+        grid = xray.synthesize(tab, xray.boundary_grid(cp, 96, 63), cp)
         z = xray.disk_grid(cp, 12, 24).points()
         assert count_fiber_nodes(monkeypatch, grid, z, cp) == 12 * 257 + 12 * 512  # mirror classes
         hold_to_per_target(grid, z, cp)
@@ -461,8 +461,7 @@ class TestGridInterpolant:
         # _PLAN_BYTES: the plan keeps only its slots and every call folds
         # the fibers again, so little stays behind after a call
         cp = CurvatureParam(0.4)
-        exact = psi_sinogram(cp)
-        grid = exact.with_values(exact.values)
+        grid = psi_sinogram(cp)
         rng = np.random.default_rng(10)
         z = np.sqrt(rng.uniform(0, 0.95, 400)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
         xray._cached_adjoint_plan.cache_clear()
@@ -493,26 +492,26 @@ class TestGridInterpolant:
         # targets on the alpha nodes take the exact-hit rows
         grid = psi_sinogram(CurvatureParam(kappa))
         bb, aa = grid.mesh()
-        got = grid.with_values(grid.values).interpolant()(bb, aa)
+        got = grid.interpolant()(bb, aa)
         assert np.max(np.abs(got - grid.values)) < 1e-13 * np.max(np.abs(grid.values))
 
     def test_target_counts_and_shapes(self):
         cp = CurvatureParam(0.4)
-        exact = psi_sinogram(cp, nmax=3, seed=1)
-        fn = exact.with_values(exact.values).interpolant()
+        fn = psi_sinogram(cp, nmax=3, seed=1).interpolant()
+        exact = psi_series(band_limited(cp, 3, 1)[1], cp)
         rng = np.random.default_rng(2)
         for count in (0, 1, 2 * xray._BLOCK + 3):
             b = rng.uniform(0, 2 * np.pi, count)
             a = rng.uniform(-np.pi / 2, np.pi / 2, count)
             got = fn(b, a)
             assert got.shape == (count,)
-            assert np.allclose(got, exact.fn(b, a), rtol=0, atol=1e-12)
+            assert np.allclose(got, exact(b, a), rtol=0, atol=1e-12)
         scalar = fn(0.3, -0.2)
-        assert np.shape(scalar) == () and abs(scalar - exact.fn(0.3, -0.2)) < 1e-12
+        assert np.shape(scalar) == () and abs(scalar - exact(0.3, -0.2)) < 1e-12
         b, a = rng.uniform(0, 2 * np.pi, (5, 1)), rng.uniform(-1.5, 1.5, (1, 7))
         got = fn(b, a)
         assert got.shape == (5, 7)
-        assert np.allclose(got, exact.fn(b, a), rtol=0, atol=1e-12)
+        assert np.allclose(got, exact(b, a), rtol=0, atol=1e-12)
 
     def test_adjoint_memory_bounded(self):
         # 12x24 points at n_theta 512 are 147456 targets; a dense
@@ -520,8 +519,7 @@ class TestGridInterpolant:
         # CLI-default 128x256 disk grid has 32768 points, so its per-point
         # phase sums must be blocked as well
         cp = CurvatureParam(0.4)
-        exact = psi_sinogram(cp)
-        grid = exact.with_values(exact.values)
+        grid = psi_sinogram(cp)
         for shape in ((12, 24), (128, 256)):
             z = xray.disk_grid(cp, *shape).points()
             tracemalloc.start()
@@ -802,10 +800,8 @@ class TestSpectralEngineOracle:
             for k in range(-2, n + 3):
                 tab[(n, k)] = complex(rng.normal(), rng.normal())
         got = xray.synthesize(tab, tpl, cp)
-        bb, aa = tpl.mesh()
-        want = sum(c * basis.psi_kappa_hat(n, k, bb, aa, cp) for (n, k), c in tab.items())
+        want = psi_series(tab, cp)(*tpl.mesh())
         assert np.linalg.norm(got.values - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.allclose(got.fn(bb, aa), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_empty_table_synthesizes_zeros(self):
         cp = CurvatureParam(0.4)
