@@ -2,15 +2,20 @@
 
 CSV columns: sinograms use ``beta,alpha,re,im``; disk grids use
 ``rho,omega,re,im``; both iterate row-major (first coordinate outer).
-Coefficient tables are JSON documents ``{"kappa": ..., "nmax": ...,
-"entries": [{"n":..,"k":..,"re":..,"im":..}, ...]}``.  All floats are
-written with 17 significant digits so values round-trip bit-exactly.
+A grid file read onto a template must carry the template's nodes, in
+order, to within 1e-12 absolute.  Grid files are written a fixed block
+of rows at a time and read from the open file, so neither direction
+holds the whole file as text.  Coefficient tables are JSON documents
+``{"kappa": ..., "nmax": ..., "entries": [{"n":..,"k":..,"re":..,"im":..},
+...]}`` with integer ``nmax``, ``n``, ``k`` and numeric ``kappa``, ``re``,
+``im``.  All floats are written with 17 significant digits so values
+round-trip bit-exactly, signed zeros included.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 
 import numpy as np
@@ -18,6 +23,8 @@ import numpy as np
 from .basis import CoeffTable, _NonFiniteValues
 from .geometry import CurvatureParam
 from .xray import BoundaryGrid, DiskGrid
+
+_BLOCK_ROWS = 4096  # grid CSV rows formatted per write
 
 
 def fmt(x: float) -> str:
@@ -29,19 +36,23 @@ def _write_grid_csv(path, header, outer, inner, values) -> None:
 
     Its bytes are those of `fmt` on each field joined by `csv.writer`
     (comma, CRLF, nothing to quote).  Each distinct coordinate is
-    formatted once and the row prefixes are joined from those, so the
-    per-row pass formats only the values.
+    formatted once and the row prefixes are joined from those; rows are
+    formatted and written `_BLOCK_ROWS` at a time, so the writer holds
+    one block of text, not the whole file.
     """
     outer_s = ["%.17g," % x for x in outer.tolist()]
     inner_s = ["%.17g," % x for x in inner.tolist()]
+    prefixes = (o + i for o in outer_s for i in inner_s)
     flat = values.ravel()
-    fields = [None] * (3 * flat.size)
-    fields[0::3] = [o + i for o in outer_s for i in inner_s]
-    fields[1::3] = flat.real.tolist()
-    fields[2::3] = flat.imag.tolist()
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write("%s%.17g,%.17g\r\n" * flat.size % tuple(fields))
+        for start in range(0, flat.size, _BLOCK_ROWS):
+            block = flat[start:start + _BLOCK_ROWS]
+            fields = [None] * (3 * block.size)
+            fields[0::3] = itertools.islice(prefixes, block.size)
+            fields[1::3] = block.real.tolist()
+            fields[2::3] = block.imag.tolist()
+            fh.write("%s%.17g,%.17g\r\n" * block.size % tuple(fields))
 
 
 def write_sinogram_csv(path, grid: BoundaryGrid) -> None:
@@ -52,7 +63,7 @@ def read_sinogram_csv(path, template: BoundaryGrid) -> BoundaryGrid:
     """Read a sinogram CSV onto a template grid.
 
     The node coordinates in the file must match the template's nodes
-    (same order, 1e-12 tolerance); a mismatch is an error, not a resample.
+    (same order, 1e-12 absolute); a mismatch is an error, not a resample.
     """
     beta, alpha, re, im = _read_columns(path, ["beta", "alpha", "re", "im"])
     nb, na = template.shape
@@ -63,8 +74,8 @@ def read_sinogram_csv(path, template: BoundaryGrid) -> BoundaryGrid:
     bfile = np.asarray(beta).reshape(nb, na)
     afile = np.asarray(alpha).reshape(nb, na)
     if not (
-        np.allclose(bfile, template.beta[:, None], atol=1e-12)
-        and np.allclose(afile, template.alpha[None, :], atol=1e-12)
+        np.allclose(bfile, template.beta[:, None], atol=1e-12, rtol=0)
+        and np.allclose(afile, template.alpha[None, :], atol=1e-12, rtol=0)
     ):
         raise ValueError("sinogram nodes do not match the configured grid")
     return template.with_values(_complex(re, im).reshape(nb, na))
@@ -82,8 +93,8 @@ def read_diskgrid_csv(path, template: DiskGrid) -> DiskGrid:
     rfile = np.asarray(rho).reshape(nr, no)
     ofile = np.asarray(omega).reshape(nr, no)
     if not (
-        np.allclose(rfile, template.rho[:, None], atol=1e-12)
-        and np.allclose(ofile, template.omega[None, :], atol=1e-12)
+        np.allclose(rfile, template.rho[:, None], atol=1e-12, rtol=0)
+        and np.allclose(ofile, template.omega[None, :], atol=1e-12, rtol=0)
     ):
         raise ValueError("disk nodes do not match the configured grid")
     return template.with_values(_complex(re, im).reshape(nr, no))
@@ -98,34 +109,37 @@ def _complex(re, im) -> np.ndarray:
 
 def _read_columns(path, names):
     """Float columns of a CSV file under the given header; blank lines
-    are skipped.  The body goes through `np.loadtxt` in one call; if that
-    fails, or yields the wrong column count, the per-line parse below
-    either returns what it reads or names the first bad line as
-    path:lineno (loadtxt counts rows, not lines)."""
+    are skipped.  The open file goes to `np.loadtxt` in one call, which
+    reads it line by line; if that fails, or yields the wrong column
+    count, the per-line parse below rereads the body and either returns
+    what it reads or names the first bad line as path:lineno (loadtxt
+    counts rows, not lines)."""
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
         if [h.strip().lower() for h in header] != names:
             raise ValueError(f"expected header {','.join(names)} in {path}, got {header}")
-        body = fh.read()
-    if not body.strip("\r\n"):
-        return [np.empty(0) for _ in names]
-    try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        data = None
-    if data is not None and data.shape[1] == len(names):
-        return list(data.T)
-    cols = [[] for _ in names]
-    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if not row:
-            continue
-        if len(row) != len(names):
-            raise ValueError(f"{path}:{lineno}: expected {len(names)} fields")
+        body = fh.tell()
+        if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+            return [np.empty(0) for _ in names]
+        fh.seek(body)
         try:
-            for c, field in zip(cols, row):
-                c.append(float(field))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is not None and data.shape[1] == len(names):
+            return list(data.T)
+        fh.seek(body)
+        cols = [[] for _ in names]
+        for lineno, row in enumerate(csv.reader(fh), start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ValueError(f"{path}:{lineno}: expected {len(names)} fields")
+            try:
+                for c, field in zip(cols, row):
+                    c.append(float(field))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return [np.asarray(c, dtype=float) for c in cols]
 
 
@@ -149,23 +163,50 @@ def _write_json(path, doc, sort_keys=False) -> None:
 
 
 def read_coeff_json(path) -> tuple[CoeffTable, float]:
+    """Coefficient table and kappa of a JSON document.
+
+    `nmax`, `n` and `k` must be JSON integers and `kappa`, `re` and `im`
+    JSON numbers; nothing is coerced, and each value is built as
+    ``complex(re, im)`` so signed zeros round-trip.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})") from None
+    if type(doc) is not dict:
+        raise ValueError(f"coefficient file {path} is not a JSON object")
     for key in ("kappa", "nmax", "entries"):
         if key not in doc:
             raise ValueError(f"coefficient file {path} lacks the {key!r} field")
-    table = CoeffTable(nmax=int(doc["nmax"]))
+    try:
+        kappa = _json_number(doc["kappa"], "kappa")
+        table = CoeffTable(nmax=_json_int(doc["nmax"], "nmax"))
+        if type(doc["entries"]) is not list:
+            raise ValueError(f"entries must be a list, got {doc['entries']!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for pos, ent in enumerate(doc["entries"]):
         try:
-            table[(int(ent["n"]), int(ent["k"]))] = float(ent["re"]) + 1j * float(ent["im"])
+            nk = (_json_int(ent["n"], "n"), _json_int(ent["k"], "k"))
+            table[nk] = complex(_json_number(ent["re"], "re"), _json_number(ent["im"], "im"))
         except _NonFiniteValues as exc:
             raise _NonFiniteValues(f"{path}: entry #{pos}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad entry #{pos}: {exc}") from None
-    return table, float(doc["kappa"])
+    return table, kappa
+
+
+def _json_int(value, name) -> int:
+    if type(value) is not int:  # bool is an int subclass; 2.9 and "2" are not ints
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value, name) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def write_moments_csv(path, rows) -> None:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,15 +147,36 @@ class TestFileFormats:
                     v = values[i, j]
                     writer.writerow([fileio.fmt(a), fileio.fmt(b), fileio.fmt(v.real), fileio.fmt(v.imag)])
 
+    @staticmethod
+    def _split(rows):
+        """(short, long) factors of `rows`, the short one its least divisor
+        above 1, so a grid of that many rows keeps its Gauss-Legendre
+        axis small."""
+        d = next(d for d in range(2, rows + 1) if rows % d == 0)
+        return d, rows // d
+
     def test_grid_writers_match_per_row_bytes(self, tmp_path):
+        # grids below, at and past one write block, blocks ending mid-row,
+        # and the CLI's default disk grid
         cp = CurvatureParam(0.3)
         special = np.array([-0.0, 5e-324, 1e300, 3.0, -7.0, 2.0**53, 0.1, -1 / 3, -2.5e-300, 0.0])
+        block = fileio._BLOCK_ROWS
+        sino = ["beta", "alpha", "re", "im"], "beta", "alpha"
+        disk = ["rho", "omega", "re", "im"], "rho", "omega"
         cases = [
-            (fileio.write_sinogram_csv, fileio.read_sinogram_csv, xray.boundary_grid(cp, 4, 6),
-             ["beta", "alpha", "re", "im"], "beta", "alpha"),
-            (fileio.write_diskgrid_csv, fileio.read_diskgrid_csv, xray.disk_grid(cp, 3, 8),
-             ["rho", "omega", "re", "im"], "rho", "omega"),
+            (fileio.write_sinogram_csv, fileio.read_sinogram_csv, xray.boundary_grid(cp, 4, 6), *sino),
+            (fileio.write_diskgrid_csv, fileio.read_diskgrid_csv, xray.disk_grid(cp, 3, 8), *disk),
+            (fileio.write_diskgrid_csv, fileio.read_diskgrid_csv,
+             cli.RunConfig(kappa=0.3).validate().disk_template(), *disk),
         ]
+        for rows in (block - 1, block, block + 1, 2 * block + 3):
+            short, long = self._split(rows)
+            cases += [
+                (fileio.write_sinogram_csv, fileio.read_sinogram_csv,
+                 xray.boundary_grid(cp, long, short), *sino),
+                (fileio.write_diskgrid_csv, fileio.read_diskgrid_csv,
+                 xray.disk_grid(cp, short, long), *disk),
+            ]
         for write, read, template, header, outer, inner in cases:
             idx = np.arange(template.values.size).reshape(template.shape)
             values = np.empty(template.shape, dtype=complex)
@@ -164,9 +186,76 @@ class TestFileFormats:
             write(tmp_path / "new.csv", grid)
             self._write_by_rows(tmp_path / "old.csv", header, getattr(grid, outer),
                                 getattr(grid, inner), values)
-            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), template.shape
             back = read(tmp_path / "new.csv", template)
-            assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+            assert np.array_equal(back.values.view(np.int64), values.view(np.int64)), template.shape
+
+    @staticmethod
+    def _transient_mb(fn, *args):
+        """tracemalloc peak of fn(*args) beyond what is held after it
+        returns (its result included), in MB."""
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        return (peak - held) / 1e6
+
+    @pytest.mark.parametrize("n_rho", [128, 512])
+    def test_grid_writer_memory_is_bounded(self, tmp_path, n_rho):
+        # one block of text at a time: 10 MB at 128x256 when the whole file
+        # was formatted before the first write, and 4x that at 512x256
+        cp = CurvatureParam(0.4)
+        rng = np.random.default_rng(2)
+        grid = xray.disk_grid(cp, n_rho, 256)
+        grid = grid.with_values(rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+        assert self._transient_mb(fileio.write_diskgrid_csv, tmp_path / "d.csv", grid) <= 2.0
+
+    def test_grid_reader_memory_is_bounded(self, tmp_path):
+        # loadtxt reads the open file; no copy of the whole body is made
+        cp = CurvatureParam(0.4)
+        rng = np.random.default_rng(3)
+        grid = xray.boundary_grid(cp, 96, 64)
+        grid = grid.with_values(rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+        fileio.write_sinogram_csv(tmp_path / "s.csv", grid)
+        template = xray.boundary_grid(cp, 96, 64)
+        assert self._transient_mb(fileio.read_sinogram_csv, tmp_path / "s.csv", template) <= 1.0
+
+    def test_node_match_is_absolute(self, tmp_path):
+        # relative node errors of 1e-5 are far outside the 1e-12 tolerance
+        cp = CurvatureParam(0.4)
+        template = xray.boundary_grid(cp, 96, 64)
+        path = tmp_path / "s.csv"
+        fileio._write_grid_csv(path, ["beta", "alpha", "re", "im"], template.beta * (1 + 1e-5),
+                               template.alpha * (1 + 9e-6), template.values)
+        with pytest.raises(ValueError, match="nodes"):
+            fileio.read_sinogram_csv(path, template)
+        disk = xray.disk_grid(cp, 6, 8)
+        fileio._write_grid_csv(path, ["rho", "omega", "re", "im"], disk.rho * (1 + 1e-5),
+                               disk.omega, disk.values)
+        with pytest.raises(ValueError, match="nodes"):
+            fileio.read_diskgrid_csv(path, disk)
+
+    def test_node_off_by_1e9_rejected(self, tmp_path):
+        cfg = cli.RunConfig(kappa=0.2).validate()
+        template = cfg.boundary_template()
+        beta = template.beta.copy()
+        beta[5] += 1e-9
+        path = tmp_path / "s.csv"
+        fileio._write_grid_csv(path, ["beta", "alpha", "re", "im"], beta, template.alpha,
+                               template.values)
+        with pytest.raises(ValueError, match="nodes"):
+            fileio.read_sinogram_csv(path, template)
+        assert run_cli("--kappa", 0.2, "--out", tmp_path / "o", "invert", "--in", path) == cli.EXIT_CONFIG
+
+    def test_exact_nodes_accepted(self, tmp_path):
+        cfg = cli.RunConfig(kappa=-0.9).validate()
+        path = tmp_path / "s.csv"
+        fileio.write_sinogram_csv(path, cfg.boundary_template())
+        assert fileio.read_sinogram_csv(path, cfg.boundary_template()).shape == (cfg.n_beta, cfg.n_alpha)
+        assert run_cli("--kappa", -0.9, "--out", tmp_path / "o", "project", "--in", path) == cli.EXIT_OK
 
     def test_coeff_reader_rejects_non_finite(self, tmp_path):
         path = tmp_path / "c.json"
@@ -197,6 +286,58 @@ class TestFileFormats:
         assert kappa == 0.7
         assert back[(2, 1)] == 0.5 - 0.25j
         assert [nk for nk, _ in back.items()] == [(0, 0), (2, 1)]
+
+    def test_coeff_round_trip_keeps_signed_zeros(self, tmp_path):
+        tab = basis.CoeffTable(nmax=2)
+        tab[(0, 0)] = complex(-0.0, -0.0)
+        tab[(1, 0)] = complex(-0.0, 0.5)
+        tab[(2, 1)] = complex(0.25, -0.0)
+        path = tmp_path / "c.json"
+        fileio.write_coeff_json(path, tab, CurvatureParam(0.3))
+        back, _ = fileio.read_coeff_json(path)
+        for nk, c in tab.items():
+            got = back[nk]
+            assert [math.copysign(1, x) for x in (got.real, got.imag)] == \
+                [math.copysign(1, x) for x in (c.real, c.imag)], nk
+            assert got == c
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("nmax", 6.9, "nmax must be an integer"),
+        ("nmax", True, "nmax must be an integer"),
+        ("nmax", "6", "nmax must be an integer"),
+        ("kappa", "0.2", "kappa must be a number"),
+        ("n", 2.9, "entry #1: n must be an integer"),
+        ("n", "2", "entry #1: n must be an integer"),
+        ("k", True, "entry #1: k must be an integer"),
+        ("k", 1.0, "entry #1: k must be an integer"),
+        ("re", "0.5", "entry #1: re must be a number"),
+        ("im", False, "entry #1: im must be a number"),
+        ("im", None, "entry #1: im must be a number"),
+        ("entries", 5, "entries must be a list"),
+    ])
+    def test_coeff_reader_rejects_wrong_types(self, tmp_path, field, value, match):
+        doc = {"kappa": 0.2, "nmax": 6, "entries": [
+            {"n": 0, "k": 0, "re": 1.0, "im": 0.0}, {"n": 2, "k": 1, "re": 0.5, "im": -0.25}]}
+        if field in doc:
+            doc[field] = value
+        else:
+            doc["entries"][1][field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            fileio.read_coeff_json(path)
+        assert run_cli("--kappa", 0.2, "--out", tmp_path / "o", "forward",
+                       "--phantom", path) == cli.EXIT_CONFIG
+        assert not (tmp_path / "o" / "sinogram.csv").exists()
+
+    @pytest.mark.parametrize("doc", ['"kappa nmax entries"', "[0.2, 1]", "null"])
+    def test_coeff_reader_rejects_non_object(self, tmp_path, doc):
+        path = tmp_path / "c.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="not a JSON object"):
+            fileio.read_coeff_json(path)
+        assert run_cli("--kappa", 0.2, "--out", tmp_path / "o", "forward",
+                       "--phantom", path) == cli.EXIT_CONFIG
 
     def test_parse_error_has_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
