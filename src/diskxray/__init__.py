@@ -13,7 +13,6 @@ Library layout:
 """
 
 from .basis import (
-    BasisIndex,
     CoeffTable,
     cheb_w,
     norms,
@@ -39,7 +38,6 @@ from .geometry import (
     CurvatureParam,
     FanBeamPoint,
     MoebiusMap,
-    antipodal_scattering,
     conformal_factor,
     exit_time,
     fiber_change,
@@ -69,7 +67,6 @@ from .xray import (
 )
 
 __all__ = [
-    "BasisIndex",
     "BoundaryGrid",
     "CoeffTable",
     "CurvatureParam",
@@ -80,7 +77,6 @@ __all__ = [
     "TorusGrid",
     "adjoint_sharp",
     "analyze",
-    "antipodal_scattering",
     "boundary_grid",
     "boundary_inner",
     "c_minus",

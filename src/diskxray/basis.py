@@ -48,23 +48,6 @@ def pq_to_nk(p: int, q: int) -> tuple[int, int]:
     return 2 * q - p, q - p
 
 
-@dataclass(frozen=True, order=True)
-class BasisIndex:
-    """Index (n, k) of a basis member; n >= 0, k unrestricted for the
-    boundary family and 0 <= k <= n for the disk family."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"basis degree n must be >= 0, got {self.n}")
-
-    @property
-    def pq(self) -> tuple[int, int]:
-        return nk_to_pq(self.n, self.k)
-
-
 @dataclass
 class CoeffTable:
     """Complex coefficients indexed by (n, k), band-limited at nmax.

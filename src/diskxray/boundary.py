@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import HALF_PI, TWO_PI, CurvatureParam, sig, wrap_pi
-from .xray import BoundaryGrid, _check_kappa, _fiber_plan, _fiber_spectrum
+from .xray import BoundaryGrid, _beta_freqs, _check_kappa, _check_same_boundary, _fiber_plan
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +77,6 @@ class TorusGrid:
     @property
     def alpha(self) -> np.ndarray:
         return np.arange(self.n_fiber) * TWO_PI / self.n_fiber
-
-
-def _beta_freqs(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, 1.0 / n).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +190,10 @@ def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int =
         targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
         if np.any(np.abs(targets) > HALF_PI + 1e-9):
             raise ValueError("scattered fiber node left the inward range")
-        freqs = _beta_freqs(len(u.beta))
-        freqs = freqs[np.abs(freqs) <= n_beta // 2 - 1]
-        _, nodal, rows_at = _fiber_spectrum(u, cp)
-        rows = rows_at(np.clip(targets, -HALF_PI, HALF_PI))
-        spec = (rows @ nodal.view(float)).view(complex).T[freqs % len(u.beta)]
+        plan = _fiber_plan(u, cp)
+        freqs = plan.freqs[np.abs(plan.freqs) <= n_beta // 2 - 1]
+        rows = plan.rows_at(np.clip(targets, -HALF_PI, HALF_PI))
+        spec = (rows @ plan.nodal(u.values)).view(complex).T[freqs % len(u.beta)]
         spec[:, ~inward] *= sign * _scattering_phase(freqs, n_fiber, cp)[:, ~inward]
         spec_t = np.zeros((n_beta, n_fiber), dtype=complex)
         spec_t[freqs % n_beta] = spec
@@ -242,7 +237,7 @@ def restrict_star(tg: TorusGrid, parity: str, cp: CurvatureParam, template: Boun
     nb = len(template.beta)
     freqs, spec = _beta_spectrum(tg)
     direct = _eval_spectrum(freqs, spec, template.alpha, nb)
-    shift = np.pi + 2.0 * sig(template.alpha, cp)
+    shift = np.pi + 2.0 * _fiber_plan(template, cp).s
     scattered = _eval_spectrum(freqs, spec, np.pi - template.alpha, nb, shift)
     return template.with_values(direct + sign * scattered)
 
@@ -325,12 +320,12 @@ def sa_pullback(u: BoundaryGrid, cp: CurvatureParam) -> BoundaryGrid:
     """
     if not np.allclose(u.alpha + u.alpha[::-1], 0.0, atol=1e-12):
         raise ValueError("alpha nodes must be symmetric about 0")
+    plan = _fiber_plan(u, cp)
     spec = np.fft.fft(u.values, axis=0)
-    freqs = _beta_freqs(len(u.beta))
     # output column g reads the flipped column (alpha -> -alpha) shifted in
     # beta by pi + 2 sig(alpha_g)
-    shift = np.pi + 2.0 * sig(u.alpha, cp)
-    out = np.fft.ifft(spec[:, ::-1] * np.exp(1j * np.outer(freqs, shift)), axis=0)
+    shift = np.pi + 2.0 * plan.s
+    out = np.fft.ifft(spec[:, ::-1] * np.exp(1j * np.outer(plan.freqs, shift)), axis=0)
     return u.with_values(out)
 
 
@@ -375,7 +370,9 @@ def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None
     if template is None:
         raise ValueError("a template BoundaryGrid is required for callable input")
     _check_kappa(template, cp)
-    if not isinstance(u, BoundaryGrid):
+    if isinstance(u, BoundaryGrid):
+        _check_same_boundary(u, template)
+    else:
         u = template.with_values(u(*template.mesh()))
     u_even, removed = symmetrize(u, cp)
     plan = _fiber_plan(u_even, cp)

@@ -250,12 +250,6 @@ def scattering(bp: FanBeamPoint, cp: CurvatureParam) -> FanBeamPoint:
     return FanBeamPoint(float(b), float(a))
 
 
-def antipodal_scattering(bp: FanBeamPoint, cp: CurvatureParam) -> FanBeamPoint:
-    """Antipodal scattering: exit point with direction reversed back inward."""
-    b, a = antipodal_scattering_angles(bp.beta, bp.alpha, cp)
-    return FanBeamPoint(float(b), float(a))
-
-
 def fiber_change(rho, theta, cp: CurvatureParam):
     """Fiber angle substitution theta -> theta' and its jacobian.
 

@@ -103,10 +103,11 @@ class BoundaryGrid:
         limited only by the node count versus the band width, not by the
         complex singularities of the signature.  Evaluation is blocked,
         one real matrix product and one Horner sum in e^{i beta} per
-        block, so its memory is bounded whatever the target count.
+        block, so its memory is bounded whatever the target count.  The
+        rows and the spectrum come from the grid's `_FiberPlan`.
         """
-        freqs, spec, rows_at = _fiber_spectrum(self, CurvatureParam(self.kappa))
-        spec_ri = spec.view(float)
+        plan = _fiber_plan(self, CurvatureParam(self.kappa))
+        spec_ri, freqs = plan.nodal(self.values), plan.freqs
         n_pos = int(np.count_nonzero(freqs >= 0))  # numpy order: 0, 1, ..., then negatives
 
         def fn(beta_pts, alpha_pts):
@@ -115,7 +116,7 @@ class BoundaryGrid:
             aflat = np.broadcast_to(np.asarray(alpha_pts, dtype=float), shape).ravel()
             out = np.empty(bflat.shape, dtype=complex)
             for lo in range(0, len(out), _BLOCK):
-                coeff = (rows_at(aflat[lo:lo + _BLOCK]) @ spec_ri).view(complex)
+                coeff = (plan.rows_at(aflat[lo:lo + _BLOCK]) @ spec_ri).view(complex)
                 x = np.exp(1j * bflat[lo:lo + _BLOCK])
                 # Horner from both band edges toward frequency 0, where
                 # band-limited data has its mass: a sweep from one edge to
@@ -131,41 +132,9 @@ class BoundaryGrid:
         return fn
 
 
-def _fiber_spectrum(grid: BoundaryGrid, cp: CurvatureParam):
-    """Beta frequencies (numpy order) of the grid samples, their beta
-    spectrum at the alpha nodes with sqrt(sig') divided out (n_alpha x
-    n_beta, C order), and `_fiber_rows`' map of the alpha nodes: rows @
-    spec is the spectrum at those angles, one real matrix product on
-    spec.view(float)."""
-    nb = len(grid.beta)
-    root, rows_at = _fiber_rows(grid.alpha, cp)
-    spec = np.ascontiguousarray((np.fft.fft(grid.values / root, axis=0) / nb).T)
-    return np.fft.fftfreq(nb, 1.0 / nb).astype(int), spec, rows_at
-
-
-def _fiber_rows(alpha, cp: CurvatureParam):
-    """sqrt(sig') at the alpha nodes, and a map from 1-d fiber angles to
-    barycentric rows in s = sig(alpha) with sqrt(sig') restored: for
-    samples u at the nodes, rows_at(a) @ (u / sqrt(sig')) is u at a."""
-    nodes = sig(alpha, cp)
-    diff = (4.0 / np.ptp(nodes)) * (nodes[:, None] - nodes)  # capacity scaling: no overflow
-    np.fill_diagonal(diff, 1.0)
-    weights = 1.0 / diff.prod(axis=1)
-    if not np.isfinite(weights).all():
-        raise ValueError("alpha nodes must be distinct")
-
-    def rows_at(alpha):
-        rows = np.subtract.outer(sig(alpha, cp), nodes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(weights, rows, out=rows)  # in place: a fresh array costs page faults
-            total = rows.sum(axis=1)
-        hit = np.isinf(total)  # target on a node: that node's sample, exactly
-        rows[hit] = np.isinf(rows[hit])
-        total[hit] = 1.0
-        rows *= (np.sqrt(sig_prime(alpha, cp)) / total)[:, None]
-        return rows
-
-    return np.sqrt(sig_prime(alpha, cp)), rows_at
+def _beta_freqs(n: int) -> np.ndarray:
+    """Integer frequencies of an n-point uniform grid, in numpy FFT order."""
+    return np.fft.fftfreq(n, 1.0 / n).astype(int)
 
 
 @dataclass
@@ -282,13 +251,14 @@ def _check_kappa(grid, cp: CurvatureParam):
 
 
 def _check_same_boundary(g1: BoundaryGrid, g2: BoundaryGrid):
+    if g1.kappa != g2.kappa:
+        raise ValueError(f"boundary grids do not match: kappa={g1.kappa} and kappa={g2.kappa}")
     if (
-        g1.kappa != g2.kappa
-        or g1.values.shape != g2.values.shape
+        g1.values.shape != g2.values.shape
         or not np.array_equal(g1.beta, g2.beta)
         or not np.array_equal(g1.alpha, g2.alpha)
     ):
-        raise ValueError("boundary grids do not match (kappa or nodes differ)")
+        raise ValueError("boundary grids do not match: their nodes differ")
 
 
 def boundary_inner(g1: BoundaryGrid, g2: BoundaryGrid) -> complex:
@@ -441,9 +411,10 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     rounding units.
 
     None of this depends on the values: the class folds are a plan of the
-    geometry (`_AdjointPlan`), built once per (kappa, n_beta, alpha
-    nodes, points, n_theta) and memoised on the bytes of those, never on
-    identity or values, for the last four geometries.  A call with new
+    geometry (`_AdjointPlan`, on the grid's shared `_FiberPlan`), built
+    once per (kappa, n_beta, alpha nodes and weights, points, n_theta) and
+    memoised on the bytes of those, never on identity or values, for the
+    last four geometries.  A call with new
     values on a known geometry is one beta FFT, a few contractions over
     the kept folds and one sum per point.  A class keeps one fold of top x n_alpha (top =
     n_beta // 2 + 1), its mirror image is formed per call, and a class
@@ -519,10 +490,11 @@ _SUM_POINTS = 256  # points per block of the output sum: bounds its gathered sum
 
 
 class _AdjointPlan:
-    """What grid-input `adjoint_sharp` needs of one geometry (kappa,
-    n_beta, alpha nodes, points, n_theta), never of values: sqrt(sig') at
-    the alpha nodes, each point's output slot and phase e^{i(omega -
-    delta)}, and the canonical fold of every O(2) class (see there).
+    """What grid-input `adjoint_sharp` needs of one geometry (a fiber
+    plan, points, n_theta), never of values: the grid's `_FiberPlan`
+    (barycentric rows, nodal spectrum), each point's output slot and phase
+    e^{i(omega - delta)}, and the canonical fold of every O(2) class (see
+    there).
 
     With x = e^{i beta} the beta spectrum is two-sided,
     u = sum_m u_m x^m + conj(sum_m conj(u_-m) x^m) over 0 <= m < top, so
@@ -543,11 +515,9 @@ class _AdjointPlan:
     bounded whatever the point count.
     """
 
-    def __init__(self, kappa: float, n_beta: int, alpha: np.ndarray, z: np.ndarray, n_theta: int):
-        self._cp = CurvatureParam(kappa)
-        self._root, self._rows_at = _fiber_rows(alpha, self._cp)
-        self._freqs = np.fft.fftfreq(n_beta, 1.0 / n_beta).astype(int)
-        self._top = n_beta // 2 + 1  # 1 + the largest |beta frequency|
+    def __init__(self, fiber: _FiberPlan, z: np.ndarray, n_theta: int):
+        self.fiber = fiber
+        self._top = fiber.n_beta // 2 + 1  # 1 + the largest |beta frequency|
         self._theta = np.arange(n_theta) * TWO_PI / n_theta
         rho, omega = np.abs(z), np.angle(z)
 
@@ -555,7 +525,7 @@ class _AdjointPlan:
         delta = omega - np.round(omega / step) * step  # offset from the nearest theta node
         delta[delta > 0.5 * step - _CLASS_TOL] -= step  # a half-step tie joins -step / 2
         delta[np.abs(delta) <= _CLASS_TOL] = 0.0  # on a node: exactly its own mirror image
-        mirror = np.array_equal(alpha, -alpha[::-1])
+        mirror = fiber.mirror
         key = np.abs(delta) if mirror else delta
         radius_class, phase_class = _classes(rho), _classes(key)
         _, first, cls = np.unique(radius_class * (phase_class.max(initial=-1) + 1) + phase_class,
@@ -574,7 +544,7 @@ class _AdjointPlan:
         delta_s = np.where(slots % 2, -1.0, 1.0) * self._key[slots // 2]
         self._turn = np.exp(1j * (omega - delta_s[self._slot]))
 
-        widths = (len(alpha), (len(alpha) + 1) // 2)
+        widths = (len(fiber.root), (len(fiber.root) + 1) // 2)
         size = sum(len(m) * w for m, w in zip(self._members, widths)) * self._top * 16
         self._folds = None  # stream them on every apply
         if size <= _PLAN_BYTES:
@@ -582,7 +552,7 @@ class _AdjointPlan:
             for kind, part, fold in self._fold_blocks(_KEPT_FOLD_NODES):
                 kept[kind][part] = fold
             self._folds = tuple((kind, slice(None), f) for kind, f in enumerate(kept) if len(f))
-        for arr in (self._root, self._freqs, self._theta, self._rho, self._key, *self._members,
+        for arr in (self._theta, self._rho, self._key, *self._members,
                     self._slot, self._target, self._turn, *(f for _, _, f in self._folds or ())):
             arr.setflags(write=False)
 
@@ -593,7 +563,7 @@ class _AdjointPlan:
         n_theta, top = len(self._theta), self._top
         half = np.arange(n_theta // 2 + 1)
         half_weights = np.where((half == 0) | (2 * half == n_theta), 0.5, 1.0)
-        n_alpha = len(self._root)
+        n_alpha = len(self.fiber.root)
         for kind, members in enumerate(self._members):
             n_nodes = len(half_weights) if kind else n_theta
             per = max(1, block_nodes // n_nodes)  # classes per block
@@ -603,9 +573,9 @@ class _AdjointPlan:
                 fold = np.zeros((len(cs), top, n_alpha), dtype=complex)
                 for j0 in range(0, n_nodes, span):
                     nodes = self._theta[j0:min(j0 + span, n_nodes)]
-                    bm, am = footpoint_angles(self._rho[cs, None], self._key[cs, None], nodes, self._cp)
+                    bm, am = footpoint_angles(self._rho[cs, None], self._key[cs, None], nodes, self.fiber.cp)
                     nc, nj = am.shape
-                    rows = self._rows_at(am.ravel()).reshape(nc, nj, -1)
+                    rows = self.fiber.rows_at(am.ravel()).reshape(nc, nj, -1)
                     if kind:
                         rows *= half_weights[j0:j0 + nj, None]
                     x = _powers(np.exp(1j * bm.ravel()), top)
@@ -623,12 +593,12 @@ class _AdjointPlan:
         """`adjoint_sharp` of grid values (n_beta x n_alpha) at the plan's
         points, flat: one beta FFT, one contraction per block of folds and
         one blocked sum over the points."""
-        n_alpha = values.shape[1]
-        spec = np.fft.fft(values / self._root, axis=0) / len(values)
-        up = self._freqs >= 0
+        n_alpha, freqs = values.shape[1], self.fiber.freqs
+        spec = self.fiber.spectrum(values)
+        up = freqs >= 0
         halves = np.zeros((2, self._top, n_alpha), dtype=complex)
-        halves[0, self._freqs[up]] = spec[up]
-        halves[1, -self._freqs[~up]] = spec[~up].conj()
+        halves[0, freqs[up]] = spec[up]
+        halves[1, -freqs[~up]] = spec[~up].conj()
         mirror = halves[:, :, ::-1].conj()  # conj(F) reversed against halves = conj(F against mirror)
 
         sums = np.zeros((2, self._n_slots, self._top), dtype=complex)
@@ -655,16 +625,15 @@ class _AdjointPlan:
 
 
 @lru_cache(maxsize=4)
-def _cached_adjoint_plan(kappa: float, n_beta: int, alpha: bytes, z: bytes, n_theta: int) -> _AdjointPlan:
-    return _AdjointPlan(kappa, n_beta, np.frombuffer(alpha), np.frombuffer(z, dtype=complex), n_theta)
+def _cached_adjoint_plan(fiber_key: tuple, z: bytes, n_theta: int) -> _AdjointPlan:
+    return _AdjointPlan(_cached_plan(*fiber_key), np.frombuffer(z, dtype=complex), n_theta)
 
 
 def _adjoint_plan(g: BoundaryGrid, z: np.ndarray, n_theta: int) -> _AdjointPlan:
     """The adjoint plan of g's geometry at the points z, built once per
-    (kappa, n_beta, alpha nodes, points, n_theta) and shared: keyed on
-    bytes, so a caller's array changed in place is a new key."""
-    return _cached_adjoint_plan(float(g.kappa), len(g.beta), np.asarray(g.alpha, dtype=float).tobytes(),
-                                np.asarray(z, dtype=complex).tobytes(), n_theta)
+    (fiber plan key, points, n_theta) on the grid's shared fiber plan:
+    keyed on bytes, so a caller's array changed in place is a new key."""
+    return _cached_adjoint_plan(_fiber_key(g, g.kappa), np.asarray(z, dtype=complex).tobytes(), n_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -684,48 +653,96 @@ GRAM_TOL = 1e-9
 
 
 class _FiberPlan:
-    """What the SVD engine and the range projector need of one boundary
-    geometry (kappa, alpha nodes and weights, n_beta), never of values.
+    """What every grid path needs of one boundary geometry (kappa, alpha
+    nodes and weights, n_beta), never of values: the one home of its
+    "beta-Fourier x barycentric-in-s" fiber.  It holds s = sig(alpha) and
+    sqrt(sig') at the nodes (`s`, `root`), the beta frequencies (`freqs`),
+    the mirror flag, barycentric rows in s (`rows_at`) and the nodal
+    spectrum of grid values (`spectrum`, `nodal`).
 
     psi_hat(n, k) is e^{i(n-2k) beta} times the fiber factor
 
         (-1)^n sqrt(1+kappa) / (2 pi) sqrt(sig') (e^{i(2n-2k+1)s} + (-1)^n e^{-i(2k+1)s}),
 
-    s = sig(alpha), so every fiber factor is a signed sum of two rows of
-    one table sqrt(sig') e^{ims}, m odd, each entry one direct exp.  On the uniform beta grid the
-    beta sum of g e^{-i f beta} is bin f % n_beta of one FFT over beta, and
-    modes in different bins are orthogonal; within a bin the alpha
-    quadrature decides.  The plan holds the Gram deviation max |G - I| of
-    each band n <= N (`gram[N]`, N < n_beta/2 and at most n_alpha), the
-    largest band within GRAM_TOL (`band`), and per beta bin of that band an
+    so every fiber factor is a signed sum of two rows of one table
+    sqrt(sig') e^{ims}, m odd, each entry one direct exp.  On the uniform
+    beta grid the beta sum of g e^{-i f beta} is bin f % n_beta of one FFT
+    over beta, and modes in different bins are orthogonal; within a bin
+    the alpha quadrature decides.  Built on first use, so paths that only
+    interpolate never pay for them: the Gram deviation max |G - I| of each
+    band n <= N (`gram[N]`, N < n_beta/2 and at most n_alpha), the largest
+    band within GRAM_TOL (`band`), and per beta bin of that band an
     orthonormal basis Q of its range modes in the sqrt(w)-weighted inner
     product: Q Q^H in every bin is the exact orthogonal projector onto the
     resolved range.
     """
 
     def __init__(self, kappa: float, n_beta: int, alpha: np.ndarray, w: np.ndarray):
-        cp = CurvatureParam(kappa)
+        self.cp = CurvatureParam(kappa)
         self.n_beta = n_beta
         # alpha weights of one beta bin: <u, v> = sum_f sum_alpha w u_f conj(v_f)
         # with u_f the beta FFT of u divided by n_beta
         self.w = w
-        self._s, self._root = sig(alpha, cp), np.sqrt(sig_prime(alpha, cp))
+        self.s, self.root = sig(alpha, self.cp), np.sqrt(sig_prime(alpha, self.cp))
+        self.freqs = _beta_freqs(n_beta)
+        self.mirror = bool(np.array_equal(alpha, -alpha[::-1]))
         self._scale = math.sqrt(1.0 + kappa) / TWO_PI
         top = min((n_beta - 1) // 2, len(alpha))  # candidate bands
         self._m_top = 2 * top + 1
-        self._table = np.exp(1j * np.outer(np.arange(-self._m_top, self._m_top + 1, 2), self._s))
-        self._table *= self._root  # row (m + m_top) / 2: sqrt(sig') e^{ims}
+        self._table = np.exp(1j * np.outer(np.arange(-self._m_top, self._m_top + 1, 2), self.s))
+        self._table *= self.root  # row (m + m_top) / 2: sqrt(sig') e^{ims}
+        for arr in (self.w, self.s, self.root, self.freqs, self._table):
+            arr.setflags(write=False)
 
+    @cached_property
+    def _bary(self) -> np.ndarray:
+        """Barycentric weights of the nodes s, built on the first `rows_at`."""
+        diff = (4.0 / np.ptp(self.s)) * (self.s[:, None] - self.s)  # capacity scaling: no overflow
+        np.fill_diagonal(diff, 1.0)
+        weights = 1.0 / diff.prod(axis=1)
+        if not np.isfinite(weights).all():
+            raise ValueError("alpha nodes must be distinct")
+        weights.setflags(write=False)
+        return weights
+
+    def rows_at(self, alpha) -> np.ndarray:
+        """Barycentric rows in s at the 1-d fiber angles alpha with
+        sqrt(sig') restored: for samples u at the nodes, rows_at(a) @
+        (u / sqrt(sig')) is u at a."""
+        rows = np.subtract.outer(sig(alpha, self.cp), self.s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(self._bary, rows, out=rows)  # in place: a fresh array costs page faults
+            total = rows.sum(axis=1)
+        hit = np.isinf(total)  # target on a node: that node's sample, exactly
+        rows[hit] = np.isinf(rows[hit])
+        total[hit] = 1.0
+        rows *= (np.sqrt(sig_prime(alpha, self.cp)) / total)[:, None]
+        return rows
+
+    def spectrum(self, values: np.ndarray) -> np.ndarray:
+        """FFT over beta / n_beta of values / sqrt(sig'), n_beta x n_alpha."""
+        return np.fft.fft(values / self.root, axis=0) / self.n_beta
+
+    def nodal(self, values: np.ndarray) -> np.ndarray:
+        """`spectrum` alpha-major, re/im interleaved: rows_at(a) @ nodal(v),
+        viewed as complex, is the spectrum at a in one real product."""
+        return np.ascontiguousarray(self.spectrum(values).T).view(float)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        top = self._m_top // 2
         dev = np.zeros(top + 1)
         for f in range(-top, top + 1):  # bin by bin: small temporaries
             n, fibers = self._bin(f, top)
-            gram = (fibers * w) @ fibers.conj().T
+            gram = (fibers * self.w) @ fibers.conj().T
             np.maximum.at(dev, np.maximum.outer(n, n).ravel(), np.abs(gram - np.eye(len(n))).ravel())
-        self.gram = np.maximum.accumulate(dev)
-        self.band = int(np.count_nonzero(self.gram <= GRAM_TOL)) - 1
-        self._bins = np.arange(-self.band, self.band + 1) % n_beta
-        for arr in (self.w, self.gram, self._s, self._root, self._table, self._bins):
-            arr.setflags(write=False)
+        dev = np.maximum.accumulate(dev)
+        dev.setflags(write=False)
+        return dev
+
+    @cached_property
+    def band(self) -> int:
+        return int(np.count_nonzero(self.gram <= GRAM_TOL)) - 1
 
     def _bin(self, f: int, top: int):
         """Degrees n = |f|, |f| + 2, ... <= top of the range modes in beta
@@ -739,7 +756,7 @@ class _FiberPlan:
         the sqrt(w)-scaled inner product; zero columns pad the narrower
         bins.  Built on the first projection."""
         sqrt_w = np.sqrt(self.w)
-        q = np.zeros((len(self._bins), len(self.w), self.band // 2 + 1), dtype=complex)
+        q = np.zeros((2 * self.band + 1, len(self.w), self.band // 2 + 1), dtype=complex)
         for q_f, f in zip(q, range(-self.band, self.band + 1)):
             basis_f = np.linalg.qr((self._bin(f, self.band)[1] * sqrt_w).T)[0]
             q_f[:, :basis_f.shape[1]] = basis_f
@@ -758,7 +775,7 @@ class _FiberPlan:
         if m.size and np.abs(m).max() <= self._m_top:
             rows = self._table[(m + self._m_top) // 2]
         else:  # exponents past the table (synthesis of arbitrary modes)
-            rows = np.exp(1j * np.outer(m, self._s)) * self._root
+            rows = np.exp(1j * np.outer(m, self.s)) * self.root
         sign = (1 - 2 * (n % 2))[:, None]
         return (rows[:len(n)] + sign * rows[len(n):]) * (sign * self._scale)
 
@@ -780,11 +797,12 @@ class _FiberPlan:
         """Orthogonal projection of grid values onto the range modes of
         the band: Q Q^H on each bin of one beta FFT, one inverse FFT."""
         sqrt_w = np.sqrt(self.w)
+        bins = np.arange(-self.band, self.band + 1) % self.n_beta
         spec = np.fft.fft(values, axis=0)
-        y = (spec[self._bins] * sqrt_w)[:, :, None]
+        y = (spec[bins] * sqrt_w)[:, :, None]
         coeffs = np.matmul(self._q.transpose(0, 2, 1), y.conj()).conj()  # Q^H y, no copy of Q
         out = np.zeros_like(spec)
-        out[self._bins] = (self._q @ coeffs)[:, :, 0] / sqrt_w
+        out[bins] = (self._q @ coeffs)[:, :, 0] / sqrt_w
         return np.fft.ifft(out, axis=0)
 
 
@@ -793,12 +811,16 @@ def _cached_plan(kappa: float, n_beta: int, alpha: bytes, w: bytes) -> _FiberPla
     return _FiberPlan(kappa, n_beta, np.frombuffer(alpha), np.frombuffer(w).copy())
 
 
+def _fiber_key(g: BoundaryGrid, kappa: float) -> tuple:
+    """The bytes key of g's fiber plan: kappa, n_beta, alpha nodes, weights."""
+    w = TWO_PI * np.asarray(g.alpha_weights, dtype=float) / (1.0 + g.kappa)
+    return float(kappa), len(g.beta), np.asarray(g.alpha, dtype=float).tobytes(), w.tobytes()
+
+
 def _fiber_plan(g: BoundaryGrid, cp: CurvatureParam) -> _FiberPlan:
     """The fiber plan of g's geometry, built once per (kappa, n_beta,
-    alpha nodes, weights) and shared."""
-    w = TWO_PI * np.asarray(g.alpha_weights, dtype=float) / (1.0 + g.kappa)
-    return _cached_plan(float(cp.kappa), len(g.beta),
-                        np.asarray(g.alpha, dtype=float).tobytes(), w.tobytes())
+    alpha nodes, weights) and shared by every grid path."""
+    return _cached_plan(*_fiber_key(g, cp.kappa))
 
 
 def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:

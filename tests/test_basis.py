@@ -397,12 +397,6 @@ class TestIndexing:
                 assert (p, q) == (n - 2 * k, n - k)
                 assert basis.pq_to_nk(p, q) == (n, k)
 
-    def test_basis_index_validation(self):
-        with pytest.raises(ValueError):
-            basis.BasisIndex(-1, 0)
-        idx = basis.BasisIndex(5, 2)
-        assert idx.pq == (1, 3)
-
 
 class TestCoeffTable:
     def test_deterministic_iteration(self):

@@ -341,6 +341,25 @@ class TestProjection:
         assert res.removed_odd_norm == pytest.approx(norm, rel=1e-10)
         assert res.projected.norm() / norm < 1e-8
 
+    def test_rejects_grid_off_its_template(self):
+        # a template with other alpha nodes used to be accepted and its
+        # nodes put on a projection of the wrong samples
+        cp = CurvatureParam(0.4)
+        u = xray.boundary_grid(cp, 32, 16)
+        u = u.with_values(u_fn(0, 0, cp)(*u.mesh()))
+        other = xray.boundary_grid(cp, 32, 16)
+        other.alpha = 0.9 * other.alpha
+        with pytest.raises(ValueError, match="nodes differ"):
+            boundary.project_to_range(u, cp, other)
+
+    def test_rejects_grid_of_other_kappa(self):
+        # used to fail only by accident, with "no band ... resolvable"
+        cp = CurvatureParam(0.0)
+        u = xray.boundary_grid(CurvatureParam(0.4), 32, 16)
+        u = u.with_values(u_fn(0, 0, CurvatureParam(0.4))(*u.mesh()))
+        with pytest.raises(ValueError, match="kappa=0.4"):
+            boundary.project_to_range(u, cp, xray.boundary_grid(cp, 32, 16))
+
     def test_requires_template_for_callable(self):
         with pytest.raises(ValueError):
             boundary.project_to_range(u_fn(0, 0), CP)

@@ -25,12 +25,14 @@ def test_import_needs_no_scipy():
 
 def test_public_surface_pinned():
     # every exported name resolves, once; the symmetry classifier, wrong
-    # at strong curvature, is gone from the package and its module
+    # at strong curvature, and two names only tests called are gone from
+    # the package and their modules
     import diskxray
-    from diskxray import boundary
+    from diskxray import basis, boundary, geometry
 
     assert all(hasattr(diskxray, name) for name in diskxray.__all__)
-    assert len(set(diskxray.__all__)) == len(diskxray.__all__) == 47
-    for gone in ("classify", "SymmetryClass"):
+    assert len(set(diskxray.__all__)) == len(diskxray.__all__) == 45
+    for gone, module in (("classify", boundary), ("SymmetryClass", boundary),
+                         ("BasisIndex", basis), ("antipodal_scattering", geometry)):
         assert gone not in diskxray.__all__
-        assert not hasattr(diskxray, gone) and not hasattr(boundary, gone)
+        assert not hasattr(diskxray, gone) and not hasattr(module, gone)

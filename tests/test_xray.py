@@ -442,8 +442,10 @@ class TestGridInterpolant:
         hold_to_per_target(grid, z, cp)
 
     def test_plan_arrays_read_only(self):
+        # the adjoint plan and the fiber plan it reads, lazy parts built
         cp = CurvatureParam(0.4)
         plan = xray._adjoint_plan(xray.boundary_grid(cp, 96, 64), xray.disk_grid(cp, 12, 24).points(), 512)
+        assert plan.fiber.band == 29 and plan.fiber._q.size  # builds the lazy parts
 
         def arrays(obj):
             if isinstance(obj, np.ndarray):
@@ -451,9 +453,12 @@ class TestGridInterpolant:
             elif isinstance(obj, (tuple, list)):
                 for item in obj:
                     yield from arrays(item)
+            elif isinstance(obj, xray._FiberPlan):
+                yield from arrays(list(vars(obj).values()))
 
         found = list(arrays(list(vars(plan).values())))
-        assert plan._folds and len(found) > 10
+        fiber = list(arrays(list(vars(plan.fiber).values())))
+        assert plan._folds and len(found) > 10 and len(fiber) == 8
         assert not any(a.flags.writeable for a in found)
 
     def test_plan_past_budget_streams_its_folds(self):
@@ -847,6 +852,31 @@ class TestFiberPlan:
                                 CurvatureParam(0.3)) is not plan
         with pytest.raises(ValueError):
             plan.gram[0] = 0.0
+
+    def test_every_grid_path_reads_one_plan(self, monkeypatch):
+        # a cold adjoint plan builds the grid's fiber plan without its Gram
+        # scan; the interpolant, extend, analyze and the pullbacks then read
+        # that same plan, and nothing else takes sig of the grid's nodes
+        cp = CurvatureParam(0.4)
+        grid = psi_sinogram(cp)
+        xray._cached_plan.cache_clear()
+        xray._cached_adjoint_plan.cache_clear()
+        plan = xray._adjoint_plan(grid, xray.disk_grid(cp, 12, 24).points(), 512).fiber
+        assert "gram" not in vars(plan) and "_q" not in vars(plan)
+
+        seen = []
+        for module in (xray, boundary):
+            monkeypatch.setattr(module, "sig", lambda a, c, sig=module.sig: seen.append(a) or sig(a, c))
+        rng = np.random.default_rng(3)
+        grid.interpolant()(rng.uniform(0, 2 * np.pi, 8), rng.uniform(-1.5, 1.5, 8))
+        tg = boundary.extend(grid, "-", cp, 32, 64)
+        boundary.restrict_star(tg, "-", cp, grid)
+        boundary.sa_pullback(grid, cp)
+        xray.analyze(grid, 6, cp)
+        assert "gram" in vars(plan)
+        assert xray._fiber_plan(grid, cp) is plan
+        assert xray._cached_plan.cache_info().misses == 1
+        assert seen and not any(np.array_equal(a, grid.alpha) for a in seen)
 
     @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
     def test_band_from_gram_deviation(self, kappa):
