@@ -7,8 +7,9 @@ Library layout:
 - ``basis``: Zernike-type disk families, boundary families, norms.
 - ``xray``: forward transform, adjoint, grids, inner products, analysis /
   synthesis, exact singular values and truncated-SVD inversion.
-- ``boundary``: fiberwise Hilbert transform and the boundary operator
-  calculus (extensions, P-/C- operators, range projection, moments).
+- ``boundary``: the boundary operators P- and C- (extension across the
+  scattering relation and the fiberwise Hilbert transform on the torus),
+  range projection and moments.
 - ``cli``: command-line front end with reproducible file I/O.
 """
 
@@ -25,14 +26,10 @@ from .basis import (
     zernike_kappa_hat,
 )
 from .boundary import (
-    TorusGrid,
     c_minus,
-    extend,
-    hilbert,
     moment_residuals,
     p_minus,
     project_to_range,
-    restrict_star,
 )
 from .geometry import (
     CurvatureParam,
@@ -74,7 +71,6 @@ __all__ = [
     "FanBeamPoint",
     "GeodesicQuad",
     "MoebiusMap",
-    "TorusGrid",
     "adjoint_sharp",
     "analyze",
     "boundary_grid",
@@ -85,12 +81,10 @@ __all__ = [
     "disk_grid",
     "disk_inner",
     "exit_time",
-    "extend",
     "fiber_change",
     "footpoint",
     "forward",
     "geodesic_point",
-    "hilbert",
     "invert",
     "isometry_from_tangent",
     "moment_residuals",
@@ -100,7 +94,6 @@ __all__ = [
     "psi_kappa",
     "psi_kappa_hat",
     "psi_over_mu",
-    "restrict_star",
     "scattering",
     "sig",
     "sig_inverse",

@@ -1,14 +1,16 @@
-"""Boundary-operator calculus on the full boundary circle bundle.
+"""Boundary-operator calculus on the boundary circle bundle.
 
-Functions on the inward bundle are extended to the torus (beta, alpha in
-the full circle) by evenness or oddness across the scattering relation,
-transformed fiberwise (Hilbert transform as the Fourier multiplier
--i sign(m)), and restricted back.  The two compositions
+The range characterisation is stated through two compositions on the
+torus (beta, alpha in the full circle):
 
-    P_-  =  A_-^* H_- A_+        (on scattering-even extensions)
-    C_-  =  (1/2) A_-^* H_- A_-  (on scattering-odd extensions)
+    P_-  =  A_-^* H_- A_+
+    C_-  =  (1/2) A_-^* H_- A_-
 
-act diagonally on the u'/v' families: with s(x) = sign(x),
+A_+ and A_- extend an inward-bundle function to the torus, evenly or
+oddly across the scattering relation S; H_- is the fiberwise Hilbert
+transform (the Fourier multiplier -i sign(m)) on the odd fiber modes;
+A_-^* V = V - V o S restricted to the inward bundle.  Both act
+diagonally on the u'/v' families: with s(x) = sign(x),
 
     C_- u'_{p,q} = (-i/2) (s(2q+1) + s(2p-2q-1)) u'_{p,q}
     P_- v'_{p,q} =   -i   (s(2q+1) - s(2p-2q-1)) u'_{p,q}
@@ -18,25 +20,26 @@ transform inside the antipodally symmetric subspace.  `project_to_range`
 computes that projection without the torus: the range is the closed span
 of psi_{n,k}, 0 <= k <= n, orthogonal to the co-kernel, so on a grid it
 is the orthogonal projector onto the range modes the grid resolves (see
-`xray._FiberPlan`).  The torus chain A_-^* C_-^2 A_- stays as its slow
-oracle.
+`xray._FiberPlan`).  The torus chain stays as its slow oracle, and
+`c_minus` and `p_minus` are the chain's only entry points.
 
-Grid implementation notes: all torus operations act on uniform grids via
-FFTs.  The scattering relation maps fiber nodes to fiber nodes when the
-fiber size is even, and shifts beta by the off-grid amount pi + 2 sig(a),
-applied exactly as a phase on the beta spectrum.  Every torus step
-commutes with shifts in beta, so each acts on one beta spectrum, forming
-only the frequencies its input and output carry.  Operators accept
-callables or BoundaryGrids; grid inputs are interpolated spectrally
-(trigonometric in beta, barycentric in the substituted fiber variable
-s = sig(alpha) after removing the sqrt(sig') weight).
+Torus implementation: every step commutes with shifts in beta, so each
+operator runs on one beta spectrum, one row per beta frequency and one
+column per uniform fiber node: the extension spectrum, the odd-mode
+Hilbert multiplier, id - S^* and the evaluation at the template nodes.
+The scattering relation maps fiber node alpha to pi - alpha when the
+fiber size is even, and shifts beta by the off-grid amount
+pi + 2 sig(alpha), applied exactly as a phase on the spectrum and formed
+once per call.  A grid input is extended spectrally from its fiber plan
+(trigonometric in beta, barycentric in s = sig(alpha) after removing the
+sqrt(sig') weight); a callable is sampled on the torus and transformed
+by one FFT over beta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -45,52 +48,15 @@ from .xray import BoundaryGrid, _beta_freqs, _check_kappa, _check_same_boundary,
 
 
 # ---------------------------------------------------------------------------
-# torus grid
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TorusGrid:
-    """Complex samples on the full boundary bundle: uniform beta x uniform
-    fiber angle, fiber size even (powers of two keep the FFTs cheap)."""
-
-    kappa: float
-    values: np.ndarray  # (n_beta, n_fiber)
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError("torus values must be 2-d (beta x fiber)")
-        if self.values.shape[1] % 2:
-            raise ValueError("fiber size must be even")
-
-    @property
-    def n_beta(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_fiber(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return np.arange(self.n_beta) * TWO_PI / self.n_beta
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return np.arange(self.n_fiber) * TWO_PI / self.n_fiber
-
-
-# ---------------------------------------------------------------------------
-# the beta spectrum of torus functions
+# the torus chain on one beta spectrum
 # ---------------------------------------------------------------------------
 #
 # Extension, the fiberwise Hilbert transform, the scattering pullback and
 # restriction all commute with translations in beta, so each acts on every
-# beta frequency separately.  The private helpers below work on a beta
-# spectrum: one row per beta frequency in `freqs`, one column per uniform
-# fiber node.  A chain of them needs no FFT over beta between steps and
-# never forms rows that neither its input nor its output carries.  The
-# public TorusGrid operators are the same helpers between one FFT over beta
-# and one inverse FFT.
+# beta frequency separately.  The helpers below work on a beta spectrum:
+# one row per beta frequency in `freqs` (the FFT over beta divided by
+# n_beta), one column per uniform fiber node.  The chain needs no FFT over
+# beta between its steps and never forms rows its input does not carry.
 
 def _fiber_nodes(n_fiber: int):
     """Uniform fiber angles wrapped to [-pi, pi), and which are inward."""
@@ -106,98 +72,72 @@ def _scattering_phase(freqs, n_fiber: int, cp: CurvatureParam) -> np.ndarray:
 
 
 def _pullback_spectrum(spec: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Scattering pullback on the beta spectrum: fiber node alpha_j reads
-    node pi - alpha_j, shifted in beta by the phase."""
+    """Scattering pullback S^* on the beta spectrum: fiber node alpha_j
+    reads node pi - alpha_j, shifted in beta by the phase."""
     nf = spec.shape[1]
     flip = (nf // 2 - np.arange(nf)) % nf  # index of pi - alpha_j
     return spec[:, flip] * phase
 
 
-def _hilbert_fiber(values: np.ndarray, part: str) -> np.ndarray:
-    """Fiberwise Hilbert multiplier -i sign(m) along axis 1 (the fiber),
-    restricted to the even or odd fiber modes unless part is "full"."""
-    if part not in ("full", "even", "odd"):
-        raise ValueError("part must be 'full', 'even' or 'odd'")
+def _hilbert_fiber(values: np.ndarray) -> np.ndarray:
+    """Fiberwise Hilbert multiplier -i sign(m) on the odd fiber modes m
+    along axis 1; the even modes go to 0."""
     m = _beta_freqs(values.shape[1])
-    mult = -1j * np.sign(m)
-    if part == "even":
-        mult = np.where(m % 2 == 0, mult, 0.0)
-    elif part == "odd":
-        mult = np.where(m % 2 == 0, 0.0, mult)
+    mult = np.where(m % 2 == 0, 0.0, -1j * np.sign(m))
     return np.fft.ifft(np.fft.fft(values, axis=1) * mult[None, :], axis=1)
 
 
 def _minus_spectrum(spec: np.ndarray, phase: np.ndarray, scale: float) -> np.ndarray:
     """scale (id - S^*) H_- V on the beta spectrum, H_- the Hilbert
     transform on the odd fiber modes: C- has scale 1/2, P- scale 1."""
-    w = _hilbert_fiber(spec, "odd")
+    w = _hilbert_fiber(spec)
     return scale * (w - _pullback_spectrum(w, phase))
 
 
-def _on_beta_spectrum(tg: TorusGrid, cp: CurvatureParam, step) -> TorusGrid:
-    """Apply step(spectrum, scattering phase) to torus samples between one
-    FFT over beta and its inverse."""
-    spec = np.fft.fft(tg.values, axis=0)
-    out = step(spec, _scattering_phase(_beta_freqs(tg.n_beta), tg.n_fiber, cp))
-    return TorusGrid(kappa=tg.kappa, values=np.fft.ifft(out, axis=0))
-
-
-def _eval_spectrum(freqs, spec, alpha_targets, n_beta_out: int, beta_shift=None) -> np.ndarray:
-    """Evaluate a beta spectrum (Fourier coefficients, the FFT over beta
-    divided by n_beta) at the uniform output beta grid plus an optional
-    per-column shift, at one fiber angle per column, through the fiber
-    Fourier series.  Frequencies above the output's band are dropped."""
+def _eval_spectrum(freqs, spec, alpha_targets, n_beta_out: int) -> np.ndarray:
+    """Evaluate a beta spectrum at the uniform output beta grid, at one
+    fiber angle per column, through the fiber Fourier series.
+    Frequencies above the output's band are dropped."""
     keep = np.abs(freqs) <= n_beta_out // 2 - 1
     freqs, spec = freqs[keep], spec[keep]
     nf = spec.shape[1]
     fiber_phase = np.exp(1j * np.outer(_beta_freqs(nf), alpha_targets))  # (n_fiber, G)
-    cols = (np.fft.fft(spec, axis=1) / nf) @ fiber_phase
-    if beta_shift is not None:
-        cols *= np.exp(1j * np.outer(freqs, beta_shift))
-    out_spec = np.zeros((n_beta_out, cols.shape[1]), dtype=complex)
-    out_spec[freqs % n_beta_out] = cols
+    out_spec = np.zeros((n_beta_out, len(alpha_targets)), dtype=complex)
+    out_spec[freqs % n_beta_out] = (np.fft.fft(spec, axis=1) / nf) @ fiber_phase
     return np.fft.ifft(out_spec, axis=0, norm="forward")
 
 
-def _beta_spectrum(tg: TorusGrid):
-    """Beta frequencies and beta Fourier coefficients of torus samples."""
-    return _beta_freqs(tg.n_beta), np.fft.fft(tg.values, axis=0) / tg.n_beta
-
-
 # ---------------------------------------------------------------------------
-# extension and restriction across the scattering relation
+# extension across the scattering relation
 # ---------------------------------------------------------------------------
 
-def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int = 1024) -> TorusGrid:
-    """Extend an inward-bundle function to the torus.
+def _extension_spectrum(u, sign: float, cp: CurvatureParam, n_beta: int, n_fiber: int):
+    """Extension of an inward-bundle function u to the n_beta x n_fiber
+    torus, even (A_+, sign 1) or odd (A_-, sign -1) across the scattering
+    relation.  Returns (freqs, spec, phase): the beta frequencies, the
+    beta Fourier coefficients at the uniform fiber nodes and the
+    scattering phase on those rows.
 
-    parity "+" copies values across the scattering relation, "-" flips the
-    sign.  At inward fiber nodes the extension reproduces u exactly;
-    outward nodes evaluate u at the scattered (inward) coordinates, which
-    sit off the beta grid, hence u must be callable or interpolable.
+    Inward nodes carry u itself; an outward node carries sign times u at
+    the scattered inward coordinates, which sit off the beta grid.  A
+    grid u is read through its fiber plan: one barycentric pass gives its
+    beta spectrum at every fiber target, and outward columns take the
+    phase and the sign; only the frequencies below the torus's Nyquist
+    row are formed.  A callable is sampled on the torus and transformed
+    by one FFT over beta.
     """
-    if parity not in ("+", "-"):
-        raise ValueError("parity must be '+' or '-'")
-    sign = 1.0 if parity == "+" else -1.0
-    n_beta, n_fiber = _torus_shape(n_beta, n_fiber)
-
     alpha, inward = _fiber_nodes(n_fiber)
     if isinstance(u, BoundaryGrid):
-        # structured path: one barycentric pass gives u's beta spectrum at
-        # every fiber target, outward nodes take the scattering phase and
-        # the parity sign, and one inverse FFT over beta follows; only the
-        # frequencies the torus carries below its Nyquist row are formed
         targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
         if np.any(np.abs(targets) > HALF_PI + 1e-9):
             raise ValueError("scattered fiber node left the inward range")
         plan = _fiber_plan(u, cp)
         freqs = plan.freqs[np.abs(plan.freqs) <= n_beta // 2 - 1]
+        phase = _scattering_phase(freqs, n_fiber, cp)
         rows = plan.rows_at(np.clip(targets, -HALF_PI, HALF_PI))
         spec = (rows @ plan.nodal(u.values)).view(complex).T[freqs % len(u.beta)]
-        spec[:, ~inward] *= sign * _scattering_phase(freqs, n_fiber, cp)[:, ~inward]
-        spec_t = np.zeros((n_beta, n_fiber), dtype=complex)
-        spec_t[freqs % n_beta] = spec
-        return TorusGrid(kappa=cp.kappa, values=np.fft.ifft(spec_t, axis=0, norm="forward"))
+        spec[:, ~inward] *= sign * phase[:, ~inward]
+        return freqs, spec, phase
 
     if not callable(u):
         raise TypeError("expected a callable on (beta, alpha) or a BoundaryGrid")
@@ -208,44 +148,8 @@ def extend(u, parity: str, cp: CurvatureParam, n_beta: int = 256, n_fiber: int =
     a_out = alpha[~inward]
     shift = np.pi + 2.0 * sig(a_out, cp)
     vals[:, ~inward] = sign * u(bb + shift[None, :], wrap_pi(np.pi - a_out)[None, :])
-    return TorusGrid(kappa=cp.kappa, values=vals)
-
-
-def scattering_pullback(tg: TorusGrid, cp: CurvatureParam) -> TorusGrid:
-    """Pullback of torus samples under the scattering relation.
-
-    (S^* V)(beta, alpha) = V(beta + pi + 2 sig(alpha), pi - alpha); the
-    fiber part permutes grid nodes, the beta shift is a spectral phase.
-    """
-    return _on_beta_spectrum(tg, cp, _pullback_spectrum)
-
-
-def hilbert(tg: TorusGrid, part: str = "full") -> TorusGrid:
-    """Fiberwise Hilbert transform: multiplier -i sign(m), sign(0) = 0.
-
-    part "even"/"odd" first restricts to the even/odd fiber Fourier
-    modes (the full transform is the sum of the two restrictions).
-    """
-    return TorusGrid(kappa=tg.kappa, values=_hilbert_fiber(tg.values, part))
-
-
-def restrict_star(tg: TorusGrid, parity: str, cp: CurvatureParam, template: BoundaryGrid) -> BoundaryGrid:
-    """Restriction A_+/-^*: V(x) +/- V(S(x)) sampled on the inward template."""
-    if parity not in ("+", "-"):
-        raise ValueError("parity must be '+' or '-'")
-    sign = 1.0 if parity == "+" else -1.0
-    nb = len(template.beta)
-    freqs, spec = _beta_spectrum(tg)
-    direct = _eval_spectrum(freqs, spec, template.alpha, nb)
-    shift = np.pi + 2.0 * _fiber_plan(template, cp).s
-    scattered = _eval_spectrum(freqs, spec, np.pi - template.alpha, nb, shift)
-    return template.with_values(direct + sign * scattered)
-
-
-def _restrict_plain(tg: TorusGrid, template: BoundaryGrid) -> BoundaryGrid:
-    """Plain restriction of torus samples to the inward template nodes."""
-    freqs, spec = _beta_spectrum(tg)
-    return template.with_values(_eval_spectrum(freqs, spec, template.alpha, len(template.beta)))
+    freqs = _beta_freqs(n_beta)
+    return freqs, np.fft.fft(vals, axis=0) / n_beta, _scattering_phase(freqs, n_fiber, cp)
 
 
 # ---------------------------------------------------------------------------
@@ -263,34 +167,28 @@ def _torus_shape(n_beta, n_fiber):
     return nb, nf
 
 
-_c_minus_spectrum = partial(_minus_spectrum, scale=0.5)
-_p_minus_spectrum = partial(_minus_spectrum, scale=1.0)
-
-
-def c_minus_torus(tg: TorusGrid, cp: CurvatureParam) -> TorusGrid:
-    """Torus-level C-: (1/2)(id - S^*) H_- V.
-
-    If V is the odd extension of u, the result is the odd extension of
-    C- u, so applications chain without leaving the torus.
-    """
-    return _on_beta_spectrum(tg, cp, _c_minus_spectrum)
-
-
-def p_minus_torus(tg: TorusGrid, cp: CurvatureParam) -> TorusGrid:
-    """Torus-level P-: (id - S^*) H_- V for V the even extension of the input."""
-    return _on_beta_spectrum(tg, cp, _p_minus_spectrum)
+def _minus(u, sign: float, scale: float, cp: CurvatureParam, template: BoundaryGrid,
+           n_beta, n_fiber) -> BoundaryGrid:
+    """scale (id - S^*) H_- of the sign extension of u, at the template
+    nodes; grids built for another kappa than cp are rejected."""
+    _check_kappa(template, cp)
+    if isinstance(u, BoundaryGrid):
+        _check_kappa(u, cp)
+    freqs, spec, phase = _extension_spectrum(u, sign, cp, *_torus_shape(n_beta, n_fiber))
+    out = _minus_spectrum(spec, phase, scale)
+    return template.with_values(_eval_spectrum(freqs, out, template.alpha, len(template.beta)))
 
 
 def p_minus(w, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
             n_fiber: int | None = None) -> BoundaryGrid:
     """P- w = A_-^* H_- A_+ w on the template grid."""
-    return _restrict_plain(p_minus_torus(extend(w, "+", cp, n_beta, n_fiber), cp), template)
+    return _minus(w, 1.0, 1.0, cp, template, n_beta, n_fiber)
 
 
 def c_minus(u, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
             n_fiber: int | None = None) -> BoundaryGrid:
     """C- u = (1/2) A_-^* H_- A_- u on the template grid."""
-    return _restrict_plain(c_minus_torus(extend(u, "-", cp, n_beta, n_fiber), cp), template)
+    return _minus(u, -1.0, 0.5, cp, template, n_beta, n_fiber)
 
 
 def c_minus_rule(p: int, q: int) -> complex:
@@ -316,8 +214,10 @@ def sa_pullback(u: BoundaryGrid, cp: CurvatureParam) -> BoundaryGrid:
     """Pullback under the antipodal scattering relation, exact on the grid.
 
     alpha -> -alpha reverses the (symmetric) Gauss-Legendre nodes and the
-    beta shift pi + 2 sig(alpha) is applied on the beta spectrum.
+    beta shift pi + 2 sig(alpha) is applied on the beta spectrum.  A grid
+    built for another kappa than cp is rejected.
     """
+    _check_kappa(u, cp)
     if not np.allclose(u.alpha + u.alpha[::-1], 0.0, atol=1e-12):
         raise ValueError("alpha nodes must be symmetric about 0")
     plan = _fiber_plan(u, cp)
@@ -362,8 +262,8 @@ def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None
     frequency's range modes, applied as Q Q^H to one FFT over beta.  It is
     exact on the band (idempotent and self-adjoint in the grid's inner
     product) at every kappa in (-1, 1).  It equals id + C-^2, whose torus
-    composition A_-^* C-^2 A_- (`extend`, `c_minus_torus`,
-    `_restrict_plain`) is its slow oracle.
+    composition (the C- step applied twice to one extension spectrum) is
+    its slow oracle.
     """
     if isinstance(u, BoundaryGrid) and template is None:
         template = u

@@ -65,20 +65,8 @@ def read_sinogram_csv(path, template: BoundaryGrid) -> BoundaryGrid:
     The node coordinates in the file must match the template's nodes
     (same order, 1e-12 absolute); a mismatch is an error, not a resample.
     """
-    beta, alpha, re, im = _read_columns(path, ["beta", "alpha", "re", "im"])
-    nb, na = template.shape
-    if len(re) != nb * na:
-        raise ValueError(
-            f"sinogram has {len(re)} rows, template expects {nb * na}"
-        )
-    bfile = np.asarray(beta).reshape(nb, na)
-    afile = np.asarray(alpha).reshape(nb, na)
-    if not (
-        np.allclose(bfile, template.beta[:, None], atol=1e-12, rtol=0)
-        and np.allclose(afile, template.alpha[None, :], atol=1e-12, rtol=0)
-    ):
-        raise ValueError("sinogram nodes do not match the configured grid")
-    return template.with_values(_complex(re, im).reshape(nb, na))
+    return _read_grid_csv(path, template, ["beta", "alpha", "re", "im"], template.beta,
+                          template.alpha, ("sinogram", "sinogram"))
 
 
 def write_diskgrid_csv(path, grid: DiskGrid) -> None:
@@ -86,18 +74,26 @@ def write_diskgrid_csv(path, grid: DiskGrid) -> None:
 
 
 def read_diskgrid_csv(path, template: DiskGrid) -> DiskGrid:
-    rho, omega, re, im = _read_columns(path, ["rho", "omega", "re", "im"])
-    nr, no = template.shape
-    if len(re) != nr * no:
-        raise ValueError(f"disk grid has {len(re)} rows, template expects {nr * no}")
-    rfile = np.asarray(rho).reshape(nr, no)
-    ofile = np.asarray(omega).reshape(nr, no)
+    return _read_grid_csv(path, template, ["rho", "omega", "re", "im"], template.rho,
+                          template.omega, ("disk grid", "disk"))
+
+
+def _read_grid_csv(path, template, header, outer, inner, what):
+    """Values of a grid file on the template's nodes `outer` x `inner`.
+
+    The file's coordinates must be those nodes, row-major, to 1e-12
+    absolute.  `what` names the grid in the row-count and node messages.
+    """
+    c_outer, c_inner, re, im = _read_columns(path, header)
+    shape = template.shape
+    if len(re) != shape[0] * shape[1]:
+        raise ValueError(f"{what[0]} has {len(re)} rows, template expects {shape[0] * shape[1]}")
     if not (
-        np.allclose(rfile, template.rho[:, None], atol=1e-12, rtol=0)
-        and np.allclose(ofile, template.omega[None, :], atol=1e-12, rtol=0)
+        np.allclose(np.asarray(c_outer).reshape(shape), outer[:, None], atol=1e-12, rtol=0)
+        and np.allclose(np.asarray(c_inner).reshape(shape), inner[None, :], atol=1e-12, rtol=0)
     ):
-        raise ValueError("disk nodes do not match the configured grid")
-    return template.with_values(_complex(re, im).reshape(nr, no))
+        raise ValueError(f"{what[1]} nodes do not match the configured grid")
+    return template.with_values(_complex(re, im).reshape(shape))
 
 
 def _complex(re, im) -> np.ndarray:

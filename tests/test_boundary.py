@@ -1,4 +1,4 @@
-"""Boundary operators: extensions, Hilbert transform, P-/C-, projection."""
+"""Boundary operators: the torus chain, P-/C-, projection, moments."""
 
 import tracemalloc
 
@@ -37,142 +37,135 @@ def random_table_fn(maker, indices, seed, cp=CP):
     return fn, coef
 
 
+def torus_axes(n_beta, n_fiber):
+    return np.arange(n_beta) * 2 * np.pi / n_beta, np.arange(n_fiber) * 2 * np.pi / n_fiber
+
+
+def torus_values(freqs, spec, n_beta):
+    """Torus samples of a beta spectrum: its rows placed by frequency,
+    then one inverse FFT over beta."""
+    full = np.zeros((n_beta, spec.shape[1]), complex)
+    full[freqs % n_beta] = spec
+    return np.fft.ifft(full, axis=0, norm="forward")
+
+
+def extension(u, sign, cp=CP, n_beta=128, n_fiber=512):
+    """Torus samples of the even (sign 1) or odd (sign -1) extension."""
+    freqs, spec, _ = boundary._extension_spectrum(u, sign, cp, n_beta, n_fiber)
+    return torus_values(freqs, spec, n_beta)
+
+
 class TestExtend:
     def test_constant_even(self):
-        tg = boundary.extend(lambda b, a: np.ones(np.shape(b), complex), "+", CP, 32, 64)
-        assert np.max(np.abs(tg.values - 1)) < 1e-13
+        vals = extension(lambda b, a: np.ones(np.shape(b), complex), 1.0, CP, 32, 64)
+        assert np.max(np.abs(vals - 1)) < 1e-13
 
     def test_constant_odd(self):
-        tg = boundary.extend(lambda b, a: np.ones(np.shape(b), complex), "-", CP, 32, 64)
-        alpha = wrap_pi(tg.alpha)
+        vals = extension(lambda b, a: np.ones(np.shape(b), complex), -1.0, CP, 32, 64)
+        alpha = wrap_pi(torus_axes(32, 64)[1])
         inward = np.abs(alpha) <= np.pi / 2 + 1e-12
-        assert np.allclose(tg.values[:, inward], 1.0)
-        assert np.allclose(tg.values[:, ~inward], -1.0)
+        assert np.allclose(vals[:, inward], 1.0)
+        assert np.allclose(vals[:, ~inward], -1.0)
 
     def test_inward_restriction_exact(self):
         grid = template()
         bb, aa = grid.mesh()
         grid = grid.with_values(basis.u_prime(2, 3, bb, aa, CP))
-        tg = boundary.extend(grid, "-", CP, **TORUS)
-        alpha = wrap_pi(tg.alpha)
+        vals = extension(grid, -1.0, **TORUS)
+        beta, alpha = torus_axes(**TORUS)
+        alpha = wrap_pi(alpha)
         inward = np.abs(alpha) <= np.pi / 2
-        want = basis.u_prime(2, 3, tg.beta[:, None], alpha[None, inward], CP)
-        assert np.max(np.abs(tg.values[:, inward] - want)) < 1e-9
+        want = basis.u_prime(2, 3, beta[:, None], alpha[None, inward], CP)
+        assert np.max(np.abs(vals[:, inward] - want)) < 1e-9
 
     def test_odd_extension_reproduces_global_family(self):
         # u' is scattering-odd, so its odd extension is the global formula
-        tg = boundary.extend(u_fn(-3, 2), "-", CP, **TORUS)
-        want = basis.u_prime(-3, 2, tg.beta[:, None], tg.alpha[None, :], CP)
-        assert np.max(np.abs(tg.values - want)) < 1e-12
+        vals = extension(u_fn(-3, 2), -1.0, **TORUS)
+        beta, alpha = torus_axes(**TORUS)
+        want = basis.u_prime(-3, 2, beta[:, None], alpha[None, :], CP)
+        assert np.max(np.abs(vals - want)) < 1e-12
 
     def test_even_extension_reproduces_global_family(self):
-        tg = boundary.extend(v_fn(2, -1), "+", CP, **TORUS)
-        want = basis.v_prime(2, -1, tg.beta[:, None], tg.alpha[None, :], CP)
-        assert np.max(np.abs(tg.values - want)) < 1e-12
+        vals = extension(v_fn(2, -1), 1.0, **TORUS)
+        beta, alpha = torus_axes(**TORUS)
+        want = basis.v_prime(2, -1, beta[:, None], alpha[None, :], CP)
+        assert np.max(np.abs(vals - want)) < 1e-12
 
     def test_symmetries_on_torus(self):
         # scattering pullback acts as -1 on odd-extended u', +1 on even-extended v'
-        tg = boundary.extend(u_fn(1, 3), "-", CP, **TORUS)
-        pulled = boundary.scattering_pullback(tg, CP)
-        assert np.max(np.abs(pulled.values + tg.values)) < 1e-11
-        tg2 = boundary.extend(v_fn(1, 3), "+", CP, **TORUS)
-        pulled2 = boundary.scattering_pullback(tg2, CP)
-        assert np.max(np.abs(pulled2.values - tg2.values)) < 1e-11
+        for fn, sign in ((u_fn(1, 3), -1.0), (v_fn(1, 3), 1.0)):
+            freqs, spec, phase = boundary._extension_spectrum(fn, sign, CP, **TORUS)
+            pulled = boundary._pullback_spectrum(spec, phase)
+            assert np.max(np.abs(torus_values(freqs, pulled - sign * spec, 128))) < 1e-11
 
     def test_pullback_involution(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(size=(32, 64)) + 1j * rng.normal(size=(32, 64))
-        tg = boundary.TorusGrid(kappa=CP.kappa, values=vals)
-        back = boundary.scattering_pullback(boundary.scattering_pullback(tg, CP), CP)
-        assert np.max(np.abs(back.values - vals)) < 1e-12
-
-    def test_bad_parity_rejected(self):
-        with pytest.raises(ValueError):
-            boundary.extend(u_fn(0, 0), "x", CP, 16, 32)
+        freqs = np.fft.fftfreq(32, 1.0 / 32).astype(int)
+        phase = boundary._scattering_phase(freqs, 64, CP)
+        pull = lambda spec: boundary._pullback_spectrum(spec, phase)
+        back = torus_values(freqs, pull(pull(np.fft.fft(vals, axis=0) / 32)), 32)
+        assert np.max(np.abs(back - vals)) < 1e-12
 
 
 class TestRestrictStar:
+    # A_+^* / A_-^* V = V +/- S^* V at the inward template nodes, from the
+    # chain's pullback and evaluation helpers
+
+    @staticmethod
+    def restrict_star(freqs, spec, phase, sign, tpl):
+        both = spec + sign * boundary._pullback_spectrum(spec, phase)
+        return tpl.with_values(boundary._eval_spectrum(freqs, both, tpl.alpha, len(tpl.beta)))
+
     def test_even_round_trip_doubles(self):
         # A_+^* A_+ u = 2 u on inward nodes
         tpl = template()
         bb, aa = tpl.mesh()
         fn = v_fn(2, 1)
-        tg = boundary.extend(fn, "+", CP, **TORUS)
-        got = boundary.restrict_star(tg, "+", CP, tpl)
+        got = self.restrict_star(*boundary._extension_spectrum(fn, 1.0, CP, **TORUS), 1.0, tpl)
         assert np.max(np.abs(got.values - 2 * fn(bb, aa))) < 1e-10
 
     def test_odd_round_trip_doubles(self):
         tpl = template()
         bb, aa = tpl.mesh()
         fn = u_fn(1, 2)
-        tg = boundary.extend(fn, "-", CP, **TORUS)
-        got = boundary.restrict_star(tg, "-", CP, tpl)
+        got = self.restrict_star(*boundary._extension_spectrum(fn, -1.0, CP, **TORUS), -1.0, tpl)
         assert np.max(np.abs(got.values - 2 * fn(bb, aa))) < 1e-10
 
     def test_mixed_parity_annihilates(self):
         # A_-^* of a scattering-even torus function vanishes
         tpl = template()
-        tg = boundary.extend(v_fn(2, 1), "+", CP, **TORUS)
-        got = boundary.restrict_star(tg, "-", CP, tpl)
+        ext = boundary._extension_spectrum(v_fn(2, 1), 1.0, CP, **TORUS)
+        got = self.restrict_star(*ext, -1.0, tpl)
         assert np.max(np.abs(got.values)) < 1e-10
-
-    def test_odd_fiber_restriction_is_antipodally_even(self):
-        # A_-^* U lands in the antipodally symmetric subspace whenever U
-        # has only odd fiber modes
-        rng = np.random.default_rng(3)
-        nb, nf = 64, 128
-        m = np.fft.fftfreq(nf, 1.0 / nf).astype(int)
-        spec = rng.normal(size=(nb, nf)) + 1j * rng.normal(size=(nb, nf))
-        spec[:, m % 2 == 0] = 0.0
-        spec[:, np.abs(m) > 20] = 0.0  # keep it resolved
-        spec[np.abs(np.fft.fftfreq(nb, 1.0 / nb).astype(int)) > 10, :] = 0.0
-        tg = boundary.TorusGrid(kappa=CP.kappa, values=np.fft.ifft2(spec * nb * nf))
-        tpl = template()
-        got = boundary.restrict_star(tg, "-", CP, tpl)
-        pulled = boundary.sa_pullback(got, CP)
-        assert tpl.with_values(got.values - pulled.values).norm() / got.norm() < 1e-10
 
 
 class TestHilbert:
+    # the odd-mode multiplier the operators use: -i sign(m) on odd fiber
+    # modes m, 0 on the even ones
+
     def test_single_positive_mode(self):
         vals = np.exp(1j * np.arange(64) * 2 * np.pi / 64)[None, :] * np.ones((4, 1))
-        tg = boundary.TorusGrid(kappa=0.0, values=vals)
-        got = boundary.hilbert(tg)
-        assert np.max(np.abs(got.values + 1j * vals)) < 1e-13
+        got = boundary._hilbert_fiber(vals)
+        assert np.max(np.abs(got + 1j * vals)) < 1e-13
 
     def test_cosine_to_sine(self):
         a = np.arange(128) * 2 * np.pi / 128
-        tg = boundary.TorusGrid(kappa=0.0, values=np.cos(a)[None, :] * np.ones((2, 1)))
-        got = boundary.hilbert(tg)
-        assert np.max(np.abs(got.values - np.sin(a)[None, :])) < 1e-13
+        got = boundary._hilbert_fiber(np.cos(a)[None, :] * np.ones((2, 1)))
+        assert np.max(np.abs(got - np.sin(a)[None, :])) < 1e-13
 
     def test_sign_zero_kills_mean(self):
-        tg = boundary.TorusGrid(kappa=0.0, values=np.full((2, 16), 3.0 + 0j))
-        assert np.max(np.abs(boundary.hilbert(tg).values)) < 1e-14
-
-    def test_parity_restrictions_sum_to_full(self):
-        rng = np.random.default_rng(1)
-        vals = rng.normal(size=(8, 64)) + 1j * rng.normal(size=(8, 64))
-        tg = boundary.TorusGrid(kappa=0.0, values=vals)
-        full = boundary.hilbert(tg, "full").values
-        even = boundary.hilbert(tg, "even").values
-        odd = boundary.hilbert(tg, "odd").values
-        assert np.max(np.abs(full - even - odd)) < 1e-12
+        assert np.max(np.abs(boundary._hilbert_fiber(np.full((2, 16), 3.0 + 0j)))) < 1e-14
 
     def test_phi_prime_eigenfunction(self):
-        # grid operator version of the fiberwise eigenrelation
+        # grid operator version of the fiberwise eigenrelation, on the
+        # global formula of phi'
+        beta, alpha = torus_axes(64, 1024)
         for p, q in [(0, 0), (2, -3), (-5, 6), (6, -6)]:
-            tg = boundary.extend(
-                lambda beta, alpha, p=p, q=q: basis.phi_prime(p, q, beta, alpha, CP),
-                "-", CP, 64, 1024,
-            )
-            # phi' is scattering-odd only in combination; extend via its
-            # global formula instead to test H alone
-            vals = basis.phi_prime(p, q, tg.beta[:, None], tg.alpha[None, :], CP)
-            tg = boundary.TorusGrid(kappa=CP.kappa, values=vals)
-            got = boundary.hilbert(tg, "odd")
+            vals = basis.phi_prime(p, q, beta[:, None], alpha[None, :], CP)
+            got = boundary._hilbert_fiber(vals)
             want = -1j * np.sign(2 * q + 1) * vals
-            assert np.max(np.abs(got.values - want)) < 1e-8
+            assert np.max(np.abs(got - want)) < 1e-8
 
 
 class TestOperatorRules:
@@ -250,6 +243,40 @@ class TestOperatorRules:
         pw = boundary.p_minus(fn_v, CP, tpl, **TORUS)
         pulled = boundary.sa_pullback(pw, CP)
         assert tpl.with_values(pw.values - pulled.values).norm() / pw.norm() < 1e-8
+
+    @pytest.mark.parametrize("kappa", [-0.8, 0.0, 0.5])
+    def test_grid_and_callable_inputs_agree(self, kappa):
+        # the grid extension (barycentric in s through the fiber plan)
+        # against the callable one (sampled on the torus); they agree to
+        # 1.0e-14 here
+        cp = CurvatureParam(kappa)
+        tpl = template(cp)
+        bb, aa = tpl.mesh()
+        for p, q in [(0, 0), (2, 3), (-3, 1), (4, -2)]:
+            for op, fn in ((boundary.c_minus, u_fn(p, q, cp)), (boundary.p_minus, v_fn(p, q, cp))):
+                u = fn(bb, aa)
+                got = op(tpl.with_values(u), cp, tpl, 128, 1024).values
+                want = op(fn, cp, tpl, 128, 1024).values
+                assert np.max(np.abs(got - want)) / max(np.max(np.abs(u)), 1.0) < 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda u, cp: boundary.c_minus(u, cp, template(cp), **TORUS),
+        lambda u, cp: boundary.p_minus(u, cp, template(cp), **TORUS),
+        lambda u, cp: boundary.c_minus(u_fn(1, 2, cp), cp, u, **TORUS),
+        lambda u, cp: boundary.p_minus(v_fn(1, 2, cp), cp, u, **TORUS),
+        lambda u, cp: boundary.sa_pullback(u, cp),
+        lambda u, cp: boundary.symmetrize(u, cp),
+    ], ids=["c_minus", "p_minus", "c_minus-template", "p_minus-template", "sa_pullback",
+            "symmetrize"])
+    def test_rejects_grid_of_other_kappa(self, call):
+        # read at cp kappa -0.5, a kappa 0.4 grid of u'(1, 2) gave a C- u
+        # of max 0.94 and a pullback labelled 0.4, and symmetrize reported
+        # an odd norm of 2.98 for this antipodally even input
+        grid_cp = CurvatureParam(0.4)
+        u = template(grid_cp)
+        u = u.with_values(u_fn(1, 2, grid_cp)(*u.mesh()))
+        with pytest.raises(ValueError, match="kappa=0.4 does not match cp kappa=-0.5"):
+            call(u, CurvatureParam(-0.5))
 
 
 class TestProjection:
@@ -374,8 +401,6 @@ class TestProjection:
         for op in (boundary.c_minus, boundary.p_minus):
             with pytest.raises(ValueError, match="torus size"):
                 op(u, CP, tpl, n_beta=nb, n_fiber=nf)
-        with pytest.raises(ValueError, match="torus size"):
-            boundary.extend(u, "-", CP, nb, nf)
 
     def test_rejects_grid_without_a_band(self):
         # two alpha nodes do not even hold n = 0 orthonormal
@@ -579,8 +604,8 @@ class TestSpectralMomentsOracle:
 
 class TestSpectralProjector:
     """project_to_range is the exact orthogonal projector onto the range
-    modes the grid resolves; the public torus chain A_-^* C-^2 A_- is its
-    slow oracle."""
+    modes the grid resolves; the torus chain A_-^* C-^2 A_- is its slow
+    oracle."""
 
     @staticmethod
     def mixed(cp, tpl, seed):
@@ -611,9 +636,9 @@ class TestSpectralProjector:
         u = self.band_limited(cp, xray.boundary_grid(cp, 64, 48), 3)
         got = boundary.project_to_range(u, cp)
         u_even, removed = boundary.symmetrize(u, cp)
-        tg = boundary.extend(u_even, "-", cp, nb, nf)
-        cc = boundary.c_minus_torus(boundary.c_minus_torus(tg, cp), cp)
-        want = u_even.values + boundary._restrict_plain(cc, u).values
+        freqs, spec, phase = boundary._extension_spectrum(u_even, -1.0, cp, nb, nf)
+        cc = boundary._minus_spectrum(boundary._minus_spectrum(spec, phase, 0.5), phase, 0.5)
+        want = u_even.values + boundary._eval_spectrum(freqs, cc, u.alpha, len(u.beta))
         assert np.linalg.norm(got.projected.values - want) <= tol * np.linalg.norm(want)
         assert got.removed_odd_norm == removed
 

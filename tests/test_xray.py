@@ -855,7 +855,7 @@ class TestFiberPlan:
 
     def test_every_grid_path_reads_one_plan(self, monkeypatch):
         # a cold adjoint plan builds the grid's fiber plan without its Gram
-        # scan; the interpolant, extend, analyze and the pullbacks then read
+        # scan; the interpolant, c_minus, analyze and the pullback then read
         # that same plan, and nothing else takes sig of the grid's nodes
         cp = CurvatureParam(0.4)
         grid = psi_sinogram(cp)
@@ -869,8 +869,7 @@ class TestFiberPlan:
             monkeypatch.setattr(module, "sig", lambda a, c, sig=module.sig: seen.append(a) or sig(a, c))
         rng = np.random.default_rng(3)
         grid.interpolant()(rng.uniform(0, 2 * np.pi, 8), rng.uniform(-1.5, 1.5, 8))
-        tg = boundary.extend(grid, "-", cp, 32, 64)
-        boundary.restrict_star(tg, "-", cp, grid)
+        boundary.c_minus(grid, cp, grid, 32, 64)
         boundary.sa_pullback(grid, cp)
         xray.analyze(grid, 6, cp)
         assert "gram" in vars(plan)
