@@ -10,11 +10,23 @@ holds the whole file as text.  Coefficient tables are JSON documents
 ...]}`` with integer ``nmax``, ``n``, ``k`` and numeric ``kappa``, ``re``,
 ``im``.  All floats are written with 17 significant digits so values
 round-trip bit-exactly, signed zeros included.
+
+The grid writers' bytes: each field is exactly ``b"%.17g" % value``
+(C99 ``%g``: fixed notation for decimal exponents -4..16, else
+``d.ddde+XX``, trailing zeros stripped), fields are joined by commas
+and rows end in CRLF, as `csv.writer` over `fmt` writes them.  A numpy
+kernel (`_g17`) formats the fields; NaN, inf, decimal exponents beyond
++-280 and values within 1e-6 of a rounding tie in the 17th digit are
+formatted by Python's ``%``.  The grid readers compare a file's node
+columns with that text of the template's nodes and then parse only the
+value columns; a file with any other node text is parsed as numbers
+and its nodes checked to 1e-12, so both paths accept the same files.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 
@@ -24,7 +36,7 @@ from .basis import CoeffTable, _NonFiniteValues
 from .geometry import CurvatureParam
 from .xray import BoundaryGrid, DiskGrid
 
-_BLOCK_ROWS = 4096  # grid CSV rows formatted per write
+_BLOCK_ROWS = 2048  # grid CSV rows formatted per write
 
 
 def fmt(x: float) -> str:
@@ -36,23 +48,193 @@ def _write_grid_csv(path, header, outer, inner, values) -> None:
 
     Its bytes are those of `fmt` on each field joined by `csv.writer`
     (comma, CRLF, nothing to quote).  Each distinct coordinate is
-    formatted once and the row prefixes are joined from those; rows are
-    formatted and written `_BLOCK_ROWS` at a time, so the writer holds
-    one block of text, not the whole file.
+    formatted once and drawn row by row from two iterators over those
+    texts; the values are formatted by `_g17` and rows are written
+    `_BLOCK_ROWS` at a time, so the writer holds one block of text, not
+    the whole file.
     """
-    outer_s = ["%.17g," % x for x in outer.tolist()]
-    inner_s = ["%.17g," % x for x in inner.tolist()]
-    prefixes = (o + i for o in outer_s for i in inner_s)
+    outer_s = _g17(outer, b",").tolist()
+    inner_s = _g17(inner, b",").tolist()
+    outer_col = itertools.chain.from_iterable(itertools.repeat(o, len(inner_s)) for o in outer_s)
+    inner_col = itertools.cycle(inner_s)
     flat = values.ravel()
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
         for start in range(0, flat.size, _BLOCK_ROWS):
             block = flat[start:start + _BLOCK_ROWS]
-            fields = [None] * (3 * block.size)
-            fields[0::3] = itertools.islice(prefixes, block.size)
-            fields[1::3] = block.real.tolist()
-            fields[2::3] = block.imag.tolist()
-            fh.write("%s%.17g,%.17g\r\n" * block.size % tuple(fields))
+            fields = [None] * (4 * block.size)
+            fields[0::4] = itertools.islice(outer_col, block.size)
+            fields[1::4] = itertools.islice(inner_col, block.size)
+            fields[2::4] = _g17(block.real, b",").tolist()
+            fields[3::4] = _g17(block.imag, b"\r\n").tolist()
+            fh.write(b"".join(fields))
+
+
+# The %.17g kernel.  For finite x != 0 with decimal exponent e, C99's
+# "%.17g" prints the 17 significant digits D = round-half-even(|x| *
+# 10**(16 - e)), in [10**16, 10**17), in fixed notation when -4 <= e < 17
+# and as d.ddde+XX otherwise, with trailing zeros (and a bare point)
+# stripped.  D is found from a double-double product |x| * 10**k: the
+# Veltkamp/Dekker two-product (no fused multiply-add) against a
+# double-double table of 10**k, relative error about 2**-104, so about
+# 1e-14 in units of D's last digit.  A product within 1e-6 of a
+# half-integer could round the wrong way and is left to Python, as are
+# NaN, inf and exponents outside the table.
+# Within decimal exponents -280..280 the splits below neither overflow nor
+# lose their low parts to subnormals.
+_E_MIN, _E_MAX = -280, 280
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for 53-bit doubles
+_TIE = 1e-6  # distance from a rounding tie, in units of D's last digit, left to Python
+_TEXT_WIDTH = 24  # longest %.17g text: "-1.2345678901234567e-308"
+
+
+def _two_prod(a, b):
+    """p + err == a * b exactly (Dekker), for a, b whose products by
+    `_SPLIT` do not overflow."""
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    c = _SPLIT * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@functools.cache
+def _g17_tables():
+    """Constant tables of `_g17`, built on first use (under 1 ms).
+
+    ``pow_hi + pow_lo`` is 10**k for k = 16 - e, e from `_E_MAX` down to
+    `_E_MIN`: an exactly rounded anchor 10**(23 a) times the exact double
+    10**b, k = 23 a + b.  ``digits4[i]`` is the four ASCII digits of i as
+    one little-endian uint32, ``trailing0[i]`` their trailing zero count.
+    ``layout[key]`` lists, for each output byte, its byte in a value's
+    28-byte pool; ``length[key]`` is the text length.  The key is (sign,
+    form, number of significant digits), the form one of the 21 fixed
+    exponents -4..16, or scientific with a 2- or 3-digit exponent.
+    """
+    ks = np.arange(16 - _E_MAX, 16 - _E_MIN + 1)
+    a, b = np.divmod(ks, 23)
+    anchors = []
+    for n in range(a.min(), a.max() + 1):
+        if n >= 0:
+            p = 10 ** (23 * n)
+            hi = float(p)
+            anchors.append((hi, float(p - int(hi))))
+        else:
+            q = 10 ** (-23 * n)
+            hi = 1 / q  # int / int is correctly rounded
+            m, d = hi.as_integer_ratio()
+            anchors.append((hi, (d - m * q) / (d * q)))
+    anchors = np.array(anchors)[a - a.min()]
+    scale = 10.0 ** b
+    p, err = _two_prod(anchors[:, 0], scale)
+    err += anchors[:, 1] * scale
+    pow_hi = p + err
+    pow_lo = err - (pow_hi - p)
+    digits4 = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    trailing0 = np.zeros(10000, dtype=np.int64)
+    for z in range(1, 5):
+        trailing0[::10 ** z] = z
+    # pool bytes: 0..15 digits 2..17 of D, 16 its first digit, 17 '.', 18 '0',
+    # 19 'e', 20 the exponent's sign, 21..23 its three digits, 24 '-', 25 null
+    digit = "\x10" + "".join(map(chr, range(16)))
+    texts = []
+    for form in range(23):
+        for nd in range(1, 18):
+            if form > 20:
+                text = digit[0] + ("\x11" + digit[1:nd] if nd > 1 else "") + "\x13\x14" + \
+                    ("\x16\x17" if form == 21 else "\x15\x16\x17")
+            elif form >= 4:
+                text = digit[:form - 3] + ("\x11" + digit[form - 3:nd] if nd > form - 3 else "")
+            else:
+                text = "\x12\x11" + "\x12" * (3 - form) + digit[:nd]
+            texts.append(text)
+    pos = np.frombuffer("".join(t.ljust(_TEXT_WIDTH + 2, "\x19") for t in texts).encode(),
+                        np.uint8).reshape(len(texts), -1)
+    neg = np.concatenate([np.full((len(texts), 1), 24, np.uint8), pos[:, :-1]], axis=1)
+    length = np.array([len(t) for t in texts])
+    return {
+        "pow_hi": pow_hi, "pow_lo": pow_lo, "trailing0": trailing0,
+        "digits4": np.ascontiguousarray(digits4).view("<u4").ravel(),
+        "layout": np.concatenate([pos, neg]).astype(np.intp),
+        "length": np.concatenate([length, length + 1]),
+    }
+
+
+def _g17_digits(ax, e, tab):
+    """D = round-half-even(ax * 10**(16 - e)) as int64, whether the
+    product is below 10**16, and whether it lies within `_TIE` of a
+    half-integer."""
+    k = _E_MAX - e
+    p, err = _two_prod(ax, tab["pow_hi"][k])
+    err += ax * tab["pow_lo"][k]
+    whole = np.floor(p)
+    rest = (p - whole) + err
+    carry = np.floor(rest)
+    frac = rest - carry
+    floor = whole.astype(np.int64) + carry.astype(np.int64)
+    return floor + (frac > 0.5), floor < 10 ** 16, np.abs(frac - 0.5) < _TIE
+
+
+def _g17(x, end=b""):
+    """``b"%.17g" % v + end`` for each v of the float array x, as a 1-D
+    null-padded bytes array (``tolist()`` gives the bytes objects).
+
+    `end` is at most two bytes.  NaN, inf, exponents outside the table
+    and near-ties are formatted by Python; all else, zeros included, by
+    the vectorised kernel described above.
+    """
+    tab = _g17_tables()
+    x = np.asarray(x, dtype=float).ravel()
+    ax = np.abs(x)
+    zero = ax == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(np.where(zero, 1.0, ax)))
+    slow = ~((e >= _E_MIN) & (e <= _E_MAX))
+    e = np.where(slow, 0, e).astype(np.int64)
+    ax = np.where(slow | zero, 1.0, ax)  # a zero is formatted as 1, then its digit set to 0
+    d, below, tie = _g17_digits(ax, e, tab)
+    off = below | (d >= 10 ** 17)
+    if off.any():  # floor(log10) missed the decade, or D rounded up into the next one
+        i = np.flatnonzero(off)
+        e2 = e[i] + np.where(below[i], -1, 1)
+        inside = (e2 >= _E_MIN) & (e2 <= _E_MAX)
+        d2, _, tie2 = _g17_digits(ax[i], np.where(inside, e2, 0), tab)
+        # below 10**16 with a D at e - 1 that rounds up to 10**17: e was right, D is 10**16
+        take = inside & (d2 < 10 ** 17)
+        e[i[take]], d[i[take]], tie[i[take]] = e2[take], d2[take], tie2[take]
+        slow[i[~inside]] = True
+    slow |= tie | (d < 10 ** 16) | (d >= 10 ** 17)
+    n = x.size
+    groups = np.empty((n, 4), dtype=np.int64)
+    first, rest = np.divmod(d, 10 ** 16)
+    hi, lo = np.divmod(rest, 10 ** 8)
+    groups[:, 0], groups[:, 1] = np.divmod(hi, 10 ** 4)
+    groups[:, 2], groups[:, 3] = np.divmod(lo, 10 ** 4)
+    pool = np.empty((n, 7), dtype="<u4")
+    pool[:, :4] = tab["digits4"][groups]
+    pool[:, 4] = first + np.where(zero, ord("0") - 1, ord("0")) + int.from_bytes(b"\0.0e", "little")
+    ae = np.abs(e)
+    pool[:, 5] = (tab["digits4"][ae] & 0xFFFFFF00) | np.where(e < 0, ord("-"), ord("+"))
+    pool[:, 6] = ord("-")
+    zeros = tab["trailing0"][groups[:, 3]]
+    for j in (2, 1, 0):
+        zeros += np.where(zeros == 4 * (3 - j), tab["trailing0"][groups[:, j]], 0)
+    form = np.where((e >= -4) & (e <= 16), e + 4, np.where(ae < 100, 21, 22))
+    key = (np.signbit(x) * 23 + form) * 17 + 16 - zeros
+    pool = pool.view(np.uint8)
+    idx = np.take(tab["layout"], key, axis=0)
+    idx += np.arange(0, pool.size, pool.shape[1])[:, None]
+    out = np.take(pool, idx)
+    rows, length = np.arange(n), tab["length"][key]
+    for j, c in enumerate(end):
+        out[rows, length + j] = c
+    for i in np.flatnonzero(slow):
+        text = b"%.17g" % x[i] + end
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out.view(f"S{out.shape[1]}").ravel()
 
 
 def write_sinogram_csv(path, grid: BoundaryGrid) -> None:
@@ -83,17 +265,52 @@ def _read_grid_csv(path, template, header, outer, inner, what):
 
     The file's coordinates must be those nodes, row-major, to 1e-12
     absolute.  `what` names the grid in the row-count and node messages.
+    A file whose node columns are the nodes' `%.17g` text, byte for byte
+    (as the writers make them), has only its value columns parsed as
+    floats; any other file goes through `_read_columns` and the numeric
+    node check, so both accept and reject the same files.
     """
-    c_outer, c_inner, re, im = _read_columns(path, header)
+    values = _read_canonical_values(path, header, outer, inner)
     shape = template.shape
-    if len(re) != shape[0] * shape[1]:
-        raise ValueError(f"{what[0]} has {len(re)} rows, template expects {shape[0] * shape[1]}")
-    if not (
-        np.allclose(np.asarray(c_outer).reshape(shape), outer[:, None], atol=1e-12, rtol=0)
-        and np.allclose(np.asarray(c_inner).reshape(shape), inner[None, :], atol=1e-12, rtol=0)
-    ):
-        raise ValueError(f"{what[1]} nodes do not match the configured grid")
-    return template.with_values(_complex(re, im).reshape(shape))
+    if values is None:
+        c_outer, c_inner, re, im = _read_columns(path, header)
+        if len(re) != shape[0] * shape[1]:
+            raise ValueError(f"{what[0]} has {len(re)} rows, template expects {shape[0] * shape[1]}")
+        if not (
+            np.allclose(np.asarray(c_outer).reshape(shape), outer[:, None], atol=1e-12, rtol=0)
+            and np.allclose(np.asarray(c_inner).reshape(shape), inner[None, :], atol=1e-12, rtol=0)
+        ):
+            raise ValueError(f"{what[1]} nodes do not match the configured grid")
+        values = re, im
+    return template.with_values(_complex(*values).reshape(shape))
+
+
+# a grid row with its node columns kept as text; one byte wider than the
+# longest %.17g text, so a token that extends a node's text never equals it
+_NODE_TEXT_ROW = np.dtype([("outer", f"S{_TEXT_WIDTH + 1}"), ("inner", f"S{_TEXT_WIDTH + 1}"),
+                           ("re", float), ("im", float)])
+
+
+def _read_canonical_values(path, names, outer, inner):
+    """(re, im) of a grid file whose node columns are exactly the `%.17g`
+    text of `outer` x `inner`, row-major; None for any other file."""
+    with open(path, "rb") as raw:  # a text field drops trailing NULs, which float() rejects
+        if any(b"\0" in chunk for chunk in iter(functools.partial(raw.read, 1 << 16), b"")):
+            return None
+    with open(path, newline="") as fh:
+        if _body_offset(fh, path, names) is None:
+            return None
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=_NODE_TEXT_ROW, ndmin=1)
+        except ValueError:
+            return None
+    shape = (outer.size, inner.size)
+    if data.size != outer.size * inner.size:
+        return None
+    if not ((data["outer"].reshape(shape) == _g17(outer)[:, None]).all()
+            and (data["inner"].reshape(shape) == _g17(inner)[None, :]).all()):
+        return None
+    return data["re"], data["im"]
 
 
 def _complex(re, im) -> np.ndarray:
@@ -101,6 +318,20 @@ def _complex(re, im) -> np.ndarray:
     out = np.empty(len(re), dtype=complex)
     out.real, out.imag = re, im
     return out
+
+
+def _body_offset(fh, path, names):
+    """Check the header line of the open CSV file `fh` against `names`
+    and return the offset of the body, with the file left there; None
+    when the body holds no non-blank line."""
+    header = next(csv.reader([fh.readline()]), [])
+    if [h.strip().lower() for h in header] != names:
+        raise ValueError(f"expected header {','.join(names)} in {path}, got {header}")
+    body = fh.tell()
+    if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+        return None
+    fh.seek(body)
+    return body
 
 
 def _read_columns(path, names):
@@ -111,13 +342,9 @@ def _read_columns(path, names):
     what it reads or names the first bad line as path:lineno (loadtxt
     counts rows, not lines)."""
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        if [h.strip().lower() for h in header] != names:
-            raise ValueError(f"expected header {','.join(names)} in {path}, got {header}")
-        body = fh.tell()
-        if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+        body = _body_offset(fh, path, names)
+        if body is None:
             return [np.empty(0) for _ in names]
-        fh.seek(body)
         try:
             data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError:

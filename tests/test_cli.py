@@ -257,6 +257,100 @@ class TestFileFormats:
         assert fileio.read_sinogram_csv(path, cfg.boundary_template()).shape == (cfg.n_beta, cfg.n_alpha)
         assert run_cli("--kappa", -0.9, "--out", tmp_path / "o", "project", "--in", path) == cli.EXIT_OK
 
+    def test_g17_matches_percent_format_sweep(self):
+        # every decimal exponent, powers of ten and their neighbours, exact
+        # rounding ties, and round-ups across a decade or the fixed/exponent
+        # boundary, against Python's %.17g byte for byte
+        rng = np.random.default_rng(18)
+        sweep = [float(f"{m}e{e - 16}") for e in range(-324, 309)
+                 for m in rng.integers(10**16, 10**17, 12).tolist()]
+        tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        near = [tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                np.nextafter(np.nextafter(tens, 0), 0)]
+        quarters = rng.integers(10**15, 2**51, 300).astype(float)  # 16 digits, 0.25 apart
+        ties = np.concatenate([quarters + 0.25, quarters + 0.75, quarters + 0.5])
+        edges = [9.9999999999999995e-5, 99999999999999999.0, 9999999999999998.0, 1e16, 1e17,
+                 0.0001, 1e-5, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 np.inf, -np.inf, np.nan, 2.0**53, 0.1, -1 / 3]
+        x = np.concatenate([sweep, *near, ties, edges])
+        x = np.concatenate([x, -x])
+        for end in (b"", b",", b"\r\n"):
+            got = fileio._g17(x, end).tolist()
+            want = [b"%.17g" % v + end for v in x.tolist()]
+            bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+            assert not bad, bad[:5]
+
+    @staticmethod
+    def _write_nodes_as(path, template, node_fmt, values):
+        """A sinogram file whose node fields are written with `node_fmt`."""
+        with open(path, "w", newline="") as fh:
+            fh.write("beta,alpha,re,im\r\n")
+            for i, b in enumerate(template.beta):
+                for j, a in enumerate(template.alpha):
+                    v = values[i, j]
+                    fh.write(f"{node_fmt % b},{node_fmt % a},{float(v.real)!r},{float(v.imag)!r}\r\n")
+
+    @pytest.mark.parametrize("node_fmt", ["%.15g", "%.18e", " %.17g ", '"%.17g"', "%.17g0"])
+    def test_non_canonical_nodes_are_read_as_numbers(self, tmp_path, node_fmt):
+        # node text other than the writers' own takes the numeric path,
+        # which reads the values _read_columns reads
+        cp = CurvatureParam(0.4)
+        template = xray.boundary_grid(cp, 12, 8)
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=template.shape) + 1j * rng.normal(size=template.shape)
+        path = tmp_path / "s.csv"
+        header = ["beta", "alpha", "re", "im"]
+        self._write_nodes_as(path, template, node_fmt, values)
+        assert fileio._read_canonical_values(path, header, template.beta, template.alpha) is None
+        _, _, re, im = fileio._read_columns(path, header)
+        got = fileio.read_sinogram_csv(path, template).values.ravel()
+        assert np.array_equal(got.real.view(np.int64), re.view(np.int64))
+        assert np.array_equal(got.imag.view(np.int64), im.view(np.int64))
+        # the same file with one beta node 1e-9 off
+        with open(path, newline="") as fh:
+            text = fh.read()
+        moved = node_fmt % (template.beta[3] + 1e-9)
+        path.write_text(text.replace(node_fmt % template.beta[3] + ",", moved + ",", 1))
+        with pytest.raises(ValueError, match="nodes"):
+            fileio.read_sinogram_csv(path, template)
+
+    def test_node_text_check_sees_past_the_longest_text(self, tmp_path):
+        # a token that extends a 24-character node text must not match it
+        header = ["beta", "alpha", "re", "im"]
+        outer, inner = np.array([-1.2345678901234567e-300]), np.array([0.5])
+        text = "%.17g" % outer[0]
+        assert len(text) == fileio._TEXT_WIDTH
+        path = tmp_path / "s.csv"
+        path.write_text(f"beta,alpha,re,im\n{text},0.5,1,2\n")
+        re, im = fileio._read_canonical_values(path, header, outer, inner)
+        assert re.tolist() == [1.0] and im.tolist() == [2.0]
+        path.write_text(f"beta,alpha,re,im\n{text}1,0.5,1,2\n")
+        assert fileio._read_canonical_values(path, header, outer, inner) is None
+
+    def test_node_text_with_trailing_nul_is_rejected(self, tmp_path):
+        # bytes fields drop trailing NULs, so "0\0" must not pass as the node "0"
+        template = xray.boundary_grid(CurvatureParam(0.4), 4, 6)
+        path = tmp_path / "s.csv"
+        fileio.write_sinogram_csv(path, template)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[1] = lines[1].replace(b",", b"\0,", 1)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=r"s\.csv:2: could not convert"):
+            fileio.read_sinogram_csv(path, template)
+
+    def test_writer_output_takes_the_text_check(self, tmp_path):
+        cfg = cli.RunConfig(kappa=0.4).validate()
+        for write, template, header, outer, inner in [
+            (fileio.write_sinogram_csv, cfg.boundary_template(), ["beta", "alpha", "re", "im"],
+             "beta", "alpha"),
+            (fileio.write_diskgrid_csv, cfg.disk_template(), ["rho", "omega", "re", "im"],
+             "rho", "omega"),
+        ]:
+            write(tmp_path / "g.csv", template)
+            got = fileio._read_canonical_values(tmp_path / "g.csv", header,
+                                                getattr(template, outer), getattr(template, inner))
+            assert got is not None and got[0].size == template.values.size
+
     def test_coeff_reader_rejects_non_finite(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"kappa": 0.2, "nmax": 1, "entries": '
@@ -431,6 +525,16 @@ class TestBasisCommand:
         meta = json.loads((tmp_path / "basis.meta.json").read_text())
         cfg = cli.RunConfig(**{k: v for k, v in meta["config"].items()})
         assert cfg.validate().hash() == meta["config_hash"]
+
+    def test_sidecar_copies_the_config_once(self, tmp_path, monkeypatch):
+        # the hash and the "config" entry share one as_dict() deep copy
+        calls = []
+        as_dict = cli.RunConfig.as_dict
+        monkeypatch.setattr(cli.RunConfig, "as_dict", lambda self: calls.append(1) or as_dict(self))
+        assert run_cli("--kappa", 0.1, "--out", tmp_path, "spectrum") == cli.EXIT_OK
+        assert len(calls) == 1
+        meta = json.loads((tmp_path / "spectrum.meta.json").read_text())
+        assert meta["config_hash"] == cli.RunConfig(**meta["config"]).validate().hash()
 
 
 class TestForwardCommand:
