@@ -106,7 +106,8 @@ class RunConfig:
         return d
 
     def hash(self) -> str:
-        return _config_hash(self.as_dict())
+        blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
 
     def cp(self) -> CurvatureParam:
         return CurvatureParam(self.kappa)
@@ -158,17 +159,10 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg.validate()
 
 
-def _config_hash(config: dict) -> str:
-    """sha256 of the canonical JSON text of `RunConfig.as_dict()`."""
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _write_sidecar(outdir: Path, name: str, cfg: RunConfig, extra: dict | None = None) -> None:
-    config = cfg.as_dict()  # one deep copy serves the hash and the document
     doc = {
-        "config_hash": _config_hash(config),
-        "config": config,
+        "config_hash": cfg.hash(),
+        "config": cfg.as_dict(),
         "quadrature": {
             "geodesic_nodes": cfg.geodesic_nodes,
             "n_beta": cfg.n_beta,

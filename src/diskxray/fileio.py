@@ -4,8 +4,8 @@ CSV columns: sinograms use ``beta,alpha,re,im``; disk grids use
 ``rho,omega,re,im``; both iterate row-major (first coordinate outer).
 A grid file read onto a template must carry the template's nodes, in
 order, to within 1e-12 absolute.  Grid files are written a fixed block
-of rows at a time and read from the open file, so neither direction
-holds the whole file as text.  Coefficient tables are JSON documents
+of rows at a time, so the writer never holds the whole file as text,
+and read from the open file.  Coefficient tables are JSON documents
 ``{"kappa": ..., "nmax": ..., "entries": [{"n":..,"k":..,"re":..,"im":..},
 ...]}`` with integer ``nmax``, ``n``, ``k`` and numeric ``kappa``, ``re``,
 ``im``.  All floats are written with 17 significant digits so values
@@ -17,10 +17,10 @@ The grid writers' bytes: each field is exactly ``b"%.17g" % value``
 and rows end in CRLF, as `csv.writer` over `fmt` writes them.  A numpy
 kernel (`_g17`) formats the fields; NaN, inf, decimal exponents beyond
 +-280 and values within 1e-6 of a rounding tie in the 17th digit are
-formatted by Python's ``%``.  The grid readers compare a file's node
-columns with that text of the template's nodes and then parse only the
-value columns; a file with any other node text is parsed as numbers
-and its nodes checked to 1e-12, so both paths accept the same files.
+formatted by Python's ``%``.  The grid readers parse a file once,
+its node columns as text, and convert each distinct node text to a
+float once; a file that this parse cannot take (quotes, a NUL, a wrong
+field count) is read field by field.  Both ways accept the same files.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _g17_tables():
     pow_hi = p + err
     pow_lo = err - (pow_hi - p)
     digits4 = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
-    trailing0 = np.zeros(10000, dtype=np.int64)
+    trailing0 = np.zeros(10000, dtype=np.uint8)
     for z in range(1, 5):
         trailing0[::10 ** z] = z
     # pool bytes: 0..15 digits 2..17 of D, 16 its first digit, 17 '.', 18 '0',
@@ -157,7 +157,7 @@ def _g17_tables():
     return {
         "pow_hi": pow_hi, "pow_lo": pow_lo, "trailing0": trailing0,
         "digits4": np.ascontiguousarray(digits4).view("<u4").ravel(),
-        "layout": np.concatenate([pos, neg]).astype(np.intp),
+        "layout": np.concatenate([pos, neg]),
         "length": np.concatenate([length, length + 1]),
     }
 
@@ -224,8 +224,7 @@ def _g17(x, end=b""):
     form = np.where((e >= -4) & (e <= 16), e + 4, np.where(ae < 100, 21, 22))
     key = (np.signbit(x) * 23 + form) * 17 + 16 - zeros
     pool = pool.view(np.uint8)
-    idx = np.take(tab["layout"], key, axis=0)
-    idx += np.arange(0, pool.size, pool.shape[1])[:, None]
+    idx = tab["layout"][key] + np.arange(0, pool.size, pool.shape[1])[:, None]
     out = np.take(pool, idx)
     rows, length = np.arange(n), tab["length"][key]
     for j, c in enumerate(end):
@@ -265,35 +264,40 @@ def _read_grid_csv(path, template, header, outer, inner, what):
 
     The file's coordinates must be those nodes, row-major, to 1e-12
     absolute.  `what` names the grid in the row-count and node messages.
-    A file whose node columns are the nodes' `%.17g` text, byte for byte
-    (as the writers make them), has only its value columns parsed as
-    floats; any other file goes through `_read_columns` and the numeric
-    node check, so both accept and reject the same files.
+    The file is parsed once by `_read_node_text`; only a file that parse
+    cannot take goes through `_read_columns`, which reads it by the same
+    rules or names its first bad line.
     """
-    values = _read_canonical_values(path, header, outer, inner)
     shape = template.shape
-    if values is None:
-        c_outer, c_inner, re, im = _read_columns(path, header)
-        if len(re) != shape[0] * shape[1]:
-            raise ValueError(f"{what[0]} has {len(re)} rows, template expects {shape[0] * shape[1]}")
-        if not (
-            np.allclose(np.asarray(c_outer).reshape(shape), outer[:, None], atol=1e-12, rtol=0)
-            and np.allclose(np.asarray(c_inner).reshape(shape), inner[None, :], atol=1e-12, rtol=0)
-        ):
-            raise ValueError(f"{what[1]} nodes do not match the configured grid")
-        values = re, im
-    return template.with_values(_complex(*values).reshape(shape))
+    cols = _read_node_text(path, header, shape)
+    if cols is None:
+        cols = _read_columns(path, header)
+    c_outer, c_inner, re, im = cols
+    if len(re) != shape[0] * shape[1]:
+        raise ValueError(f"{what[0]} has {len(re)} rows, template expects {shape[0] * shape[1]}")
+    if not (
+        np.allclose(np.asarray(c_outer).reshape(shape), outer[:, None], atol=1e-12, rtol=0)
+        and np.allclose(np.asarray(c_inner).reshape(shape), inner[None, :], atol=1e-12, rtol=0)
+    ):
+        raise ValueError(f"{what[1]} nodes do not match the configured grid")
+    return template.with_values(_complex(re, im).reshape(shape))
 
 
-# a grid row with its node columns kept as text; one byte wider than the
-# longest %.17g text, so a token that extends a node's text never equals it
-_NODE_TEXT_ROW = np.dtype([("outer", f"S{_TEXT_WIDTH + 1}"), ("inner", f"S{_TEXT_WIDTH + 1}"),
+# grid node fields are read as text this wide, past %.17g and %.18e text;
+# a field that fills it may have been cut short
+_NODE_WIDTH = 32
+_NODE_TEXT_ROW = np.dtype([("outer", f"S{_NODE_WIDTH}"), ("inner", f"S{_NODE_WIDTH}"),
                            ("re", float), ("im", float)])
 
 
-def _read_canonical_values(path, names, outer, inner):
-    """(re, im) of a grid file whose node columns are exactly the `%.17g`
-    text of `outer` x `inner`, row-major; None for any other file."""
+def _read_node_text(path, names, shape):
+    """The four columns of a grid file of `shape` from one `np.loadtxt`
+    pass that reads the node columns as text, then converts them as
+    `float()` does: each distinct text once when each row of the grid
+    repeats one outer node text and each column one inner node text, as
+    the writers' files do, else field by field.  None when that pass
+    cannot take the file (a NUL byte, quotes, a wrong field count, a node
+    field that fills `_NODE_WIDTH`)."""
     with open(path, "rb") as raw:  # a text field drops trailing NULs, which float() rejects
         if any(b"\0" in chunk for chunk in iter(functools.partial(raw.read, 1 << 16), b"")):
             return None
@@ -304,13 +308,18 @@ def _read_canonical_values(path, names, outer, inner):
             data = np.loadtxt(fh, delimiter=",", comments=None, dtype=_NODE_TEXT_ROW, ndmin=1)
         except ValueError:
             return None
-    shape = (outer.size, inner.size)
-    if data.size != outer.size * inner.size:
+    c_outer, c_inner = data["outer"], data["inner"]
+    if any(c.view((np.uint8, _NODE_WIDTH))[:, -1].any() for c in (c_outer, c_inner)):
         return None
-    if not ((data["outer"].reshape(shape) == _g17(outer)[:, None]).all()
-            and (data["inner"].reshape(shape) == _g17(inner)[None, :]).all()):
+    if data.size == shape[0] * shape[1]:
+        o, i = c_outer.reshape(shape), c_inner.reshape(shape)
+        if (o == o[:, :1]).all() and (i == i[:1]).all():
+            c_outer, c_inner = o[:, :1], i[:1]
+    try:
+        c_outer, c_inner = np.broadcast_arrays(c_outer.astype(float), c_inner.astype(float))
+    except ValueError:
         return None
-    return data["re"], data["im"]
+    return [c_outer, c_inner, data["re"], data["im"]]
 
 
 def _complex(re, im) -> np.ndarray:

@@ -290,10 +290,13 @@ class TestFileFormats:
                     v = values[i, j]
                     fh.write(f"{node_fmt % b},{node_fmt % a},{float(v.real)!r},{float(v.imag)!r}\r\n")
 
-    @pytest.mark.parametrize("node_fmt", ["%.15g", "%.18e", " %.17g ", '"%.17g"', "%.17g0"])
-    def test_non_canonical_nodes_are_read_as_numbers(self, tmp_path, node_fmt):
-        # node text other than the writers' own takes the numeric path,
-        # which reads the values _read_columns reads
+    @pytest.mark.parametrize("node_fmt, one_pass", [
+        ("%.15g", True), ("%.18e", True), (" %.17g ", True), ("%.17g0", True),
+        ('"%.17g"', False), ("%.40f", False), ("%.40e", False)])
+    def test_non_canonical_nodes_are_read_as_numbers(self, tmp_path, node_fmt, one_pass):
+        # node text other than the writers' own is converted to numbers in
+        # the one text pass, unless quotes or over-long fields send the file
+        # to _read_columns; either way it reads what _read_columns reads
         cp = CurvatureParam(0.4)
         template = xray.boundary_grid(cp, 12, 8)
         rng = np.random.default_rng(6)
@@ -301,8 +304,13 @@ class TestFileFormats:
         path = tmp_path / "s.csv"
         header = ["beta", "alpha", "re", "im"]
         self._write_nodes_as(path, template, node_fmt, values)
-        assert fileio._read_canonical_values(path, header, template.beta, template.alpha) is None
-        _, _, re, im = fileio._read_columns(path, header)
+        want = fileio._read_columns(path, header)
+        cols = fileio._read_node_text(path, header, template.shape)
+        assert (cols is not None) == one_pass
+        if one_pass:
+            for c, w in zip(cols, want):
+                assert np.array_equal(np.ravel(c).view(np.int64), w.view(np.int64))
+        _, _, re, im = want
         got = fileio.read_sinogram_csv(path, template).values.ravel()
         assert np.array_equal(got.real.view(np.int64), re.view(np.int64))
         assert np.array_equal(got.imag.view(np.int64), im.view(np.int64))
@@ -314,18 +322,26 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="nodes"):
             fileio.read_sinogram_csv(path, template)
 
-    def test_node_text_check_sees_past_the_longest_text(self, tmp_path):
-        # a token that extends a 24-character node text must not match it
-        header = ["beta", "alpha", "re", "im"]
-        outer, inner = np.array([-1.2345678901234567e-300]), np.array([0.5])
-        text = "%.17g" % outer[0]
-        assert len(text) == fileio._TEXT_WIDTH
+    @pytest.mark.parametrize("row, col", [(0, 1), (5, 3), (11, 7)])
+    def test_node_text_is_checked_in_every_field(self, tmp_path, row, col):
+        # a node whose text differs in one field is converted and checked
+        # there, not taken from the first field that carries it
+        template = xray.boundary_grid(CurvatureParam(0.4), 12, 8)
         path = tmp_path / "s.csv"
-        path.write_text(f"beta,alpha,re,im\n{text},0.5,1,2\n")
-        re, im = fileio._read_canonical_values(path, header, outer, inner)
-        assert re.tolist() == [1.0] and im.tolist() == [2.0]
-        path.write_text(f"beta,alpha,re,im\n{text}1,0.5,1,2\n")
-        assert fileio._read_canonical_values(path, header, outer, inner) is None
+        fileio.write_sinogram_csv(path, template)
+        lines = path.read_bytes().split(b"\r\n")
+        fields = lines[1 + row * 8 + col].split(b",")
+        for k, node in ((0, template.beta[row]), (1, template.alpha[col])):
+            fields[k] = b"%.20f" % node  # other text, same value
+            lines[1 + row * 8 + col] = b",".join(fields)
+            path.write_bytes(b"\r\n".join(lines))
+            assert fileio.read_sinogram_csv(path, template).shape == template.shape
+            fields[k] = b"%.17g" % (node + 1e-9)
+            lines[1 + row * 8 + col] = b",".join(fields)
+            path.write_bytes(b"\r\n".join(lines))
+            with pytest.raises(ValueError, match="nodes"):
+                fileio.read_sinogram_csv(path, template)
+            fields[k] = b"%.17g" % node
 
     def test_node_text_with_trailing_nul_is_rejected(self, tmp_path):
         # bytes fields drop trailing NULs, so "0\0" must not pass as the node "0"
@@ -337,19 +353,6 @@ class TestFileFormats:
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(ValueError, match=r"s\.csv:2: could not convert"):
             fileio.read_sinogram_csv(path, template)
-
-    def test_writer_output_takes_the_text_check(self, tmp_path):
-        cfg = cli.RunConfig(kappa=0.4).validate()
-        for write, template, header, outer, inner in [
-            (fileio.write_sinogram_csv, cfg.boundary_template(), ["beta", "alpha", "re", "im"],
-             "beta", "alpha"),
-            (fileio.write_diskgrid_csv, cfg.disk_template(), ["rho", "omega", "re", "im"],
-             "rho", "omega"),
-        ]:
-            write(tmp_path / "g.csv", template)
-            got = fileio._read_canonical_values(tmp_path / "g.csv", header,
-                                                getattr(template, outer), getattr(template, inner))
-            assert got is not None and got[0].size == template.values.size
 
     def test_coeff_reader_rejects_non_finite(self, tmp_path):
         path = tmp_path / "c.json"
@@ -525,16 +528,6 @@ class TestBasisCommand:
         meta = json.loads((tmp_path / "basis.meta.json").read_text())
         cfg = cli.RunConfig(**{k: v for k, v in meta["config"].items()})
         assert cfg.validate().hash() == meta["config_hash"]
-
-    def test_sidecar_copies_the_config_once(self, tmp_path, monkeypatch):
-        # the hash and the "config" entry share one as_dict() deep copy
-        calls = []
-        as_dict = cli.RunConfig.as_dict
-        monkeypatch.setattr(cli.RunConfig, "as_dict", lambda self: calls.append(1) or as_dict(self))
-        assert run_cli("--kappa", 0.1, "--out", tmp_path, "spectrum") == cli.EXIT_OK
-        assert len(calls) == 1
-        meta = json.loads((tmp_path / "spectrum.meta.json").read_text())
-        assert meta["config_hash"] == cli.RunConfig(**meta["config"]).validate().hash()
 
 
 class TestForwardCommand:
