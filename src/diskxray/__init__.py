@@ -49,7 +49,6 @@ from .geometry import (
 from .xray import (
     BoundaryGrid,
     DiskGrid,
-    GeodesicQuad,
     adjoint_sharp,
     analyze,
     boundary_grid,
@@ -69,7 +68,6 @@ __all__ = [
     "CurvatureParam",
     "DiskGrid",
     "FanBeamPoint",
-    "GeodesicQuad",
     "MoebiusMap",
     "adjoint_sharp",
     "analyze",

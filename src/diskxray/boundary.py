@@ -291,6 +291,9 @@ def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None
 # moment conditions
 # ---------------------------------------------------------------------------
 
+_MOMENT_THRESHOLD = 1e-6  # a sinogram whose normalized moments all lie below it is in range
+
+
 @dataclass
 class MomentReport:
     """Inner products of a sinogram candidate against the co-kernel family."""
@@ -307,13 +310,13 @@ class MomentReport:
         return max((r[2] for r in self.rows), default=0.0) / (self.u_norm * psi_norm)
 
 
-def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam,
-                     threshold: float = 1e-6) -> MomentReport:
+def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam) -> MomentReport:
     """Moments of u against psi_{n,k} for k outside [0, n].
 
     Scans k in [-kpad, n + kpad] excluding [0, n] for each n <= nmax; all
     these inner products vanish exactly when u is an X-ray transform.
-    The range verdict compares the normalized moments against threshold.
+    The range verdict compares the normalized moments against
+    `_MOMENT_THRESHOLD`.
     The beta frequencies n - 2k reach nmax + 2 kpad in size, which must
     stay below n_beta/2, or a moment would be read from an aliased bin.
     """
@@ -330,6 +333,6 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam,
     # psi = psi_hat / (2 sqrt(1 + kappa))
     inner = _fiber_plan(u, cp).inner(u.values, n, k) / (2.0 * math.sqrt(1.0 + cp.kappa))
     rows = [(n, k, val) for (n, k), val in zip(modes, np.abs(inner).tolist())]
-    report = MomentReport(rows=rows, u_norm=u.norm(), threshold=threshold, in_range=False)
-    report.in_range = report.max_normalized(cp) < threshold
+    report = MomentReport(rows=rows, u_norm=u.norm(), threshold=_MOMENT_THRESHOLD, in_range=False)
+    report.in_range = report.max_normalized(cp) < _MOMENT_THRESHOLD
     return report

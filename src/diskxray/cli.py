@@ -3,9 +3,15 @@
 Subcommands: basis, forward, invert, project, moments, spectrum,
 selftest.  A single JSON config document drives every run; selected
 fields can be overridden with flags (--kappa, --nmax, --out, --seed,
---noise).  Every output file gets a sidecar <name>.meta.json recording
-the config hash and quadrature levels, and runs are deterministic given
-(config, inputs, seed).
+--noise).  Runs are deterministic given (config, inputs, seed).
+
+Each file-writing subcommand is an entry of `_COMMANDS`, called as
+``cmd(cfg, cp, outdir, args)``: it writes its outputs into outdir and
+returns (sidecar name, extra sidecar keys or None, success message).
+`main` alone makes the output directory, writes the sidecar
+<name>.meta.json (the config, its hash and the boundary grid sizes) and
+prints the message.  selftest writes no files.  Every command warns on
+stderr when kappa is nearly degenerate.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant failure,
 4 I/O error.
@@ -26,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import basis, boundary, fileio, selftest, xray
-from .geometry import CurvatureParam
+from .geometry import CurvatureParam, exit_time
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,8 +46,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """One reproducible run: geometry, band limit, grid and quadrature
-    sizes, noise model, regularization, and file paths."""
+    """One reproducible run: geometry, band limit, grid sizes, noise
+    model, regularization, and file paths."""
 
     kappa: float = 0.0
     nmax: int = 6
@@ -49,13 +55,12 @@ class RunConfig:
     n_alpha: int = 64
     n_rho: int = 128
     n_omega: int = 256
-    geodesic_nodes: int = 64
     noise: dict = field(default_factory=lambda: {"seed": 0, "level": 0.0})
     reg: dict = field(default_factory=lambda: {"kind": "truncation", "sigma_cutoff": 0.0})
     input: str | None = None
     output: str = "out"
 
-    _INT_FIELDS = ("nmax", "n_beta", "n_alpha", "n_rho", "n_omega", "geodesic_nodes")
+    _INT_FIELDS = ("nmax", "n_beta", "n_alpha", "n_rho", "n_omega")
     _KEYS = {"noise": {"seed", "level"}, "reg": {"kind", "sigma_cutoff"}}
 
     def validate(self) -> "RunConfig":
@@ -101,12 +106,8 @@ class RunConfig:
                 setattr(cfg, key, val)
         return cfg
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        return d
-
     def hash(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def cp(self) -> CurvatureParam:
@@ -115,11 +116,8 @@ class RunConfig:
     def boundary_template(self) -> xray.BoundaryGrid:
         return xray.boundary_grid(self.cp(), self.n_beta, self.n_alpha)
 
-    def disk_template(self, measure="vol") -> xray.DiskGrid:
-        return xray.disk_grid(self.cp(), self.n_rho, self.n_omega, measure=measure)
-
-    def quad(self) -> xray.GeodesicQuad:
-        return xray.GeodesicQuad(n_nodes=self.geodesic_nodes)
+    def disk_template(self) -> xray.DiskGrid:
+        return xray.disk_grid(self.cp(), self.n_rho, self.n_omega)
 
 
 def _number(name: str, val, floor: int | None = None):
@@ -162,15 +160,10 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def _write_sidecar(outdir: Path, name: str, cfg: RunConfig, extra: dict | None = None) -> None:
     doc = {
         "config_hash": cfg.hash(),
-        "config": cfg.as_dict(),
-        "quadrature": {
-            "geodesic_nodes": cfg.geodesic_nodes,
-            "n_beta": cfg.n_beta,
-            "n_alpha": cfg.n_alpha,
-        },
+        "config": asdict(cfg),
+        "quadrature": {"n_beta": cfg.n_beta, "n_alpha": cfg.n_alpha},
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
     fileio._write_json(outdir / f"{name}.meta.json", doc, sort_keys=True)
 
 
@@ -194,41 +187,31 @@ def _warn_near_degenerate(cfg: RunConfig) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_basis(cfg: RunConfig) -> int:
-    cp = cfg.cp()
-    outdir = _outdir(cfg)
+def cmd_basis(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     rho = np.linspace(0.0, 1.0, cfg.n_rho)
-    rows = []
-    for n in range(cfg.nmax + 1):
-        for k in range(n + 1):
-            vals = basis.zernike_kappa(n, k, rho + 0j, cp)
-            rows.extend((n, k, r, v) for r, v in zip(rho, vals))
-    fileio.write_profiles_csv(outdir / "zernike_radial.csv", rows)
-
     alpha = cfg.boundary_template().alpha
-    fiber_rows = []
+    radial, fiber = [], []
     for n in range(cfg.nmax + 1):
         for k in range(n + 1):
-            vals = basis.psi_kappa(n, k, 0.0, alpha, cp)
-            fiber_rows.extend((n, k, a, v) for a, v in zip(alpha, vals))
-    fileio.write_fiber_profiles_csv(outdir / "psi_fiber.csv", fiber_rows)
-    _write_sidecar(outdir, "basis", cfg)
-    print(f"wrote {outdir}/zernike_radial.csv and {outdir}/psi_fiber.csv")
-    return EXIT_OK
+            for rows, x, vals in ((radial, rho, basis.zernike_kappa(n, k, rho + 0j, cp)),
+                                  (fiber, alpha, basis.psi_kappa(n, k, 0.0, alpha, cp))):
+                rows.extend((n, k, t, v.real, v.imag) for t, v in zip(x, vals))
+    fileio.write_table_csv(outdir / "zernike_radial.csv", radial, ["n", "k", "rho", "Re", "Im"])
+    fileio.write_table_csv(outdir / "psi_fiber.csv", fiber, ["n", "k", "alpha", "Re", "Im"])
+    return "basis", None, f"wrote {outdir}/zernike_radial.csv and {outdir}/psi_fiber.csv"
 
 
 def _load_phantom(cfg: RunConfig, phantom: str | None):
-    """Phantom from a built-in name or a coefficient file.
+    """Coefficient table of a phantom file, or None for `unit` (f = 1).
 
-    `unit` is the constant disk callable.  A coefficient file gives its
-    `CoeffTable`, standing for w_kappa times the deformed-Zernike series;
-    an entry with k outside [0, n] names no disk mode (its psi_hat is
+    The table stands for w_kappa times the deformed-Zernike series; an
+    entry with k outside [0, n] names no disk mode (its psi_hat is
     co-kernel content) and raises ValueError like `zernike` does.  A
     malformed file or a kappa mismatch is a config error; a NaN or inf
     coefficient is bad data and raises `xray._NonFiniteValues`.
     """
     if phantom == "unit" or (phantom is None and cfg.input is None):
-        return lambda z: np.ones(np.shape(z), dtype=complex)
+        return None
     path = cfg.input if phantom is None else phantom
     try:
         table, kappa_file = fileio.read_coeff_json(path)
@@ -246,25 +229,24 @@ def _load_phantom(cfg: RunConfig, phantom: str | None):
     return table
 
 
-def cmd_forward(cfg: RunConfig, phantom: str | None) -> int:
-    """Sinogram of a phantom, with optional seeded noise.
+def cmd_forward(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+    """Sinogram of a phantom, with optional seeded noise, by an exact route.
 
-    A coefficient table goes through the SVD, I(w_kappa sum c Z_hat) =
+    `unit` maps to the chord length exit_time(alpha) at every beta.  A
+    coefficient table goes through the SVD, I(w_kappa sum c Z_hat) =
     sum sigma_n c psi_hat, which `synthesize` samples exactly at every
-    node; a callable phantom is integrated by geodesic quadrature.
+    node.  `xray.sinogram` is the quadrature oracle of both.
     """
-    cp = cfg.cp()
-    outdir = _outdir(cfg)
-    f = _load_phantom(cfg, phantom)
+    table = _load_phantom(cfg, args.phantom)
     template = cfg.boundary_template()
-    if isinstance(f, basis.CoeffTable):
-        image = basis.CoeffTable(nmax=f.nmax, entries={
-            (n, k): xray.singular_value(n, cp) * c for (n, k), c in f.items()})
-        grid = xray.synthesize(image, template, cp)
-        route = {"forward": "svd", "phantom_modes": len(f.entries)}
+    if table is None:
+        grid = template.with_values(np.broadcast_to(exit_time(template.alpha, cp), template.shape))
+        route = {"forward": "exit_time"}
     else:
-        grid = xray.sinogram(f, template, cp, cfg.quad())
-        route = {"forward": "quadrature", "geodesic_nodes": cfg.geodesic_nodes}
+        image = basis.CoeffTable(nmax=table.nmax, entries={
+            (n, k): xray.singular_value(n, cp) * c for (n, k), c in table.items()})
+        grid = xray.synthesize(image, template, cp)
+        route = {"forward": "svd", "phantom_modes": len(table.entries)}
     level = cfg.noise["level"]
     if level > 0.0:
         rng = np.random.default_rng(cfg.noise["seed"])
@@ -272,9 +254,7 @@ def cmd_forward(cfg: RunConfig, phantom: str | None) -> int:
         noise = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         grid = grid.with_values(grid.values + level * rms * noise / math.sqrt(2.0))
     fileio.write_sinogram_csv(outdir / "sinogram.csv", grid)
-    _write_sidecar(outdir, "sinogram", cfg, {"noise_applied": level > 0.0, **route})
-    print(f"wrote {outdir}/sinogram.csv")
-    return EXIT_OK
+    return "sinogram", {"noise_applied": level > 0.0, **route}, f"wrote {outdir}/sinogram.csv"
 
 
 def _read_input_sinogram(cfg: RunConfig) -> xray.BoundaryGrid:
@@ -289,9 +269,10 @@ def _read_input_sinogram(cfg: RunConfig) -> xray.BoundaryGrid:
         raise ConfigError(str(exc)) from None
 
 
-def cmd_invert(cfg: RunConfig) -> int:
-    cp = cfg.cp()
-    outdir = _outdir(cfg)
+_MOMENTS_HEADER = ["n", "k", "abs_inner"]
+
+
+def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     grid = _read_input_sinogram(cfg)
     cutoff = cfg.reg["sigma_cutoff"] if cfg.reg["kind"] == "sigma_cutoff" else None
     res = xray.invert(grid, cfg.nmax, cp, disk_template=cfg.disk_template(), sigma_cutoff=cutoff)
@@ -312,15 +293,11 @@ def cmd_invert(cfg: RunConfig) -> int:
         ],
     }
     fileio._write_json(outdir / "report.json", report, sort_keys=True)
-    fileio.write_moments_csv(outdir / "moments.csv", moments.rows)
-    _write_sidecar(outdir, "invert", cfg)
-    print(f"wrote {outdir}/reconstruction.csv, coefficients.json, report.json")
-    return EXIT_OK
+    fileio.write_table_csv(outdir / "moments.csv", moments.rows, _MOMENTS_HEADER)
+    return "invert", None, f"wrote {outdir}/reconstruction.csv, coefficients.json, report.json"
 
 
-def cmd_project(cfg: RunConfig) -> int:
-    cp = cfg.cp()
-    outdir = _outdir(cfg)
+def cmd_project(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     grid = _read_input_sinogram(cfg)
     res = boundary.project_to_range(grid, cp)
     fileio.write_sinogram_csv(outdir / "projected.csv", res.projected)
@@ -331,35 +308,23 @@ def cmd_project(cfg: RunConfig) -> int:
         "gram_deviation": res.gram_deviation,
     }
     fileio._write_json(outdir / "projection_report.json", report, sort_keys=True)
-    _write_sidecar(outdir, "project", cfg)
-    print(f"wrote {outdir}/projected.csv (relative change {res.relative_change:.3e})")
-    return EXIT_OK
+    return "project", None, f"wrote {outdir}/projected.csv (relative change {res.relative_change:.3e})"
 
 
-def cmd_moments(cfg: RunConfig) -> int:
-    cp = cfg.cp()
-    outdir = _outdir(cfg)
-    grid = _read_input_sinogram(cfg)
-    rep = boundary.moment_residuals(grid, cfg.nmax, 3, cp)
-    fileio.write_moments_csv(outdir / "moments.csv", rep.rows)
-    _write_sidecar(outdir, "moments", cfg, {
-        "in_range": bool(rep.in_range),
-        "max_normalized": rep.max_normalized(cp),
-    })
-    print(f"wrote {outdir}/moments.csv (in range: {rep.in_range})")
-    return EXIT_OK
+def cmd_moments(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+    rep = boundary.moment_residuals(_read_input_sinogram(cfg), cfg.nmax, 3, cp)
+    fileio.write_table_csv(outdir / "moments.csv", rep.rows, _MOMENTS_HEADER)
+    extra = {"in_range": bool(rep.in_range), "max_normalized": rep.max_normalized(cp)}
+    return "moments", extra, f"wrote {outdir}/moments.csv (in range: {rep.in_range})"
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    outdir = _outdir(cfg)
-    fileio.write_spectrum_csv(outdir / "spectrum.csv", cfg.nmax, cfg.cp())
-    _write_sidecar(outdir, "spectrum", cfg)
-    print(f"wrote {outdir}/spectrum.csv")
-    return EXIT_OK
+def cmd_spectrum(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+    rows = [(n, k, xray.singular_value(n, cp)) for n in range(cfg.nmax + 1) for k in range(n + 1)]
+    fileio.write_table_csv(outdir / "spectrum.csv", rows, ["n", "k", "sigma"])
+    return "spectrum", None, f"wrote {outdir}/spectrum.csv"
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    _warn_near_degenerate(cfg)
     results = selftest.run(cfg.kappa, verbose=True)
     failed = sum(not r.passed for r in results)
     if failed:
@@ -367,6 +332,10 @@ def cmd_selftest(cfg: RunConfig) -> int:
         return EXIT_NUMERICAL
     print(f"all {len(results)} checks passed")
     return EXIT_OK
+
+
+_COMMANDS = {"basis": cmd_basis, "forward": cmd_forward, "invert": cmd_invert,
+             "project": cmd_project, "moments": cmd_moments, "spectrum": cmd_spectrum}
 
 
 # ---------------------------------------------------------------------------
@@ -411,28 +380,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config)
-        cfg = _apply_overrides(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "basis":
-            return cmd_basis(cfg)
-        if args.command == "forward":
-            return cmd_forward(cfg, args.phantom)
-        if args.command == "invert":
-            return cmd_invert(cfg)
-        if args.command == "project":
-            return cmd_project(cfg)
-        if args.command == "moments":
-            return cmd_moments(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
+        cfg = _apply_overrides(RunConfig.load(args.config), args)
+        _warn_near_degenerate(cfg)
         if args.command == "selftest":
             return cmd_selftest(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        outdir = _outdir(cfg)
+        name, extra, message = _COMMANDS[args.command](cfg, cfg.cp(), outdir, args)
+        _write_sidecar(outdir, name, cfg, extra)
+        print(message)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

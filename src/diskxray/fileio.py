@@ -1,4 +1,5 @@
-"""File formats for sinograms, disk grids and coefficient tables.
+"""File formats for sinograms, disk grids, coefficient tables and plain
+tables (`write_table_csv`).
 
 CSV columns: sinograms use ``beta,alpha,re,im``; disk grids use
 ``rho,omega,re,im``; both iterate row-major (first coordinate outer).
@@ -441,40 +442,10 @@ def _json_number(value, name) -> float:
     return float(value)
 
 
-def write_moments_csv(path, rows) -> None:
-    """Moment table rows (n, k, abs_inner) in the documented CSV layout."""
+def write_table_csv(path, rows, header) -> None:
+    """A table as CSV: the header row, then one row per entry of the list
+    `rows`, ints written as they are and floats through `fmt`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "k", "abs_inner"])
-        for n, k, val in rows:
-            writer.writerow([n, k, fmt(val)])
-
-
-def write_spectrum_csv(path, nmax: int, cp: CurvatureParam) -> None:
-    from .xray import singular_value
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "k", "sigma"])
-        for n in range(nmax + 1):
-            s = singular_value(n, cp)
-            for k in range(n + 1):
-                writer.writerow([n, k, fmt(s)])
-
-
-def write_profiles_csv(path, rows) -> None:
-    """Radial profile rows (n, k, rho, value) with the documented header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "k", "rho", "Re", "Im"])
-        for n, k, rho, val in rows:
-            writer.writerow([n, k, fmt(rho), fmt(val.real), fmt(val.imag)])
-
-
-def write_fiber_profiles_csv(path, rows) -> None:
-    """Fiber profile rows (n, k, alpha, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "k", "alpha", "Re", "Im"])
-        for n, k, alpha, val in rows:
-            writer.writerow([n, k, fmt(alpha), fmt(val.real), fmt(val.imag)])
+        writer.writerow(header)
+        writer.writerows([x if isinstance(x, int) else fmt(x) for x in row] for row in rows)

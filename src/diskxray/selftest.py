@@ -399,7 +399,7 @@ def euclidean_degeneration(cp=None):
 def quadrature_convergence(cp):
     """Forward quadrature of e^z w at 32 and 64 nodes agrees."""
     f = lambda z: np.exp(z) * basis.w_kappa(z, cp)
-    value = lambda nn: xray._forward_batch(f, [0.7], [0.3], cp, xray.GeodesicQuad(n_nodes=nn))[0]
+    value = lambda nn: xray._forward_batch(f, [0.7], [0.3], cp, n_nodes=nn)[0]
     return abs(value(32) - value(64))
 
 

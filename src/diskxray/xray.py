@@ -44,6 +44,7 @@ from .geometry import (
 TWO_PI = 2.0 * math.pi
 _BLOCK = 2048  # targets per pass of the grid interpolant: bounds its temporaries
 _MEASURES = ("vol", "weighted", "euclid")  # DiskGrid measure tags
+_PANEL_LENGTH = 2.0  # longest geodesic quadrature panel
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +285,19 @@ def disk_inner(f1: DiskGrid, f2: DiskGrid) -> complex:
 # forward transform
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeodesicQuad:
-    """Quadrature plan for integrals along geodesics.
-
-    The chord [0, tau] is split into panels of length at most
-    `panel_length` (so the panel count grows with tau) with Gauss-Legendre
-    nodes on each panel; `n_nodes` is the total node budget.
-    """
-
-    n_nodes: int = 64
-    panel_length: float = 2.0
-
-    def panels(self, tau_max: float) -> tuple[int, int]:
-        n_panels = max(1, int(math.ceil(tau_max / self.panel_length)))
-        per = max(4, self.n_nodes // n_panels)
-        return n_panels, per
-
-
-def _forward_batch(f, beta, alpha, cp: CurvatureParam, quad: GeodesicQuad):
-    """Geodesic integrals of f over a flat batch of boundary points."""
+def _forward_batch(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
+    """Geodesic integrals of f over a flat batch of boundary points: each
+    chord [0, tau] is cut into P equal panels, P the fewest that keep the
+    longest chord's panels within `_PANEL_LENGTH`, with n_nodes // P (at
+    least 4) Gauss-Legendre nodes on each."""
     beta = np.asarray(beta, dtype=float).ravel()
     alpha = np.asarray(alpha, dtype=float).ravel()
     tau = np.asarray(exit_time(alpha, cp), dtype=float)
     out = np.zeros(beta.shape, dtype=complex)
     if tau.size == 0:
         return out
-    n_panels, per = quad.panels(float(tau.max(initial=0.0)))
+    n_panels = max(1, math.ceil(float(tau.max(initial=0.0)) / _PANEL_LENGTH))
+    per = max(4, n_nodes // n_panels)
     x, w = _gauss_legendre(per)
     for panel in range(n_panels):
         lo = tau * (panel / n_panels)
@@ -330,31 +317,32 @@ def _forward_batch(f, beta, alpha, cp: CurvatureParam, quad: GeodesicQuad):
     return out
 
 
-def forward(f, bp: FanBeamPoint, cp: CurvatureParam, quad: GeodesicQuad | None = None) -> complex:
-    """X-ray transform of f at one inward boundary point.
+def forward(f, bp: FanBeamPoint, cp: CurvatureParam, n_nodes: int = 64) -> complex:
+    """X-ray transform of f at one inward boundary point, by geodesic
+    quadrature with `n_nodes` nodes along the chord.
 
     f is a callable on the closed disk (vectorized over complex arrays).
     Tangential points have zero exit time and integrate to 0.
     """
     if not bp.is_inward:
         raise ValueError("forward requires an inward boundary point")
-    quad = quad or GeodesicQuad()
-    return complex(_forward_batch(f, [bp.beta], [bp.alpha], cp, quad)[0])
+    return complex(_forward_batch(f, [bp.beta], [bp.alpha], cp, n_nodes)[0])
 
 
-def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, quad: GeodesicQuad | None = None) -> BoundaryGrid:
+def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, n_nodes: int = 64) -> BoundaryGrid:
     """X-ray transform of f sampled on every node of the template grid,
-    by geodesic quadrature.
+    by geodesic quadrature with `n_nodes` nodes along each chord.
 
     f is a callable on the disk (vectorized over complex arrays).  A
     coefficient table c needs no quadrature: by the SVD, the transform of
     w_kappa * sum c_{n,k} zernike_kappa_hat(n, k) is
     `synthesize` of the table c_{n,k} * singular_value(n) on the
-    template, exact at every node (the CLI's `forward` takes that route).
-    Passed here as the callable
-    z -> w_kappa(z) * basis.zernike_kappa_series(table, z, cp), it is
-    integrated instead, which makes this the independent check of that
-    route.  Deterministic for fixed inputs; nodes are independent, so
+    template, exact at every node, and f = 1 maps to the chord length
+    `exit_time(alpha)` (the CLI's `forward` takes these two routes).
+    Passed here as callables, e.g.
+    z -> w_kappa(z) * basis.zernike_kappa_series(table, z, cp), they are
+    integrated instead, which makes this the independent check of both
+    routes.  Deterministic for fixed inputs; nodes are independent, so
     callers may parallelize over them freely.
     """
     if not callable(f):
@@ -364,9 +352,8 @@ def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, quad: GeodesicQuad |
             "on the template, or integrate it as the callable "
             "w_kappa * basis.zernike_kappa_series"
         )
-    quad = quad or GeodesicQuad()
     bb, aa = template.mesh()
-    vals = _forward_batch(f, bb, aa, cp, quad).reshape(template.shape)
+    vals = _forward_batch(f, bb, aa, cp, n_nodes).reshape(template.shape)
     return template.with_values(vals)
 
 

@@ -47,9 +47,10 @@ class TestRunConfig:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig(nmax=2.5).validate()
 
-    @pytest.mark.parametrize("key", ["fiber_fft", "torus_beta", "fiber_nodes"])
+    @pytest.mark.parametrize("key", ["fiber_fft", "torus_beta", "fiber_nodes", "geodesic_nodes"])
     def test_rejects_removed_torus_keys(self, tmp_path, capsys, key):
-        # these sizes configured nothing and are no longer config fields
+        # these sizes configure nothing (no command integrates along
+        # geodesics) and are no longer config fields
         path = write_config(tmp_path / "c.json", **{key: 512})
         assert run_cli("--config", path, "--out", tmp_path / "o", "spectrum") == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
@@ -496,8 +497,29 @@ class TestFileFormats:
 
     def test_empty_profile_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        fileio.write_profiles_csv(path, [])
+        fileio.write_table_csv(path, [], ["n", "k", "rho", "Re", "Im"])
         assert path.read_bytes() == b"n,k,rho,Re,Im\r\n"
+
+    def test_table_files_are_per_row_csv_writer_bytes(self, tmp_path):
+        # every table a command writes is csv.writer over fmt, row by row:
+        # CRLF, ints as ints, floats with 17 significant digits
+        assert run_cli("--kappa", 0.4, "--nmax", 4, "--out", tmp_path, "spectrum") == 0
+        assert run_cli("--kappa", 0.4, "--nmax", 3, "--out", tmp_path, "basis") == 0
+        assert run_cli("--kappa", 0.4, "--out", tmp_path, "forward", "--phantom", "unit") == 0
+        sino = tmp_path / "sinogram.csv"
+        assert run_cli("--kappa", 0.4, "--out", tmp_path / "inv", "invert", "--in", sino) == 0
+        assert run_cli("--kappa", 0.4, "--out", tmp_path / "mom", "moments", "--in", sino) == 0
+        for name in ("spectrum.csv", "zernike_radial.csv", "psi_fiber.csv",
+                     "inv/moments.csv", "mom/moments.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(rows[0])
+            for row in rows[1:]:
+                writer.writerow([fileio.fmt(float(x)) for x in row])
+            assert len(rows) > 1
+            assert (tmp_path / name).read_bytes() == buf.getvalue().encode(), name
 
     def test_values_shape_validated(self):
         g = xray.boundary_grid(CurvatureParam(0.1), 4, 6)
@@ -532,11 +554,14 @@ class TestBasisCommand:
 
 class TestForwardCommand:
     def test_unit_phantom_is_exit_time(self, tmp_path):
-        assert run_cli("--kappa", 0.3, "--out", tmp_path, "forward", "--phantom", "unit") == 0
-        cfg = cli.RunConfig(kappa=0.3).validate()
-        grid = fileio.read_sinogram_csv(tmp_path / "sinogram.csv", cfg.boundary_template())
-        tau = exit_time(grid.alpha, CurvatureParam(0.3))
-        assert np.max(np.abs(grid.values - tau[None, :])) < 1e-10
+        # f = 1 integrates to the chord length: the file holds tau exactly
+        for kappa in (-0.9, 0.3, 0.9):
+            out = tmp_path / str(kappa)
+            assert run_cli("--kappa", kappa, "--out", out, "forward", "--phantom", "unit") == 0
+            cfg = cli.RunConfig(kappa=kappa).validate()
+            grid = fileio.read_sinogram_csv(out / "sinogram.csv", cfg.boundary_template())
+            tau = exit_time(grid.alpha, CurvatureParam(kappa))
+            assert np.array_equal(grid.values, np.broadcast_to(tau + 0j, grid.shape))
 
     def test_single_mode_coefficient_file(self, tmp_path):
         cp = CurvatureParam(0.4)
@@ -558,6 +583,13 @@ class TestForwardCommand:
         assert run_cli("--kappa", 0.4, "--out", tmp_path, "forward",
                        "--phantom", tmp_path / "f.json") == cli.EXIT_CONFIG
 
+    def test_near_degenerate_kappa_warns(self, tmp_path, capsys):
+        assert run_cli("--kappa", 0.999, "--out", tmp_path / "a", "forward", "--phantom", "unit") == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "degenerate" in err
+        assert run_cli("--kappa", 0.9, "--out", tmp_path / "b", "forward", "--phantom", "unit") == 0
+        assert capsys.readouterr().err == ""
+
     def test_deterministic_output(self, tmp_path):
         for sub in ("a", "b"):
             run_cli("--kappa", 0.3, "--seed", 7, "--noise", 0.01,
@@ -572,8 +604,8 @@ class TestForwardCommand:
 
 
 class TestForwardRoutes:
-    """A coefficient phantom goes through the SVD; `unit` and callables
-    through geodesic quadrature, which is the SVD route's oracle."""
+    """A coefficient phantom goes through the SVD and `unit` maps to
+    exit_time; the library's geodesic quadrature is their oracle."""
 
     @staticmethod
     def _phantom(path, kappa, nmax=6, seed=0):
@@ -595,7 +627,7 @@ class TestForwardRoutes:
         template = cli.RunConfig(kappa=kappa).validate().boundary_template()
         got = fileio.read_sinogram_csv(tmp_path / "sinogram.csv", template)
         f = lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_series(tab, z, cp)
-        want = xray.sinogram(f, template, cp, xray.GeodesicQuad(n_nodes=nodes))
+        want = xray.sinogram(f, template, cp, n_nodes=nodes)
         assert np.max(np.abs(got.values - want.values)) < 1e-10
 
     def test_coefficient_phantom_noise_is_seeded(self, tmp_path):
@@ -613,18 +645,18 @@ class TestForwardRoutes:
         meta = json.loads((tmp_path / "svd/sinogram.meta.json").read_text())
         assert meta["forward"] == "svd"
         assert meta["phantom_modes"] == 28
-        run_cli("--kappa", 0.3, "--out", tmp_path / "quad", "forward", "--phantom", "unit")
-        meta = json.loads((tmp_path / "quad/sinogram.meta.json").read_text())
-        assert meta["forward"] == "quadrature"
-        assert meta["geodesic_nodes"] == 64
+        run_cli("--kappa", 0.3, "--out", tmp_path / "unit", "forward", "--phantom", "unit")
+        meta = json.loads((tmp_path / "unit/sinogram.meta.json").read_text())
+        assert meta["forward"] == "exit_time"
+        assert "geodesic_nodes" not in meta
 
     def test_sidecar_quadrature_lists_used_sizes(self, tmp_path):
-        # the geodesic rule of the quadrature route and the boundary grid
-        # every sinogram lives on; no size that no command reads
+        # the boundary grid every sinogram lives on; no size that no
+        # command reads
         run_cli("--kappa", 0.3, "--out", tmp_path, "forward", "--phantom", "unit")
         meta = json.loads((tmp_path / "sinogram.meta.json").read_text())
         cfg = meta["config"]
-        assert meta["quadrature"] == {key: cfg[key] for key in ("geodesic_nodes", "n_beta", "n_alpha")}
+        assert meta["quadrature"] == {key: cfg[key] for key in ("n_beta", "n_alpha")}
 
     @pytest.mark.parametrize("n, k", [(2, -1), (1, 2)])
     def test_cokernel_entry_rejected(self, tmp_path, capsys, n, k):
@@ -874,7 +906,7 @@ class TestOneParserPerProcess:
         assert run_cli("--kappa", 0.3, "--out", tmp_path / "a", "forward",
                        "--phantom", tmp_path / "f.json") == 0
         assert run_cli("--kappa", 0.3, "--out", tmp_path / "b", "forward") == 0
-        assert json.loads((tmp_path / "b/sinogram.meta.json").read_text())["forward"] == "quadrature"
+        assert json.loads((tmp_path / "b/sinogram.meta.json").read_text())["forward"] == "exit_time"
         template = cli.RunConfig(kappa=0.3).validate().boundary_template()
         grid = fileio.read_sinogram_csv(tmp_path / "b/sinogram.csv", template)
         assert np.max(np.abs(grid.values - exit_time(grid.alpha, cp)[None, :])) < 1e-10
