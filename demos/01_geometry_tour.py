@@ -10,11 +10,10 @@ import numpy as np
 
 from diskxray.geometry import (
     CurvatureParam,
-    FanBeamPoint,
     exit_time,
     footpoint_angles,
     geodesic_point,
-    scattering,
+    scattering_angles,
     sig,
     sig_prime,
 )
@@ -42,8 +41,8 @@ pts = geodesic_point(beta, alpha, t, cp)
 print("\ngeodesic from (beta, alpha) = (0.3, 0.55):")
 for ti, zi in zip(t, pts):
     print(f"  t = {ti:.3f}   z = {zi.real:+.4f} {zi.imag:+.4f}i   |z| = {abs(zi):.6f}")
-end = scattering(FanBeamPoint(beta, alpha), cp)
-print(f"scattering predicts exit at beta' = {end.beta:.6f}")
+end_beta, end_alpha = scattering_angles(beta, alpha, cp)
+print(f"scattering predicts exit at beta' = {end_beta:.6f}")
 print(f"geodesic actually exits at       {np.angle(pts[-1]) % (2 * np.pi):.6f}")
 
 # The whole boundary behavior is governed by one scalar function, the

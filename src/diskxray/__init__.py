@@ -3,7 +3,8 @@
 Library layout:
 
 - ``geometry``: metric, isometries, geodesics, scattering relation and
-  the scattering signature, footpoint map.
+  the scattering signature, footpoint map; boundary points are
+  (beta, alpha) angle arrays.
 - ``basis``: Zernike-type disk families, boundary families, norms.
 - ``xray``: forward transform, adjoint, grids, inner products, analysis /
   synthesis, exact singular values and truncated-SVD inversion.
@@ -33,15 +34,12 @@ from .boundary import (
 )
 from .geometry import (
     CurvatureParam,
-    FanBeamPoint,
     MoebiusMap,
     conformal_factor,
     exit_time,
     fiber_change,
-    footpoint,
     geodesic_point,
     isometry_from_tangent,
-    scattering,
     sig,
     sig_inverse,
     sig_prime,
@@ -67,7 +65,6 @@ __all__ = [
     "CoeffTable",
     "CurvatureParam",
     "DiskGrid",
-    "FanBeamPoint",
     "MoebiusMap",
     "adjoint_sharp",
     "analyze",
@@ -80,7 +77,6 @@ __all__ = [
     "disk_inner",
     "exit_time",
     "fiber_change",
-    "footpoint",
     "forward",
     "geodesic_point",
     "invert",
@@ -92,7 +88,6 @@ __all__ = [
     "psi_kappa",
     "psi_kappa_hat",
     "psi_over_mu",
-    "scattering",
     "sig",
     "sig_inverse",
     "sig_prime",

@@ -8,10 +8,13 @@ kappa a spherical cap, kappa = 0 the Euclidean disk.
 Boundary phase space uses fan-beam coordinates (beta, alpha): the base
 point is e^{i beta} on the unit circle and alpha is the angle of the
 tangent vector measured from the inward normal, so |alpha| <= pi/2 means
-the vector points into the disk.
+the vector points into the disk.  A boundary point is the angle pair
+itself: (beta, alpha), like every interior point, direction and
+arclength here (`isometry_from_tangent` included), is given as scalars
+or numpy arrays that broadcast.  `exit_time` and `geodesic_point` wrap
+alpha and reject an outward one.
 
-All operations are pure functions; angle and arclength arguments accept
-scalars or numpy arrays and broadcast.
+All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -64,30 +67,11 @@ class CurvatureParam:
 
 
 @dataclass(frozen=True)
-class FanBeamPoint:
-    """Boundary phase-space point (beta, alpha) in fan-beam coordinates.
-
-    beta is stored in [0, 2*pi), alpha in [-pi, pi); the point is inward
-    iff |alpha| <= pi/2.
-    """
-
-    beta: float
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", float(wrap_two_pi(self.beta)))
-        object.__setattr__(self, "alpha", float(wrap_pi(self.alpha)))
-
-    @property
-    def is_inward(self) -> bool:
-        return abs(self.alpha) <= HALF_PI + ANGLE_TOL
-
-
-@dataclass(frozen=True)
 class MoebiusMap:
     """Disk-model isometry z -> (a z + b) / (-kappa conj(b) z + conj(a)).
 
-    The pair (a, b) is normalized so that |a|^2 + kappa |b|^2 = 1.
+    The pair (a, b) is normalized so that |a|^2 + kappa |b|^2 = 1.  a and
+    b may be arrays of one shape, a family of maps applied elementwise.
     """
 
     a: complex
@@ -95,10 +79,10 @@ class MoebiusMap:
     kappa: float
 
     def __post_init__(self):
-        det = abs(self.a) ** 2 + self.kappa * abs(self.b) ** 2
-        if abs(det - 1.0) > 1e-9:
+        dev = np.abs(np.abs(self.a) ** 2 + self.kappa * np.abs(self.b) ** 2 - 1.0)
+        if not np.all(dev <= 1e-9):
             raise ValueError(
-                f"isometry normalization violated: |a|^2 + kappa |b|^2 = {det!r}"
+                f"isometry normalization violated: ||a|^2 + kappa |b|^2 - 1| = {np.max(dev)!r}"
             )
 
     def __call__(self, z):
@@ -122,13 +106,16 @@ def isometry_from_tangent(z1, theta, cp: CurvatureParam) -> MoebiusMap:
 
     The returned map T satisfies T(0) = z1 and T'(0) = c(z1) e^{i theta},
     i.e. it moves the base point 0 with horizontal unit direction onto the
-    unit tangent vector at z1 with direction angle theta.
+    unit tangent vector at z1 with direction angle theta.  Arrays z1 and
+    theta broadcast to one map per point.
     """
-    z1 = complex(z1)
-    if abs(z1) > 1.0 + ANGLE_TOL:
-        raise ValueError(f"base point must lie in the closed unit disk, got |z1| = {abs(z1)}")
-    scale = 1.0 / math.sqrt(1.0 + cp.kappa * abs(z1) ** 2)
-    half = np.exp(0.5j * theta)
+    z1 = np.asarray(z1, dtype=complex)
+    if np.any(np.abs(z1) > 1.0 + ANGLE_TOL):
+        raise ValueError(
+            f"base point must lie in the closed unit disk, got |z1| = {np.max(np.abs(z1))}"
+        )
+    scale = 1.0 / np.sqrt(1.0 + cp.kappa * np.abs(z1) ** 2)
+    half = np.exp(0.5j * np.asarray(theta, dtype=float))
     return MoebiusMap(a=scale * half, b=scale * z1 / half, kappa=cp.kappa)
 
 
@@ -244,12 +231,6 @@ def antipodal_scattering_angles(beta, alpha, cp: CurvatureParam):
     return wrap_two_pi(beta + np.pi + 2.0 * sig(a, cp)), wrap_pi(-a)
 
 
-def scattering(bp: FanBeamPoint, cp: CurvatureParam) -> FanBeamPoint:
-    """Scattering relation: maps one end of a geodesic to the other."""
-    b, a = scattering_angles(bp.beta, bp.alpha, cp)
-    return FanBeamPoint(float(b), float(a))
-
-
 def fiber_change(rho, theta, cp: CurvatureParam):
     """Fiber angle substitution theta -> theta' and its jacobian.
 
@@ -283,9 +264,3 @@ def footpoint_angles(rho, omega, theta, cp: CurvatureParam):
     thp, _ = fiber_change(rho, th, cp)
     beta_m = thp - np.pi - sig(alpha_m, cp) + om
     return wrap_two_pi(beta_m), alpha_m
-
-
-def footpoint(rho: float, omega: float, theta: float, cp: CurvatureParam) -> FanBeamPoint:
-    """Single-point version of `footpoint_angles` returning a FanBeamPoint."""
-    b, a = footpoint_angles(rho, omega, theta, cp)
-    return FanBeamPoint(float(b), float(a))

@@ -33,7 +33,6 @@ from . import basis
 from .basis import _NonFiniteValues
 from .geometry import (
     CurvatureParam,
-    FanBeamPoint,
     exit_time,
     footpoint_angles,
     geodesic_point,
@@ -285,18 +284,27 @@ def disk_inner(f1: DiskGrid, f2: DiskGrid) -> complex:
 # forward transform
 # ---------------------------------------------------------------------------
 
-def _forward_batch(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
-    """Geodesic integrals of f over a flat batch of boundary points: each
-    chord [0, tau] is cut into P equal panels, P the fewest that keep the
-    longest chord's panels within `_PANEL_LENGTH`, with n_nodes // P (at
-    least 4) Gauss-Legendre nodes on each."""
-    beta = np.asarray(beta, dtype=float).ravel()
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    tau = np.asarray(exit_time(alpha, cp), dtype=float)
+def forward(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
+    """X-ray transform of f at the inward boundary points (beta, alpha),
+    by geodesic quadrature.
+
+    f is a callable on the closed disk (vectorized over complex arrays).
+    beta and alpha broadcast; the result has their broadcast shape, and
+    scalar angles give a complex scalar.  An outward alpha is rejected
+    and a tangential one integrates to 0.  Each chord [0, tau] is cut
+    into P equal panels, P the fewest that keep the call's longest chord
+    within `_PANEL_LENGTH`, with n_nodes // P (at least 4) Gauss-Legendre
+    nodes on each; all points of one call share that rule.
+    """
+    beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
+                                      np.asarray(alpha, dtype=float))
+    shape = beta.shape
+    beta, alpha = beta.ravel(), alpha.ravel()
+    tau = exit_time(alpha, cp)
     out = np.zeros(beta.shape, dtype=complex)
     if tau.size == 0:
-        return out
-    n_panels = max(1, math.ceil(float(tau.max(initial=0.0)) / _PANEL_LENGTH))
+        return out.reshape(shape)
+    n_panels = max(1, math.ceil(float(tau.max()) / _PANEL_LENGTH))
     per = max(4, n_nodes // n_panels)
     x, w = _gauss_legendre(per)
     for panel in range(n_panels):
@@ -314,24 +322,12 @@ def _forward_batch(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
                 f"first at t={t[i, j]:.6g} (beta={beta[i]:.6g}, alpha={alpha[i]:.6g})"
             )
         out += half * (vals @ w)
-    return out
-
-
-def forward(f, bp: FanBeamPoint, cp: CurvatureParam, n_nodes: int = 64) -> complex:
-    """X-ray transform of f at one inward boundary point, by geodesic
-    quadrature with `n_nodes` nodes along the chord.
-
-    f is a callable on the closed disk (vectorized over complex arrays).
-    Tangential points have zero exit time and integrate to 0.
-    """
-    if not bp.is_inward:
-        raise ValueError("forward requires an inward boundary point")
-    return complex(_forward_batch(f, [bp.beta], [bp.alpha], cp, n_nodes)[0])
+    return out.reshape(shape)[()]
 
 
 def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, n_nodes: int = 64) -> BoundaryGrid:
-    """X-ray transform of f sampled on every node of the template grid,
-    by geodesic quadrature with `n_nodes` nodes along each chord.
+    """X-ray transform of f on every node of the template grid: `forward`
+    on `template.mesh()`, with `n_nodes` quadrature nodes along each chord.
 
     f is a callable on the disk (vectorized over complex arrays).  A
     coefficient table c needs no quadrature: by the SVD, the transform of
@@ -342,8 +338,7 @@ def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, n_nodes: int = 64) -
     Passed here as callables, e.g.
     z -> w_kappa(z) * basis.zernike_kappa_series(table, z, cp), they are
     integrated instead, which makes this the independent check of both
-    routes.  Deterministic for fixed inputs; nodes are independent, so
-    callers may parallelize over them freely.
+    routes.  Deterministic for fixed inputs.
     """
     if not callable(f):
         raise TypeError(
@@ -352,9 +347,7 @@ def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, n_nodes: int = 64) -
             "on the template, or integrate it as the callable "
             "w_kappa * basis.zernike_kappa_series"
         )
-    bb, aa = template.mesh()
-    vals = _forward_batch(f, bb, aa, cp, n_nodes).reshape(template.shape)
-    return template.with_values(vals)
+    return template.with_values(forward(f, *template.mesh(), cp, n_nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,15 @@ import pytest
 from diskxray import selftest
 from diskxray.geometry import (
     CurvatureParam,
-    FanBeamPoint,
     MoebiusMap,
     antipodal_scattering_angles,
     conformal_factor,
     exit_time,
     fiber_change,
-    footpoint,
     footpoint_angles,
     geodesic_point,
     geodesic_velocity,
     isometry_from_tangent,
-    scattering,
     scattering_angles,
     sig,
     sig_inverse,
@@ -116,6 +113,24 @@ class TestIsometries:
     def test_rejects_outside_disk(self):
         with pytest.raises(ValueError):
             isometry_from_tangent(1.5, 0.0, CurvatureParam(0.2))
+
+    def test_isometry_from_tangent_broadcasts(self):
+        # an array of maps is the family of per-point maps, and one bad
+        # member rejects the whole family
+        cp = CurvatureParam(-0.5)
+        rng = np.random.default_rng(3)
+        z1 = 0.95 * rng.uniform(0, 1, 6) * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+        th = rng.uniform(0, 2 * np.pi, 6)
+        z = 0.8 * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+        T = isometry_from_tangent(z1, th, cp)
+        for i in range(6):
+            Ti = isometry_from_tangent(z1[i], th[i], cp)
+            assert T(z)[i] == pytest.approx(Ti(z[i]), rel=1e-15, abs=0)
+            assert T.deriv(z)[i] == pytest.approx(Ti.deriv(z[i]), rel=1e-15, abs=0)
+        with pytest.raises(ValueError):
+            isometry_from_tangent(np.array([0.2, 1.5j, 0.0]), 0.0, cp)
+        with pytest.raises(ValueError):
+            MoebiusMap(a=np.array([1.0, 1.2]), b=np.zeros(2), kappa=0.5)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_metric_invariance(self, kappa, hold):
@@ -215,9 +230,9 @@ class TestScattering:
     def test_normal_entry(self):
         for kappa in (-0.5, 0.0, 0.6):
             cp = CurvatureParam(kappa)
-            s = scattering(FanBeamPoint(0.0, 0.0), cp)
-            assert s.beta == pytest.approx(np.pi)
-            assert abs(s.alpha) == pytest.approx(np.pi)  # pi - 0 wrapped to [-pi, pi)
+            s_beta, s_alpha = scattering_angles(0.0, 0.0, cp)
+            assert s_beta == pytest.approx(np.pi)
+            assert abs(s_alpha) == pytest.approx(np.pi)  # pi - 0 wrapped to [-pi, pi)
             sa_beta, sa_alpha = antipodal_scattering_angles(0.0, 0.0, cp)
             assert sa_beta == pytest.approx(np.pi)
             assert sa_alpha == pytest.approx(0.0)
@@ -355,13 +370,13 @@ class TestFootpoint:
     def test_center(self):
         for kappa in (-0.5, 0.0, 0.7):
             cp = CurvatureParam(kappa)
-            fp = footpoint(0.0, 0.0, 1.0, cp)
-            assert fp.alpha == pytest.approx(0.0, abs=1e-15)
-            assert fp.beta == pytest.approx(np.mod(1.0 - np.pi, 2 * np.pi), abs=1e-12)
+            bm, am = footpoint_angles(0.0, 0.0, 1.0, cp)
+            assert am == pytest.approx(0.0, abs=1e-15)
+            assert bm == pytest.approx(np.mod(1.0 - np.pi, 2 * np.pi), abs=1e-12)
 
     def test_rejects_boundary_radius(self):
         with pytest.raises(ValueError):
-            footpoint(1.0, 0.0, 0.0, CurvatureParam(0.1))
+            footpoint_angles(1.0, 0.0, 0.0, CurvatureParam(0.1))
 
     @pytest.mark.parametrize("kappa", [-0.7, -0.3, 0.5, 0.8])
     def test_roundtrip_through_geodesic(self, kappa):
@@ -442,15 +457,3 @@ class TestFiberChange:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_relations_to_footpoint(self, kappa, hold):
         hold(selftest.fiber_closed_forms, kappa)
-
-
-class TestFanBeamPoint:
-    def test_wrapping(self):
-        bp = FanBeamPoint(2 * np.pi + 0.3, 2 * np.pi - 0.2)
-        assert bp.beta == pytest.approx(0.3)
-        assert bp.alpha == pytest.approx(-0.2)
-
-    def test_inward_predicate(self):
-        assert FanBeamPoint(0.0, 0.3).is_inward
-        assert FanBeamPoint(0.0, np.pi / 2).is_inward
-        assert not FanBeamPoint(0.0, 2.0).is_inward

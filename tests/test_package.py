@@ -26,18 +26,20 @@ def test_import_needs_no_scipy():
 def test_public_surface_pinned():
     # every exported name resolves, once; the symmetry classifier, wrong
     # at strong curvature, names only tests called, the torus steps
-    # behind c_minus/p_minus and the geodesic quadrature plan are gone
-    # from the package and their modules
+    # behind c_minus/p_minus, the geodesic quadrature plan and the scalar
+    # boundary-point wrappers are gone from the package and their modules
     import diskxray
     from diskxray import basis, boundary, geometry, xray
 
     assert all(hasattr(diskxray, name) for name in diskxray.__all__)
-    assert len(set(diskxray.__all__)) == len(diskxray.__all__) == 40
+    assert len(set(diskxray.__all__)) == len(diskxray.__all__) == 37
     torus = ("TorusGrid", "extend", "scattering_pullback", "hilbert", "restrict_star",
              "c_minus_torus", "p_minus_torus")
     for gone, module in (("classify", boundary), ("SymmetryClass", boundary),
                          ("BasisIndex", basis), ("antipodal_scattering", geometry),
-                         ("GeodesicQuad", xray),
+                         ("GeodesicQuad", xray), ("FanBeamPoint", geometry),
+                         ("scattering", geometry), ("footpoint", geometry),
+                         ("_forward_batch", xray),
                          *((name, boundary) for name in torus)):
         assert gone not in diskxray.__all__
         assert not hasattr(diskxray, gone) and not hasattr(module, gone)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diskxray import basis, boundary, geometry, selftest, xray
-from diskxray.geometry import CurvatureParam, FanBeamPoint, exit_time
+from diskxray.geometry import CurvatureParam, exit_time
 
 
 def ones(z):
@@ -98,20 +98,19 @@ class TestGrids:
 class TestForward:
     def test_constant_integrates_to_exit_time(self):
         cp = CurvatureParam(0.5)
-        bp = FanBeamPoint(0.3, 0.55)
-        got = xray.forward(ones, bp, cp)
-        assert got == pytest.approx(exit_time(bp.alpha, cp), abs=1e-12)
+        got = xray.forward(ones, 0.3, 0.55, cp)
+        assert got == pytest.approx(exit_time(0.55, cp), abs=1e-12)
 
     def test_euclidean_diameter(self):
-        got = xray.forward(ones, FanBeamPoint(1.0, 0.0), CurvatureParam(0.0))
+        got = xray.forward(ones, 1.0, 0.0, CurvatureParam(0.0))
         assert got == pytest.approx(2.0, abs=1e-13)
 
     def test_rejects_outward(self):
         with pytest.raises(ValueError):
-            xray.forward(ones, FanBeamPoint(0.0, 2.5), CurvatureParam(0.0))
+            xray.forward(ones, 0.0, 2.5, CurvatureParam(0.0))
 
     def test_tangential_integrates_to_zero(self):
-        got = xray.forward(ones, FanBeamPoint(0.4, np.pi / 2), CurvatureParam(0.3))
+        got = xray.forward(ones, 0.4, np.pi / 2, CurvatureParam(0.3))
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_nonfinite_integrand_reported(self):
@@ -122,7 +121,7 @@ class TestForward:
             return np.where(np.abs(z) < 0.2, np.nan, out)
 
         with pytest.raises(ValueError, match="non-finite"):
-            xray.forward(bad, FanBeamPoint(0.0, 0.0), cp)
+            xray.forward(bad, 0.0, 0.0, cp)
 
     def test_single_mode_identity(self):
         # forward of w * Zhat_{0,0} is sigma_0 psi_hat_{0,0} pointwise
@@ -130,10 +129,28 @@ class TestForward:
         rng = np.random.default_rng(0)
         f = lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_hat(0, 0, z, cp)
         for _ in range(10):
-            bp = FanBeamPoint(rng.uniform(0, 2 * np.pi), rng.uniform(-1.4, 1.4))
-            got = xray.forward(f, bp, cp)
-            want = xray.singular_value(0, cp) * basis.psi_kappa_hat(0, 0, bp.beta, bp.alpha, cp)
+            beta, alpha = rng.uniform(0, 2 * np.pi), rng.uniform(-1.4, 1.4)
+            got = xray.forward(f, beta, alpha, cp)
+            want = xray.singular_value(0, cp) * basis.psi_kappa_hat(0, 0, beta, alpha, cp)
             assert got == pytest.approx(complex(want), abs=1e-8)
+
+    def test_broadcasts_like_pointwise_calls(self):
+        # the panel count follows a call's longest chord; at kappa = 0.4
+        # every chord fits one panel, so all calls use one rule.  numpy
+        # sums a one-row matmul in another order than a many-row one, so
+        # a point alone and a point in a batch may differ in the last bits
+        cp = CurvatureParam(0.4)
+        assert exit_time(0.0, cp) < xray._PANEL_LENGTH
+        f = lambda z: np.exp(z) * basis.w_kappa(z, cp)
+        tpl = xray.boundary_grid(cp, 3, 4)
+        got = xray.forward(f, tpl.beta[:, None], tpl.alpha[None, :], cp)
+        assert got.shape == (3, 4) and got.dtype == complex
+        assert np.array_equal(got, xray.sinogram(f, tpl, cp).values)
+        pointwise = np.array([[xray.forward(f, b, a, cp) for a in tpl.alpha] for b in tpl.beta])
+        assert np.max(np.abs(got - pointwise)) <= 8 * np.finfo(float).eps * np.max(np.abs(got))
+        scalar = xray.forward(f, np.array(tpl.beta[1]), tpl.alpha[2], cp)
+        assert isinstance(scalar, complex) and np.ndim(scalar) == 0
+        assert scalar == pointwise[1, 2]
 
     def test_quadrature_convergence(self, hold):
         hold(selftest.quadrature_convergence, 0.5)
