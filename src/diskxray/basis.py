@@ -39,12 +39,16 @@ class _NonFiniteValues(ValueError):
 # ---------------------------------------------------------------------------
 
 def nk_to_pq(n: int, k: int) -> tuple[int, int]:
-    """Re-index a singular pair (n, k) as a boundary pair (p, q) = (n-2k, n-k)."""
+    """Re-index a singular pair (n, k) as a boundary pair (p, q) = (n-2k, n-k).
+
+    Kept, though only tests and demo 02 call it: it is the paper's index map."""
     return n - 2 * k, n - k
 
 
 def pq_to_nk(p: int, q: int) -> tuple[int, int]:
-    """Inverse of `nk_to_pq`: (n, k) = (2q - p, q - p)."""
+    """Inverse of `nk_to_pq`: (n, k) = (2q - p, q - p).
+
+    Kept, though only tests and demo 02 call it: it is the paper's index map."""
     return 2 * q - p, q - p
 
 
@@ -78,9 +82,6 @@ class CoeffTable:
 
     def items(self):
         return [(nk, self.entries[nk]) for nk in sorted(self.entries)]
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.entries.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,9 @@ def p_minus_rule(p: int, q: int) -> complex:
 
 
 def projection_rule(p: int, q: int) -> float:
-    """Multiplier of id + C-^2 on u'_{p,q}: 1 on the range, 0 on the co-kernel."""
+    """Multiplier of id + C-^2 on u'_{p,q}: 1 on the range, 0 on the co-kernel.
+
+    Kept, though only tests call it: it is the paper's range projector, mode by mode."""
     return float((1.0 + c_minus_rule(p, q) ** 2).real)
 
 
@@ -310,6 +312,11 @@ class MomentReport:
         return max((r[2] for r in self.rows), default=0.0) / (self.u_norm * psi_norm)
 
 
+def _resolves_moments(nmax: int, kpad: int, n_beta: int) -> bool:
+    """Whether n_beta beta nodes resolve the moment frequencies |n - 2k| <= nmax + 2 kpad."""
+    return 2 * (nmax + 2 * kpad) < n_beta
+
+
 def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam) -> MomentReport:
     """Moments of u against psi_{n,k} for k outside [0, n].
 
@@ -323,7 +330,7 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam) 
     _check_kappa(u, cp)
     if kpad < 1:
         raise ValueError("kpad must be >= 1")
-    if 2 * (nmax + 2 * kpad) >= len(u.beta):
+    if not _resolves_moments(nmax, kpad, len(u.beta)):
         raise ValueError(
             f"moments up to nmax={nmax}, kpad={kpad} not resolvable on {len(u.beta)} beta nodes"
         )

@@ -81,7 +81,13 @@ class RunConfig:
         kind = reg.get("kind", "truncation")
         if kind not in ("truncation", "sigma_cutoff"):
             raise ConfigError(f"reg.kind must be 'truncation' or 'sigma_cutoff', got {kind!r}")
-        self.reg = {"kind": kind, "sigma_cutoff": _number("reg.sigma_cutoff", reg.get("sigma_cutoff", 0.0))}
+        cutoff = _number("reg.sigma_cutoff", reg.get("sigma_cutoff", 0.0))
+        # every singular value is positive, so a cutoff <= 0 would discard
+        # nothing; truncation reads no cutoff at all
+        if (cutoff <= 0) if kind == "sigma_cutoff" else (cutoff != 0):
+            want = "> 0" if kind == "sigma_cutoff" else "0"
+            raise ConfigError(f"reg.sigma_cutoff must be {want} with reg.kind {kind!r}, got {cutoff}")
+        self.reg = {"kind": kind, "sigma_cutoff": cutoff}
         if not isinstance(self.output, str) or not isinstance(self.input, (str, type(None))):
             raise ConfigError(f"input and output must be path strings, got {self.input!r}, {self.output!r}")
         return self
@@ -272,13 +278,28 @@ def _read_input_sinogram(cfg: RunConfig) -> xray.BoundaryGrid:
 _MOMENTS_HEADER = ["n", "k", "abs_inner"]
 
 
+def _invert_moments(grid: xray.BoundaryGrid, cfg: RunConfig, cp: CurvatureParam):
+    """Moment scan of invert's input at the widest kpad <= 2 that its beta
+    grid resolves, or None when it resolves none; a narrowed or skipped
+    scan is reported on stderr."""
+    kpad = next((k for k in (2, 1) if boundary._resolves_moments(cfg.nmax, k, cfg.n_beta)), None)
+    if kpad != 2:
+        scan = "skips the moment scan" if kpad is None else f"scans moments at kpad={kpad}, not 2"
+        print(f"warning: invert {scan}: nmax + 2 kpad must stay below n_beta/2 "
+              f"(nmax={cfg.nmax}, n_beta={cfg.n_beta})", file=sys.stderr)
+    return None if kpad is None else boundary.moment_residuals(grid, cfg.nmax, kpad, cp)
+
+
 def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+    """Truncated-SVD inversion, with the input's moment scan (null in the
+    report when the beta grid resolves none); all is computed before the
+    first write."""
     grid = _read_input_sinogram(cfg)
     cutoff = cfg.reg["sigma_cutoff"] if cfg.reg["kind"] == "sigma_cutoff" else None
     res = xray.invert(grid, cfg.nmax, cp, disk_template=cfg.disk_template(), sigma_cutoff=cutoff)
+    moments = _invert_moments(grid, cfg, cp)
     fileio.write_diskgrid_csv(outdir / "reconstruction.csv", res.recon)
     fileio.write_coeff_json(outdir / "coefficients.json", res.coeffs, cp)
-    moments = boundary.moment_residuals(grid, cfg.nmax, 2, cp)
     report = {
         "residual": res.residual,
         "discarded_energy": res.discarded_energy,
@@ -286,14 +307,14 @@ def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
         "sigma_min": res.sigma_min,
         "noise_amplification_bound": res.noise_amplification_bound,
         "gram_deviation": res.gram_deviation,
-        "moment_verdict_in_range": bool(moments.in_range),
-        "moment_max_normalized": moments.max_normalized(cp),
+        "moment_verdict_in_range": None if moments is None else bool(moments.in_range),
+        "moment_max_normalized": None if moments is None else moments.max_normalized(cp),
         "coefficients": [
             {"n": n, "k": k, "re": c.real, "im": c.imag} for (n, k), c in res.coeffs.items()
         ],
     }
     fileio._write_json(outdir / "report.json", report, sort_keys=True)
-    fileio.write_table_csv(outdir / "moments.csv", moments.rows, _MOMENTS_HEADER)
+    fileio.write_table_csv(outdir / "moments.csv", [] if moments is None else moments.rows, _MOMENTS_HEADER)
     return "invert", None, f"wrote {outdir}/reconstruction.csv, coefficients.json, report.json"
 
 

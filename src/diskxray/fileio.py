@@ -265,14 +265,22 @@ def _read_grid_csv(path, template, header, outer, inner, what):
 
     The file's coordinates must be those nodes, row-major, to 1e-12
     absolute.  `what` names the grid in the row-count and node messages.
-    The file is parsed once by `_read_node_text`; only a file that parse
-    cannot take goes through `_read_columns`, which reads it by the same
-    rules or names its first bad line.
+    The file is opened as text once and its header checked once; the
+    body is parsed by `_read_node_text`, and only a body that parse
+    cannot take goes to `_read_columns`, which reads it by the same rules
+    or names its first bad line.
     """
     shape = template.shape
-    cols = _read_node_text(path, header, shape)
-    if cols is None:
-        cols = _read_columns(path, header)
+    # the one-pass parse's text fields drop trailing NULs, which float() rejects
+    with open(path, "rb") as raw:
+        nul = any(b"\0" in chunk for chunk in iter(functools.partial(raw.read, 1 << 16), b""))
+    with open(path, newline="") as fh:
+        body = _body_offset(fh, path, header)
+        cols = None if nul or body is None else _read_node_text(fh, shape)
+        if cols is None:
+            if body is not None:
+                fh.seek(body)
+            cols = _read_columns(fh, path, len(header))
     c_outer, c_inner, re, im = cols
     if len(re) != shape[0] * shape[1]:
         raise ValueError(f"{what[0]} has {len(re)} rows, template expects {shape[0] * shape[1]}")
@@ -291,24 +299,18 @@ _NODE_TEXT_ROW = np.dtype([("outer", f"S{_NODE_WIDTH}"), ("inner", f"S{_NODE_WID
                            ("re", float), ("im", float)])
 
 
-def _read_node_text(path, names, shape):
-    """The four columns of a grid file of `shape` from one `np.loadtxt`
-    pass that reads the node columns as text, then converts them as
-    `float()` does: each distinct text once when each row of the grid
-    repeats one outer node text and each column one inner node text, as
-    the writers' files do, else field by field.  None when that pass
-    cannot take the file (a NUL byte, quotes, a wrong field count, a node
-    field that fills `_NODE_WIDTH`)."""
-    with open(path, "rb") as raw:  # a text field drops trailing NULs, which float() rejects
-        if any(b"\0" in chunk for chunk in iter(functools.partial(raw.read, 1 << 16), b"")):
-            return None
-    with open(path, newline="") as fh:
-        if _body_offset(fh, path, names) is None:
-            return None
-        try:
-            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=_NODE_TEXT_ROW, ndmin=1)
-        except ValueError:
-            return None
+def _read_node_text(fh, shape):
+    """The four columns of the body of a grid file of `shape`, from the
+    open file at its body, by one `np.loadtxt` pass that reads the node
+    columns as text, then converts them as `float()` does: each distinct
+    text once when each row of the grid repeats one outer node text and
+    each column one inner node text, as the writers' files do, else
+    field by field.  None when that pass cannot take the body (quotes, a
+    wrong field count, a node field that fills `_NODE_WIDTH`)."""
+    try:
+        data = np.loadtxt(fh, delimiter=",", comments=None, dtype=_NODE_TEXT_ROW, ndmin=1)
+    except ValueError:
+        return None
     c_outer, c_inner = data["outer"], data["inner"]
     if any(c.view((np.uint8, _NODE_WIDTH))[:, -1].any() for c in (c_outer, c_inner)):
         return None
@@ -332,8 +334,8 @@ def _complex(re, im) -> np.ndarray:
 
 def _body_offset(fh, path, names):
     """Check the header line of the open CSV file `fh` against `names`
-    and return the offset of the body, with the file left there; None
-    when the body holds no non-blank line."""
+    and return the offset of the body, with the file left there; None,
+    with the file at its end, when the body holds no non-blank line."""
     header = next(csv.reader([fh.readline()]), [])
     if [h.strip().lower() for h in header] != names:
         raise ValueError(f"expected header {','.join(names)} in {path}, got {header}")
@@ -344,35 +346,22 @@ def _body_offset(fh, path, names):
     return body
 
 
-def _read_columns(path, names):
-    """Float columns of a CSV file under the given header; blank lines
-    are skipped.  The open file goes to `np.loadtxt` in one call, which
-    reads it line by line; if that fails, or yields the wrong column
-    count, the per-line parse below rereads the body and either returns
-    what it reads or names the first bad line as path:lineno (loadtxt
-    counts rows, not lines)."""
-    with open(path, newline="") as fh:
-        body = _body_offset(fh, path, names)
-        if body is None:
-            return [np.empty(0) for _ in names]
+def _read_columns(fh, path, n_fields):
+    """`n_fields` float columns of the open CSV file `path` from its
+    second line on, where `fh` stands, parsed field by field with
+    `float()`; blank lines are skipped and the first bad line is named
+    as path:lineno."""
+    cols = [[] for _ in range(n_fields)]
+    for lineno, row in enumerate(csv.reader(fh), start=2):
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise ValueError(f"{path}:{lineno}: expected {n_fields} fields")
         try:
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
-        if data is not None and data.shape[1] == len(names):
-            return list(data.T)
-        fh.seek(body)
-        cols = [[] for _ in names]
-        for lineno, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ValueError(f"{path}:{lineno}: expected {len(names)} fields")
-            try:
-                for c, field in zip(cols, row):
-                    c.append(float(field))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            for c, field in zip(cols, row):
+                c.append(float(field))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return [np.asarray(c, dtype=float) for c in cols]
 
 

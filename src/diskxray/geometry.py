@@ -61,10 +61,6 @@ class CurvatureParam:
         object.__setattr__(self, "lam", (1.0 - k) / (1.0 + k))
         object.__setattr__(self, "c1", 1.0 + k)
 
-    def flipped(self) -> "CurvatureParam":
-        """Parameter with the opposite curvature sign."""
-        return CurvatureParam(-self.kappa)
-
 
 @dataclass(frozen=True)
 class MoebiusMap:
@@ -210,7 +206,7 @@ def sig_prime(alpha, cp: CurvatureParam):
 
 def sig_inverse(alpha, cp: CurvatureParam):
     """Inverse of the scattering signature; equals sig at opposite curvature."""
-    return sig(alpha, cp.flipped())
+    return sig(alpha, CurvatureParam(-cp.kappa))
 
 
 def scattering_angles(beta, alpha, cp: CurvatureParam):
@@ -225,7 +221,9 @@ def scattering_angles(beta, alpha, cp: CurvatureParam):
 
 
 def antipodal_scattering_angles(beta, alpha, cp: CurvatureParam):
-    """Scattering relation composed with the fiberwise antipodal map."""
+    """Scattering relation composed with the fiberwise antipodal map.
+
+    Kept, though only tests call it: it is the paper's S_A (`sa_pullback` applies it on grids)."""
     beta = np.asarray(beta, dtype=float)
     a = np.asarray(alpha, dtype=float)
     return wrap_two_pi(beta + np.pi + 2.0 * sig(a, cp)), wrap_pi(-a)

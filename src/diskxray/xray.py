@@ -42,7 +42,7 @@ from .geometry import (
 
 TWO_PI = 2.0 * math.pi
 _BLOCK = 2048  # targets per pass of the grid interpolant: bounds its temporaries
-_MEASURES = ("vol", "weighted", "euclid")  # DiskGrid measure tags
+_MEASURES = ("vol", "weighted")  # DiskGrid measure tags
 _PANEL_LENGTH = 2.0  # longest geodesic quadrature panel
 
 
@@ -97,6 +97,8 @@ class BoundaryGrid:
         substituted fiber variable s = sig(alpha) after dividing out the
         sqrt(sig') weight.  Returns a callable (beta, alpha).
 
+        Kept as the grid adjoint's per-target oracle; benchmarks/tracing.py patches it.
+
         The substitution matters for accuracy: sinograms and the
         u'/v'-type families are trigonometric polynomials in s once the
         sqrt(sig') factor is removed, so the interpolation error is
@@ -143,8 +145,8 @@ class DiskGrid:
 
     rho uses Gauss-Legendre nodes on (0, 1), omega is uniform on
     [0, 2*pi).  The measure tag selects the radial quadrature factor:
-    "vol" integrates against the curved volume form, "weighted" adds the
-    w_kappa weight, "euclid" uses the flat area element.
+    "vol" integrates against the curved volume form (the flat area
+    element at kappa = 0), "weighted" adds the w_kappa weight.
     """
 
     kappa: float
@@ -168,12 +170,8 @@ class DiskGrid:
         r = self.rho
         if self.measure == "vol":
             radial = r / (1.0 + self.kappa * r**2) ** 2
-        elif self.measure == "weighted":
-            radial = r / ((1.0 - self.kappa * r**2) * (1.0 + self.kappa * r**2))
-        elif self.measure == "euclid":
-            radial = r
         else:
-            raise ValueError(f"unknown measure tag {self.measure!r}")
+            radial = r / ((1.0 - self.kappa * r**2) * (1.0 + self.kappa * r**2))
         wo = TWO_PI / len(self.omega)
         return wo * (self.rho_weights * radial)[:, None] * np.ones(len(self.omega))[None, :]
 
@@ -181,11 +179,11 @@ class DiskGrid:
         """Complex node positions rho_i e^{i omega_j}."""
         return self.rho[:, None] * np.exp(1j * self.omega[None, :])
 
-    def with_values(self, values, measure=None) -> "DiskGrid":
+    def with_values(self, values) -> "DiskGrid":
         values = np.asarray(values, dtype=complex)
         if values.shape != (len(self.rho), len(self.omega)):
             raise ValueError(f"values shape {values.shape} does not match the grid")
-        return replace(self, values=values, measure=self.measure if measure is None else measure)
+        return replace(self, values=values)
 
     def norm(self) -> float:
         return math.sqrt(abs(disk_inner(self, self)))

@@ -107,7 +107,7 @@ class TestZernike:
 
     def test_euclidean_orthogonality(self):
         cp = CurvatureParam(0.0)
-        grid = disk_grid(cp, 96, 64, measure="euclid")
+        grid = disk_grid(cp, 96, 64)  # at kappa = 0 "vol" is the flat area element
         pts = grid.points()
         fams = {
             (n, k): grid.with_values(basis.zernike(n, k, pts))

@@ -23,6 +23,19 @@ def write_config(path, **fields):
     return str(path)
 
 
+def read_body(path, names, shape=None):
+    """The columns of a grid CSV file's body, from the file opened and its
+    header checked as `fileio._read_grid_csv` does: by the one-pass
+    `_read_node_text` for a grid of `shape` (flattened, or None when it
+    refuses the body), or by the per-field `_read_columns` without one."""
+    with open(path, newline="") as fh:
+        fileio._body_offset(fh, path, names)
+        if shape is None:
+            return fileio._read_columns(fh, path, len(names))
+        cols = fileio._read_node_text(fh, shape)
+    return None if cols is None else [np.ravel(c) for c in cols]
+
+
 class TestRunConfig:
     def test_defaults_validate(self):
         cfg = cli.RunConfig().validate()
@@ -66,6 +79,8 @@ class TestRunConfig:
         ({"n_beta": "64"}, "n_beta"),
         ({"reg": []}, "reg"),
         ({"input": 3}, "input"),
+        ({"reg": {"kind": "sigma_cutoff", "sigma_cutoff": -1}}, "reg.sigma_cutoff"),
+        ({"reg": {"kind": "truncation", "sigma_cutoff": 5}}, "reg.sigma_cutoff"),
     ])
     def test_bad_values_exit_config(self, tmp_path, capsys, fields, name):
         # rejected with the field named, never coerced or left to a traceback
@@ -73,6 +88,11 @@ class TestRunConfig:
         assert run_cli("--config", path, "--out", tmp_path / "o", "spectrum") == cli.EXIT_CONFIG
         assert f"config error: {name} " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_meaningful_reg_validates(self):
+        for reg in ({"kind": "truncation", "sigma_cutoff": 0.0},
+                    {"kind": "sigma_cutoff", "sigma_cutoff": 0.5}):
+            assert cli.RunConfig(reg=dict(reg)).validate().reg == reg
 
     def test_flags_on_a_bad_noise_exit_config(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", noise=3)
@@ -305,12 +325,12 @@ class TestFileFormats:
         path = tmp_path / "s.csv"
         header = ["beta", "alpha", "re", "im"]
         self._write_nodes_as(path, template, node_fmt, values)
-        want = fileio._read_columns(path, header)
-        cols = fileio._read_node_text(path, header, template.shape)
+        want = read_body(path, header)
+        cols = read_body(path, header, template.shape)
         assert (cols is not None) == one_pass
         if one_pass:
             for c, w in zip(cols, want):
-                assert np.array_equal(np.ravel(c).view(np.int64), w.view(np.int64))
+                assert np.array_equal(c.view(np.int64), w.view(np.int64))
         _, _, re, im = want
         got = fileio.read_sinogram_csv(path, template).values.ravel()
         assert np.array_equal(got.real.view(np.int64), re.view(np.int64))
@@ -354,6 +374,53 @@ class TestFileFormats:
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(ValueError, match=r"s\.csv:2: could not convert"):
             fileio.read_sinogram_csv(path, template)
+
+    # (node format, line end, edit of the body lines, error raised or None);
+    # every file but the first three goes through the per-field parse
+    _READER_CASES = {
+        "canonical": ("%r", "\r\n", None, None),
+        "blank-line": ("%r", "\n", lambda L: ["", *L[:3], "", *L[3:], "", ""], None),
+        "cr-only": ("%r", "\r", None, None),
+        "wide-node": ("%.40f", "\r\n", None, None),
+        "wide-node-blank-line": ("%.40e", "\n", lambda L: [*L[:3], "", *L[3:], ""], None),
+        "wide-node-cr-only": ("%.40f", "\r", None, None),
+        "quoted": ('"%r"', "\r\n", None, None),
+        "nul": ("%r", "\r\n", lambda L: [L[0], L[1].replace(",", "\0,", 1), *L[2:]],
+                (ValueError, ":3: could not convert string to float: '0.0\\x00'")),
+        "whitespace-only-line": ("%r", "\r\n", lambda L: [*L[:2], "  ", *L[2:]],
+                                 (ValueError, ":4: expected 4 fields")),
+        "wide-node-whitespace-only-line": ("%.40f", "\n", lambda L: [*L[:2], "\t", *L[2:]],
+                                           (ValueError, ":4: expected 4 fields")),
+        "header-only": ("%r", "\r\n", lambda L: [],
+                        (ValueError, "sinogram has 0 rows, template expects 24")),
+        "wrong-field-count": ("%r", "\r\n", lambda L: [*L[:3], L[3].rsplit(",", 1)[0], *L[4:]],
+                              (ValueError, ":5: expected 4 fields")),
+    }
+
+    @pytest.mark.parametrize("case", list(_READER_CASES))
+    def test_reader_bits_and_errors(self, tmp_path, case):
+        # the bits read_sinogram_csv returns, or the error it raises, on
+        # files the one-pass parse takes and files it refuses
+        node_fmt, end, edit, error = self._READER_CASES[case]
+        template = xray.boundary_grid(CurvatureParam(0.4), 4, 6)
+        rng = np.random.default_rng(21)
+        values = rng.normal(size=template.shape) + 1j * rng.normal(size=template.shape)
+        values[0, 0] = complex(-0.0, 0.0)
+        lines = [f"{node_fmt % b},{node_fmt % a},{v.real!r},{v.imag!r}"
+                 for b, row in zip(template.beta.tolist(), values.tolist())
+                 for a, v in zip(template.alpha.tolist(), row)]
+        path = tmp_path / "s.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(end.join(["beta,alpha,re,im", *(edit or (lambda L: L))(lines)]) + end)
+        if error is None:
+            got = fileio.read_sinogram_csv(path, template).values
+            assert np.array_equal(got.view(np.int64), values.view(np.int64))
+            return
+        kind, message = error
+        with pytest.raises(kind) as info:
+            fileio.read_sinogram_csv(path, template)
+        assert type(info.value) is kind
+        assert str(info.value) == (f"{path}{message}" if message.startswith(":") else message)
 
     def test_coeff_reader_rejects_non_finite(self, tmp_path):
         path = tmp_path / "c.json"
@@ -448,19 +515,19 @@ class TestFileFormats:
         path = tmp_path / "bad.csv"
         path.write_text("beta,alpha,re,im\n\n0,0,1,0\n\n\n0,1,x,0\n")
         with pytest.raises(ValueError, match=r"bad\.csv:6: .*'x'"):
-            fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+            read_body(path, ["beta", "alpha", "re", "im"])
 
     @pytest.mark.parametrize("body", ["0,0,1\n0,1,1\n", "0,0,1,0\n0,1,1\n", "0,0,1,0,\n"])
     def test_field_count_error_has_line_number(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_text("beta,alpha,re,im\n" + body)
         with pytest.raises(ValueError, match=r"bad\.csv:\d: expected 4 fields"):
-            fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+            read_body(path, ["beta", "alpha", "re", "im"])
 
     def test_reader_skips_blank_lines(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_bytes(b"beta,alpha,re,im\r\n\r\n0,0.5,1,-0\r\n\r\n1,0.25,2,3\r\n\r\n")
-        cols = fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+        cols = read_body(path, ["beta", "alpha", "re", "im"])
         assert [c.tolist() for c in cols] == [[0.0, 1.0], [0.5, 0.25], [1.0, 2.0], [-0.0, 3.0]]
         assert np.signbit(cols[3][0])
 
@@ -468,14 +535,14 @@ class TestFileFormats:
         # quoted fields are valid CSV that the one-call parse rejects
         path = tmp_path / "s.csv"
         path.write_text('beta,alpha,re,im\n"0","0.5",1,2\n')
-        cols = fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+        cols = read_body(path, ["beta", "alpha", "re", "im"])
         assert [c.tolist() for c in cols] == [[0.0], [0.5], [1.0], [2.0]]
 
     @pytest.mark.parametrize("body", ["", "\r\n", "\n\n"])
     def test_header_only_file_gives_empty_columns(self, tmp_path, recwarn, body):
         path = tmp_path / "s.csv"
         path.write_text("beta,alpha,re,im\n" + body)
-        cols = fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+        cols = read_body(path, ["beta", "alpha", "re", "im"])
         assert len(cols) == 4 and all(len(c) == 0 for c in cols)
         assert not recwarn.list
         with pytest.raises(ValueError, match="0 rows"):
@@ -489,7 +556,7 @@ class TestFileFormats:
         path = tmp_path / "s.csv"
         path.write_text("beta,alpha,re,im\n" + "".join(
             f"{a!r},{b:.17g},{a:.17g},{b!r}\n" for a, b in zip(vals.tolist(), vals[::-1].tolist())))
-        cols = fileio._read_columns(path, ["beta", "alpha", "re", "im"])
+        cols = read_body(path, ["beta", "alpha", "re", "im"], (len(vals), 1))
         want = [[float(line.split(",")[j]) for line in path.read_text().splitlines()[1:]]
                 for j in range(4)]
         for got, exp in zip(cols, want):
@@ -702,6 +769,35 @@ class TestInvertCommand:
         den = recon.with_values(truth).norm()
         assert num / den < 1e-6
 
+    @pytest.mark.parametrize("nmax, n_beta, kpad", [(6, 96, 2), (9, 24, 1), (11, 24, None)])
+    def test_moment_scan_narrows_to_the_beta_grid(self, tmp_path, capsys, nmax, n_beta, kpad):
+        # 24 beta nodes resolve the band up to nmax 11, but the moments need
+        # nmax + 2 kpad < 12: kpad 1 for nmax 9 and none for nmax 11.  invert
+        # narrows or skips the scan, warns only then, and writes every output
+        cfg = write_config(tmp_path / "c.json", kappa=0.4, nmax=nmax, n_beta=n_beta, n_alpha=64)
+        assert run_cli("--config", cfg, "--out", tmp_path, "forward", "--phantom", "unit") == 0
+        capsys.readouterr()
+        assert run_cli("--config", cfg, "--out", tmp_path / "inv", "invert",
+                       "--in", tmp_path / "sinogram.csv") == cli.EXIT_OK
+        err = capsys.readouterr().err
+        report = json.loads((tmp_path / "inv/report.json").read_text())
+        rows = list(csv.reader(open(tmp_path / "inv/moments.csv", newline="")))
+        assert rows[0] == cli._MOMENTS_HEADER
+        for name in ("reconstruction.csv", "coefficients.json", "invert.meta.json"):
+            assert (tmp_path / "inv" / name).exists()
+        assert report["gram_deviation"] < 1e-13
+        if kpad is None:
+            assert "warning: invert skips the moment scan" in err
+            assert report["moment_verdict_in_range"] is None and report["moment_max_normalized"] is None
+            assert len(rows) == 1
+            return
+        assert ("warning" in err) == (kpad != 2)
+        assert kpad == 2 or f"warning: invert scans moments at kpad={kpad}, not 2" in err
+        assert report["moment_verdict_in_range"] is True
+        assert report["moment_max_normalized"] < 1e-12
+        assert [(int(n), int(k)) for n, k, _ in rows[1:]] == [
+            (n, k) for n in range(nmax + 1) for k in (*range(-kpad, 0), *range(n + 1, n + kpad + 1))]
+
     def test_zero_sinogram(self, tmp_path):
         cfg = cli.RunConfig(kappa=0.2).validate()
         fileio.write_sinogram_csv(tmp_path / "z.csv", cfg.boundary_template())
@@ -751,14 +847,10 @@ class TestInvertCommand:
             noise = 1e-2 * rms * (rng.normal(size=tpl.shape) + 1j * rng.normal(size=tpl.shape))
             noisy = clean.with_values(clean.values + noise)
             res = xray.invert(noisy, nmax, cp, disk_template=cfg.disk_template())
-            diff = basis.CoeffTable(nmax=nmax)
-            for (n, k), c in res.coeffs.items():
-                diff[(n, k)] = c - clean_res.coeffs[(n, k)]
-            err = math.sqrt(diff.norm_sq())
-            inband = basis.CoeffTable(nmax=nmax)
-            for (n, k), c in xray.analyze(noisy, nmax, cp).items():
-                inband[(n, k)] = c - xray.singular_value(n, cp) * clean_res.coeffs[(n, k)]
-            ratios.append(err / math.sqrt(inband.norm_sq()))
+            err = math.sqrt(sum(abs(c - clean_res.coeffs[nk]) ** 2 for nk, c in res.coeffs.items()))
+            inband = math.sqrt(sum(abs(c - xray.singular_value(n, cp) * clean_res.coeffs[(n, k)]) ** 2
+                                   for (n, k), c in xray.analyze(noisy, nmax, cp).items()))
+            ratios.append(err / inband)
         mean_ratio = np.exp(np.mean(np.log(ratios)))
         assert 0.5 * bound <= mean_ratio <= 2.0 * bound
 
