@@ -97,8 +97,9 @@ def _minus_spectrum(spec: np.ndarray, phase: np.ndarray, scale: float) -> np.nda
 def _eval_spectrum(freqs, spec, alpha_targets, n_beta_out: int) -> np.ndarray:
     """Evaluate a beta spectrum at the uniform output beta grid, at one
     fiber angle per column, through the fiber Fourier series.
-    Frequencies above the output's band are dropped."""
-    keep = np.abs(freqs) <= n_beta_out // 2 - 1
+    Frequencies the output cannot resolve, 2|f| >= n_beta_out, are
+    dropped."""
+    keep = 2 * np.abs(freqs) < n_beta_out
     freqs, spec = freqs[keep], spec[keep]
     nf = spec.shape[1]
     fiber_phase = np.exp(1j * np.outer(_beta_freqs(nf), alpha_targets))  # (n_fiber, G)
@@ -132,10 +133,10 @@ def _extension_spectrum(u, sign: float, cp: CurvatureParam, n_beta: int, n_fiber
         if np.any(np.abs(targets) > HALF_PI + 1e-9):
             raise ValueError("scattered fiber node left the inward range")
         plan = _fiber_plan(u, cp)
-        freqs = plan.freqs[np.abs(plan.freqs) <= n_beta // 2 - 1]
+        freqs = plan.freqs[2 * np.abs(plan.freqs) < n_beta]
         phase = _scattering_phase(freqs, n_fiber, cp)
         rows = plan.rows_at(np.clip(targets, -HALF_PI, HALF_PI))
-        spec = (rows @ plan.nodal(u.values)).view(complex).T[freqs % len(u.beta)]
+        spec = (rows @ plan.nodal(u.values)).view(complex).T[freqs % u.shape[0]]
         spec[:, ~inward] *= sign * phase[:, ~inward]
         return freqs, spec, phase
 
@@ -176,7 +177,7 @@ def _minus(u, sign: float, scale: float, cp: CurvatureParam, template: BoundaryG
         _check_kappa(u, cp)
     freqs, spec, phase = _extension_spectrum(u, sign, cp, *_torus_shape(n_beta, n_fiber))
     out = _minus_spectrum(spec, phase, scale)
-    return template.with_values(_eval_spectrum(freqs, out, template.alpha, len(template.beta)))
+    return template.with_values(_eval_spectrum(freqs, out, template.alpha, template.shape[0]))
 
 
 def p_minus(w, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
@@ -215,13 +216,11 @@ def projection_rule(p: int, q: int) -> float:
 def sa_pullback(u: BoundaryGrid, cp: CurvatureParam) -> BoundaryGrid:
     """Pullback under the antipodal scattering relation, exact on the grid.
 
-    alpha -> -alpha reverses the (symmetric) Gauss-Legendre nodes and the
-    beta shift pi + 2 sig(alpha) is applied on the beta spectrum.  A grid
-    built for another kappa than cp is rejected.
+    alpha -> -alpha reverses the grid's mirror-antisymmetric alpha nodes
+    and the beta shift pi + 2 sig(alpha) is applied on the beta spectrum.
+    A grid built for another kappa than cp is rejected.
     """
     _check_kappa(u, cp)
-    if not np.allclose(u.alpha + u.alpha[::-1], 0.0, atol=1e-12):
-        raise ValueError("alpha nodes must be symmetric about 0")
     plan = _fiber_plan(u, cp)
     spec = np.fft.fft(u.values, axis=0)
     # output column g reads the flipped column (alpha -> -alpha) shifted in
@@ -280,7 +279,7 @@ def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None
     plan = _fiber_plan(u_even, cp)
     if plan.band < 0:
         raise ValueError(
-            f"no band of range modes is resolvable on {len(u.alpha)} alpha nodes "
+            f"no band of range modes is resolvable on {u.shape[1]} alpha nodes "
             f"(Gram deviation {plan.gram_deviation(0):.1e} at n = 0)")
     projected = template.with_values(plan.project(u_even.values))
     norm = u_even.norm()
@@ -330,9 +329,9 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam) 
     _check_kappa(u, cp)
     if kpad < 1:
         raise ValueError("kpad must be >= 1")
-    if not _resolves_moments(nmax, kpad, len(u.beta)):
+    if not _resolves_moments(nmax, kpad, u.shape[0]):
         raise ValueError(
-            f"moments up to nmax={nmax}, kpad={kpad} not resolvable on {len(u.beta)} beta nodes"
+            f"moments up to nmax={nmax}, kpad={kpad} not resolvable on {u.shape[0]} beta nodes"
         )
     modes = [(n, k) for n in range(nmax + 1)
              for k in (*range(-kpad, 0), *range(n + 1, n + kpad + 1))]

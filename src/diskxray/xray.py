@@ -37,6 +37,7 @@ from .geometry import (
     footpoint_angles,
     geodesic_point,
     sig,
+    sig_inverse,
     sig_prime,
 )
 
@@ -54,38 +55,62 @@ _PANEL_LENGTH = 2.0  # longest geodesic quadrature panel
 class BoundaryGrid:
     """Samples of a complex function on the inward boundary bundle.
 
-    beta is uniform on [0, 2*pi); alpha uses Gauss-Legendre nodes on
-    (-pi/2, pi/2).  The quadrature weights include the surface-measure
-    factor (1+kappa)^{-1}, so `boundary_inner` integrates against the
-    bundle measure directly.
+    A grid is its curvature and its values: every node follows from kappa
+    and values.shape = (n_beta, n_alpha).  beta is uniform on [0, 2*pi).
+    The alpha nodes are Gauss-Legendre points placed in the substituted
+    fiber variable s = sig(alpha) and pulled back through the signature,
+    with the jacobian folded into the weights; at kappa = 0 they are plain
+    Gauss-Legendre nodes on (-pi/2, pi/2).  The substitution keeps both
+    quadrature and interpolation spectrally accurate uniformly in kappa:
+    the integrands and interpolands produced by the transform family are
+    trigonometric polynomials in s after the sqrt(sig') weight is split
+    off.  `weights` adds the surface-measure factor (1+kappa)^{-1}, so
+    `boundary_inner` integrates against the bundle measure directly.
+
+    The nodes are read-only properties.  The alpha nodes and weights are
+    formed once per (kappa, n_alpha) when a grid is made, so a kappa
+    outside (-1, 1) is rejected there, and every grid path may rely on
+    them: distinct and mirror-antisymmetric, alpha = -alpha[::-1].
     """
 
     kappa: float
-    beta: np.ndarray
-    alpha: np.ndarray
-    alpha_weights: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.values) != 2:
+            raise ValueError(f"boundary values must be 2-d (n_beta, n_alpha), got shape {np.shape(self.values)}")
         if not np.isfinite(self.values).all():
             raise _NonFiniteValues("boundary values hold NaN or inf")
+        _alpha_nodes(self.kappa, self.shape[1])  # here, never first inside a file writer or reader
 
     @property
     def shape(self):
-        return self.values.shape
+        return np.shape(self.values)
+
+    @property
+    def beta(self) -> np.ndarray:
+        return np.arange(self.shape[0]) * TWO_PI / self.shape[0]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return _alpha_nodes(self.kappa, self.shape[1])[0]
+
+    @property
+    def alpha_weights(self) -> np.ndarray:
+        return _alpha_nodes(self.kappa, self.shape[1])[1]
 
     def weights(self) -> np.ndarray:
         """Full 2-d quadrature weights for the bundle surface measure."""
-        wb = TWO_PI / len(self.beta)
-        row = wb * self.alpha_weights / (1.0 + self.kappa)
-        return np.ones(len(self.beta))[:, None] * row[None, :]
+        n_beta = self.shape[0]
+        row = TWO_PI / n_beta * self.alpha_weights / (1.0 + self.kappa)
+        return np.ones(n_beta)[:, None] * row[None, :]
 
     def mesh(self):
         return np.meshgrid(self.beta, self.alpha, indexing="ij")
 
     def with_values(self, values) -> "BoundaryGrid":
         values = np.asarray(values, dtype=complex)
-        if values.shape != (len(self.beta), len(self.alpha)):
+        if values.shape != self.shape:
             raise ValueError(f"values shape {values.shape} does not match the grid")
         return replace(self, values=values)
 
@@ -143,28 +168,44 @@ def _beta_freqs(n: int) -> np.ndarray:
 class DiskGrid:
     """Samples of a complex function on a polar grid over the unit disk.
 
-    rho uses Gauss-Legendre nodes on (0, 1), omega is uniform on
-    [0, 2*pi).  The measure tag selects the radial quadrature factor:
-    "vol" integrates against the curved volume form (the flat area
-    element at kappa = 0), "weighted" adds the w_kappa weight.
+    A grid is its curvature, its values and its measure tag: every node
+    follows from values.shape = (n_rho, n_omega).  rho holds Gauss-Legendre
+    nodes on (0, 1), omega is uniform on [0, 2*pi); both are read-only
+    properties, and the Gauss-Legendre rule is formed when a grid is made.
+    The measure tag selects the radial quadrature factor: "vol"
+    integrates against the curved volume form (the flat area element at
+    kappa = 0), "weighted" adds the w_kappa weight.
     """
 
     kappa: float
-    rho: np.ndarray
-    rho_weights: np.ndarray
-    omega: np.ndarray
     values: np.ndarray
     measure: str = "vol"
 
     def __post_init__(self):
         if self.measure not in _MEASURES:
             raise ValueError(f"unknown measure tag {self.measure!r}; expected one of {_MEASURES}")
+        if np.ndim(self.values) != 2:
+            raise ValueError(f"disk values must be 2-d (n_rho, n_omega), got shape {np.shape(self.values)}")
         if not np.isfinite(self.values).all():
             raise _NonFiniteValues("disk values hold NaN or inf")
+        CurvatureParam(self.kappa)  # rejects a kappa outside (-1, 1)
+        _gauss_legendre(self.shape[0])  # here, never first inside a file writer or reader
 
     @property
     def shape(self):
-        return self.values.shape
+        return np.shape(self.values)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return 0.5 * (_gauss_legendre(self.shape[0])[0] + 1.0)
+
+    @property
+    def rho_weights(self) -> np.ndarray:
+        return 0.5 * _gauss_legendre(self.shape[0])[1]
+
+    @property
+    def omega(self) -> np.ndarray:
+        return np.arange(self.shape[1]) * TWO_PI / self.shape[1]
 
     def weights(self) -> np.ndarray:
         r = self.rho
@@ -172,8 +213,8 @@ class DiskGrid:
             radial = r / (1.0 + self.kappa * r**2) ** 2
         else:
             radial = r / ((1.0 - self.kappa * r**2) * (1.0 + self.kappa * r**2))
-        wo = TWO_PI / len(self.omega)
-        return wo * (self.rho_weights * radial)[:, None] * np.ones(len(self.omega))[None, :]
+        wo = TWO_PI / self.shape[1]
+        return wo * (self.rho_weights * radial)[:, None] * np.ones(self.shape[1])[None, :]
 
     def points(self) -> np.ndarray:
         """Complex node positions rho_i e^{i omega_j}."""
@@ -181,7 +222,7 @@ class DiskGrid:
 
     def with_values(self, values) -> "DiskGrid":
         values = np.asarray(values, dtype=complex)
-        if values.shape != (len(self.rho), len(self.omega)):
+        if values.shape != self.shape:
             raise ValueError(f"values shape {values.shape} does not match the grid")
         return replace(self, values=values)
 
@@ -199,46 +240,27 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def boundary_grid(cp: CurvatureParam, n_beta: int = 128, n_alpha: int = 64) -> BoundaryGrid:
-    """Empty sinogram grid for the given curvature.
-
-    The alpha nodes are Gauss-Legendre points placed in the substituted
-    fiber variable s = sig(alpha) and pulled back through the signature,
-    with the jacobian folded into the weights.  At kappa = 0 these are
-    plain Gauss-Legendre nodes on (-pi/2, pi/2).  The substitution keeps
-    both quadrature and interpolation spectrally accurate uniformly in
-    kappa: the integrands and interpolands produced by the transform
-    family are trigonometric polynomials in s after the sqrt(sig')
-    weight is split off.
-    """
-    from .geometry import sig_inverse
-
-    beta = np.arange(n_beta) * TWO_PI / n_beta
+@lru_cache(maxsize=64)
+def _alpha_nodes(kappa: float, n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha nodes and weights of every n_alpha-node `BoundaryGrid` at
+    kappa (see there), shared read-only; rejects a kappa outside (-1, 1)."""
+    cp = CurvatureParam(kappa)
     x, w = _gauss_legendre(n_alpha)
-    s = 0.5 * math.pi * x
-    alpha = sig_inverse(s, cp)
-    return BoundaryGrid(
-        kappa=cp.kappa,
-        beta=beta,
-        alpha=alpha,
-        alpha_weights=0.5 * math.pi * w / sig_prime(alpha, cp),
-        values=np.zeros((n_beta, n_alpha), dtype=complex),
-    )
+    alpha = sig_inverse(0.5 * math.pi * x, cp)
+    weights = 0.5 * math.pi * w / sig_prime(alpha, cp)
+    alpha.setflags(write=False)
+    weights.setflags(write=False)
+    return alpha, weights
+
+
+def boundary_grid(cp: CurvatureParam, n_beta: int = 128, n_alpha: int = 64) -> BoundaryGrid:
+    """Empty sinogram grid for the given curvature (nodes: see `BoundaryGrid`)."""
+    return BoundaryGrid(kappa=cp.kappa, values=np.zeros((n_beta, n_alpha), dtype=complex))
 
 
 def disk_grid(cp: CurvatureParam, n_rho: int = 128, n_omega: int = 256, measure: str = "vol") -> DiskGrid:
     """Empty polar grid over the unit disk for the given curvature."""
-    x, w = _gauss_legendre(n_rho)
-    rho = 0.5 * (x + 1.0)
-    omega = np.arange(n_omega) * TWO_PI / n_omega
-    return DiskGrid(
-        kappa=cp.kappa,
-        rho=rho,
-        rho_weights=0.5 * w,
-        omega=omega,
-        values=np.zeros((n_rho, n_omega), dtype=complex),
-        measure=measure,
-    )
+    return DiskGrid(kappa=cp.kappa, values=np.zeros((n_rho, n_omega), dtype=complex), measure=measure)
 
 
 def _check_kappa(grid, cp: CurvatureParam):
@@ -251,12 +273,8 @@ def _check_kappa(grid, cp: CurvatureParam):
 def _check_same_boundary(g1: BoundaryGrid, g2: BoundaryGrid):
     if g1.kappa != g2.kappa:
         raise ValueError(f"boundary grids do not match: kappa={g1.kappa} and kappa={g2.kappa}")
-    if (
-        g1.values.shape != g2.values.shape
-        or not np.array_equal(g1.beta, g2.beta)
-        or not np.array_equal(g1.alpha, g2.alpha)
-    ):
-        raise ValueError("boundary grids do not match: their nodes differ")
+    if g1.shape != g2.shape:
+        raise ValueError(f"boundary grids do not match: their nodes differ (shapes {g1.shape} and {g2.shape})")
 
 
 def boundary_inner(g1: BoundaryGrid, g2: BoundaryGrid) -> complex:
@@ -267,13 +285,7 @@ def boundary_inner(g1: BoundaryGrid, g2: BoundaryGrid) -> complex:
 
 def disk_inner(f1: DiskGrid, f2: DiskGrid) -> complex:
     """Hermitian inner product on the disk in the grids' tagged measure."""
-    if (
-        f1.kappa != f2.kappa
-        or f1.measure != f2.measure
-        or f1.values.shape != f2.values.shape
-        or not np.array_equal(f1.rho, f2.rho)
-        or not np.array_equal(f1.omega, f2.omega)
-    ):
+    if f1.kappa != f2.kappa or f1.measure != f2.measure or f1.shape != f2.shape:
         raise ValueError("disk grids do not match (kappa, measure or nodes differ)")
     return complex(np.sum(f1.weights() * f1.values * np.conj(f2.values)))
 
@@ -290,9 +302,11 @@ def forward(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
     beta and alpha broadcast; the result has their broadcast shape, and
     scalar angles give a complex scalar.  An outward alpha is rejected
     and a tangential one integrates to 0.  Each chord [0, tau] is cut
-    into P equal panels, P the fewest that keep the call's longest chord
-    within `_PANEL_LENGTH`, with n_nodes // P (at least 4) Gauss-Legendre
-    nodes on each; all points of one call share that rule.
+    into P equal panels, P the fewest that keep the geometry's longest
+    chord, the diameter exit_time(0), within `_PANEL_LENGTH`, with
+    n_nodes // P (at least 4) Gauss-Legendre nodes on each.  Every point
+    takes that one rule and sums its own nodes alone, so its value does
+    not depend on the batch it comes in, bit for bit.
     """
     beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
                                       np.asarray(alpha, dtype=float))
@@ -302,7 +316,7 @@ def forward(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
     out = np.zeros(beta.shape, dtype=complex)
     if tau.size == 0:
         return out.reshape(shape)
-    n_panels = max(1, math.ceil(float(tau.max()) / _PANEL_LENGTH))
+    n_panels = max(1, math.ceil(float(exit_time(0.0, cp)) / _PANEL_LENGTH))
     per = max(4, n_nodes // n_panels)
     x, w = _gauss_legendre(per)
     for panel in range(n_panels):
@@ -319,7 +333,7 @@ def forward(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
                 f"integrand returned {int(bad.sum())} non-finite value(s); "
                 f"first at t={t[i, j]:.6g} (beta={beta[i]:.6g}, alpha={alpha[i]:.6g})"
             )
-        out += half * (vals @ w)
+        out += half * (vals * w).sum(axis=1)  # row by row: a matmul's order follows the batch
     return out.reshape(shape)[()]
 
 
@@ -379,23 +393,22 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     It commutes with the reflection z -> conj(z) as well: alpha_- and the
     fiber change are odd in theta - omega, so the footpoints of (rho,
     -delta) are those of (rho, delta) with (beta, alpha) -> (-beta,
-    -alpha).  When the alpha nodes are mirror-antisymmetric (every
-    `boundary_grid` is), the barycentric rows at -alpha are those at alpha
-    reversed, so classes are keyed on (rho, |delta|): the fiber is folded
-    once at +|delta| and the fold of -|delta| is its conjugate with the
-    alpha axis reversed.  A class with delta = 0 is its own mirror image,
-    and its nodes 0 .. n_theta/2 carry the sum.  Other alpha nodes fall
-    back to (rho, delta) classes.  Radii and offsets are grouped to a few
+    -alpha).  Every grid's alpha nodes are mirror-antisymmetric, so the
+    barycentric rows at -alpha are those at alpha reversed, and classes
+    are keyed on (rho, |delta|): the fiber is folded once at +|delta| and
+    the fold of -|delta| is its conjugate with the alpha axis reversed.  A
+    class with delta = 0 is its own mirror image, and its nodes
+    0 .. n_theta/2 carry the sum.  Radii and offsets are grouped to a few
     rounding units.
 
     None of this depends on the values: the class folds are a plan of the
     geometry (`_AdjointPlan`, on the grid's shared `_FiberPlan`), built
-    once per (kappa, n_beta, alpha nodes and weights, points, n_theta) and
-    memoised on the bytes of those, never on identity or values, for the
-    last four geometries.  A call with new
-    values on a known geometry is one beta FFT, a few contractions over
-    the kept folds and one sum per point.  A class keeps one fold of top x n_alpha (top =
-    n_beta // 2 + 1), its mirror image is formed per call, and a class
+    once per (kappa, n_beta, n_alpha, points, n_theta), memoised on the
+    bytes of the points, never on identity or values, for the last four
+    geometries.  A call with new values on a known geometry is one beta
+    FFT, a few contractions over the kept folds and one sum per point.  A
+    class keeps one fold of top x n_alpha (top = n_beta // 2 + 1), its
+    mirror image is formed per call, and a class
     that is its own mirror image keeps half its alpha columns.  The plan
     keeps its folds when they fit in 8 MB (_PLAN_BYTES; 3.2 MB for the
     CLI-default 128x256 points on a 96x64 grid); past that it keeps only
@@ -472,7 +485,8 @@ class _AdjointPlan:
     plan, points, n_theta), never of values: the grid's `_FiberPlan`
     (barycentric rows, nodal spectrum), each point's output slot and phase
     e^{i(omega - delta)}, and the canonical fold of every O(2) class (see
-    there).
+    there).  The classes rest on the mirror-antisymmetric alpha nodes
+    that every grid has.
 
     With x = e^{i beta} the beta spectrum is two-sided,
     u = sum_m u_m x^m + conj(sum_m conj(u_-m) x^m) over 0 <= m < top, so
@@ -503,19 +517,18 @@ class _AdjointPlan:
         delta = omega - np.round(omega / step) * step  # offset from the nearest theta node
         delta[delta > 0.5 * step - _CLASS_TOL] -= step  # a half-step tie joins -step / 2
         delta[np.abs(delta) <= _CLASS_TOL] = 0.0  # on a node: exactly its own mirror image
-        mirror = fiber.mirror
-        key = np.abs(delta) if mirror else delta
+        key = np.abs(delta)
         radius_class, phase_class = _classes(rho), _classes(key)
         _, first, cls = np.unique(radius_class * (phase_class.max(initial=-1) + 1) + phase_class,
                                   return_index=True, return_inverse=True)
         self._rho, self._key = rho[first], key[first]  # each class is folded at +key
-        own = mirror & (self._key == 0.0)
+        own = self._key == 0.0
         self._members = (np.flatnonzero(~own), np.flatnonzero(own))  # full and half folds
 
         # one output slot per class and sign of delta present; target[s, c] is
         # the slot of class c's fold (s = 0) or of its mirror image (s = 1),
         # -1 where no point needs it, and both for a class that is its own
-        slots, self._slot = np.unique(2 * cls + (delta < 0) * mirror, return_inverse=True)
+        slots, self._slot = np.unique(2 * cls + (delta < 0), return_inverse=True)
         self._n_slots, self._target = len(slots), np.full((2, len(first)), -1)
         self._target[slots % 2, slots // 2] = np.arange(len(slots))
         self._target[1, own] = self._target[0, own]
@@ -596,22 +609,20 @@ class _AdjointPlan:
             y = _powers(self._turn[lo:lo + _SUM_POINTS], self._top)
             pos, neg = np.einsum("spm,mp->sp", sums[:, self._slot[lo:lo + _SUM_POINTS]], y)
             out[lo:lo + _SUM_POINTS] = pos + neg.conj()
-        if not np.isfinite(out).all():
-            raise ValueError("the grid's alpha nodes cannot support the fiber interpolant: "
-                             "the grid adjoint is not finite")
         return out * (TWO_PI / len(self._theta))
 
 
 @lru_cache(maxsize=4)
-def _cached_adjoint_plan(fiber_key: tuple, z: bytes, n_theta: int) -> _AdjointPlan:
-    return _AdjointPlan(_cached_plan(*fiber_key), np.frombuffer(z, dtype=complex), n_theta)
+def _cached_adjoint_plan(kappa: float, shape: tuple, z: bytes, n_theta: int) -> _AdjointPlan:
+    return _AdjointPlan(_cached_plan(kappa, *shape), np.frombuffer(z, dtype=complex), n_theta)
 
 
 def _adjoint_plan(g: BoundaryGrid, z: np.ndarray, n_theta: int) -> _AdjointPlan:
     """The adjoint plan of g's geometry at the points z, built once per
-    (fiber plan key, points, n_theta) on the grid's shared fiber plan:
-    keyed on bytes, so a caller's array changed in place is a new key."""
-    return _cached_adjoint_plan(_fiber_key(g, g.kappa), np.asarray(z, dtype=complex).tobytes(), n_theta)
+    (kappa, n_beta, n_alpha, points, n_theta) on the grid's shared fiber
+    plan: the points are keyed on bytes, so a caller's array changed in
+    place is a new key."""
+    return _cached_adjoint_plan(g.kappa, g.shape, np.asarray(z, dtype=complex).tobytes(), n_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +642,12 @@ GRAM_TOL = 1e-9
 
 
 class _FiberPlan:
-    """What every grid path needs of one boundary geometry (kappa, alpha
-    nodes and weights, n_beta), never of values: the one home of its
-    "beta-Fourier x barycentric-in-s" fiber.  It holds s = sig(alpha) and
-    sqrt(sig') at the nodes (`s`, `root`), the beta frequencies (`freqs`),
-    the mirror flag, barycentric rows in s (`rows_at`) and the nodal
-    spectrum of grid values (`spectrum`, `nodal`).
+    """What every grid path needs of one boundary geometry (kappa, n_beta,
+    n_alpha), never of values: the one home of its "beta-Fourier x
+    barycentric-in-s" fiber.  It holds s = sig(alpha) and sqrt(sig') at
+    the grid's alpha nodes (`s`, `root`), the beta frequencies (`freqs`),
+    barycentric rows in s (`rows_at`) and the nodal spectrum of grid
+    values (`spectrum`, `nodal`).
 
     psi_hat(n, k) is e^{i(n-2k) beta} times the fiber factor
 
@@ -655,15 +666,15 @@ class _FiberPlan:
     resolved range.
     """
 
-    def __init__(self, kappa: float, n_beta: int, alpha: np.ndarray, w: np.ndarray):
+    def __init__(self, kappa: float, n_beta: int, n_alpha: int):
         self.cp = CurvatureParam(kappa)
         self.n_beta = n_beta
+        alpha, weights = _alpha_nodes(kappa, n_alpha)
         # alpha weights of one beta bin: <u, v> = sum_f sum_alpha w u_f conj(v_f)
         # with u_f the beta FFT of u divided by n_beta
-        self.w = w
+        self.w = TWO_PI * weights / (1.0 + kappa)
         self.s, self.root = sig(alpha, self.cp), np.sqrt(sig_prime(alpha, self.cp))
         self.freqs = _beta_freqs(n_beta)
-        self.mirror = bool(np.array_equal(alpha, -alpha[::-1]))
         self._scale = math.sqrt(1.0 + kappa) / TWO_PI
         top = min((n_beta - 1) // 2, len(alpha))  # candidate bands
         self._m_top = 2 * top + 1
@@ -678,8 +689,6 @@ class _FiberPlan:
         diff = (4.0 / np.ptp(self.s)) * (self.s[:, None] - self.s)  # capacity scaling: no overflow
         np.fill_diagonal(diff, 1.0)
         weights = 1.0 / diff.prod(axis=1)
-        if not np.isfinite(weights).all():
-            raise ValueError("alpha nodes must be distinct")
         weights.setflags(write=False)
         return weights
 
@@ -785,20 +794,14 @@ class _FiberPlan:
 
 
 @lru_cache(maxsize=16)
-def _cached_plan(kappa: float, n_beta: int, alpha: bytes, w: bytes) -> _FiberPlan:
-    return _FiberPlan(kappa, n_beta, np.frombuffer(alpha), np.frombuffer(w).copy())
-
-
-def _fiber_key(g: BoundaryGrid, kappa: float) -> tuple:
-    """The bytes key of g's fiber plan: kappa, n_beta, alpha nodes, weights."""
-    w = TWO_PI * np.asarray(g.alpha_weights, dtype=float) / (1.0 + g.kappa)
-    return float(kappa), len(g.beta), np.asarray(g.alpha, dtype=float).tobytes(), w.tobytes()
+def _cached_plan(kappa: float, n_beta: int, n_alpha: int) -> _FiberPlan:
+    return _FiberPlan(kappa, n_beta, n_alpha)
 
 
 def _fiber_plan(g: BoundaryGrid, cp: CurvatureParam) -> _FiberPlan:
     """The fiber plan of g's geometry, built once per (kappa, n_beta,
-    alpha nodes, weights) and shared by every grid path."""
-    return _cached_plan(*_fiber_key(g, cp.kappa))
+    n_alpha) and shared by every grid path."""
+    return _cached_plan(cp.kappa, *g.shape)
 
 
 def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
@@ -814,15 +817,15 @@ def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
     _check_kappa(g, cp)
     if nmax < 0:
         raise ValueError("analyze requires nmax >= 0")
-    if 2 * nmax >= len(g.beta):
+    if 2 * nmax >= g.shape[0]:
         raise ValueError(
-            f"band limit nmax={nmax} not resolvable on {len(g.beta)} beta nodes"
+            f"band limit nmax={nmax} not resolvable on {g.shape[0]} beta nodes"
         )
     plan = _fiber_plan(g, cp)
     dev = plan.gram_deviation(nmax)
     if not dev <= GRAM_TOL:
         raise ValueError(
-            f"band limit nmax={nmax} not resolvable on {len(g.alpha)} alpha nodes: "
+            f"band limit nmax={nmax} not resolvable on {g.shape[1]} alpha nodes: "
             f"Gram deviation {dev:.1e} exceeds {GRAM_TOL:.0e}"
         )
     modes = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
@@ -856,7 +859,7 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
         by_m = {}
         for (n, k), c in items:
             by_m.setdefault(n - 2 * k, {})[(n, k)] = c
-        radial = np.zeros((len(template.rho), len(by_m)), dtype=complex)
+        radial = np.zeros((template.shape[0], len(by_m)), dtype=complex)
         for j, entries in enumerate(by_m.values()):
             sub = basis.CoeffTable(nmax=table.nmax, entries=entries)
             radial[:, j] = basis.zernike_kappa_series(sub, template.rho, cp)
@@ -899,13 +902,12 @@ def invert(
     empty accepted set is an error.
     """
     c = analyze(g, nmax, cp)
-    accepted, rejected = [], []
+    accepted = []
     f_table = basis.CoeffTable(nmax=nmax)
     discarded = 0.0
     for (n, k), val in c.items():
         s = singular_value(n, cp)
         if sigma_cutoff is not None and s < sigma_cutoff:
-            rejected.append((n, k))
             discarded += abs(val) ** 2
             continue
         accepted.append((n, k))

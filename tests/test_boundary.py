@@ -191,6 +191,21 @@ class TestOperatorRules:
         scale = max(np.max(np.abs(basis.u_prime(p, q, bb, aa, CP))), 1.0)
         assert np.max(np.abs(got.values - want)) / scale < 1e-7
 
+    @pytest.mark.parametrize("n_beta", [96, 97])
+    def test_top_beta_frequency_of_template(self, n_beta):
+        # n_beta nodes resolve |f| < n_beta / 2; on 97 the top frequency 48
+        # used to be dropped, so C- and P- returned 0 there (2e-11 and
+        # 4e-10 relative now)
+        cp = CurvatureParam(0.3)
+        tpl = template(cp, n_beta, 48)
+        bb, aa = tpl.mesh()
+        p = (n_beta - 1) // 2
+        for op, fn, q, rule in ((boundary.c_minus, u_fn, 1, boundary.c_minus_rule),
+                                (boundary.p_minus, v_fn, -1, boundary.p_minus_rule)):
+            want = rule(p, q) * basis.u_prime(p, q, bb, aa, cp)
+            got = op(fn(p, q, cp), cp, tpl, 256, 512).values
+            assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
     def test_c_minus_annihilates_antipodally_odd(self):
         # the even-fiber-mode antipodally odd family is in the kernel
         p, q = 2, 1
@@ -374,8 +389,7 @@ class TestProjection:
         cp = CurvatureParam(0.4)
         u = xray.boundary_grid(cp, 32, 16)
         u = u.with_values(u_fn(0, 0, cp)(*u.mesh()))
-        other = xray.boundary_grid(cp, 32, 16)
-        other.alpha = 0.9 * other.alpha
+        other = xray.boundary_grid(cp, 32, 18)
         with pytest.raises(ValueError, match="nodes differ"):
             boundary.project_to_range(u, cp, other)
 
