@@ -412,9 +412,10 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
     that is its own mirror image keeps half its alpha columns.  The plan
     keeps its folds when they fit in 8 MB (_PLAN_BYTES; 3.2 MB for the
     CLI-default 128x256 points on a 96x64 grid); past that it keeps only
-    each point's slot and each call folds the fibers again, block by
-    block.  Fiber nodes and points go through in fixed blocks, so the
-    memory held and used is bounded whatever the point count.
+    each point's class and mirror bit, and each call folds the fibers
+    again, block by block.  Fiber nodes and points go through in fixed
+    blocks, so the memory held and used is bounded whatever the point
+    count.
     """
     n_theta = operator.index(n_theta)  # a float would space the nodes 2 pi / n_theta apart
     if n_theta < 1:
@@ -483,10 +484,10 @@ _SUM_POINTS = 256  # points per block of the output sum: bounds its gathered sum
 class _AdjointPlan:
     """What grid-input `adjoint_sharp` needs of one geometry (a fiber
     plan, points, n_theta), never of values: the grid's `_FiberPlan`
-    (barycentric rows, nodal spectrum), each point's output slot and phase
-    e^{i(omega - delta)}, and the canonical fold of every O(2) class (see
-    there).  The classes rest on the mirror-antisymmetric alpha nodes
-    that every grid has.
+    (barycentric rows, nodal spectrum), each point's class, mirror bit
+    (delta < 0) and phase e^{i(omega -+ key)}, and the canonical fold at
+    +key of every O(2) class (see there).  The classes rest on the
+    mirror-antisymmetric alpha nodes that every grid has.
 
     With x = e^{i beta} the beta spectrum is two-sided,
     u = sum_m u_m x^m + conj(sum_m conj(u_-m) x^m) over 0 <= m < top, so
@@ -495,11 +496,13 @@ class _AdjointPlan:
     X (top x nodes); the real matrix product of the re and im planes of X
     with R folds each class's nodes into F (top x n_alpha).  Contracted
     with the two halves of a nodal spectrum, F gives that class's S_m and
-    conj(S_-m), and the mirror slot contracts conj(F) with the alpha axis
-    reversed, never stored.  A class that is its own mirror image folds
-    nodes 0 .. n_theta/2 (weight 1/2 on theta = 0 and pi, which pair with
-    themselves) and keeps the first ceil(n_alpha/2) columns of
-    G = F + conj(F) reversed: G[m, n_alpha-1-a] = conj(G[m, a]).
+    conj(S_-m) (mirror 0), and its mirror image contracts conj(F) with the
+    alpha axis reversed, never stored (mirror 1); a point reads the sums
+    of its class and mirror bit.  A class that is its own mirror image
+    folds nodes 0 .. n_theta/2 (weight 1/2 on theta = 0 and pi, which pair
+    with themselves) and keeps the first ceil(n_alpha/2) columns of
+    G = F + conj(F) reversed: G[m, n_alpha-1-a] = conj(G[m, a]); both of
+    its contractions add into mirror 0, which all its points read.
 
     One generator yields the folds, a block of fiber nodes at a time.
     They are kept, read-only, when they fit in _PLAN_BYTES; past that each
@@ -522,41 +525,35 @@ class _AdjointPlan:
         _, first, cls = np.unique(radius_class * (phase_class.max(initial=-1) + 1) + phase_class,
                                   return_index=True, return_inverse=True)
         self._rho, self._key = rho[first], key[first]  # each class is folded at +key
-        own = self._key == 0.0
-        self._members = (np.flatnonzero(~own), np.flatnonzero(own))  # full and half folds
+        self._members = (np.flatnonzero(self._key != 0.0), np.flatnonzero(self._key == 0.0))  # full, half
 
-        # one output slot per class and sign of delta present; target[s, c] is
-        # the slot of class c's fold (s = 0) or of its mirror image (s = 1),
-        # -1 where no point needs it, and both for a class that is its own
-        slots, self._slot = np.unique(2 * cls + (delta < 0), return_inverse=True)
-        self._n_slots, self._target = len(slots), np.full((2, len(first)), -1)
-        self._target[slots % 2, slots // 2] = np.arange(len(slots))
-        self._target[1, own] = self._target[0, own]
-        delta_s = np.where(slots % 2, -1.0, 1.0) * self._key[slots // 2]
-        self._turn = np.exp(1j * (omega - delta_s[self._slot]))
+        # each point reads the sums of its class's fold (mirror 0) or of that
+        # fold's mirror image (mirror 1); an own-image class has delta 0
+        self._cls, self._mirror = cls, (delta < 0).astype(np.intp)
+        self._turn = np.exp(1j * (omega - np.where(self._mirror, -1.0, 1.0) * self._key[cls]))
 
         widths = (len(fiber.root), (len(fiber.root) + 1) // 2)
         size = sum(len(m) * w for m, w in zip(self._members, widths)) * self._top * 16
         self._folds = None  # stream them on every apply
         if size <= _PLAN_BYTES:
             kept = [np.empty((len(m), self._top, w), dtype=complex) for m, w in zip(self._members, widths)]
-            for kind, part, fold in self._fold_blocks(_KEPT_FOLD_NODES):
-                kept[kind][part] = fold
-            self._folds = tuple((kind, slice(None), f) for kind, f in enumerate(kept) if len(f))
-        for arr in (self._theta, self._rho, self._key, *self._members,
-                    self._slot, self._target, self._turn, *(f for _, _, f in self._folds or ())):
+            for own, cs, fold in self._fold_blocks(_KEPT_FOLD_NODES):
+                kept[own][np.searchsorted(self._members[own], cs)] = fold
+            self._folds = tuple((own, m, f) for own, (m, f) in enumerate(zip(self._members, kept)) if len(m))
+        for arr in (self._theta, self._rho, self._key, *self._members, self._cls, self._mirror,
+                    self._turn, *(f for _, _, f in self._folds or ())):
             arr.setflags(write=False)
 
     def _fold_blocks(self, block_nodes: int):
-        """(kind, part, folds): the folds of classes members[kind][part],
-        full (kind 0) or the stored half of G (kind 1), at most block_nodes
-        fiber nodes at a time."""
+        """(own, classes, folds): the folds of a block of classes, full
+        (own 0) or the stored half of G (own 1), at most block_nodes fiber
+        nodes at a time."""
         n_theta, top = len(self._theta), self._top
         half = np.arange(n_theta // 2 + 1)
         half_weights = np.where((half == 0) | (2 * half == n_theta), 0.5, 1.0)
         n_alpha = len(self.fiber.root)
-        for kind, members in enumerate(self._members):
-            n_nodes = len(half_weights) if kind else n_theta
+        for own, members in enumerate(self._members):
+            n_nodes = len(half_weights) if own else n_theta
             per = max(1, block_nodes // n_nodes)  # classes per block
             span = min(n_nodes, block_nodes)  # fiber nodes per block
             for c0 in range(0, len(members), per):
@@ -567,7 +564,7 @@ class _AdjointPlan:
                     bm, am = footpoint_angles(self._rho[cs, None], self._key[cs, None], nodes, self.fiber.cp)
                     nc, nj = am.shape
                     rows = self.fiber.rows_at(am.ravel()).reshape(nc, nj, -1)
-                    if kind:
+                    if own:
                         rows *= half_weights[j0:j0 + nj, None]
                     x = _powers(np.exp(1j * bm.ravel()), top)
                     planes = np.stack((x.real, x.imag)).reshape(2 * top, nc, nj).transpose(1, 0, 2)
@@ -575,10 +572,10 @@ class _AdjointPlan:
                     del rows, x, planes  # before the next block allocates its own
                     fold.real += folded[:, :top]
                     fold.imag += folded[:, top:]
-                if kind:
+                if own:
                     w = (n_alpha + 1) // 2
                     fold = fold[:, :, :w] + fold[:, :, ::-1][:, :, :w].conj()
-                yield kind, slice(c0, c0 + per), fold
+                yield own, cs, fold
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """`adjoint_sharp` of grid values (n_beta x n_alpha) at the plan's
@@ -592,23 +589,24 @@ class _AdjointPlan:
         halves[1, -freqs[~up]] = spec[~up].conj()
         mirror = halves[:, :, ::-1].conj()  # conj(F) reversed against halves = conj(F against mirror)
 
-        sums = np.zeros((2, self._n_slots, self._top), dtype=complex)
-        for kind, part, fold in self._folds if self._folds is not None else self._fold_blocks(_FOLD_NODES):
-            cs = self._members[kind][part]
+        # sums[mirror, pos/neg, class, m]; an own-image class adds both into mirror 0
+        sums = np.zeros((2, 2, len(self._rho), self._top), dtype=complex)
+        for own, cs, fold in self._folds if self._folds is not None else self._fold_blocks(_FOLD_NODES):
+            direct = np.einsum("cma,sma->scm", fold, halves[:, :, :fold.shape[2]])
             # a half of G contracts its conjugate mirror image past the stored columns
-            mirrored = n_alpha // 2 if kind else n_alpha
-            for dest, h, width, flip in ((self._target[0, cs], halves, fold.shape[2], False),
-                                         (self._target[1, cs], mirror, mirrored, True)):
-                hit = dest >= 0
-                if hit.any():  # contract the whole block: a kept one is not copied
-                    s = np.einsum("cma,sma->scm", fold[:, :, :width], h[:, :, :width])[:, hit]
-                    sums[:, dest[hit]] += s.conj() if flip else s
+            width = n_alpha // 2 if own else n_alpha
+            flipped = np.einsum("cma,sma->scm", fold[:, :, :width], mirror[:, :, :width]).conj()
+            if own:
+                sums[0][:, cs] = direct + flipped
+            else:
+                sums[0][:, cs], sums[1][:, cs] = direct, flipped
 
-        out = np.empty(len(self._slot), dtype=complex)
+        out = np.empty(len(self._cls), dtype=complex)
         for lo in range(0, len(out), _SUM_POINTS):
-            y = _powers(self._turn[lo:lo + _SUM_POINTS], self._top)
-            pos, neg = np.einsum("spm,mp->sp", sums[:, self._slot[lo:lo + _SUM_POINTS]], y)
-            out[lo:lo + _SUM_POINTS] = pos + neg.conj()
+            p = slice(lo, lo + _SUM_POINTS)
+            y = _powers(self._turn[p], self._top)
+            pos, neg = np.einsum("psm,mp->sp", sums[self._mirror[p], :, self._cls[p]], y)
+            out[p] = pos + neg.conj()
         return out * (TWO_PI / len(self._theta))
 
 

@@ -92,6 +92,9 @@ class TestZernike:
                 )
 
     def test_index_validation(self):
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match=rf"0 <= k <= n, got \(n,k\)=\(2,{k}\)"):
+                basis.zernike_radial_coeffs(2, k)
         with pytest.raises(ValueError):
             basis.zernike(2, 3, 0.1)
         with pytest.raises(ValueError):
@@ -296,6 +299,11 @@ class TestPsi:
     def test_point_value(self):
         assert basis.psi_kappa(0, 0, 0.0, 0.0, CurvatureParam(0.0)) == pytest.approx(1 / (2 * np.pi))
 
+    @pytest.mark.parametrize("fn", [basis.psi_kappa, basis.psi_over_mu])
+    def test_rejects_negative_degree(self, fn):
+        with pytest.raises(ValueError, match=f"{fn.__name__} requires n >= 0"):
+            fn(-1, 0, 0.0, 0.0, CurvatureParam(0.0))
+
     @pytest.mark.parametrize("kappa", [-0.6, 0.0, 0.5])
     def test_antipodal_invariance(self, kappa):
         from diskxray.geometry import antipodal_scattering_angles
@@ -434,6 +442,10 @@ class TestNorms:
         assert psi_sq == pytest.approx(0.25)
         assert zk_sq == pytest.approx(math.pi / 4)
         assert basis.norms(0, 0, cp)[1] == pytest.approx(math.pi)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="norms requires n >= 0"):
+            basis.norms(-1, 0, CurvatureParam(0.0))
 
     def test_curved_value(self):
         psi_sq, zk_sq = basis.norms(3, 2, CurvatureParam(0.5))

@@ -274,6 +274,10 @@ class TestOperatorRules:
                 want = op(fn, cp, tpl, 128, 1024).values
                 assert np.max(np.abs(got - want)) / max(np.max(np.abs(u)), 1.0) < 1e-12
 
+    def test_c_minus_rejects_non_callable(self):
+        with pytest.raises(TypeError, match="expected a callable on \\(beta, alpha\\) or a BoundaryGrid"):
+            boundary.c_minus(np.ones(template().shape), CP, template(), **TORUS)
+
     @pytest.mark.parametrize("call", [
         lambda u, cp: boundary.c_minus(u, cp, template(cp), **TORUS),
         lambda u, cp: boundary.p_minus(u, cp, template(cp), **TORUS),

@@ -23,6 +23,11 @@ def write_config(path, **fields):
     return str(path)
 
 
+def read_rows(path, reader=csv.DictReader):
+    with open(path, newline="") as fh:
+        return list(reader(fh))
+
+
 def read_body(path, names, shape=None):
     """The columns of a grid CSV file's body, from the file opened and its
     header checked as `fileio._read_grid_csv` does: by the one-pass
@@ -81,12 +86,27 @@ class TestRunConfig:
         ({"input": 3}, "input"),
         ({"reg": {"kind": "sigma_cutoff", "sigma_cutoff": -1}}, "reg.sigma_cutoff"),
         ({"reg": {"kind": "truncation", "sigma_cutoff": 5}}, "reg.sigma_cutoff"),
+        ({"noise": {"level": -0.5}}, "noise level"),
+        ({"reg": {"kind": "tikhonov"}}, "reg.kind"),
     ])
     def test_bad_values_exit_config(self, tmp_path, capsys, fields, name):
         # rejected with the field named, never coerced or left to a traceback
         path = write_config(tmp_path / "c.json", **fields)
         assert run_cli("--config", path, "--out", tmp_path / "o", "spectrum") == cli.EXIT_CONFIG
         assert f"config error: {name} " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config {path}: "),
+        ("{kappa: 0.2}", "config {path} is not valid JSON: "),
+        ("[0.2]", "config {path} must hold a JSON object, got [0.2]\n"),
+    ], ids=["missing", "not-json", "not-object"])
+    def test_unloadable_config_exits_config(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        assert run_cli("--config", path, "--out", tmp_path / "o", "spectrum") == cli.EXIT_CONFIG
+        assert "config error: " + message.format(path=path) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_meaningful_reg_validates(self):
@@ -135,6 +155,15 @@ class TestFileFormats:
         fileio.write_sinogram_csv(path, grid)
         with open(path) as fh:
             assert fh.readline().strip() == "beta,alpha,re,im"
+
+    def test_wrong_header_rejected(self, tmp_path):
+        grid = xray.boundary_grid(CurvatureParam(0.0), 4, 4)
+        path = tmp_path / "s.csv"
+        fileio.write_sinogram_csv(path, grid)
+        path.write_text(path.read_text().replace("beta,alpha,re,im", "beta,alpha,re,imag", 1))
+        with pytest.raises(ValueError) as info:
+            fileio.read_sinogram_csv(path, grid)
+        assert str(info.value) == f"expected header beta,alpha,re,im in {path}, got ['beta', 'alpha', 're', 'imag']"
 
     def test_grid_mismatch_rejected(self, tmp_path):
         cp = CurvatureParam(0.4)
@@ -504,6 +533,22 @@ class TestFileFormats:
         assert run_cli("--kappa", 0.2, "--out", tmp_path / "o", "forward",
                        "--phantom", path) == cli.EXIT_CONFIG
 
+    def test_coeff_reader_rejects_non_json(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"kappa": 0.2,\n "nmax": 1,,}')
+        with pytest.raises(ValueError, match=r"c\.json: not valid JSON \(line 2: Expecting"):
+            fileio.read_coeff_json(path)
+
+    @pytest.mark.parametrize("field", ["kappa", "nmax", "entries"])
+    def test_coeff_reader_rejects_missing_field(self, tmp_path, field):
+        doc = {"kappa": 0.2, "nmax": 1, "entries": []}
+        del doc[field]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            fileio.read_coeff_json(path)
+        assert str(info.value) == f"coefficient file {path} lacks the {field!r} field"
+
     def test_parse_error_has_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("beta,alpha,re,im\n0,0,1,0\n0,oops,1,0\n")
@@ -600,14 +645,14 @@ class TestFileFormats:
 class TestBasisCommand:
     def test_euclidean_linear_profile(self, tmp_path):
         assert run_cli("--kappa", 0, "--nmax", 1, "--out", tmp_path, "basis") == 0
-        rows = list(csv.DictReader(open(tmp_path / "zernike_radial.csv")))
+        rows = read_rows(tmp_path / "zernike_radial.csv")
         ours = [r for r in rows if r["n"] == "1" and r["k"] == "0"]
         for r in ours:
             assert float(r["Re"]) == pytest.approx(float(r["rho"]), abs=1e-14)
 
     def test_center_scaling(self, tmp_path):
         assert run_cli("--kappa", 0.5, "--nmax", 2, "--out", tmp_path, "basis") == 0
-        rows = list(csv.DictReader(open(tmp_path / "zernike_radial.csv")))
+        rows = read_rows(tmp_path / "zernike_radial.csv")
         first = [r for r in rows if r["n"] == "2" and r["k"] == "1" and float(r["rho"]) == 0.0][0]
         want = math.sqrt(1 / 3) * basis.zernike(2, 1, 0.0)
         assert float(first["Re"]) == pytest.approx(float(want.real), abs=1e-14)
@@ -781,7 +826,7 @@ class TestInvertCommand:
                        "--in", tmp_path / "sinogram.csv") == cli.EXIT_OK
         err = capsys.readouterr().err
         report = json.loads((tmp_path / "inv/report.json").read_text())
-        rows = list(csv.reader(open(tmp_path / "inv/moments.csv", newline="")))
+        rows = read_rows(tmp_path / "inv/moments.csv", csv.reader)
         assert rows[0] == cli._MOMENTS_HEADER
         for name in ("reconstruction.csv", "coefficients.json", "invert.meta.json"):
             assert (tmp_path / "inv" / name).exists()
@@ -916,7 +961,7 @@ class TestMomentsCommand:
         fileio.write_sinogram_csv(tmp_path / "u.csv", grid)
         assert run_cli("--kappa", 0.2, "--nmax", 3, "--out", tmp_path / "m",
                        "moments", "--in", tmp_path / "u.csv") == 0
-        rows = list(csv.DictReader(open(tmp_path / "m/moments.csv")))
+        rows = read_rows(tmp_path / "m/moments.csv")
         assert rows[0].keys() == {"n", "k", "abs_inner"}
         table = {(int(r["n"]), int(r["k"])): float(r["abs_inner"]) for r in rows}
         assert table[(1, -1)] == pytest.approx(1 / (4 * 1.2), abs=1e-10)
@@ -938,7 +983,7 @@ class TestMomentsCommand:
 class TestSpectrumCommand:
     def test_values(self, tmp_path):
         assert run_cli("--kappa", 0.5, "--nmax", 3, "--out", tmp_path, "spectrum") == 0
-        rows = list(csv.DictReader(open(tmp_path / "spectrum.csv")))
+        rows = read_rows(tmp_path / "spectrum.csv")
         assert len(rows) == 10
         for r in rows:
             n = int(r["n"])

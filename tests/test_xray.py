@@ -145,6 +145,14 @@ class TestForward:
         with pytest.raises(ValueError):
             xray.forward(ones, 0.0, 2.5, CurvatureParam(0.0))
 
+    def test_empty_batch_never_calls_f(self):
+        def f(z):
+            raise AssertionError("f called on an empty batch")
+
+        for beta, alpha in ((np.empty(0), np.empty(0)), (np.empty((0, 1)), np.zeros(3))):
+            got = xray.forward(f, beta, alpha, CurvatureParam(0.3))
+            assert got.shape == np.broadcast_shapes(beta.shape, alpha.shape) and got.dtype == complex
+
     def test_tangential_integrates_to_zero(self):
         got = xray.forward(ones, 0.4, np.pi / 2, CurvatureParam(0.3))
         assert got == pytest.approx(0.0, abs=1e-12)
@@ -400,6 +408,8 @@ class TestGridInterpolant:
         rng = np.random.default_rng(7)
         radii = xray.disk_grid(cp, 6, 1).rho
         polar = xray.disk_grid(cp, 4, 6).points()
+        step = 2 * np.pi / n_theta
+        nodes = np.arange(-2, 3) * step
         cases = {
             "no shared phase": radii[:, None] * np.exp(1j * rng.uniform(-np.pi, np.pi, (6, 4))),
             "distinct radii": np.sqrt(rng.uniform(0, 0.95, 30)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 30)),
@@ -409,9 +419,14 @@ class TestGridInterpolant:
             "on the negative axis": np.array([complex(-0.6, 0.0), complex(-0.6, -0.0), -0.2 + 1e-17j]),
             "scalar": np.complex128(0.3 - 0.2j),
             "empty": np.empty((0, 3), dtype=complex),
+            # every point reads its class's own fold, or every point its mirror image
+            "all at +step/3": radii[:, None] * np.exp(1j * (nodes + step / 3)),
+            "all at -step/3": radii[:, None] * np.exp(1j * (nodes - step / 3)),
         }
         for name, z in cases.items():
             got = hold_to_per_target(grid, z, cp, n_theta)
+            if name.startswith("all at"):
+                assert np.all(xray._adjoint_plan(grid, z, n_theta)._mirror == name.endswith("-step/3"))
             if name == "duplicates":
                 assert np.array_equal(got[0::2], got[1::2])
             if name == "scalar":
@@ -517,8 +532,8 @@ class TestGridInterpolant:
 
     def test_plan_past_budget_streams_its_folds(self):
         # 400 distinct radii are 400 classes of 49x64 folds, 20 MB, past
-        # _PLAN_BYTES: the plan keeps only its slots and every call folds
-        # the fibers again, so little stays behind after a call
+        # _PLAN_BYTES: the plan keeps only each point's class and mirror bit,
+        # every call folds the fibers again, so little stays behind a call
         cp = CurvatureParam(0.4)
         grid = psi_sinogram(cp)
         rng = np.random.default_rng(10)
@@ -695,6 +710,11 @@ class TestAnalyzeSynthesize:
         tpl = xray.boundary_grid(cp, 16, 16)
         tab = xray.analyze(tpl, 3, cp)
         assert all(c == 0 for _, c in tab.items())
+
+    def test_rejects_negative_nmax(self):
+        cp = CurvatureParam(0.2)
+        with pytest.raises(ValueError, match="analyze requires nmax >= 0"):
+            xray.analyze(xray.boundary_grid(cp, 16, 10), -1, cp)
 
     def test_aliasing_guard(self):
         cp = CurvatureParam(0.2)
