@@ -18,12 +18,13 @@ for n in range(7):
     print(f"  n = {n}:  sigma = {xray.singular_value(n, cp):.6f}")
 
 # The diagonal identity: the transform of w_kappa * Zhat_{n,k} is exactly
-# sigma_n * psihat_{n,k}.  Check one mode by raw quadrature.
+# sigma_n * psihat_{n,k}.  Check one mode by raw quadrature.  A grid
+# carries its kappa, so sinogram and invert read it from tpl and take no cp.
 tpl = xray.boundary_grid(cp, 48, 64)
 bb, aa = tpl.mesh()
 n, k = 3, 1
 f = lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_hat(n, k, z, cp)
-sino = xray.sinogram(f, tpl, cp)
+sino = xray.sinogram(f, tpl)
 want = xray.singular_value(n, cp) * basis.psi_kappa_hat(n, k, bb, aa, cp)
 print(f"\nforward of mode ({n},{k}): pointwise deviation from sigma * psi_hat:"
       f" {np.max(np.abs(sino.values - want)):.2e}")
@@ -40,9 +41,9 @@ def phantom(z):
     return basis.w_kappa(z, cp) * basis.zernike_kappa_series(tab, z, cp)
 
 
-sino = xray.sinogram(phantom, tpl, cp)
+sino = xray.sinogram(phantom, tpl)
 dg = xray.disk_grid(cp, 96, 64)
-res = xray.invert(sino, 6, cp, disk_template=dg)
+res = xray.invert(sino, 6, disk_template=dg)
 truth = dg.with_values(phantom(dg.points()))
 err = dg.with_values(res.recon.values - truth.values).norm() / truth.norm()
 print("\nclean round trip:")
@@ -60,7 +61,7 @@ rms = np.sqrt(np.mean(np.abs(sino.values) ** 2))
 noisy = sino.with_values(
     sino.values + 0.01 * rms * (rng.normal(size=sino.shape) + 1j * rng.normal(size=sino.shape))
 )
-res_noisy = xray.invert(noisy, 6, cp, disk_template=dg)
+res_noisy = xray.invert(noisy, 6, disk_template=dg)
 err_noisy = dg.with_values(res_noisy.recon.values - truth.values).norm() / truth.norm()
 print("\nwith 1% complex Gaussian noise per sample:")
 print(f"  relative reconstruction error: {err_noisy:.2e}")
@@ -68,6 +69,6 @@ print(f"  amplification bound 1/sigma_min: {res_noisy.noise_amplification_bound:
 
 # Truncating harder trades resolution for stability: compare nmax.
 for nmax in (2, 4, 6):
-    r = xray.invert(noisy, nmax, cp, disk_template=dg)
+    r = xray.invert(noisy, nmax, disk_template=dg)
     e = dg.with_values(r.recon.values - truth.values).norm() / truth.norm()
     print(f"  nmax = {nmax}: error {e:.3e}, bound {r.noise_amplification_bound:.3f}")

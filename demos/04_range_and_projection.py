@@ -13,6 +13,7 @@ from diskxray.geometry import CurvatureParam
 
 kappa = 0.3
 cp = CurvatureParam(kappa)
+# the grid carries kappa: the range tools below read it from tpl, no cp
 tpl = xray.boundary_grid(cp, 48, 64)
 bb, aa = tpl.mesh()
 
@@ -28,13 +29,13 @@ def f(z):
     return basis.w_kappa(z, cp) * basis.zernike_kappa_series(tab, z, cp)
 
 
-sino = xray.sinogram(f, tpl, cp)
+sino = xray.sinogram(f, tpl)
 print("candidate 1: a quadratured sinogram")
-cu = boundary.c_minus(sino, cp, tpl, 128, 256)
+cu = boundary.c_minus(sino, tpl, 128, 256)
 print(f"  ||C- u|| / ||u||          = {cu.norm() / sino.norm():.2e}")
-rep = boundary.moment_residuals(sino, 8, 3, cp)
-print(f"  worst normalized moment   = {rep.max_normalized(cp):.2e}")
-proj = boundary.project_to_range(sino, cp)
+rep = boundary.moment_residuals(sino, 8, 3)
+print(f"  worst normalized moment   = {rep.max_normalized:.2e}")
+proj = boundary.project_to_range(sino)
 print(f"  projection relative change = {proj.relative_change:.2e}")
 print(f"  range verdict: {rep.in_range}")
 
@@ -42,11 +43,11 @@ print(f"  range verdict: {rep.in_range}")
 # sinogram.  The projector removes it entirely.
 print("\ncandidate 2: the co-kernel mode psi_{2,-1}")
 u = tpl.with_values(basis.psi_kappa_hat(2, -1, bb, aa, cp))
-cu = boundary.c_minus(u, cp, tpl, 128, 256)
+cu = boundary.c_minus(u, tpl, 128, 256)
 print(f"  ||C- u|| / ||u||          = {cu.norm() / u.norm():.2e}   (eigenfunction: stays order 1)")
-rep = boundary.moment_residuals(u, 4, 2, cp)
-print(f"  worst normalized moment   = {rep.max_normalized(cp):.2e}")
-proj = boundary.project_to_range(u, cp)
+rep = boundary.moment_residuals(u, 4, 2)
+print(f"  worst normalized moment   = {rep.max_normalized:.2e}")
+proj = boundary.project_to_range(u)
 print(f"  norm after projection     = {proj.projected.norm():.2e}")
 print(f"  range verdict: {rep.in_range}")
 
@@ -54,7 +55,7 @@ print(f"  range verdict: {rep.in_range}")
 # recovers the sinogram part exactly.
 print("\ncandidate 3: sinogram + 0.3 * psi_{2,-1}")
 mixed = tpl.with_values(sino.values + 0.3 * basis.psi_kappa_hat(2, -1, bb, aa, cp))
-proj = boundary.project_to_range(mixed, cp)
+proj = boundary.project_to_range(mixed)
 resid = tpl.with_values(proj.projected.values - sino.values)
 print(f"  contamination removed: residual vs clean sinogram = {resid.norm() / sino.norm():.2e}")
 

@@ -54,7 +54,7 @@ def pq_to_nk(p: int, q: int) -> tuple[int, int]:
 
 @dataclass
 class CoeffTable:
-    """Complex coefficients indexed by (n, k), band-limited at nmax.
+    """Complex coefficients indexed by (n, k), band-limited at nmax >= 0.
 
     Iteration over `items()` is deterministic (lexicographic in (n, k)).
     """
@@ -63,6 +63,8 @@ class CoeffTable:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.nmax < 0:
+            raise ValueError(f"band limit nmax must be >= 0, got {self.nmax}")
         for (n, k), value in self.entries.items():
             self._check(n, k, value)
 

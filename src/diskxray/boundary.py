@@ -21,7 +21,8 @@ computes that projection without the torus: the range is the closed span
 of psi_{n,k}, 0 <= k <= n, orthogonal to the co-kernel, so on a grid it
 is the orthogonal projector onto the range modes the grid resolves (see
 `xray._FiberPlan`).  The torus chain stays as its slow oracle, and
-`c_minus` and `p_minus` are the chain's only entry points.
+`c_minus` and `p_minus` are the chain's only entry points.  Each
+operator reads kappa from its grid or template, never from a cp.
 
 Torus implementation: every step commutes with shifts in beta, so each
 operator runs on one beta spectrum, one row per beta frequency and one
@@ -132,7 +133,7 @@ def _extension_spectrum(u, sign: float, cp: CurvatureParam, n_beta: int, n_fiber
         targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
         if np.any(np.abs(targets) > HALF_PI + 1e-9):
             raise ValueError("scattered fiber node left the inward range")
-        plan = _fiber_plan(u, cp)
+        plan = _fiber_plan(u)
         freqs = plan.freqs[2 * np.abs(plan.freqs) < n_beta]
         phase = _scattering_phase(freqs, n_fiber, cp)
         rows = plan.rows_at(np.clip(targets, -HALF_PI, HALF_PI))
@@ -168,28 +169,27 @@ def _torus_shape(n_beta, n_fiber):
     return nb, nf
 
 
-def _minus(u, sign: float, scale: float, cp: CurvatureParam, template: BoundaryGrid,
-           n_beta, n_fiber) -> BoundaryGrid:
+def _minus(u, sign: float, scale: float, template: BoundaryGrid, n_beta, n_fiber) -> BoundaryGrid:
     """scale (id - S^*) H_- of the sign extension of u, at the template
-    nodes; grids built for another kappa than cp are rejected."""
-    _check_kappa(template, cp)
+    nodes and the template's kappa; a grid u of another kappa is rejected."""
     if isinstance(u, BoundaryGrid):
-        _check_kappa(u, cp)
+        _check_kappa(u, template)
+    cp = CurvatureParam(template.kappa)
     freqs, spec, phase = _extension_spectrum(u, sign, cp, *_torus_shape(n_beta, n_fiber))
     out = _minus_spectrum(spec, phase, scale)
     return template.with_values(_eval_spectrum(freqs, out, template.alpha, template.shape[0]))
 
 
-def p_minus(w, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
+def p_minus(w, template: BoundaryGrid, n_beta: int | None = None,
             n_fiber: int | None = None) -> BoundaryGrid:
     """P- w = A_-^* H_- A_+ w on the template grid."""
-    return _minus(w, 1.0, 1.0, cp, template, n_beta, n_fiber)
+    return _minus(w, 1.0, 1.0, template, n_beta, n_fiber)
 
 
-def c_minus(u, cp: CurvatureParam, template: BoundaryGrid, n_beta: int | None = None,
+def c_minus(u, template: BoundaryGrid, n_beta: int | None = None,
             n_fiber: int | None = None) -> BoundaryGrid:
     """C- u = (1/2) A_-^* H_- A_- u on the template grid."""
-    return _minus(u, -1.0, 0.5, cp, template, n_beta, n_fiber)
+    return _minus(u, -1.0, 0.5, template, n_beta, n_fiber)
 
 
 def c_minus_rule(p: int, q: int) -> complex:
@@ -213,15 +213,13 @@ def projection_rule(p: int, q: int) -> float:
 # antipodal symmetrization and range projection
 # ---------------------------------------------------------------------------
 
-def sa_pullback(u: BoundaryGrid, cp: CurvatureParam) -> BoundaryGrid:
+def sa_pullback(u: BoundaryGrid) -> BoundaryGrid:
     """Pullback under the antipodal scattering relation, exact on the grid.
 
     alpha -> -alpha reverses the grid's mirror-antisymmetric alpha nodes
     and the beta shift pi + 2 sig(alpha) is applied on the beta spectrum.
-    A grid built for another kappa than cp is rejected.
     """
-    _check_kappa(u, cp)
-    plan = _fiber_plan(u, cp)
+    plan = _fiber_plan(u)
     spec = np.fft.fft(u.values, axis=0)
     # output column g reads the flipped column (alpha -> -alpha) shifted in
     # beta by pi + 2 sig(alpha_g)
@@ -230,9 +228,9 @@ def sa_pullback(u: BoundaryGrid, cp: CurvatureParam) -> BoundaryGrid:
     return u.with_values(out)
 
 
-def symmetrize(u: BoundaryGrid, cp: CurvatureParam) -> tuple[BoundaryGrid, float]:
+def symmetrize(u: BoundaryGrid) -> tuple[BoundaryGrid, float]:
     """Split off the antipodally even part; returns (even part, odd norm)."""
-    pulled = sa_pullback(u, cp)
+    pulled = sa_pullback(u)
     even = u.with_values(0.5 * (u.values + pulled.values))
     odd = u.with_values(0.5 * (u.values - pulled.values))
     return even, odd.norm()
@@ -251,7 +249,7 @@ class ProjectionResult:
     gram_deviation: float
 
 
-def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None) -> ProjectionResult:
+def project_to_range(u, template: BoundaryGrid | None = None) -> ProjectionResult:
     """Orthogonal projection onto the range of the X-ray transform.
 
     Antipodally odd content is removed first and its norm reported.  The
@@ -264,24 +262,22 @@ def project_to_range(u, cp: CurvatureParam, template: BoundaryGrid | None = None
     exact on the band (idempotent and self-adjoint in the grid's inner
     product) at every kappa in (-1, 1).  It equals id + C-^2, whose torus
     composition (the C- step applied twice to one extension spectrum) is
-    its slow oracle.
+    its slow oracle.  A grid u is its own template; a template of other
+    nodes or another kappa is rejected.
     """
-    if isinstance(u, BoundaryGrid) and template is None:
-        template = u
-    if template is None:
-        raise ValueError("a template BoundaryGrid is required for callable input")
-    _check_kappa(template, cp)
-    if isinstance(u, BoundaryGrid):
-        _check_same_boundary(u, template)
-    else:
+    if not isinstance(u, BoundaryGrid):
+        if template is None:
+            raise ValueError("a template BoundaryGrid is required for callable input")
         u = template.with_values(u(*template.mesh()))
-    u_even, removed = symmetrize(u, cp)
-    plan = _fiber_plan(u_even, cp)
+    elif template is not None:
+        _check_same_boundary(u, template)
+    u_even, removed = symmetrize(u)
+    plan = _fiber_plan(u_even)
     if plan.band < 0:
         raise ValueError(
             f"no band of range modes is resolvable on {u.shape[1]} alpha nodes "
             f"(Gram deviation {plan.gram_deviation(0):.1e} at n = 0)")
-    projected = template.with_values(plan.project(u_even.values))
+    projected = u.with_values(plan.project(u_even.values))
     norm = u_even.norm()
     rel = u_even.with_values(projected.values - u_even.values).norm() / norm if norm > 0 else 0.0
     return ProjectionResult(projected=projected, relative_change=rel, removed_odd_norm=removed,
@@ -302,13 +298,8 @@ class MomentReport:
     rows: list  # (n, k, |<u, psi_{n,k}>|)
     u_norm: float
     threshold: float
-    in_range: bool
-
-    def max_normalized(self, cp: CurvatureParam) -> float:
-        psi_norm = math.sqrt(1.0 / (4.0 * (1.0 + cp.kappa)))
-        if self.u_norm == 0.0:
-            return 0.0
-        return max((r[2] for r in self.rows), default=0.0) / (self.u_norm * psi_norm)
+    in_range: bool  # max_normalized < threshold
+    max_normalized: float  # max |<u, psi>| / (||u|| ||psi||), 0 for u = 0
 
 
 def _resolves_moments(nmax: int, kpad: int, n_beta: int) -> bool:
@@ -316,7 +307,7 @@ def _resolves_moments(nmax: int, kpad: int, n_beta: int) -> bool:
     return 2 * (nmax + 2 * kpad) < n_beta
 
 
-def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam) -> MomentReport:
+def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int) -> MomentReport:
     """Moments of u against psi_{n,k} for k outside [0, n].
 
     Scans k in [-kpad, n + kpad] excluding [0, n] for each n <= nmax; all
@@ -326,7 +317,8 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam) 
     The beta frequencies n - 2k reach nmax + 2 kpad in size, which must
     stay below n_beta/2, or a moment would be read from an aliased bin.
     """
-    _check_kappa(u, cp)
+    if nmax < 0:
+        raise ValueError("moment_residuals requires nmax >= 0")
     if kpad < 1:
         raise ValueError("kpad must be >= 1")
     if not _resolves_moments(nmax, kpad, u.shape[0]):
@@ -337,8 +329,10 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int, cp: CurvatureParam) 
              for k in (*range(-kpad, 0), *range(n + 1, n + kpad + 1))]
     n, k = np.array(modes).T
     # psi = psi_hat / (2 sqrt(1 + kappa))
-    inner = _fiber_plan(u, cp).inner(u.values, n, k) / (2.0 * math.sqrt(1.0 + cp.kappa))
+    inner = _fiber_plan(u).inner(u.values, n, k) / (2.0 * math.sqrt(1.0 + u.kappa))
     rows = [(n, k, val) for (n, k), val in zip(modes, np.abs(inner).tolist())]
-    report = MomentReport(rows=rows, u_norm=u.norm(), threshold=_MOMENT_THRESHOLD, in_range=False)
-    report.in_range = report.max_normalized(cp) < _MOMENT_THRESHOLD
-    return report
+    u_norm = u.norm()
+    psi_norm = math.sqrt(1.0 / (4.0 * (1.0 + u.kappa)))
+    worst = 0.0 if u_norm == 0.0 else max((r[2] for r in rows), default=0.0) / (u_norm * psi_norm)
+    return MomentReport(rows=rows, u_norm=u_norm, threshold=_MOMENT_THRESHOLD,
+                        in_range=worst < _MOMENT_THRESHOLD, max_normalized=worst)

@@ -251,7 +251,7 @@ def cmd_forward(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     else:
         image = basis.CoeffTable(nmax=table.nmax, entries={
             (n, k): xray.singular_value(n, cp) * c for (n, k), c in table.items()})
-        grid = xray.synthesize(image, template, cp)
+        grid = xray.synthesize(image, template)
         route = {"forward": "svd", "phantom_modes": len(table.entries)}
     level = cfg.noise["level"]
     if level > 0.0:
@@ -278,7 +278,7 @@ def _read_input_sinogram(cfg: RunConfig) -> xray.BoundaryGrid:
 _MOMENTS_HEADER = ["n", "k", "abs_inner"]
 
 
-def _invert_moments(grid: xray.BoundaryGrid, cfg: RunConfig, cp: CurvatureParam):
+def _invert_moments(grid: xray.BoundaryGrid, cfg: RunConfig):
     """Moment scan of invert's input at the widest kpad <= 2 that its beta
     grid resolves, or None when it resolves none; a narrowed or skipped
     scan is reported on stderr."""
@@ -287,7 +287,7 @@ def _invert_moments(grid: xray.BoundaryGrid, cfg: RunConfig, cp: CurvatureParam)
         scan = "skips the moment scan" if kpad is None else f"scans moments at kpad={kpad}, not 2"
         print(f"warning: invert {scan}: nmax + 2 kpad must stay below n_beta/2 "
               f"(nmax={cfg.nmax}, n_beta={cfg.n_beta})", file=sys.stderr)
-    return None if kpad is None else boundary.moment_residuals(grid, cfg.nmax, kpad, cp)
+    return None if kpad is None else boundary.moment_residuals(grid, cfg.nmax, kpad)
 
 
 def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
@@ -296,8 +296,8 @@ def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     first write."""
     grid = _read_input_sinogram(cfg)
     cutoff = cfg.reg["sigma_cutoff"] if cfg.reg["kind"] == "sigma_cutoff" else None
-    res = xray.invert(grid, cfg.nmax, cp, disk_template=cfg.disk_template(), sigma_cutoff=cutoff)
-    moments = _invert_moments(grid, cfg, cp)
+    res = xray.invert(grid, cfg.nmax, disk_template=cfg.disk_template(), sigma_cutoff=cutoff)
+    moments = _invert_moments(grid, cfg)
     fileio.write_diskgrid_csv(outdir / "reconstruction.csv", res.recon)
     fileio.write_coeff_json(outdir / "coefficients.json", res.coeffs, cp)
     report = {
@@ -308,7 +308,7 @@ def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
         "noise_amplification_bound": res.noise_amplification_bound,
         "gram_deviation": res.gram_deviation,
         "moment_verdict_in_range": None if moments is None else bool(moments.in_range),
-        "moment_max_normalized": None if moments is None else moments.max_normalized(cp),
+        "moment_max_normalized": None if moments is None else moments.max_normalized,
         "coefficients": [
             {"n": n, "k": k, "re": c.real, "im": c.imag} for (n, k), c in res.coeffs.items()
         ],
@@ -320,7 +320,7 @@ def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
 
 def cmd_project(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     grid = _read_input_sinogram(cfg)
-    res = boundary.project_to_range(grid, cp)
+    res = boundary.project_to_range(grid)
     fileio.write_sinogram_csv(outdir / "projected.csv", res.projected)
     report = {
         "relative_change": res.relative_change,
@@ -333,9 +333,9 @@ def cmd_project(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
 
 
 def cmd_moments(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
-    rep = boundary.moment_residuals(_read_input_sinogram(cfg), cfg.nmax, 3, cp)
+    rep = boundary.moment_residuals(_read_input_sinogram(cfg), cfg.nmax, 3)
     fileio.write_table_csv(outdir / "moments.csv", rep.rows, _MOMENTS_HEADER)
-    extra = {"in_range": bool(rep.in_range), "max_normalized": rep.max_normalized(cp)}
+    extra = {"in_range": bool(rep.in_range), "max_normalized": rep.max_normalized}
     return "moments", extra, f"wrote {outdir}/moments.csv (in range: {rep.in_range})"
 
 

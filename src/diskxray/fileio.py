@@ -389,7 +389,8 @@ def read_coeff_json(path) -> tuple[CoeffTable, float]:
 
     `nmax`, `n` and `k` must be JSON integers and `kappa`, `re` and `im`
     JSON numbers; nothing is coerced, and each value is built as
-    ``complex(re, im)`` so signed zeros round-trip.
+    ``complex(re, im)`` so signed zeros round-trip.  A negative nmax and
+    a second entry for one (n, k) are rejected.
     """
     with open(path) as fh:
         try:
@@ -411,6 +412,8 @@ def read_coeff_json(path) -> tuple[CoeffTable, float]:
     for pos, ent in enumerate(doc["entries"]):
         try:
             nk = (_json_int(ent["n"], "n"), _json_int(ent["k"], "k"))
+            if nk in table.entries:  # held in file order, one key per entry
+                raise ValueError(f"(n, k) = {nk} repeats entry #{list(table.entries).index(nk)}")
             table[nk] = complex(_json_number(ent["re"], "re"), _json_number(ent["im"], "im"))
         except _NonFiniteValues as exc:
             raise _NonFiniteValues(f"{path}: entry #{pos}: {exc}") from None

@@ -292,7 +292,7 @@ def forward_diagonal(cp, nmax=3):
         for k in range(n + 1):
             f = lambda z, n=n, k=k: basis.w_kappa(z, cp) * basis.zernike_kappa_hat(n, k, z, cp)
             want = xray.singular_value(n, cp) * basis.psi_kappa_hat(n, k, bb, aa, cp)
-            worst = max(worst, float(np.max(np.abs(xray.sinogram(f, bg, cp).values - want))))
+            worst = max(worst, float(np.max(np.abs(xray.sinogram(f, bg).values - want))))
     return worst
 
 
@@ -345,7 +345,7 @@ def adjoint_duality(cp, nmax=3, kpad=0):
     bg = xray.boundary_grid(cp, 32, 48)
     bb, aa = bg.mesh()
     g = bg.with_values(sum(c * basis.psi_kappa_hat(n, k, bb, aa, cp) for (n, k), c in gtab.items()))
-    lhs = xray.boundary_inner(xray.sinogram(lambda z: basis.w_kappa(z, cp) * f(z), bg, cp), g)
+    lhs = xray.boundary_inner(xray.sinogram(lambda z: basis.w_kappa(z, cp) * f(z), bg), g)
 
     dg = xray.disk_grid(cp, 64, 32, measure="weighted")
     pts = dg.points()
@@ -371,7 +371,7 @@ def roundtrip(cp):
     bg = xray.boundary_grid(cp, 32, 40)
     dg = xray.disk_grid(cp, 64, 32)
     f = _phantom(cp, 13)
-    res = xray.invert(xray.sinogram(f, bg, cp), 4, cp, disk_template=dg)
+    res = xray.invert(xray.sinogram(f, bg), 4, disk_template=dg)
     truth = dg.with_values(f(dg.points()))
     return dg.with_values(res.recon.values - truth.values).norm() / truth.norm()
 
@@ -407,8 +407,8 @@ def operator_rules(cp):
     for (p, q) in [(0, 0), (2, 3), (-3, 1), (4, 1), (-4, -2), (1, 1)]:
         ufam = basis.u_prime(p, q, bb, aa, cp)
         scale = max(float(np.max(np.abs(ufam))), 1.0)
-        got_c = boundary.c_minus(lambda b, a: basis.u_prime(p, q, b, a, cp), cp, tpl, nb, nf)
-        got_p = boundary.p_minus(lambda b, a: basis.v_prime(p, q, b, a, cp), cp, tpl, nb, nf)
+        got_c = boundary.c_minus(lambda b, a: basis.u_prime(p, q, b, a, cp), tpl, nb, nf)
+        got_p = boundary.p_minus(lambda b, a: basis.v_prime(p, q, b, a, cp), tpl, nb, nf)
         err_c = np.max(np.abs(got_c.values - boundary.c_minus_rule(p, q) * ufam))
         err_p = np.max(np.abs(got_p.values - boundary.p_minus_rule(p, q) * ufam))
         worst = max(worst, float(max(err_c, err_p)) / scale)
@@ -419,10 +419,10 @@ def projection(cp):
     """A sinogram is fixed by the range projection and has zero moments; a
     co-kernel mode projects to 0."""
     tpl = xray.boundary_grid(cp, 48, 48)
-    sg = xray.sinogram(_phantom(cp, 14), tpl, cp)
-    e_range = boundary.project_to_range(sg, cp).relative_change
-    cok = boundary.project_to_range(lambda b, a: basis.psi_kappa_hat(2, -1, b, a, cp), cp, tpl)
-    e_mom = boundary.moment_residuals(sg, 6, 2, cp).max_normalized(cp)
+    sg = xray.sinogram(_phantom(cp, 14), tpl)
+    e_range = boundary.project_to_range(sg).relative_change
+    cok = boundary.project_to_range(lambda b, a: basis.psi_kappa_hat(2, -1, b, a, cp), tpl)
+    e_mom = boundary.moment_residuals(sg, 6, 2).max_normalized
     return float(max(e_range, cok.projected.norm(), e_mom))
 
 

@@ -17,7 +17,8 @@ psi_kappa_hat) pairs with singular values
 independent of k.  The forward map takes its integrand as a callable on
 the disk.  `analyze` / `synthesize` move between grids and coefficient
 tables, and `invert` divides out the singular values with hard
-truncation or a spectral cutoff.
+truncation or a spectral cutoff.  A grid carries its kappa: a function
+that takes one reads kappa from it and takes no CurvatureParam.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class BoundaryGrid:
         block, so its memory is bounded whatever the target count.  The
         rows and the spectrum come from the grid's `_FiberPlan`.
         """
-        plan = _fiber_plan(self, CurvatureParam(self.kappa))
+        plan = _fiber_plan(self)
         spec_ri, freqs = plan.nodal(self.values), plan.freqs
         n_pos = int(np.count_nonzero(freqs >= 0))  # numpy order: 0, 1, ..., then negatives
 
@@ -263,16 +264,15 @@ def disk_grid(cp: CurvatureParam, n_rho: int = 128, n_omega: int = 256, measure:
     return DiskGrid(kappa=cp.kappa, values=np.zeros((n_rho, n_omega), dtype=complex), measure=measure)
 
 
-def _check_kappa(grid, cp: CurvatureParam):
-    """Reject a grid built for another curvature than cp: its weights and
-    nodes would be read in the wrong geometry and give a plausible number."""
-    if grid.kappa != cp.kappa:
-        raise ValueError(f"grid kappa={grid.kappa} does not match cp kappa={cp.kappa}")
+def _check_kappa(grid, other):
+    """Reject a grid built for another curvature than other (a grid or a
+    CurvatureParam): read in the wrong geometry it gives a plausible number."""
+    if grid.kappa != other.kappa:
+        raise ValueError(f"grid kappa={grid.kappa} does not match {type(other).__name__} kappa={other.kappa}")
 
 
 def _check_same_boundary(g1: BoundaryGrid, g2: BoundaryGrid):
-    if g1.kappa != g2.kappa:
-        raise ValueError(f"boundary grids do not match: kappa={g1.kappa} and kappa={g2.kappa}")
+    _check_kappa(g1, g2)
     if g1.shape != g2.shape:
         raise ValueError(f"boundary grids do not match: their nodes differ (shapes {g1.shape} and {g2.shape})")
 
@@ -337,8 +337,8 @@ def forward(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
     return out.reshape(shape)[()]
 
 
-def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, n_nodes: int = 64) -> BoundaryGrid:
-    """X-ray transform of f on every node of the template grid: `forward`
+def sinogram(f, template: BoundaryGrid, n_nodes: int = 64) -> BoundaryGrid:
+    """X-ray transform of f on the template grid, at its kappa: `forward`
     on `template.mesh()`, with `n_nodes` quadrature nodes along each chord.
 
     f is a callable on the disk (vectorized over complex arrays).  A
@@ -359,7 +359,7 @@ def sinogram(f, template: BoundaryGrid, cp: CurvatureParam, n_nodes: int = 64) -
             "on the template, or integrate it as the callable "
             "w_kappa * basis.zernike_kappa_series"
         )
-    return template.with_values(forward(f, *template.mesh(), cp, n_nodes))
+    return template.with_values(forward(f, *template.mesh(), CurvatureParam(template.kappa), n_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -796,13 +796,13 @@ def _cached_plan(kappa: float, n_beta: int, n_alpha: int) -> _FiberPlan:
     return _FiberPlan(kappa, n_beta, n_alpha)
 
 
-def _fiber_plan(g: BoundaryGrid, cp: CurvatureParam) -> _FiberPlan:
+def _fiber_plan(g: BoundaryGrid) -> _FiberPlan:
     """The fiber plan of g's geometry, built once per (kappa, n_beta,
-    n_alpha) and shared by every grid path."""
-    return _cached_plan(cp.kappa, *g.shape)
+    n_alpha) and shared by every grid path; `plan.cp` is g's curvature."""
+    return _cached_plan(g.kappa, *g.shape)
 
 
-def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
+def analyze(g: BoundaryGrid, nmax: int) -> basis.CoeffTable:
     """Coefficients of g against the normalized boundary singular functions.
 
     Returns the table of inner products <g, psi_hat_{n,k}> for
@@ -812,14 +812,13 @@ def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
     orthonormal on the alpha nodes to within GRAM_TOL, or each
     coefficient would carry cross-talk from its neighbours.
     """
-    _check_kappa(g, cp)
     if nmax < 0:
         raise ValueError("analyze requires nmax >= 0")
     if 2 * nmax >= g.shape[0]:
         raise ValueError(
             f"band limit nmax={nmax} not resolvable on {g.shape[0]} beta nodes"
         )
-    plan = _fiber_plan(g, cp)
+    plan = _fiber_plan(g)
     dev = plan.gram_deviation(nmax)
     if not dev <= GRAM_TOL:
         raise ValueError(
@@ -831,8 +830,8 @@ def analyze(g: BoundaryGrid, nmax: int, cp: CurvatureParam) -> basis.CoeffTable:
     return basis.CoeffTable(nmax=nmax, entries=dict(zip(modes, inner.tolist())))
 
 
-def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
-    """Evaluate a coefficient table on a grid.
+def synthesize(table: basis.CoeffTable, template):
+    """Evaluate a coefficient table on a grid, at the grid's kappa.
 
     On a BoundaryGrid the basis is psi_kappa_hat: each mode adds c times
     its fiber factor into beta bin (n - 2k) % n_beta, and one inverse FFT
@@ -847,12 +846,10 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
     kind.
     """
     items = table.items()
-    if isinstance(template, (BoundaryGrid, DiskGrid)):
-        _check_kappa(template, cp)
     if isinstance(template, BoundaryGrid):
         n, k = np.array([nk for nk, _ in items], dtype=int).reshape(-1, 2).T
         coeffs = np.array([c for _, c in items], dtype=complex)
-        return template.with_values(_fiber_plan(template, cp).synthesize(n, k, coeffs))
+        return template.with_values(_fiber_plan(template).synthesize(n, k, coeffs))
     if isinstance(template, DiskGrid):
         by_m = {}
         for (n, k), c in items:
@@ -860,7 +857,7 @@ def synthesize(table: basis.CoeffTable, template, cp: CurvatureParam):
         radial = np.zeros((template.shape[0], len(by_m)), dtype=complex)
         for j, entries in enumerate(by_m.values()):
             sub = basis.CoeffTable(nmax=table.nmax, entries=entries)
-            radial[:, j] = basis.zernike_kappa_series(sub, template.rho, cp)
+            radial[:, j] = basis.zernike_kappa_series(sub, template.rho, CurvatureParam(template.kappa))
         return template.with_values(radial @ np.exp(1j * np.outer(list(by_m), template.omega)))
     raise TypeError(f"cannot synthesize onto {type(template).__name__}")
 
@@ -889,7 +886,6 @@ class InversionResult:
 def invert(
     g: BoundaryGrid,
     nmax: int,
-    cp: CurvatureParam,
     disk_template: DiskGrid | None = None,
     sigma_cutoff: float | None = None,
 ) -> InversionResult:
@@ -897,14 +893,18 @@ def invert(
 
     Hard truncation at nmax by default; with sigma_cutoff, modes whose
     singular value falls below the cutoff are discarded as well.  An
-    empty accepted set is an error.
+    empty accepted set is an error.  The disk template (by default
+    `disk_grid` at g's kappa) must share g's kappa.
     """
-    c = analyze(g, nmax, cp)
+    plan = _fiber_plan(g)
+    template = disk_template if disk_template is not None else disk_grid(plan.cp)
+    _check_kappa(g, template)
+    c = analyze(g, nmax)
     accepted = []
     f_table = basis.CoeffTable(nmax=nmax)
     discarded = 0.0
     for (n, k), val in c.items():
-        s = singular_value(n, cp)
+        s = singular_value(n, plan.cp)
         if sigma_cutoff is not None and s < sigma_cutoff:
             discarded += abs(val) ** 2
             continue
@@ -913,17 +913,15 @@ def invert(
     if not accepted:
         raise ValueError("no singular values above the cutoff; nothing to invert")
 
-    plan = _fiber_plan(g, cp)
     n, k = np.array(accepted).T
     misfit = g.with_values(g.values - plan.synthesize(n, k, [c[nk] for nk in accepted]))
     gnorm = g.norm()
     residual = misfit.norm() / gnorm if gnorm > 0 else 0.0
 
-    template = disk_template if disk_template is not None else disk_grid(cp)
-    recon = synthesize(f_table, template, cp)
-    recon.values *= basis.w_kappa(template.rho, cp)[:, None]
+    recon = synthesize(f_table, template)
+    recon.values *= basis.w_kappa(template.rho, plan.cp)[:, None]
 
-    sig_min = min(singular_value(n, cp) for (n, k) in accepted)
+    sig_min = min(singular_value(n, plan.cp) for (n, k) in accepted)
     return InversionResult(
         recon=recon,
         coeffs=f_table,

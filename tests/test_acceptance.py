@@ -44,7 +44,7 @@ def test_criterion_1_singular_value_reproduction():
         psis = np.array([basis.psi_kappa_hat(n, k, bb, aa, cp) for (n, k) in modes])
         for i, (n, k) in enumerate(modes):
             f = band_limited_fn(cp, basis.CoeffTable(nmax=nmax, entries={(n, k): 1.0}))
-            sino = xray.sinogram(f, tpl, cp).values
+            sino = xray.sinogram(f, tpl).values
             row = np.tensordot(w * sino, np.conj(psis), axes=([0, 1], [1, 2]))
             want = np.zeros(len(modes), complex)
             want[i] = xray.singular_value(n, cp)
@@ -78,11 +78,11 @@ def test_criterion_4_boundary_operator_spectra():
                 ufam = basis.u_prime(p, q, bb, aa, cp)
                 scale = max(float(np.max(np.abs(ufam))), fam_scale)
                 got_c = boundary.c_minus(
-                    lambda beta, alpha: basis.u_prime(p, q, beta, alpha, cp), cp, tpl, nb, nf
+                    lambda beta, alpha: basis.u_prime(p, q, beta, alpha, cp), tpl, nb, nf
                 )
                 err_c = float(np.max(np.abs(got_c.values - boundary.c_minus_rule(p, q) * ufam)))
                 got_p = boundary.p_minus(
-                    lambda beta, alpha: basis.v_prime(p, q, beta, alpha, cp), cp, tpl, nb, nf
+                    lambda beta, alpha: basis.v_prime(p, q, beta, alpha, cp), tpl, nb, nf
                 )
                 err_p = float(np.max(np.abs(got_p.values - boundary.p_minus_rule(p, q) * ufam)))
                 worst = max(worst, err_c / scale, err_p / scale)
@@ -102,8 +102,8 @@ def test_criterion_4_boundary_operator_spectra():
             out = out + c * basis.v_prime(p, q, beta, alpha, cp)
         return out
 
-    pw = boundary.p_minus(fn_v, cp, tpl, 128, 1024)
-    cpw = boundary.c_minus(pw, cp, tpl, 128, 1024)
+    pw = boundary.p_minus(fn_v, tpl, 128, 1024)
+    cpw = boundary.c_minus(pw, tpl, 128, 1024)
     report(4, "C- after P- vanishes", cpw.norm() / pw.norm(), 1e-7)
 
     def fn_u(beta, alpha):
@@ -112,8 +112,8 @@ def test_criterion_4_boundary_operator_spectra():
             out = out + c * basis.u_prime(p, q, beta, alpha, cp)
         return out
 
-    once = boundary.project_to_range(fn_u, cp, tpl)
-    twice = boundary.project_to_range(once.projected, cp, None)
+    once = boundary.project_to_range(fn_u, tpl)
+    twice = boundary.project_to_range(once.projected)
     diff = tpl.with_values(twice.projected.values - once.projected.values)
     base = tpl.with_values(fn_u(*tpl.mesh())).norm()
     report(4, "projector idempotence", diff.norm() / base, 1e-7)
@@ -131,12 +131,12 @@ def test_criterion_5_range_characterization():
             for n in range(6):
                 for k in range(n + 1):
                     tab[(n, k)] = complex(rng.normal(), rng.normal())
-            sg = xray.sinogram(band_limited_fn(cp, tab), tpl, cp)
-            cu = boundary.c_minus(sg, cp, tpl, 128, 256)
+            sg = xray.sinogram(band_limited_fn(cp, tab), tpl)
+            cu = boundary.c_minus(sg, tpl, 128, 256)
             worst_c = max(worst_c, cu.norm() / sg.norm())
-            rep = boundary.moment_residuals(sg, 8, 3, cp)
-            worst_m = max(worst_m, rep.max_normalized(cp))
-            proj = boundary.project_to_range(sg, cp)
+            rep = boundary.moment_residuals(sg, 8, 3)
+            worst_m = max(worst_m, rep.max_normalized)
+            proj = boundary.project_to_range(sg)
             worst_p = max(worst_p, proj.relative_change)
     report(5, "C- annihilates sinograms", worst_c, 1e-6)
     report(5, "moment residuals of sinograms, n <= 8", worst_m, 1e-6)
@@ -150,7 +150,7 @@ def test_criterion_5_range_characterization():
     picks = [cokernel[i] for i in rng.choice(len(cokernel), 10, replace=False)]
     for (n, k) in picks:
         fn = lambda beta, alpha, n=n, k=k: basis.psi_kappa_hat(n, k, beta, alpha, cp)
-        res = boundary.project_to_range(fn, cp, tpl)
+        res = boundary.project_to_range(fn, tpl)
         worst = max(worst, res.projected.norm())
     report(5, "projector annihilates co-kernel modes", worst, 1e-6)
 
@@ -168,7 +168,7 @@ def test_criterion_6_roundtrip_inversion():
         tab[(3, 2)] = 0.2j
         tab[(6, 3)] = complex(rng.normal(), rng.normal())
         f = band_limited_fn(cp, tab)
-        res = xray.invert(xray.sinogram(f, tpl, cp), 6, cp, disk_template=dg)
+        res = xray.invert(xray.sinogram(f, tpl), 6, disk_template=dg)
         truth = dg.with_values(f(dg.points()))
         err = dg.with_values(res.recon.values - truth.values).norm() / truth.norm()
         worst = max(worst, err)

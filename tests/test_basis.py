@@ -425,6 +425,14 @@ class TestCoeffTable:
         t = basis.CoeffTable(nmax=2)
         assert t[(1, 0)] == 0.0
 
+    @pytest.mark.parametrize("nmax", [-1, -2])
+    def test_rejects_negative_band_limit(self, nmax):
+        # an empty table at nmax -1 used to pass, and the CLI wrote an
+        # all-zero sinogram from it
+        with pytest.raises(ValueError, match=f"band limit nmax must be >= 0, got {nmax}"):
+            basis.CoeffTable(nmax=nmax)
+        assert basis.CoeffTable(nmax=0).items() == []
+
     @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])
     def test_rejects_non_finite_coefficients(self, bad):
         t = basis.CoeffTable(nmax=2)

@@ -524,6 +524,28 @@ class TestFileFormats:
                        "--phantom", path) == cli.EXIT_CONFIG
         assert not (tmp_path / "o" / "sinogram.csv").exists()
 
+    def test_coeff_reader_rejects_negative_nmax(self, tmp_path):
+        # used to load as an empty table: forward wrote an all-zero sinogram, exit 0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kappa": 0.4, "nmax": -1, "entries": []}))
+        with pytest.raises(ValueError, match=r"c\.json: band limit nmax must be >= 0, got -1"):
+            fileio.read_coeff_json(path)
+        assert run_cli("--kappa", 0.4, "--out", tmp_path / "o", "forward",
+                       "--phantom", path) == cli.EXIT_CONFIG
+        assert not (tmp_path / "o" / "sinogram.csv").exists()
+
+    def test_coeff_reader_rejects_duplicate_entries(self, tmp_path):
+        # the second entry used to overwrite the first: the table held 5.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kappa": 0.4, "nmax": 2, "entries": [
+            {"n": 1, "k": 0, "re": 1.0, "im": 0.0}, {"n": 0, "k": 0, "re": 2.0, "im": 0.0},
+            {"n": 1, "k": 0, "re": 5.0, "im": 0.0}]}))
+        with pytest.raises(ValueError, match=r"bad entry #2: \(n, k\) = \(1, 0\) repeats entry #0"):
+            fileio.read_coeff_json(path)
+        assert run_cli("--kappa", 0.4, "--out", tmp_path / "o", "forward",
+                       "--phantom", path) == cli.EXIT_CONFIG
+        assert not (tmp_path / "o" / "sinogram.csv").exists()
+
     @pytest.mark.parametrize("doc", ['"kappa nmax entries"', "[0.2, 1]", "null"])
     def test_coeff_reader_rejects_non_object(self, tmp_path, doc):
         path = tmp_path / "c.json"
@@ -739,7 +761,7 @@ class TestForwardRoutes:
         template = cli.RunConfig(kappa=kappa).validate().boundary_template()
         got = fileio.read_sinogram_csv(tmp_path / "sinogram.csv", template)
         f = lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_series(tab, z, cp)
-        want = xray.sinogram(f, template, cp, n_nodes=nodes)
+        want = xray.sinogram(f, template, n_nodes=nodes)
         assert np.max(np.abs(got.values - want.values)) < 1e-10
 
     def test_coefficient_phantom_noise_is_seeded(self, tmp_path):
@@ -858,7 +880,7 @@ class TestInvertCommand:
         assert run_cli("--kappa", 0.2, "--nmax", 6, "--out", tmp_path / "o", "invert",
                        "--in", tmp_path / "z.csv") == 0
         report = json.loads((tmp_path / "o/report.json").read_text())
-        assert report["gram_deviation"] == xray._fiber_plan(tpl, cp).gram_deviation(6)
+        assert report["gram_deviation"] == xray._fiber_plan(tpl).gram_deviation(6)
         assert report["gram_deviation"] < 1e-13
 
     def test_unresolved_band_is_numerical_error(self, tmp_path):
@@ -881,8 +903,8 @@ class TestInvertCommand:
         tab = basis.CoeffTable(nmax=nmax)
         tab[(1, 0)] = 1.0
         f = lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_hat(1, 0, z, cp)
-        clean = xray.sinogram(f, tpl, cp)
-        clean_res = xray.invert(clean, nmax, cp, disk_template=cfg.disk_template())
+        clean = xray.sinogram(f, tpl)
+        clean_res = xray.invert(clean, nmax, disk_template=cfg.disk_template())
         bound = clean_res.noise_amplification_bound
         assert bound == pytest.approx(math.sqrt(nmax + 1) * math.sqrt(1 - kappa) / (2 * math.sqrt(math.pi)))
         rms = math.sqrt(float(np.mean(np.abs(clean.values) ** 2)))
@@ -891,10 +913,10 @@ class TestInvertCommand:
             rng = np.random.default_rng(seed)
             noise = 1e-2 * rms * (rng.normal(size=tpl.shape) + 1j * rng.normal(size=tpl.shape))
             noisy = clean.with_values(clean.values + noise)
-            res = xray.invert(noisy, nmax, cp, disk_template=cfg.disk_template())
+            res = xray.invert(noisy, nmax, disk_template=cfg.disk_template())
             err = math.sqrt(sum(abs(c - clean_res.coeffs[nk]) ** 2 for nk, c in res.coeffs.items()))
             inband = math.sqrt(sum(abs(c - xray.singular_value(n, cp) * clean_res.coeffs[(n, k)]) ** 2
-                                   for (n, k), c in xray.analyze(noisy, nmax, cp).items()))
+                                   for (n, k), c in xray.analyze(noisy, nmax).items()))
             ratios.append(err / inband)
         mean_ratio = np.exp(np.mean(np.log(ratios)))
         assert 0.5 * bound <= mean_ratio <= 2.0 * bound

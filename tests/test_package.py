@@ -1,5 +1,7 @@
 """Package surface: what `import diskxray` pulls in."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -43,3 +45,20 @@ def test_public_surface_pinned():
                          *((name, boundary) for name in torus)):
         assert gone not in diskxray.__all__
         assert not hasattr(diskxray, gone) and not hasattr(module, gone)
+
+
+def test_grid_functions_take_kappa_from_the_grid():
+    # a function takes cp only when none of its arguments carries kappa:
+    # grid functions read it from the grid, so no mismatch can be passed in
+    from diskxray import boundary, xray
+
+    no_cp = (xray.sinogram, xray.analyze, xray.synthesize, xray.invert, xray._fiber_plan,
+             boundary.c_minus, boundary.p_minus, boundary.sa_pullback, boundary.symmetrize,
+             boundary.project_to_range, boundary.moment_residuals)
+    for fn in no_cp:
+        assert "cp" not in inspect.signature(fn).parameters, fn.__name__
+    assert "max_normalized" in {f.name for f in dataclasses.fields(boundary.MomentReport)}
+    for fn in (xray.adjoint_sharp, xray.forward, xray.singular_value, xray.boundary_grid,
+               xray.disk_grid):
+        assert "cp" in inspect.signature(fn).parameters, fn.__name__
+    assert list(inspect.signature(xray.adjoint_sharp).parameters) == ["g", "z", "cp", "n_theta"]

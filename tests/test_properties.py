@@ -27,7 +27,7 @@ def test_svd_round_trip(kappa, nmax, seed):
     # integrates every product of two modes exactly in alpha
     cp = CurvatureParam(kappa)
     tab = random_table(nmax, seed)
-    back = xray.analyze(xray.synthesize(tab, xray.boundary_grid(cp, 24, 32), cp), nmax, cp)
+    back = xray.analyze(xray.synthesize(tab, xray.boundary_grid(cp, 24, 32)), nmax)
     want = np.array([c for _, c in tab.items()])
     got = np.array([back[nk] for nk, _ in tab.items()])
     assert [nk for nk, _ in back.items()] == [nk for nk, _ in tab.items()]
@@ -43,9 +43,9 @@ def test_projector_idempotent(kappa, nmax, seed):
     # kappa; the torus chain id + C-^2 it replaced gave 5e-2 at |kappa| =
     # 0.9, and the property used to be stated on [-0.7, 0.7] only
     cp = CurvatureParam(kappa)
-    u = xray.synthesize(random_table(nmax, seed, k_pad=2), xray.boundary_grid(cp, 32, 48), cp)
-    once = boundary.project_to_range(u, cp)
-    twice = boundary.project_to_range(once.projected, cp)
+    u = xray.synthesize(random_table(nmax, seed, k_pad=2), xray.boundary_grid(cp, 32, 48))
+    once = boundary.project_to_range(u)
+    twice = boundary.project_to_range(once.projected)
     diff = np.linalg.norm(twice.projected.values - once.projected.values)
     assert diff <= 1e-9 * np.linalg.norm(u.values)
 

@@ -185,7 +185,7 @@ class TestForward:
         tpl = xray.boundary_grid(cp, 3, 4)
         got = xray.forward(f, tpl.beta[:, None], tpl.alpha[None, :], cp)
         assert got.shape == (3, 4) and got.dtype == complex
-        assert np.array_equal(got, xray.sinogram(f, tpl, cp).values)
+        assert np.array_equal(got, xray.sinogram(f, tpl).values)
         pointwise = np.array([[xray.forward(f, b, a, cp) for a in tpl.alpha] for b in tpl.beta])
         assert np.array_equal(got, pointwise)
         scalar = xray.forward(f, np.array(tpl.beta[1]), tpl.alpha[2], cp)
@@ -214,12 +214,12 @@ class TestForward:
 class TestSinogram:
     def test_zero_function(self):
         cp = CurvatureParam(0.2)
-        g = xray.sinogram(lambda z: np.zeros(np.shape(z), complex), xray.boundary_grid(cp, 8, 8), cp)
+        g = xray.sinogram(lambda z: np.zeros(np.shape(z), complex), xray.boundary_grid(cp, 8, 8))
         assert np.all(g.values == 0)
 
     def test_constant_rotation_invariance(self):
         cp = CurvatureParam(-0.4)
-        g = xray.sinogram(ones, xray.boundary_grid(cp, 12, 16), cp)
+        g = xray.sinogram(ones, xray.boundary_grid(cp, 12, 16))
         # independent of beta: every row equals the exit-time profile
         assert np.max(np.abs(g.values - g.values[0][None, :])) < 1e-12
         assert np.allclose(g.values[0].real, exit_time(g.alpha, cp))
@@ -231,7 +231,7 @@ class TestSinogram:
         tpl = xray.boundary_grid(cp, 48, 40)
         bb, aa = tpl.mesh()
         f = lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_hat(2, 1, z, cp)
-        sg = xray.sinogram(f, tpl, cp)
+        sg = xray.sinogram(f, tpl)
         for n in range(7):
             for k in range(n + 1):
                 ip = xray.boundary_inner(sg, tpl.with_values(basis.psi_kappa_hat(n, k, bb, aa, cp)))
@@ -244,7 +244,7 @@ class TestSinogram:
         cp = CurvatureParam(0.3)
         dg = xray.disk_grid(cp, 8, 8)
         with pytest.raises(TypeError, match="zernike_kappa_series"):
-            xray.sinogram(dg, xray.boundary_grid(cp, 8, 12), cp)
+            xray.sinogram(dg, xray.boundary_grid(cp, 8, 12))
 
 
 class TestAdjoint:
@@ -353,7 +353,7 @@ def psi_sinogram(cp, nmax=6, seed=0):
     """Samples of a random nmax band of psi_hat on the default 96x64 grid;
     `psi_series(band_limited(cp, nmax, seed)[1], cp)` is its exact callable."""
     _, tab = band_limited(cp, nmax, seed)
-    return xray.synthesize(tab, xray.boundary_grid(cp, 96, 64), cp)
+    return xray.synthesize(tab, xray.boundary_grid(cp, 96, 64))
 
 
 def hold_to_per_target(grid, z, cp, n_theta=512):
@@ -505,7 +505,7 @@ class TestGridInterpolant:
         # 63 nodes: the middle column of an own-image fold is real and kept once
         cp = CurvatureParam(0.4)
         _, tab = band_limited(cp, 6, 0)
-        grid = xray.synthesize(tab, xray.boundary_grid(cp, 96, 63), cp)
+        grid = xray.synthesize(tab, xray.boundary_grid(cp, 96, 63))
         z = xray.disk_grid(cp, 12, 24).points()
         assert count_fiber_nodes(monkeypatch, grid, z, cp) == 12 * 257 + 12 * 512  # mirror classes
         hold_to_per_target(grid, z, cp)
@@ -607,7 +607,8 @@ class TestGridInterpolant:
 
 
 class TestKappaMismatch:
-    """A grid of one curvature handed to an entry point with another cp is
+    """A grid's kappa is the only kappa its paths read: a function that
+    takes a grid takes no cp, and two inputs of different curvature are
     rejected with both values named, not read in the wrong geometry."""
 
     GRID, CP = CurvatureParam(0.4), CurvatureParam(-0.5)
@@ -623,26 +624,54 @@ class TestKappaMismatch:
             xray.adjoint_sharp(self.ones_grid(), np.array([0.3 + 0.1j]), self.CP)
         assert abs(xray.adjoint_sharp(self.ones_grid(), 0.3 + 0.1j, self.GRID) - 2 * np.pi) < 1e-8
 
+    def test_sinogram(self):
+        # given cp kappa -0.5, a kappa 0.4 template came back labelled 0.4
+        # and holding the kappa -0.5 chord lengths, 0.036 first
+        got = xray.sinogram(lambda z: np.ones(np.shape(z)), xray.boundary_grid(self.GRID, 8, 8))
+        want = exit_time(got.alpha, self.GRID)
+        assert got.kappa == 0.4
+        assert np.max(np.abs(got.values - want[None, :])) < 1e-12
+
     def test_analyze(self):
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            xray.analyze(self.ones_grid(), 2, self.CP)
+        grid = self.ones_grid()
+        bb, aa = grid.mesh()
+        for (n, k), c in xray.analyze(grid, 2).items():
+            mode = grid.with_values(basis.psi_kappa_hat(n, k, bb, aa, self.GRID))
+            assert abs(c - xray.boundary_inner(grid, mode)) < 1e-12
 
     def test_synthesize(self):
         table = basis.CoeffTable(nmax=1, entries={(1, 0): 1.0})
-        for template in (self.ones_grid(), xray.disk_grid(self.GRID, 4, 4)):
-            with pytest.raises(ValueError, match=self.MESSAGE):
-                xray.synthesize(table, template, self.CP)
+        boundary_tpl, disk_tpl = self.ones_grid(), xray.disk_grid(self.GRID, 4, 4)
+        got = xray.synthesize(table, boundary_tpl)
+        want = basis.psi_kappa_hat(1, 0, *boundary_tpl.mesh(), self.GRID)
+        assert got.kappa == 0.4 and np.max(np.abs(got.values - want)) < 1e-12
+        got = xray.synthesize(table, disk_tpl)
+        want = basis.zernike_kappa_hat(1, 0, disk_tpl.points(), self.GRID)
+        assert got.kappa == 0.4 and np.max(np.abs(got.values - want)) < 1e-12
+
+    def test_invert(self):
+        g = self.ones_grid()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            xray.invert(g, 2, disk_template=xray.disk_grid(self.CP, 8, 8))
+        assert xray.invert(g, 2).recon.kappa == 0.4  # the default template takes g's kappa
 
     def test_project_to_range(self):
         with pytest.raises(ValueError, match=self.MESSAGE):
-            boundary.project_to_range(self.ones_grid(), self.CP)
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            boundary.project_to_range(lambda b, a: ones(b), self.CP, template=self.ones_grid())
+            boundary.project_to_range(self.ones_grid(), template=xray.boundary_grid(self.CP, 16, 64))
+        # a callable is read on the template, at the template's kappa
+        got = boundary.project_to_range(lambda b, a: ones(b), template=self.ones_grid())
+        assert np.array_equal(got.projected.values,
+                              boundary.project_to_range(self.ones_grid()).projected.values)
 
     def test_moment_residuals(self):
-        # would report in_range=True
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            boundary.moment_residuals(self.ones_grid(), 2, 1, self.CP)
+        # the kappa 0.4 range mode psi_hat(2, 0) has no moments at its own
+        # kappa; its samples read at kappa -0.5 have a normalized moment 0.28
+        grid = self.ones_grid()
+        bb, aa = grid.mesh()
+        rep = boundary.moment_residuals(grid.with_values(basis.psi_kappa_hat(2, 0, bb, aa, self.GRID)), 2, 1)
+        assert rep.in_range and rep.max_normalized < 1e-14
+        rep = boundary.moment_residuals(grid.with_values(basis.psi_kappa_hat(2, -1, bb, aa, self.GRID)), 2, 1)
+        assert not rep.in_range and rep.max_normalized == pytest.approx(1.0, rel=1e-12)
 
 
 class TestInnerProducts:
@@ -691,8 +720,8 @@ class TestAnalyzeSynthesize:
         for n in range(7):
             for k in range(n + 1):
                 tab[(n, k)] = complex(rng.normal(), rng.normal())
-        grid = xray.synthesize(tab, tpl, cp)
-        back = xray.analyze(grid, 6, cp)
+        grid = xray.synthesize(tab, tpl)
+        back = xray.analyze(grid, 6)
         err = max(abs(back[nk] - tab[nk]) for nk, _ in tab.items())
         assert err < 1e-9
 
@@ -700,7 +729,7 @@ class TestAnalyzeSynthesize:
         cp = CurvatureParam(0.5)
         tpl = xray.boundary_grid(cp, 48, 40)
         f = lambda z: basis.w_kappa(z, cp) * basis.zernike_kappa_hat(3, 1, z, cp)
-        tab = xray.analyze(xray.sinogram(f, tpl, cp), 5, cp)
+        tab = xray.analyze(xray.sinogram(f, tpl), 5)
         for (n, k), c in tab.items():
             want = xray.singular_value(3, cp) if (n, k) == (3, 1) else 0.0
             assert abs(c - want) < 1e-8
@@ -708,19 +737,19 @@ class TestAnalyzeSynthesize:
     def test_zero_grid(self):
         cp = CurvatureParam(0.2)
         tpl = xray.boundary_grid(cp, 16, 16)
-        tab = xray.analyze(tpl, 3, cp)
+        tab = xray.analyze(tpl, 3)
         assert all(c == 0 for _, c in tab.items())
 
     def test_rejects_negative_nmax(self):
         cp = CurvatureParam(0.2)
         with pytest.raises(ValueError, match="analyze requires nmax >= 0"):
-            xray.analyze(xray.boundary_grid(cp, 16, 10), -1, cp)
+            xray.analyze(xray.boundary_grid(cp, 16, 10), -1)
 
     def test_aliasing_guard(self):
         cp = CurvatureParam(0.2)
         tpl = xray.boundary_grid(cp, 16, 10)
         with pytest.raises(ValueError, match="resolvable"):
-            xray.analyze(tpl, 5, cp)
+            xray.analyze(tpl, 5)
 
     def test_gram_guard(self):
         # on 64 alpha nodes the range modes n <= 29 are orthonormal to
@@ -734,18 +763,18 @@ class TestAnalyzeSynthesize:
             tab = basis.CoeffTable(nmax=nmax, entries={
                 (n, k): complex(rng.normal(), rng.normal())
                 for n in range(nmax + 1) for k in range(n + 1)})
-            back = xray.analyze(xray.synthesize(tab, tpl, cp), nmax, cp)
+            back = xray.analyze(xray.synthesize(tab, tpl), nmax)
             err = max(abs(back[nk] - c) for nk, c in tab.items())
             assert err < 1e-8
         for nmax in (30, 31):
             with pytest.raises(ValueError, match="Gram deviation"):
-                xray.analyze(tpl, nmax, cp)
+                xray.analyze(tpl, nmax)
             with pytest.raises(ValueError, match="Gram deviation"):
-                xray.invert(tpl, nmax, cp)
+                xray.invert(tpl, nmax)
 
     def test_synthesize_requires_grid(self):
         with pytest.raises(TypeError):
-            xray.synthesize(basis.CoeffTable(nmax=1), object(), CurvatureParam(0.0))
+            xray.synthesize(basis.CoeffTable(nmax=1), object())
 
 
 def _max_rel(got, want):
@@ -764,7 +793,7 @@ class TestPolarSynthesis:
         cp = CurvatureParam(kappa)
         tab = band_limited(cp, nmax, 40 + nmax)[1]
         grid = xray.disk_grid(cp, *shape)
-        got = xray.synthesize(tab, grid, cp).values
+        got = xray.synthesize(tab, grid).values
         z = grid.points()
         # The oracle evaluates at z = fl(rho e^{i omega}), whose modulus is
         # rho to an ulp; the series amplifies that by about
@@ -783,14 +812,14 @@ class TestPolarSynthesis:
         cp = CurvatureParam(0.4)
         tab = band_limited(cp, 6, 41)[1]
         grid = xray.disk_grid(cp, 7, 5, measure=measure)
-        out = xray.synthesize(tab, grid, cp)
+        out = xray.synthesize(tab, grid)
         assert out.measure == measure
         assert _max_rel(out.values, basis.zernike_kappa_series(tab, grid.points(), cp)) < 1e-13
-        assert np.array_equal(out.values, xray.synthesize(tab, xray.disk_grid(cp, 7, 5), cp).values)
+        assert np.array_equal(out.values, xray.synthesize(tab, xray.disk_grid(cp, 7, 5)).values)
 
     def test_empty_table_gives_exact_zeros(self):
         cp = CurvatureParam(0.4)
-        out = xray.synthesize(basis.CoeffTable(nmax=3), xray.disk_grid(cp, 7, 5), cp)
+        out = xray.synthesize(basis.CoeffTable(nmax=3), xray.disk_grid(cp, 7, 5))
         assert out.shape == (7, 5)
         assert np.array_equal(out.values, np.zeros((7, 5), dtype=complex))
 
@@ -803,7 +832,7 @@ class TestPolarSynthesis:
         with pytest.raises(ValueError) as pointwise:
             basis.zernike_kappa_series(tab, grid.points(), cp)
         with pytest.raises(ValueError) as polar:
-            xray.synthesize(tab, grid, cp)
+            xray.synthesize(tab, grid)
         n, k = nk
         assert str(polar.value) == str(pointwise.value) == f"zernike requires 0 <= k <= n, got (n,k)=({n},{k})"
 
@@ -818,7 +847,7 @@ class TestPolarSynthesis:
         tab = band_limited(cp, 6, 44)[1]
         image = basis.CoeffTable(nmax=6, entries={
             (n, k): xray.singular_value(n, cp) * c for (n, k), c in tab.items()})
-        res = xray.invert(xray.synthesize(image, xray.boundary_grid(cp, 96, 64), cp), 6, cp)
+        res = xray.invert(xray.synthesize(image, xray.boundary_grid(cp, 96, 64)), 6)
         z = res.recon.points()
         want = basis.w_kappa(z, cp) * basis.zernike_kappa_series(res.coeffs, z, cp)
         assert _max_rel(res.recon.values, want) < 1e-12
@@ -844,11 +873,11 @@ class TestSpectralEngineOracle:
         # is a few nodes above the smallest size it accepts
         cp = CurvatureParam(kappa)
         with pytest.raises(ValueError, match="Gram deviation"):
-            xray.analyze(xray.boundary_grid(cp, 2 * nmax + 1, 2 * nmax + 4), nmax, cp)
+            xray.analyze(xray.boundary_grid(cp, 2 * nmax + 1, 2 * nmax + 4), nmax)
         g = xray.boundary_grid(cp, 2 * nmax + 1, 2 * nmax + 12)
         rng = np.random.default_rng(nmax)
         g = g.with_values(rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
-        table = xray.analyze(g, nmax, cp)
+        table = xray.analyze(g, nmax)
         modes = [nk for nk, _ in table.items()]
         assert modes == [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
         got = np.array([c for _, c in table.items()])
@@ -867,14 +896,14 @@ class TestSpectralEngineOracle:
         for n in range(nmax + 1):
             for k in range(-2, n + 3):
                 tab[(n, k)] = complex(rng.normal(), rng.normal())
-        got = xray.synthesize(tab, tpl, cp)
+        got = xray.synthesize(tab, tpl)
         want = psi_series(tab, cp)(*tpl.mesh())
         assert np.linalg.norm(got.values - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_empty_table_synthesizes_zeros(self):
         cp = CurvatureParam(0.4)
         tpl = xray.boundary_grid(cp, 9, 8)
-        assert not np.any(xray.synthesize(basis.CoeffTable(nmax=3), tpl, cp).values)
+        assert not np.any(xray.synthesize(basis.CoeffTable(nmax=3), tpl).values)
 
     @pytest.mark.parametrize("n_beta", [12, 13])
     def test_beta_resolution_check(self, n_beta):
@@ -883,11 +912,11 @@ class TestSpectralEngineOracle:
         cp = CurvatureParam(0.3)
         tpl = xray.boundary_grid(cp, n_beta, 40)
         top = (n_beta - 1) // 2
-        xray.analyze(tpl, top, cp)
+        xray.analyze(tpl, top)
         with pytest.raises(ValueError, match="beta nodes"):
-            xray.analyze(tpl, top + 1, cp)
+            xray.analyze(tpl, top + 1)
         with pytest.raises(ValueError, match="beta nodes"):
-            xray.invert(tpl.with_values(np.ones(tpl.shape)), top + 1, cp)
+            xray.invert(tpl.with_values(np.ones(tpl.shape)), top + 1)
 
 
 class TestFiberPlan:
@@ -898,7 +927,7 @@ class TestFiberPlan:
         # range and co-kernel modes, and exponents past the plan's table
         cp = CurvatureParam(kappa)
         tpl = xray.boundary_grid(cp, 24, 32)
-        plan = xray._fiber_plan(tpl, cp)
+        plan = xray._fiber_plan(tpl)
         modes = [(n, k) for n in range(40) for k in range(-3, n + 4)]
         n, k = np.array(modes).T
         want = np.array([basis.psi_kappa_hat(n, k, 0.0, tpl.alpha, cp) for n, k in modes])
@@ -908,11 +937,10 @@ class TestFiberPlan:
         cp = CurvatureParam(0.4)
         a, b = xray.boundary_grid(cp, 96, 64), xray.boundary_grid(cp, 96, 64)
         b = b.with_values(np.ones(b.shape))
-        plan = xray._fiber_plan(a, cp)
-        assert xray._fiber_plan(b, cp) is plan  # values play no part
-        assert xray._fiber_plan(xray.boundary_grid(cp, 64, 64), cp) is not plan
-        assert xray._fiber_plan(xray.boundary_grid(CurvatureParam(0.3), 96, 64),
-                                CurvatureParam(0.3)) is not plan
+        plan = xray._fiber_plan(a)
+        assert xray._fiber_plan(b) is plan  # values play no part
+        assert xray._fiber_plan(xray.boundary_grid(cp, 64, 64)) is not plan
+        assert xray._fiber_plan(xray.boundary_grid(CurvatureParam(0.3), 96, 64)) is not plan
         with pytest.raises(ValueError):
             plan.gram[0] = 0.0
 
@@ -932,11 +960,11 @@ class TestFiberPlan:
             monkeypatch.setattr(module, "sig", lambda a, c, sig=module.sig: seen.append(a) or sig(a, c))
         rng = np.random.default_rng(3)
         grid.interpolant()(rng.uniform(0, 2 * np.pi, 8), rng.uniform(-1.5, 1.5, 8))
-        boundary.c_minus(grid, cp, grid, 32, 64)
-        boundary.sa_pullback(grid, cp)
-        xray.analyze(grid, 6, cp)
+        boundary.c_minus(grid, grid, 32, 64)
+        boundary.sa_pullback(grid)
+        xray.analyze(grid, 6)
         assert "gram" in vars(plan)
-        assert xray._fiber_plan(grid, cp) is plan
+        assert xray._fiber_plan(grid) is plan
         assert xray._cached_plan.cache_info().misses == 1
         assert seen and not any(np.array_equal(a, grid.alpha) for a in seen)
 
@@ -944,11 +972,11 @@ class TestFiberPlan:
     def test_band_from_gram_deviation(self, kappa):
         cp = CurvatureParam(kappa)
         for n_alpha, band in ((48, 20), (64, 29)):
-            plan = xray._fiber_plan(xray.boundary_grid(cp, 96, n_alpha), cp)
+            plan = xray._fiber_plan(xray.boundary_grid(cp, 96, n_alpha))
             assert plan.band == band
             assert plan.gram_deviation(band) <= xray.GRAM_TOL < plan.gram_deviation(band + 1)
         # the beta grid caps the band below n_beta / 2
-        assert xray._fiber_plan(xray.boundary_grid(cp, 24, 64), cp).band == 11
+        assert xray._fiber_plan(xray.boundary_grid(cp, 24, 64)).band == 11
 
 
 class TestSingularValues:
@@ -978,7 +1006,7 @@ class TestInversion:
         bb, aa = tpl.mesh()
         sigma = xray.singular_value(0, cp)
         g = tpl.with_values(sigma * basis.psi_kappa_hat(0, 0, bb, aa, cp))
-        res = xray.invert(g, 2, cp, disk_template=xray.disk_grid(cp, 48, 16))
+        res = xray.invert(g, 2, disk_template=xray.disk_grid(cp, 48, 16))
         pts = res.recon.points()
         want = basis.w_kappa(pts, cp) * basis.zernike_kappa_hat(0, 0, pts, cp)
         assert np.max(np.abs(res.recon.values - want)) < 1e-9
@@ -996,7 +1024,7 @@ class TestInversion:
                 + 0.2j * basis.zernike_kappa_hat(3, 2, z, cp)
             )
 
-        res = xray.invert(xray.sinogram(f, tpl, cp), 6, cp, disk_template=dg)
+        res = xray.invert(xray.sinogram(f, tpl), 6, disk_template=dg)
         truth = dg.with_values(f(dg.points()))
         err = dg.with_values(res.recon.values - truth.values).norm() / truth.norm()
         assert err < 1e-6
@@ -1007,10 +1035,10 @@ class TestInversion:
         cp = CurvatureParam(0.0)
         tpl = xray.boundary_grid(cp, 48, 40)
         f, tab = band_limited(cp, 4, seed=9)
-        g = xray.sinogram(f, tpl, cp)
+        g = xray.sinogram(f, tpl)
         # cutoff strictly between sigma_4 and sigma_3 drops exactly the n=4 shell
         cut = 0.5 * (xray.singular_value(3, cp) + xray.singular_value(4, cp))
-        res = xray.invert(g, 4, cp, sigma_cutoff=cut, disk_template=xray.disk_grid(cp, 32, 16))
+        res = xray.invert(g, 4, sigma_cutoff=cut, disk_template=xray.disk_grid(cp, 32, 16))
         assert all(n < 4 for (n, k) in res.accepted)
         want_discard = sum(
             abs(tab[(4, k)] * xray.singular_value(4, cp)) ** 2 for k in range(5)
@@ -1022,7 +1050,7 @@ class TestInversion:
         cp = CurvatureParam(0.0)
         tpl = xray.boundary_grid(cp, 16, 16)
         with pytest.raises(ValueError, match="cutoff"):
-            xray.invert(tpl, 2, cp, sigma_cutoff=100.0)
+            xray.invert(tpl, 2, sigma_cutoff=100.0)
 
     def test_noise_amplification_scaling(self):
         # in-band noise maps to reconstruction error within a factor of
@@ -1039,8 +1067,8 @@ class TestInversion:
             for n in range(nmax + 1):
                 for k in range(n + 1):
                     noise_tab[(n, k)] = 1e-2 * complex(rng.normal(), rng.normal())
-            noise = xray.synthesize(noise_tab, tpl, cp)
-            res = xray.invert(noise, nmax, cp, disk_template=dg)
+            noise = xray.synthesize(noise_tab, tpl)
+            res = xray.invert(noise, nmax, disk_template=dg)
             err = dg.with_values(res.recon.values / basis.w_kappa(dg.points(), cp)).norm()
             ratios.append(err / noise.norm())
         mean_ratio = np.exp(np.mean(np.log(ratios)))
@@ -1061,7 +1089,7 @@ class TestRandomCurvatures:
             psis = np.array([basis.psi_kappa_hat(n, k, bb, aa, cp) for (n, k) in modes])
             for i, (n, k) in enumerate(modes):
                 f = lambda z, n=n, k=k: basis.w_kappa(z, cp) * basis.zernike_kappa_hat(n, k, z, cp)
-                sino = xray.sinogram(f, tpl, cp).values
+                sino = xray.sinogram(f, tpl).values
                 row = np.tensordot(w * sino, np.conj(psis), axes=([0, 1], [1, 2]))
                 want = np.zeros(len(modes), complex)
                 want[i] = xray.singular_value(n, cp)
