@@ -33,9 +33,9 @@ pts = grid.points()
 f31 = grid.with_values(basis.zernike_kappa(3, 1, pts, cp))
 f32 = grid.with_values(basis.zernike_kappa(3, 2, pts, cp))
 print("\ndisk-side Gram entries at kappa = 0.5:")
-print(f"  <Z_31, Z_31> = {xray.disk_inner(f31, f31).real:.12f}"
+print(f"  <Z_31, Z_31> = {xray.inner(f31, f31).real:.12f}"
       f"   (closed form {np.pi / ((1 - kappa**2) * 4):.12f})")
-print(f"  <Z_31, Z_32> = {abs(xray.disk_inner(f31, f32)):.2e}")
+print(f"  <Z_31, Z_32> = {abs(xray.inner(f31, f32)):.2e}")
 
 # Boundary side.  psi_{n,k} combines a beta-harmonic, the scattering
 # signature, and the sqrt(sig') weight; all members share one norm.
@@ -44,9 +44,9 @@ bb, aa = bg.mesh()
 p21 = bg.with_values(basis.psi_kappa(2, 1, bb, aa, cp))
 p64 = bg.with_values(basis.psi_kappa(6, 4, bb, aa, cp))
 print("\nboundary-side Gram entries:")
-print(f"  <psi_21, psi_21> = {xray.boundary_inner(p21, p21).real:.12f}"
+print(f"  <psi_21, psi_21> = {xray.inner(p21, p21).real:.12f}"
       f"   (closed form {1 / (4 * (1 + kappa)):.12f})")
-print(f"  <psi_21, psi_64> = {abs(xray.boundary_inner(p21, p64)):.2e}")
+print(f"  <psi_21, psi_64> = {abs(xray.inner(p21, p64)):.2e}")
 
 # The boundary family diagonalizes the fiberwise Hilbert transform: each
 # sqrt(sig')-weighted exponential is an eigenfunction with eigenvalue

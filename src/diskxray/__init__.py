@@ -50,10 +50,9 @@ from .xray import (
     adjoint_sharp,
     analyze,
     boundary_grid,
-    boundary_inner,
     disk_grid,
-    disk_inner,
     forward,
+    inner,
     invert,
     singular_value,
     sinogram,
@@ -69,16 +68,15 @@ __all__ = [
     "adjoint_sharp",
     "analyze",
     "boundary_grid",
-    "boundary_inner",
     "c_minus",
     "cheb_w",
     "conformal_factor",
     "disk_grid",
-    "disk_inner",
     "exit_time",
     "fiber_change",
     "forward",
     "geodesic_point",
+    "inner",
     "invert",
     "isometry_from_tangent",
     "moment_residuals",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -54,7 +55,9 @@ def pq_to_nk(p: int, q: int) -> tuple[int, int]:
 
 @dataclass
 class CoeffTable:
-    """Complex coefficients indexed by (n, k), band-limited at nmax >= 0.
+    """Complex coefficients indexed by integers (n, k), band-limited at
+    an integer nmax >= 0 (numpy integers count; 2.5 is rejected, not
+    truncated).
 
     Iteration over `items()` is deterministic (lexicographic in (n, k)).
     """
@@ -63,12 +66,14 @@ class CoeffTable:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.nmax = operator.index(self.nmax)
         if self.nmax < 0:
             raise ValueError(f"band limit nmax must be >= 0, got {self.nmax}")
         for (n, k), value in self.entries.items():
             self._check(n, k, value)
 
     def _check(self, n, k, value):
+        n, k = operator.index(n), operator.index(k)
         if n < 0 or n > self.nmax:
             raise ValueError(f"index ({n},{k}) outside band limit nmax={self.nmax}")
         if not cmath.isfinite(complex(value)):

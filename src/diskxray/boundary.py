@@ -31,10 +31,12 @@ Hilbert multiplier, id - S^* and the evaluation at the template nodes.
 The scattering relation maps fiber node alpha to pi - alpha when the
 fiber size is even, and shifts beta by the off-grid amount
 pi + 2 sig(alpha), applied exactly as a phase on the spectrum and formed
-once per call.  A grid input is extended spectrally from its fiber plan
-(trigonometric in beta, barycentric in s = sig(alpha) after removing the
-sqrt(sig') weight); a callable is sampled on the torus and transformed
-by one FFT over beta.
+once per call (`sa_pullback` forms its shift the same way).  Both inputs
+are read at each fiber node or its scattered fiber angle on the beta
+grid, and the outward columns then take the phase: a grid input through
+its fiber plan (trigonometric in beta, barycentric in s = sig(alpha)
+after removing the sqrt(sig') weight), a callable sampled on the n_beta
+beta nodes and transformed by one FFT over beta.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HALF_PI, TWO_PI, CurvatureParam, sig, wrap_pi
-from .xray import BoundaryGrid, _beta_freqs, _check_kappa, _check_same_boundary, _fiber_plan
+from .xray import BoundaryGrid, _beta_freqs, _check_kappa, _check_same, _fiber_plan
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +61,11 @@ from .xray import BoundaryGrid, _beta_freqs, _check_kappa, _check_same_boundary,
 # n_beta), one column per uniform fiber node.  The chain needs no FFT over
 # beta between its steps and never forms rows its input does not carry.
 
-def _fiber_nodes(n_fiber: int):
-    """Uniform fiber angles wrapped to [-pi, pi), and which are inward."""
-    alpha = wrap_pi(np.arange(n_fiber) * TWO_PI / n_fiber)
-    return alpha, np.abs(alpha) <= HALF_PI + 1e-12
-
-
-def _scattering_phase(freqs, n_fiber: int, cp: CurvatureParam) -> np.ndarray:
+def _scattering_phase(freqs, s) -> np.ndarray:
     """The beta shift pi + 2 sig(alpha) of the scattering relation as a
-    phase, one row per beta frequency, one column per uniform fiber node."""
-    alpha = np.arange(n_fiber) * TWO_PI / n_fiber
-    return np.exp(1j * np.outer(freqs, np.pi + 2.0 * sig(alpha, cp)))
+    phase, one row per beta frequency, one column per fiber angle of
+    signature s = sig(alpha)."""
+    return np.exp(1j * np.outer(freqs, np.pi + 2.0 * s))
 
 
 def _pullback_spectrum(spec: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -121,37 +117,33 @@ def _extension_spectrum(u, sign: float, cp: CurvatureParam, n_beta: int, n_fiber
     scattering phase on those rows.
 
     Inward nodes carry u itself; an outward node carries sign times u at
-    the scattered inward coordinates, which sit off the beta grid.  A
-    grid u is read through its fiber plan: one barycentric pass gives its
-    beta spectrum at every fiber target, and outward columns take the
-    phase and the sign; only the frequencies below the torus's Nyquist
-    row are formed.  A callable is sampled on the torus and transformed
-    by one FFT over beta.
+    the scattered inward coordinates, which sit off the beta grid.  Both
+    inputs are read at one fiber target per node, the node itself or its
+    scattered fiber angle, on the beta grid: a grid u through its fiber
+    plan, one barycentric pass giving its beta spectrum at every target
+    (only the frequencies below the torus's Nyquist row are formed), a
+    callable sampled on the n_beta beta nodes and transformed by one FFT
+    over beta.  The outward columns then take the beta shift exactly, as
+    the scattering phase, and the sign.
     """
-    alpha, inward = _fiber_nodes(n_fiber)
+    alpha = np.arange(n_fiber) * TWO_PI / n_fiber
+    wrapped = wrap_pi(alpha)
+    inward = np.abs(wrapped) <= HALF_PI + 1e-12
+    # pi - alpha of an outward node is inward; the clip takes off rounding
+    targets = np.clip(np.where(inward, wrapped, wrap_pi(np.pi - wrapped)), -HALF_PI, HALF_PI)
     if isinstance(u, BoundaryGrid):
-        targets = np.where(inward, alpha, wrap_pi(np.pi - alpha))
-        if np.any(np.abs(targets) > HALF_PI + 1e-9):
-            raise ValueError("scattered fiber node left the inward range")
         plan = _fiber_plan(u)
         freqs = plan.freqs[2 * np.abs(plan.freqs) < n_beta]
-        phase = _scattering_phase(freqs, n_fiber, cp)
-        rows = plan.rows_at(np.clip(targets, -HALF_PI, HALF_PI))
-        spec = (rows @ plan.nodal(u.values)).view(complex).T[freqs % u.shape[0]]
-        spec[:, ~inward] *= sign * phase[:, ~inward]
-        return freqs, spec, phase
-
-    if not callable(u):
+        spec = (plan.rows_at(targets) @ plan.nodal(u.values)).view(complex).T[freqs % u.shape[0]]
+    elif callable(u):
+        beta = np.arange(n_beta) * TWO_PI / n_beta
+        vals = np.broadcast_to(u(beta[:, None], targets[None, :]), (n_beta, n_fiber))
+        freqs, spec = _beta_freqs(n_beta), np.fft.fft(vals, axis=0) / n_beta
+    else:
         raise TypeError("expected a callable on (beta, alpha) or a BoundaryGrid")
-    vals = np.empty((n_beta, n_fiber), dtype=complex)
-    bb = (np.arange(n_beta) * TWO_PI / n_beta)[:, None]
-    a_in = alpha[inward]
-    vals[:, inward] = u(bb, a_in[None, :])
-    a_out = alpha[~inward]
-    shift = np.pi + 2.0 * sig(a_out, cp)
-    vals[:, ~inward] = sign * u(bb + shift[None, :], wrap_pi(np.pi - a_out)[None, :])
-    freqs = _beta_freqs(n_beta)
-    return freqs, np.fft.fft(vals, axis=0) / n_beta, _scattering_phase(freqs, n_fiber, cp)
+    phase = _scattering_phase(freqs, sig(alpha, cp))
+    spec[:, ~inward] *= sign * phase[:, ~inward]
+    return freqs, spec, phase
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +215,7 @@ def sa_pullback(u: BoundaryGrid) -> BoundaryGrid:
     spec = np.fft.fft(u.values, axis=0)
     # output column g reads the flipped column (alpha -> -alpha) shifted in
     # beta by pi + 2 sig(alpha_g)
-    shift = np.pi + 2.0 * plan.s
-    out = np.fft.ifft(spec[:, ::-1] * np.exp(1j * np.outer(plan.freqs, shift)), axis=0)
-    return u.with_values(out)
+    return u.with_values(np.fft.ifft(spec[:, ::-1] * _scattering_phase(plan.freqs, plan.s), axis=0))
 
 
 def symmetrize(u: BoundaryGrid) -> tuple[BoundaryGrid, float]:
@@ -270,7 +260,7 @@ def project_to_range(u, template: BoundaryGrid | None = None) -> ProjectionResul
             raise ValueError("a template BoundaryGrid is required for callable input")
         u = template.with_values(u(*template.mesh()))
     elif template is not None:
-        _check_same_boundary(u, template)
+        _check_same(u, template)
     u_even, removed = symmetrize(u)
     plan = _fiber_plan(u_even)
     if plan.band < 0:

@@ -6,7 +6,7 @@ fields can be overridden with flags (--kappa, --nmax, --out, --seed,
 --noise).  Runs are deterministic given (config, inputs, seed).
 
 Each file-writing subcommand is an entry of `_COMMANDS`, called as
-``cmd(cfg, cp, outdir, args)``: it writes its outputs into outdir and
+``cmd(cfg, outdir, args)``: it writes its outputs into outdir and
 returns (sidecar name, extra sidecar keys or None, success message).
 `main` alone makes the output directory, writes the sidecar
 <name>.meta.json (the config, its hash and the boundary grid sizes) and
@@ -193,7 +193,8 @@ def _warn_near_degenerate(cfg: RunConfig) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_basis(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+def cmd_basis(cfg: RunConfig, outdir: Path, args):
+    cp = cfg.cp()
     rho = np.linspace(0.0, 1.0, cfg.n_rho)
     alpha = cfg.boundary_template().alpha
     radial, fiber = [], []
@@ -235,7 +236,7 @@ def _load_phantom(cfg: RunConfig, phantom: str | None):
     return table
 
 
-def cmd_forward(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+def cmd_forward(cfg: RunConfig, outdir: Path, args):
     """Sinogram of a phantom, with optional seeded noise, by an exact route.
 
     `unit` maps to the chord length exit_time(alpha) at every beta.  A
@@ -243,6 +244,7 @@ def cmd_forward(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     sum sigma_n c psi_hat, which `synthesize` samples exactly at every
     node.  `xray.sinogram` is the quadrature oracle of both.
     """
+    cp = cfg.cp()
     table = _load_phantom(cfg, args.phantom)
     template = cfg.boundary_template()
     if table is None:
@@ -290,7 +292,7 @@ def _invert_moments(grid: xray.BoundaryGrid, cfg: RunConfig):
     return None if kpad is None else boundary.moment_residuals(grid, cfg.nmax, kpad)
 
 
-def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+def cmd_invert(cfg: RunConfig, outdir: Path, args):
     """Truncated-SVD inversion, with the input's moment scan (null in the
     report when the beta grid resolves none); all is computed before the
     first write."""
@@ -299,7 +301,7 @@ def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     res = xray.invert(grid, cfg.nmax, disk_template=cfg.disk_template(), sigma_cutoff=cutoff)
     moments = _invert_moments(grid, cfg)
     fileio.write_diskgrid_csv(outdir / "reconstruction.csv", res.recon)
-    fileio.write_coeff_json(outdir / "coefficients.json", res.coeffs, cp)
+    fileio.write_coeff_json(outdir / "coefficients.json", res.coeffs, cfg.cp())
     report = {
         "residual": res.residual,
         "discarded_energy": res.discarded_energy,
@@ -318,7 +320,7 @@ def cmd_invert(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     return "invert", None, f"wrote {outdir}/reconstruction.csv, coefficients.json, report.json"
 
 
-def cmd_project(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+def cmd_project(cfg: RunConfig, outdir: Path, args):
     grid = _read_input_sinogram(cfg)
     res = boundary.project_to_range(grid)
     fileio.write_sinogram_csv(outdir / "projected.csv", res.projected)
@@ -332,14 +334,15 @@ def cmd_project(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
     return "project", None, f"wrote {outdir}/projected.csv (relative change {res.relative_change:.3e})"
 
 
-def cmd_moments(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+def cmd_moments(cfg: RunConfig, outdir: Path, args):
     rep = boundary.moment_residuals(_read_input_sinogram(cfg), cfg.nmax, 3)
     fileio.write_table_csv(outdir / "moments.csv", rep.rows, _MOMENTS_HEADER)
     extra = {"in_range": bool(rep.in_range), "max_normalized": rep.max_normalized}
     return "moments", extra, f"wrote {outdir}/moments.csv (in range: {rep.in_range})"
 
 
-def cmd_spectrum(cfg: RunConfig, cp: CurvatureParam, outdir: Path, args):
+def cmd_spectrum(cfg: RunConfig, outdir: Path, args):
+    cp = cfg.cp()
     rows = [(n, k, xray.singular_value(n, cp)) for n in range(cfg.nmax + 1) for k in range(n + 1)]
     fileio.write_table_csv(outdir / "spectrum.csv", rows, ["n", "k", "sigma"])
     return "spectrum", None, f"wrote {outdir}/spectrum.csv"
@@ -406,7 +409,7 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return cmd_selftest(cfg)
         outdir = _outdir(cfg)
-        name, extra, message = _COMMANDS[args.command](cfg, cfg.cp(), outdir, args)
+        name, extra, message = _COMMANDS[args.command](cfg, outdir, args)
         _write_sidecar(outdir, name, cfg, extra)
         print(message)
         return EXIT_OK

@@ -46,12 +46,11 @@ class CurvatureParam:
     """Curvature parameter kappa in (-1, 1) and derived constants.
 
     lam = (1 - kappa) / (1 + kappa) controls the spread of scattered
-    geodesics; c1 = 1 + kappa is the conformal factor on the boundary.
+    geodesics.
     """
 
     kappa: float
     lam: float = field(init=False)
-    c1: float = field(init=False)
 
     def __post_init__(self):
         k = float(self.kappa)
@@ -59,7 +58,6 @@ class CurvatureParam:
             raise ValueError(f"kappa must lie strictly in (-1, 1), got {k!r}")
         object.__setattr__(self, "kappa", k)
         object.__setattr__(self, "lam", (1.0 - k) / (1.0 + k))
-        object.__setattr__(self, "c1", 1.0 + k)
 
 
 @dataclass(frozen=True)
@@ -224,9 +222,7 @@ def antipodal_scattering_angles(beta, alpha, cp: CurvatureParam):
     """Scattering relation composed with the fiberwise antipodal map.
 
     Kept, though only tests call it: it is the paper's S_A (`sa_pullback` applies it on grids)."""
-    beta = np.asarray(beta, dtype=float)
-    a = np.asarray(alpha, dtype=float)
-    return wrap_two_pi(beta + np.pi + 2.0 * sig(a, cp)), wrap_pi(-a)
+    return scattering_angles(beta, alpha, cp)[0], wrap_pi(-np.asarray(alpha, dtype=float))
 
 
 def fiber_change(rho, theta, cp: CurvatureParam):

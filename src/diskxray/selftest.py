@@ -345,13 +345,13 @@ def adjoint_duality(cp, nmax=3, kpad=0):
     bg = xray.boundary_grid(cp, 32, 48)
     bb, aa = bg.mesh()
     g = bg.with_values(sum(c * basis.psi_kappa_hat(n, k, bb, aa, cp) for (n, k), c in gtab.items()))
-    lhs = xray.boundary_inner(xray.sinogram(lambda z: basis.w_kappa(z, cp) * f(z), bg), g)
+    lhs = xray.inner(xray.sinogram(lambda z: basis.w_kappa(z, cp) * f(z), bg), g)
 
     dg = xray.disk_grid(cp, 64, 32, measure="weighted")
     pts = dg.points()
     g_over_mu = lambda beta, alpha: _psi_hat_over_mu_series(gtab, beta, alpha, cp)
     back = xray.adjoint_sharp(g_over_mu, pts, cp, n_theta=512)
-    rhs = xray.disk_inner(dg.with_values(f(pts)), dg.with_values(back))
+    rhs = xray.inner(dg.with_values(f(pts)), dg.with_values(back))
     return abs(lhs - rhs) / abs(lhs)
 
 

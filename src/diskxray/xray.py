@@ -18,7 +18,9 @@ independent of k.  The forward map takes its integrand as a callable on
 the disk.  `analyze` / `synthesize` move between grids and coefficient
 tables, and `invert` divides out the singular values with hard
 truncation or a spectral cutoff.  A grid carries its kappa: a function
-that takes one reads kappa from it and takes no CurvatureParam.
+that takes one reads kappa from it and takes no CurvatureParam.  Both
+grid kinds share one core (`_Grid`: construction checks, `with_values`,
+`norm`) and one inner product, `inner`.
 """
 
 from __future__ import annotations
@@ -53,11 +55,48 @@ _PANEL_LENGTH = 2.0  # longest geodesic quadrature panel
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BoundaryGrid:
+class _Grid:
+    """Samples of a complex function on a 2-d grid at curvature kappa.
+
+    A grid is its curvature and its values: its nodes follow from kappa
+    and values.shape, and its non-uniform axis takes a Gauss-Legendre
+    rule (`_rule`) formed when the grid is made, never first inside a
+    file writer or reader.  A kappa outside (-1, 1), values that are not
+    2-d, an empty axis and NaN or inf values are rejected there.
+    """
+
+    kappa: float
+    values: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.values)
+        if len(shape) != 2 or 0 in shape:
+            raise ValueError(f"{self._KIND} values must be 2-d {self._AXES} with a node on each axis, "
+                             f"got shape {shape}")
+        if not np.isfinite(self.values).all():
+            raise _NonFiniteValues(f"{self._KIND} values hold NaN or inf")
+        CurvatureParam(self.kappa)  # rejects a kappa outside (-1, 1)
+        self._rule()
+
+    @property
+    def shape(self):
+        return np.shape(self.values)
+
+    def with_values(self, values):
+        values = np.asarray(values, dtype=complex)
+        if values.shape != self.shape:
+            raise ValueError(f"values shape {values.shape} does not match the grid")
+        return replace(self, values=values)
+
+    def norm(self) -> float:
+        return math.sqrt(abs(inner(self, self)))
+
+
+@dataclass
+class BoundaryGrid(_Grid):
     """Samples of a complex function on the inward boundary bundle.
 
-    A grid is its curvature and its values: every node follows from kappa
-    and values.shape = (n_beta, n_alpha).  beta is uniform on [0, 2*pi).
+    values.shape = (n_beta, n_alpha), and beta is uniform on [0, 2*pi).
     The alpha nodes are Gauss-Legendre points placed in the substituted
     fiber variable s = sig(alpha) and pulled back through the signature,
     with the jacobian folded into the weights; at kappa = 0 they are plain
@@ -66,27 +105,17 @@ class BoundaryGrid:
     the integrands and interpolands produced by the transform family are
     trigonometric polynomials in s after the sqrt(sig') weight is split
     off.  `weights` adds the surface-measure factor (1+kappa)^{-1}, so
-    `boundary_inner` integrates against the bundle measure directly.
+    `inner` integrates against the bundle measure directly.
 
     The nodes are read-only properties.  The alpha nodes and weights are
-    formed once per (kappa, n_alpha) when a grid is made, so a kappa
-    outside (-1, 1) is rejected there, and every grid path may rely on
-    them: distinct and mirror-antisymmetric, alpha = -alpha[::-1].
+    formed once per (kappa, n_alpha) and shared, so every grid path may
+    rely on them: distinct and mirror-antisymmetric, alpha = -alpha[::-1].
     """
 
-    kappa: float
-    values: np.ndarray
+    _KIND, _AXES = "boundary", "(n_beta, n_alpha)"
 
-    def __post_init__(self):
-        if np.ndim(self.values) != 2:
-            raise ValueError(f"boundary values must be 2-d (n_beta, n_alpha), got shape {np.shape(self.values)}")
-        if not np.isfinite(self.values).all():
-            raise _NonFiniteValues("boundary values hold NaN or inf")
-        _alpha_nodes(self.kappa, self.shape[1])  # here, never first inside a file writer or reader
-
-    @property
-    def shape(self):
-        return np.shape(self.values)
+    def _rule(self):
+        return _alpha_nodes(self.kappa, self.shape[1])
 
     @property
     def beta(self) -> np.ndarray:
@@ -94,11 +123,11 @@ class BoundaryGrid:
 
     @property
     def alpha(self) -> np.ndarray:
-        return _alpha_nodes(self.kappa, self.shape[1])[0]
+        return self._rule()[0]
 
     @property
     def alpha_weights(self) -> np.ndarray:
-        return _alpha_nodes(self.kappa, self.shape[1])[1]
+        return self._rule()[1]
 
     def weights(self) -> np.ndarray:
         """Full 2-d quadrature weights for the bundle surface measure."""
@@ -108,15 +137,6 @@ class BoundaryGrid:
 
     def mesh(self):
         return np.meshgrid(self.beta, self.alpha, indexing="ij")
-
-    def with_values(self, values) -> "BoundaryGrid":
-        values = np.asarray(values, dtype=complex)
-        if values.shape != self.shape:
-            raise ValueError(f"values shape {values.shape} does not match the grid")
-        return replace(self, values=values)
-
-    def norm(self) -> float:
-        return math.sqrt(abs(boundary_inner(self, self)))
 
     def interpolant(self):
         """Spectral interpolant: trigonometric in beta, barycentric in the
@@ -166,43 +186,35 @@ def _beta_freqs(n: int) -> np.ndarray:
 
 
 @dataclass
-class DiskGrid:
+class DiskGrid(_Grid):
     """Samples of a complex function on a polar grid over the unit disk.
 
-    A grid is its curvature, its values and its measure tag: every node
-    follows from values.shape = (n_rho, n_omega).  rho holds Gauss-Legendre
-    nodes on (0, 1), omega is uniform on [0, 2*pi); both are read-only
-    properties, and the Gauss-Legendre rule is formed when a grid is made.
-    The measure tag selects the radial quadrature factor: "vol"
-    integrates against the curved volume form (the flat area element at
-    kappa = 0), "weighted" adds the w_kappa weight.
+    values.shape = (n_rho, n_omega): rho holds Gauss-Legendre nodes on
+    (0, 1), omega is uniform on [0, 2*pi); both are read-only properties.
+    The measure tag, a field after kappa and values, selects the radial
+    quadrature factor: "vol" integrates against the curved volume form
+    (the flat area element at kappa = 0), "weighted" adds the w_kappa
+    weight.
     """
 
-    kappa: float
-    values: np.ndarray
     measure: str = "vol"
+    _KIND, _AXES = "disk", "(n_rho, n_omega)"
 
     def __post_init__(self):
         if self.measure not in _MEASURES:
             raise ValueError(f"unknown measure tag {self.measure!r}; expected one of {_MEASURES}")
-        if np.ndim(self.values) != 2:
-            raise ValueError(f"disk values must be 2-d (n_rho, n_omega), got shape {np.shape(self.values)}")
-        if not np.isfinite(self.values).all():
-            raise _NonFiniteValues("disk values hold NaN or inf")
-        CurvatureParam(self.kappa)  # rejects a kappa outside (-1, 1)
-        _gauss_legendre(self.shape[0])  # here, never first inside a file writer or reader
+        super().__post_init__()
 
-    @property
-    def shape(self):
-        return np.shape(self.values)
+    def _rule(self):
+        return _gauss_legendre(self.shape[0])
 
     @property
     def rho(self) -> np.ndarray:
-        return 0.5 * (_gauss_legendre(self.shape[0])[0] + 1.0)
+        return 0.5 * (self._rule()[0] + 1.0)
 
     @property
     def rho_weights(self) -> np.ndarray:
-        return 0.5 * _gauss_legendre(self.shape[0])[1]
+        return 0.5 * self._rule()[1]
 
     @property
     def omega(self) -> np.ndarray:
@@ -220,15 +232,6 @@ class DiskGrid:
     def points(self) -> np.ndarray:
         """Complex node positions rho_i e^{i omega_j}."""
         return self.rho[:, None] * np.exp(1j * self.omega[None, :])
-
-    def with_values(self, values) -> "DiskGrid":
-        values = np.asarray(values, dtype=complex)
-        if values.shape != self.shape:
-            raise ValueError(f"values shape {values.shape} does not match the grid")
-        return replace(self, values=values)
-
-    def norm(self) -> float:
-        return math.sqrt(abs(disk_inner(self, self)))
 
 
 @lru_cache(maxsize=None)
@@ -271,23 +274,24 @@ def _check_kappa(grid, other):
         raise ValueError(f"grid kappa={grid.kappa} does not match {type(other).__name__} kappa={other.kappa}")
 
 
-def _check_same_boundary(g1: BoundaryGrid, g2: BoundaryGrid):
+def _check_same(g1: _Grid, g2: _Grid):
+    """Reject two grids that do not sample one space: another kind, kappa,
+    shape or measure would pair values on different nodes or weights."""
+    if type(g1) is not type(g2):
+        raise ValueError(f"cannot pair a {type(g1).__name__} with a {type(g2).__name__}")
     _check_kappa(g1, g2)
     if g1.shape != g2.shape:
-        raise ValueError(f"boundary grids do not match: their nodes differ (shapes {g1.shape} and {g2.shape})")
+        raise ValueError(f"grids do not match: their nodes differ (shapes {g1.shape} and {g2.shape})")
+    if getattr(g1, "measure", None) != getattr(g2, "measure", None):
+        raise ValueError(f"disk grids do not match: their measures differ ({g1.measure} and {g2.measure})")
 
 
-def boundary_inner(g1: BoundaryGrid, g2: BoundaryGrid) -> complex:
-    """Hermitian inner product on the inward bundle, conjugate-linear in g2."""
-    _check_same_boundary(g1, g2)
+def inner(g1: _Grid, g2: _Grid) -> complex:
+    """Hermitian inner product of two grids of one kind, kappa, shape and
+    measure, conjugate-linear in g2: on the inward bundle against its
+    surface measure, on the disk in the grids' tagged measure."""
+    _check_same(g1, g2)
     return complex(np.sum(g1.weights() * g1.values * np.conj(g2.values)))
-
-
-def disk_inner(f1: DiskGrid, f2: DiskGrid) -> complex:
-    """Hermitian inner product on the disk in the grids' tagged measure."""
-    if f1.kappa != f2.kappa or f1.measure != f2.measure or f1.shape != f2.shape:
-        raise ValueError("disk grids do not match (kappa, measure or nodes differ)")
-    return complex(np.sum(f1.weights() * f1.values * np.conj(f2.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +308,14 @@ def forward(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
     and a tangential one integrates to 0.  Each chord [0, tau] is cut
     into P equal panels, P the fewest that keep the geometry's longest
     chord, the diameter exit_time(0), within `_PANEL_LENGTH`, with
-    n_nodes // P (at least 4) Gauss-Legendre nodes on each.  Every point
-    takes that one rule and sums its own nodes alone, so its value does
-    not depend on the batch it comes in, bit for bit.
+    n_nodes // P (at least 4) Gauss-Legendre nodes on each; n_nodes must
+    be an integer >= 1.  Every point takes that one rule and sums its own
+    nodes alone, so its value does not depend on the batch it comes in,
+    bit for bit.
     """
+    n_nodes = operator.index(n_nodes)  # 64.5 would reach leggauss as a float
+    if n_nodes < 1:
+        raise ValueError(f"forward needs n_nodes >= 1, got {n_nodes}")
     beta, alpha = np.broadcast_arrays(np.asarray(beta, dtype=float),
                                       np.asarray(alpha, dtype=float))
     shape = beta.shape
@@ -651,11 +659,11 @@ class _FiberPlan:
 
         (-1)^n sqrt(1+kappa) / (2 pi) sqrt(sig') (e^{i(2n-2k+1)s} + (-1)^n e^{-i(2k+1)s}),
 
-    so every fiber factor is a signed sum of two rows of one table
-    sqrt(sig') e^{ims}, m odd, each entry one direct exp.  On the uniform
-    beta grid the beta sum of g e^{-i f beta} is bin f % n_beta of one FFT
-    over beta, and modes in different bins are orthogonal; within a bin
-    the alpha quadrature decides.  Built on first use, so paths that only
+    so every fiber factor is a signed sum of two rows sqrt(sig') e^{ims},
+    m odd, each entry one direct exp.  On the uniform beta grid the beta
+    sum of g e^{-i f beta} is bin f % n_beta of one FFT over beta, and
+    modes in different bins are orthogonal; within a bin the alpha
+    quadrature decides.  Built on first use, so paths that only
     interpolate never pay for them: the Gram deviation max |G - I| of each
     band n <= N (`gram[N]`, N < n_beta/2 and at most n_alpha), the largest
     band within GRAM_TOL (`band`), and per beta bin of that band an
@@ -674,11 +682,7 @@ class _FiberPlan:
         self.s, self.root = sig(alpha, self.cp), np.sqrt(sig_prime(alpha, self.cp))
         self.freqs = _beta_freqs(n_beta)
         self._scale = math.sqrt(1.0 + kappa) / TWO_PI
-        top = min((n_beta - 1) // 2, len(alpha))  # candidate bands
-        self._m_top = 2 * top + 1
-        self._table = np.exp(1j * np.outer(np.arange(-self._m_top, self._m_top + 1, 2), self.s))
-        self._table *= self.root  # row (m + m_top) / 2: sqrt(sig') e^{ims}
-        for arr in (self.w, self.s, self.root, self.freqs, self._table):
+        for arr in (self.w, self.s, self.root, self.freqs):
             arr.setflags(write=False)
 
     @cached_property
@@ -715,7 +719,7 @@ class _FiberPlan:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        top = self._m_top // 2
+        top = min((self.n_beta - 1) // 2, len(self.s))  # the largest candidate band
         dev = np.zeros(top + 1)
         for f in range(-top, top + 1):  # bin by bin: small temporaries
             n, fibers = self._bin(f, top)
@@ -757,10 +761,7 @@ class _FiberPlan:
         """Fiber factors psi_hat(n, k, 0, alpha), one row per mode."""
         n, k = np.asarray(n, dtype=int), np.asarray(k, dtype=int)
         m = np.concatenate((2 * n - 2 * k + 1, -2 * k - 1))
-        if m.size and np.abs(m).max() <= self._m_top:
-            rows = self._table[(m + self._m_top) // 2]
-        else:  # exponents past the table (synthesis of arbitrary modes)
-            rows = np.exp(1j * np.outer(m, self.s)) * self.root
+        rows = np.exp(1j * np.outer(m, self.s)) * self.root
         sign = (1 - 2 * (n % 2))[:, None]
         return (rows[:len(n)] + sign * rows[len(n):]) * (sign * self._scale)
 

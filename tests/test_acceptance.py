@@ -231,7 +231,7 @@ def test_criterion_8_euclidean_regression():
     for nn in range(6):
         for k in range(nn + 1):
             f = dg.with_values(basis.zernike(nn, k, pts))
-            worst = max(worst, abs(xray.disk_inner(f, f).real - math.pi / (nn + 1)))
+            worst = max(worst, abs(xray.inner(f, f).real - math.pi / (nn + 1)))
 
     # singular values
     for nn in range(9):

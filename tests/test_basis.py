@@ -8,7 +8,7 @@ from scipy.special import eval_chebyu
 
 from diskxray import basis, selftest
 from diskxray.geometry import CurvatureParam, sig, sig_prime
-from diskxray.xray import disk_grid, disk_inner
+from diskxray.xray import disk_grid, inner
 
 
 def zernike_by_quadrature(n, k, z, n_theta=4096):
@@ -121,7 +121,7 @@ class TestZernike:
             for (n2, k2), g in fams.items():
                 if (n2, k2) < (n, k):
                     continue
-                got = disk_inner(f, g)
+                got = inner(f, g)
                 want = math.pi / (n + 1) if (n, k) == (n2, k2) else 0.0
                 assert abs(got - want) < 1e-8
 
@@ -161,7 +161,7 @@ class TestZernikeKappa:
         grid = disk_grid(cp, 128, 32, measure="weighted")
         pts = grid.points()
         f = grid.with_values(basis.zernike_kappa_hat(4, 2, pts, cp))
-        assert disk_inner(f, f) == pytest.approx(1.0, abs=1e-10)
+        assert inner(f, f) == pytest.approx(1.0, abs=1e-10)
 
 
 def _random_table(nmax, seed):
@@ -432,6 +432,21 @@ class TestCoeffTable:
         with pytest.raises(ValueError, match=f"band limit nmax must be >= 0, got {nmax}"):
             basis.CoeffTable(nmax=nmax)
         assert basis.CoeffTable(nmax=0).items() == []
+
+    def test_rejects_non_integer_band_limit_and_index(self):
+        # nmax 2.5 was accepted, and synthesize read the entry (1.5, 0) as
+        # mode (1, 0): its integer cast truncated the index
+        with pytest.raises(TypeError):
+            basis.CoeffTable(nmax=2.5)
+        for nk in ((1.5, 0), (1, 0.5)):
+            with pytest.raises(TypeError):
+                basis.CoeffTable(nmax=3, entries={nk: 1.0})
+            t = basis.CoeffTable(nmax=3)
+            with pytest.raises(TypeError):
+                t[nk] = 1.0
+            assert t.entries == {}
+        t = basis.CoeffTable(nmax=np.int64(3), entries={(np.int64(1), np.int32(0)): 1.0})
+        assert t.nmax == 3 and type(t.nmax) is int and t[(1, 0)] == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])
     def test_rejects_non_finite_coefficients(self, bad):

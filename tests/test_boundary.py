@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diskxray import basis, boundary, xray
-from diskxray.geometry import CurvatureParam, sig_prime, wrap_pi
+from diskxray.geometry import CurvatureParam, sig, sig_prime, wrap_pi
 
 CP = CurvatureParam(0.5)
 TORUS = dict(n_beta=128, n_fiber=512)
@@ -78,6 +78,19 @@ class TestExtend:
         want = basis.u_prime(2, 3, beta[:, None], alpha[None, inward], CP)
         assert np.max(np.abs(vals[:, inward] - want)) < 1e-9
 
+    @pytest.mark.parametrize("kappa", [-0.8, 0.0, 0.5, 0.9])
+    def test_grid_and_callable_agree_on_every_column(self, kappa):
+        # a grid and the u' callable it samples are read at the same fiber
+        # targets, and the outward columns of both take one scattering phase
+        cp = CurvatureParam(kappa)
+        fn = u_fn(2, 3, cp)
+        grid = template(cp, 64, 64)
+        grid = grid.with_values(fn(*grid.mesh()))
+        for sign in (1.0, -1.0):
+            want = extension(fn, sign, cp, **TORUS)
+            got = extension(grid, sign, cp, **TORUS)
+            assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
     def test_odd_extension_reproduces_global_family(self):
         # u' is scattering-odd, so its odd extension is the global formula
         vals = extension(u_fn(-3, 2), -1.0, **TORUS)
@@ -102,7 +115,7 @@ class TestExtend:
         rng = np.random.default_rng(0)
         vals = rng.normal(size=(32, 64)) + 1j * rng.normal(size=(32, 64))
         freqs = np.fft.fftfreq(32, 1.0 / 32).astype(int)
-        phase = boundary._scattering_phase(freqs, 64, CP)
+        phase = boundary._scattering_phase(freqs, sig(np.arange(64) * 2 * np.pi / 64, CP))
         pull = lambda spec: boundary._pullback_spectrum(spec, phase)
         back = torus_values(freqs, pull(pull(np.fft.fft(vals, axis=0) / 32)), 32)
         assert np.max(np.abs(back - vals)) < 1e-12
@@ -387,8 +400,8 @@ class TestProjection:
         bb, aa = tpl.mesh()
         u = tpl.with_values(fu(bb, aa))
         v = tpl.with_values(fv(bb, aa))
-        lhs = xray.boundary_inner(pu, v)
-        rhs = xray.boundary_inner(u, pv)
+        lhs = xray.inner(pu, v)
+        rhs = xray.inner(u, pv)
         assert abs(lhs - rhs) / abs(lhs) < 1e-8
 
     def test_odd_part_removed_and_reported(self):
@@ -709,7 +722,7 @@ class TestSpectralProjector:
         pv = boundary.project_to_range(v).projected
         ppu = boundary.project_to_range(pu.projected).projected
         assert np.linalg.norm(ppu.values - pu.projected.values) <= 1e-13 * np.linalg.norm(u.values)
-        lhs, rhs = xray.boundary_inner(pu.projected, v), xray.boundary_inner(u, pv)
+        lhs, rhs = xray.inner(pu.projected, v), xray.inner(u, pv)
         assert abs(lhs - rhs) <= 1e-13 * u.norm() * v.norm()
         bb, aa = tpl.mesh()
         for n, k in [(0, 0), (pu.band, 0), (pu.band, pu.band // 2)]:

@@ -62,7 +62,6 @@ class TestCurvatureParam:
     def test_derived_constants(self):
         cp = CurvatureParam(0.5)
         assert cp.lam == pytest.approx((1 - 0.5) / (1 + 0.5), abs=1e-15)
-        assert cp.c1 == 1.5
 
     @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, -2.0])
     def test_rejects_out_of_range(self, bad):

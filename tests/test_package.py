@@ -28,23 +28,30 @@ def test_import_needs_no_scipy():
 def test_public_surface_pinned():
     # every exported name resolves, once; the symmetry classifier, wrong
     # at strong curvature, names only tests called, the torus steps
-    # behind c_minus/p_minus, the geodesic quadrature plan and the scalar
-    # boundary-point wrappers are gone from the package and their modules
+    # behind c_minus/p_minus, the geodesic quadrature plan, the scalar
+    # boundary-point wrappers and the two per-kind inner products (now
+    # the one `inner`) are gone from the package and their modules
     import diskxray
     from diskxray import basis, boundary, geometry, xray
 
     assert all(hasattr(diskxray, name) for name in diskxray.__all__)
-    assert len(set(diskxray.__all__)) == len(diskxray.__all__) == 37
+    assert len(set(diskxray.__all__)) == len(diskxray.__all__) == 36
+    assert "inner" in diskxray.__all__
     torus = ("TorusGrid", "extend", "scattering_pullback", "hilbert", "restrict_star",
              "c_minus_torus", "p_minus_torus")
     for gone, module in (("classify", boundary), ("SymmetryClass", boundary),
                          ("BasisIndex", basis), ("antipodal_scattering", geometry),
                          ("GeodesicQuad", xray), ("FanBeamPoint", geometry),
                          ("scattering", geometry), ("footpoint", geometry),
-                         ("_forward_batch", xray),
+                         ("_forward_batch", xray), ("boundary_inner", xray), ("disk_inner", xray),
+                         ("_check_same_boundary", xray),
                          *((name, boundary) for name in torus)):
         assert gone not in diskxray.__all__
         assert not hasattr(diskxray, gone) and not hasattr(module, gone)
+    # fiber factors have one formula, not a table with a fallback, and
+    # no code read the boundary conformal factor c1 = 1 + kappa
+    assert not hasattr(xray._FiberPlan(0.4, 16, 16), "_table")
+    assert not hasattr(geometry.CurvatureParam(0.4), "c1")
 
 
 def test_grid_functions_take_kappa_from_the_grid():
