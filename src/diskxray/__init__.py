@@ -9,8 +9,9 @@ Library layout:
 - ``xray``: forward transform, adjoint, grids, inner products, analysis /
   synthesis, exact singular values and truncated-SVD inversion.
 - ``boundary``: the boundary operators P- and C- (extension across the
-  scattering relation and the fiberwise Hilbert transform on the torus),
-  range projection and moments.
+  scattering relation and the fiberwise Hilbert transform, on a fiber
+  circle uniform in s = sig(alpha), where the scattering relation maps
+  nodes to nodes), range projection and moments.
 - ``cli``: command-line front end with reproducible file I/O.
 """
 

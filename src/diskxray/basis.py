@@ -56,8 +56,8 @@ def pq_to_nk(p: int, q: int) -> tuple[int, int]:
 @dataclass
 class CoeffTable:
     """Complex coefficients indexed by integers (n, k), band-limited at
-    an integer nmax >= 0 (numpy integers count; 2.5 is rejected, not
-    truncated).
+    an integer nmax >= 0 (numpy integers count and are stored as ints;
+    2.5 is rejected, not truncated).
 
     Iteration over `items()` is deterministic (lexicographic in (n, k)).
     """
@@ -69,23 +69,22 @@ class CoeffTable:
         self.nmax = operator.index(self.nmax)
         if self.nmax < 0:
             raise ValueError(f"band limit nmax must be >= 0, got {self.nmax}")
-        for (n, k), value in self.entries.items():
-            self._check(n, k, value)
+        self.entries = {self._key(nk, value): value for nk, value in self.entries.items()}
 
-    def _check(self, n, k, value):
-        n, k = operator.index(n), operator.index(k)
+    def _key(self, nk, value) -> tuple[int, int]:
+        """(n, k) as ints, once the index and the value pass their checks."""
+        n, k = map(operator.index, nk)
         if n < 0 or n > self.nmax:
             raise ValueError(f"index ({n},{k}) outside band limit nmax={self.nmax}")
         if not cmath.isfinite(complex(value)):
             raise _NonFiniteValues(f"coefficient ({n},{k}) is {value}, not finite")
+        return n, k
 
     def __getitem__(self, nk):
         return self.entries.get(tuple(nk), 0.0 + 0.0j)
 
     def __setitem__(self, nk, value):
-        n, k = nk
-        self._check(n, k, value)
-        self.entries[(n, k)] = complex(value)
+        self.entries[self._key(nk, value)] = complex(value)
 
     def items(self):
         return [(nk, self.entries[nk]) for nk in sorted(self.entries)]

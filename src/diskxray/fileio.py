@@ -379,9 +379,12 @@ def write_coeff_json(path, table: CoeffTable, cp: CurvatureParam) -> None:
 
 def _write_json(path, doc, sort_keys=False) -> None:
     """`doc` as the bytes of `json.dump(doc, fh, indent=1, sort_keys=...)`
-    plus a newline, in one write (`json.dump` writes once per token)."""
+    plus a newline, in one write (`json.dump` writes once per token).  It
+    is serialised before the path is opened, so a failing dump leaves no
+    file."""
+    text = json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n")
+        fh.write(text)
 
 
 def read_coeff_json(path) -> tuple[CoeffTable, float]:

@@ -461,10 +461,8 @@ CHECKS: tuple[Check, ...] = (
     Check("euclidean degeneration at kappa=1e-12", euclidean_degeneration, 1e-8, (0.0,)),
     Check("forward quadrature two-level agreement (kappa={kappa})", quadrature_convergence, 1e-9,
           (-0.5, 0.0, 0.5)),
-    # acceptance criterion 4 holds this identity for |p|, |q| <= 5 at fiber size 1024;
-    # the torus operators keep the |kappa| -> 1 cliff (4.4e-2 at +-0.9 here),
-    # so the grid stays at moderate kappa
-    Check("P-/C- spectral rules (kappa={kappa})", operator_rules, 1e-6, (0.0, 0.5)),
+    # acceptance criterion 4 holds this identity for |p|, |q| <= 5 at fiber size 1024
+    Check("P-/C- spectral rules (kappa={kappa})", operator_rules, 1e-6, FULL_KAPPAS),
     # acceptance criterion 5 holds this identity for five band-5 sinograms
     Check("range projection and moments (kappa={kappa})", projection, 1e-6, (-0.9, 0.3, 0.9)),
 )

@@ -67,7 +67,7 @@ def test_criterion_3_adjoint_kernel(hold):
 def test_criterion_4_boundary_operator_spectra():
     """Grid P-/C- realize the spectral rules; C-P- = 0; projector idempotent."""
     worst = 0.0
-    for kappa in (-0.8, 0.0, 0.5):
+    for kappa in (-0.9, -0.8, 0.0, 0.5, 0.9):
         cp = CurvatureParam(kappa)
         tpl = xray.boundary_grid(cp, 64, 48)
         bb, aa = tpl.mesh()
@@ -122,7 +122,7 @@ def test_criterion_4_boundary_operator_spectra():
 def test_criterion_5_range_characterization():
     """Sinograms satisfy all three range tests; co-kernel modes project to 0."""
     worst_c, worst_m, worst_p = 0.0, 0.0, 0.0
-    for kappa in (-0.5, 0.3):
+    for kappa in (-0.9, -0.5, 0.3, 0.9):
         cp = CurvatureParam(kappa)
         tpl = xray.boundary_grid(cp, 48, 64)
         rng = np.random.default_rng(55)

@@ -1,4 +1,4 @@
-"""Boundary operators: the torus chain, P-/C-, projection, moments."""
+"""Boundary operators: the chain on the (beta, s) torus, P-/C-, projection, moments."""
 
 import tracemalloc
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diskxray import basis, boundary, xray
-from diskxray.geometry import CurvatureParam, sig, sig_prime, wrap_pi
+from diskxray.geometry import CurvatureParam, scattering_angles, sig, sig_inverse, sig_prime, wrap_pi
 
 CP = CurvatureParam(0.5)
 TORUS = dict(n_beta=128, n_fiber=512)
@@ -38,7 +38,10 @@ def random_table_fn(maker, indices, seed, cp=CP):
 
 
 def torus_axes(n_beta, n_fiber):
-    return np.arange(n_beta) * 2 * np.pi / n_beta, np.arange(n_fiber) * 2 * np.pi / n_fiber
+    """The torus nodes: beta uniform, and the fiber circle uniform in s,
+    pulled back to alpha (the outward half lies in (pi/2, 3 pi/2))."""
+    s = boundary._circle(n_fiber)
+    return np.arange(n_beta) * 2 * np.pi / n_beta, sig_inverse(s, CP)
 
 
 def torus_values(freqs, spec, n_beta):
@@ -50,22 +53,46 @@ def torus_values(freqs, spec, n_beta):
 
 
 def extension(u, sign, cp=CP, n_beta=128, n_fiber=512):
-    """Torus samples of the even (sign 1) or odd (sign -1) extension."""
-    freqs, spec, _ = boundary._extension_spectrum(u, sign, cp, n_beta, n_fiber)
-    return torus_values(freqs, spec, n_beta)
+    """Torus samples of the even (sign 1) or odd (sign -1) extension, the
+    sqrt(sig') weight restored."""
+    freqs, spec, _ = boundary._extension_spectrum(u, sign, template(cp), n_beta, n_fiber)
+    alpha = sig_inverse(boundary._circle(n_fiber), cp)
+    return torus_values(freqs, spec, n_beta) * np.sqrt(sig_prime(alpha, cp))
+
+
+def smooth_field(cp, sign, seed):
+    """sqrt(sig') (h + sign h o S), h the exponential of a random
+    trigonometric polynomial of degree 1 in (beta, s): smooth, scattering
+    even (sign 1) or odd (sign -1), so its extension is smooth, and no
+    finite combination of u'/v'."""
+    rng = np.random.default_rng(seed)
+    coef = 0.2 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+
+    def h(beta, s):
+        return np.exp(sum(coef[i, j] * np.exp(1j * (i - 1) * beta + 1j * (j - 1) * s)
+                          for i in range(3) for j in range(3)))
+
+    def fn(beta, alpha):
+        s = sig(alpha, cp)
+        return np.sqrt(sig_prime(alpha, cp)) * (h(beta, s) + sign * h(beta + np.pi + 2 * s, np.pi - s))
+
+    return fn
 
 
 class TestExtend:
     def test_constant_even(self):
+        # sqrt(sig') takes one value at a node and its flip, so the even
+        # extension of the constant is the constant
         vals = extension(lambda b, a: np.ones(np.shape(b), complex), 1.0, CP, 32, 64)
         assert np.max(np.abs(vals - 1)) < 1e-13
 
     def test_constant_odd(self):
+        # the first half of the circle is inward
         vals = extension(lambda b, a: np.ones(np.shape(b), complex), -1.0, CP, 32, 64)
-        alpha = wrap_pi(torus_axes(32, 64)[1])
-        inward = np.abs(alpha) <= np.pi / 2 + 1e-12
-        assert np.allclose(vals[:, inward], 1.0)
-        assert np.allclose(vals[:, ~inward], -1.0)
+        assert np.allclose(vals[:, :32], 1.0)
+        assert np.allclose(vals[:, 32:], -1.0)
+        alpha = torus_axes(32, 64)[1]
+        assert np.all(np.abs(alpha[:32]) < np.pi / 2) and np.all(np.abs(alpha[32:] - np.pi) < np.pi / 2)
 
     def test_inward_restriction_exact(self):
         grid = template()
@@ -73,15 +100,14 @@ class TestExtend:
         grid = grid.with_values(basis.u_prime(2, 3, bb, aa, CP))
         vals = extension(grid, -1.0, **TORUS)
         beta, alpha = torus_axes(**TORUS)
-        alpha = wrap_pi(alpha)
-        inward = np.abs(alpha) <= np.pi / 2
+        inward = np.abs(alpha) < np.pi / 2
         want = basis.u_prime(2, 3, beta[:, None], alpha[None, inward], CP)
-        assert np.max(np.abs(vals[:, inward] - want)) < 1e-9
+        assert np.max(np.abs(vals[:, inward] - want)) < 1e-12
 
     @pytest.mark.parametrize("kappa", [-0.8, 0.0, 0.5, 0.9])
     def test_grid_and_callable_agree_on_every_column(self, kappa):
-        # a grid and the u' callable it samples are read at the same fiber
-        # targets, and the outward columns of both take one scattering phase
+        # a grid and the u' callable it samples are read at the same
+        # inward nodes, and the outward columns of both take one flip
         cp = CurvatureParam(kappa)
         fn = u_fn(2, 3, cp)
         grid = template(cp, 64, 64)
@@ -107,7 +133,7 @@ class TestExtend:
     def test_symmetries_on_torus(self):
         # scattering pullback acts as -1 on odd-extended u', +1 on even-extended v'
         for fn, sign in ((u_fn(1, 3), -1.0), (v_fn(1, 3), 1.0)):
-            freqs, spec, phase = boundary._extension_spectrum(fn, sign, CP, **TORUS)
+            freqs, spec, phase = boundary._extension_spectrum(fn, sign, template(), **TORUS)
             pulled = boundary._pullback_spectrum(spec, phase)
             assert np.max(np.abs(torus_values(freqs, pulled - sign * spec, 128))) < 1e-11
 
@@ -115,10 +141,19 @@ class TestExtend:
         rng = np.random.default_rng(0)
         vals = rng.normal(size=(32, 64)) + 1j * rng.normal(size=(32, 64))
         freqs = np.fft.fftfreq(32, 1.0 / 32).astype(int)
-        phase = boundary._scattering_phase(freqs, sig(np.arange(64) * 2 * np.pi / 64, CP))
+        phase = boundary._scattering_phase(freqs, boundary._circle(64))
         pull = lambda spec: boundary._pullback_spectrum(spec, phase)
         back = torus_values(freqs, pull(pull(np.fft.fft(vals, axis=0) / 32)), 32)
         assert np.max(np.abs(back - vals)) < 1e-12
+
+    def test_circle_flip_is_the_scattering_relation(self):
+        # node n_fiber - 1 - k sits at pi - t_k, and the scattering relation
+        # sends the fiber angle of t_k to that of pi - t_k
+        t = boundary._circle(64)
+        assert np.max(np.abs(t[::-1] - (np.pi - t))) < 1e-14
+        alpha = sig_inverse(t, CP)
+        _, scattered = scattering_angles(0.0, alpha, CP)
+        assert np.max(np.abs(wrap_pi(scattered - alpha[::-1]))) < 1e-14
 
 
 class TestRestrictStar:
@@ -128,27 +163,27 @@ class TestRestrictStar:
     @staticmethod
     def restrict_star(freqs, spec, phase, sign, tpl):
         both = spec + sign * boundary._pullback_spectrum(spec, phase)
-        return tpl.with_values(boundary._eval_spectrum(freqs, both, tpl.alpha, len(tpl.beta)))
+        return tpl.with_values(boundary._eval_spectrum(freqs, both, tpl))
 
     def test_even_round_trip_doubles(self):
         # A_+^* A_+ u = 2 u on inward nodes
         tpl = template()
         bb, aa = tpl.mesh()
         fn = v_fn(2, 1)
-        got = self.restrict_star(*boundary._extension_spectrum(fn, 1.0, CP, **TORUS), 1.0, tpl)
+        got = self.restrict_star(*boundary._extension_spectrum(fn, 1.0, tpl, **TORUS), 1.0, tpl)
         assert np.max(np.abs(got.values - 2 * fn(bb, aa))) < 1e-10
 
     def test_odd_round_trip_doubles(self):
         tpl = template()
         bb, aa = tpl.mesh()
         fn = u_fn(1, 2)
-        got = self.restrict_star(*boundary._extension_spectrum(fn, -1.0, CP, **TORUS), -1.0, tpl)
+        got = self.restrict_star(*boundary._extension_spectrum(fn, -1.0, tpl, **TORUS), -1.0, tpl)
         assert np.max(np.abs(got.values - 2 * fn(bb, aa))) < 1e-10
 
     def test_mixed_parity_annihilates(self):
         # A_-^* of a scattering-even torus function vanishes
         tpl = template()
-        ext = boundary._extension_spectrum(v_fn(2, 1), 1.0, CP, **TORUS)
+        ext = boundary._extension_spectrum(v_fn(2, 1), 1.0, tpl, **TORUS)
         got = self.restrict_star(*ext, -1.0, tpl)
         assert np.max(np.abs(got.values)) < 1e-10
 
@@ -172,13 +207,14 @@ class TestHilbert:
 
     def test_phi_prime_eigenfunction(self):
         # grid operator version of the fiberwise eigenrelation, on the
-        # global formula of phi'
+        # global formula of phi' over sqrt(sig') at the circle's nodes
         beta, alpha = torus_axes(64, 1024)
+        root = np.sqrt(sig_prime(alpha, CP))
         for p, q in [(0, 0), (2, -3), (-5, 6), (6, -6)]:
-            vals = basis.phi_prime(p, q, beta[:, None], alpha[None, :], CP)
+            vals = basis.phi_prime(p, q, beta[:, None], alpha[None, :], CP) / root
             got = boundary._hilbert_fiber(vals)
             want = -1j * np.sign(2 * q + 1) * vals
-            assert np.max(np.abs(got - want)) < 1e-8
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestOperatorRules:
@@ -207,8 +243,8 @@ class TestOperatorRules:
     @pytest.mark.parametrize("n_beta", [96, 97])
     def test_top_beta_frequency_of_template(self, n_beta):
         # n_beta nodes resolve |f| < n_beta / 2; on 97 the top frequency 48
-        # used to be dropped, so C- and P- returned 0 there (2e-11 and
-        # 4e-10 relative now)
+        # used to be dropped, so C- and P- returned 0 there (1e-13
+        # relative now)
         cp = CurvatureParam(0.3)
         tpl = template(cp, n_beta, 48)
         bb, aa = tpl.mesh()
@@ -272,11 +308,20 @@ class TestOperatorRules:
         pulled = boundary.sa_pullback(pw)
         assert tpl.with_values(pw.values - pulled.values).norm() / pw.norm() < 1e-8
 
+    def test_c_minus_of_a_cokernel_mode_near_the_cliff(self):
+        # C- u'(-5, 3) = 0; on a torus uniform in alpha it returned values
+        # up to 4.7 here (input max 8.0), since u' is not band-limited in
+        # alpha; on the s-circle u' is one s-mode per term
+        cp = CurvatureParam(0.9)
+        tpl = template(cp, 32, 24)
+        assert boundary.c_minus_rule(-5, 3) == 0
+        got = boundary.c_minus(u_fn(-5, 3, cp), tpl, 128, 512)
+        assert np.max(np.abs(got.values)) <= 1e-12
+
     @pytest.mark.parametrize("kappa", [-0.8, 0.0, 0.5])
     def test_grid_and_callable_inputs_agree(self, kappa):
         # the grid extension (barycentric in s through the fiber plan)
-        # against the callable one (sampled on the torus); they agree to
-        # 1.0e-14 here
+        # against the callable one (sampled at the circle's inward nodes)
         cp = CurvatureParam(kappa)
         tpl = template(cp)
         bb, aa = tpl.mesh()
@@ -323,6 +368,29 @@ class TestOperatorRules:
         even, odd_norm = boundary.symmetrize(self.u_prime_grid(0.4))
         assert even.kappa == 0.4
         assert odd_norm <= 1e-12
+
+
+class TestAlphaTorusOracle:
+    """The s-circle chain against the same chain on a torus uniform in
+    alpha (`alpha_torus_minus`), which shares no `boundary` step with it.
+    The inputs are smooth and scattering-compatible, so the extensions
+    are smooth and both converge: the alpha torus needs 4096 fiber nodes
+    at |kappa| = 0.9 (on 1024 they differ by up to 1.2e-7).  Measured
+    worst relative differences: 5.0e-14 (callable) and 5.3e-13 (grid) at
+    |kappa| <= 0.5, 2.8e-13 and 6.0e-13 at |kappa| = 0.9."""
+
+    @pytest.mark.parametrize("kappa, n_fiber", [(-0.5, 1024), (0.0, 1024), (0.5, 1024),
+                                                 (-0.9, 4096), (0.9, 4096)])
+    def test_circle_matches_alpha_torus(self, kappa, n_fiber, alpha_torus_minus):
+        cp = CurvatureParam(kappa)
+        tpl = template(cp, 64, 48)
+        for op, sign, scale in ((boundary.c_minus, -1.0, 0.5), (boundary.p_minus, 1.0, 1.0)):
+            fn = smooth_field(cp, sign, 1)
+            grid = tpl.with_values(smooth_field(cp, sign, 2)(*tpl.mesh()))
+            for u in (fn, grid):
+                want = alpha_torus_minus(u, sign, scale, tpl, 64, n_fiber)
+                got = op(u, tpl, 64, n_fiber).values
+                assert np.max(np.abs(got - want)) <= 3e-12 * np.max(np.abs(want))
 
 
 class TestProjection:
@@ -438,8 +506,8 @@ class TestProjection:
 
     @pytest.mark.parametrize("sizes", [(128, 511), (0, 512), (128, 0), (1, 512), (128, 1)])
     def test_rejects_bad_torus_sizes(self, sizes):
-        # an odd fiber size breaks the node-to-node scattering map, and a
-        # size of 0 used to fall back to the default
+        # an odd fiber circle has no inward half for the outward half to
+        # flip onto, and a size of 0 used to fall back to the default
         nb, nf = sizes
         tpl = template()
         u = tpl.with_values(u_fn(0, 0)(*tpl.mesh()))
@@ -456,6 +524,11 @@ class TestProjection:
     def test_torus_size_defaults_only_for_none(self):
         assert boundary._torus_shape(None, None) == (256, 1024)
         assert boundary._torus_shape(2, 2) == (2, 2)
+        # the smallest circle is one inward node and its flip
+        assert np.allclose(boundary._circle(2), [0.0, np.pi])
+        tpl = template()
+        u = tpl.with_values(u_fn(1, 2)(*tpl.mesh()))
+        assert np.array_equal(boundary.c_minus(u, tpl).values, boundary.c_minus(u, tpl, 256, 1024).values)
 
 
 class TestPullbackAlgebra:
@@ -654,8 +727,8 @@ class TestSpectralMomentsOracle:
 
 class TestSpectralProjector:
     """project_to_range is the exact orthogonal projector onto the range
-    modes the grid resolves; the torus chain A_-^* C-^2 A_- is its slow
-    oracle."""
+    modes the grid resolves; id + C-^2 on the (beta, s) torus, C- applied
+    twice to one odd extension, is its slow oracle."""
 
     @staticmethod
     def mixed(cp, tpl, seed):
@@ -675,20 +748,24 @@ class TestSpectralProjector:
             for n in range(7) for k in range(-2, n + 3)))
 
     @pytest.mark.parametrize("kappa, torus, tol", [
+        (-0.9, (256, 1024), 1e-11),
         (-0.5, (256, 1024), 1e-11),
         (0.0, (256, 1024), 1e-11),
         (0.4, (256, 1024), 1e-11),
-        (0.9, (512, 2048), 1e-9),  # the torus needs the larger size near the cliff
-    ], ids=["-0.5-256x1024", "0.0-256x1024", "0.4-256x1024", "0.9-512x2048"])
+        (0.9, (256, 1024), 1e-11),
+    ], ids=["-0.9-256x1024", "-0.5-256x1024", "0.0-256x1024", "0.4-256x1024", "0.9-256x1024"])
     def test_matches_torus_operator_chain(self, kappa, torus, tol):
+        # measured 1.2e-12 to 8.1e-12; the grid's own interpolation in s
+        # sets that floor (1.0e-10 on a 128 x 128 torus, 2.4e-11 at 0.9 on
+        # 512 x 2048)
         nb, nf = torus
         cp = CurvatureParam(kappa)
         u = self.band_limited(cp, xray.boundary_grid(cp, 64, 48), 3)
         got = boundary.project_to_range(u)
         u_even, removed = boundary.symmetrize(u)
-        freqs, spec, phase = boundary._extension_spectrum(u_even, -1.0, cp, nb, nf)
+        freqs, spec, phase = boundary._extension_spectrum(u_even, -1.0, u, nb, nf)
         cc = boundary._minus_spectrum(boundary._minus_spectrum(spec, phase, 0.5), phase, 0.5)
-        want = u_even.values + boundary._eval_spectrum(freqs, cc, u.alpha, len(u.beta))
+        want = u_even.values + boundary._eval_spectrum(freqs, cc, u)
         assert np.linalg.norm(got.projected.values - want) <= tol * np.linalg.norm(want)
         assert got.removed_odd_norm == removed
 

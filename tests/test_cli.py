@@ -481,6 +481,21 @@ class TestFileFormats:
         assert back[(2, 1)] == 0.5 - 0.25j
         assert [nk for nk, _ in back.items()] == [(0, 0), (2, 1)]
 
+    def test_coeff_round_trip_of_numpy_integer_keys(self, tmp_path):
+        # numpy-integer keys used to be stored as given, so the dump raised
+        # "Object of type int64 is not JSON serializable" inside the opened
+        # file and left it empty
+        tab = basis.CoeffTable(nmax=3, entries={(np.int64(1), np.int64(0)): 1.0})
+        tab[(np.int32(3), np.int64(2))] = 0.5j
+        assert all(type(i) is int for nk in tab.entries for i in nk)
+        path = tmp_path / "c.json"
+        fileio.write_coeff_json(path, tab, CurvatureParam(0.4))
+        back, _ = fileio.read_coeff_json(path)
+        assert back.items() == [((1, 0), 1.0), ((3, 2), 0.5j)]
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            fileio._write_json(tmp_path / "bad.json", {"x": np.int64(1)})
+        assert not (tmp_path / "bad.json").exists()
+
     def test_coeff_round_trip_keeps_signed_zeros(self, tmp_path):
         tab = basis.CoeffTable(nmax=2)
         tab[(0, 0)] = complex(-0.0, -0.0)

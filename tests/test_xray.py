@@ -984,7 +984,8 @@ class TestFiberPlan:
     def test_every_grid_path_reads_one_plan(self, monkeypatch):
         # a cold adjoint plan builds the grid's fiber plan without its Gram
         # scan; the interpolant, c_minus, analyze and the pullback then read
-        # that same plan, and nothing else takes sig of the grid's nodes
+        # that same plan, and nothing else takes sig or sig' of the grid's
+        # nodes (boundary takes sig' of the fiber circle's nodes only)
         cp = CurvatureParam(0.4)
         grid = psi_sinogram(cp)
         xray._cached_plan.cache_clear()
@@ -993,8 +994,8 @@ class TestFiberPlan:
         assert "gram" not in vars(plan) and "_q" not in vars(plan)
 
         seen = []
-        for module in (xray, boundary):
-            monkeypatch.setattr(module, "sig", lambda a, c, sig=module.sig: seen.append(a) or sig(a, c))
+        for module, name in ((xray, "sig"), (xray, "sig_prime"), (boundary, "sig_prime")):
+            monkeypatch.setattr(module, name, lambda a, c, f=getattr(module, name): seen.append(a) or f(a, c))
         rng = np.random.default_rng(3)
         grid.interpolant()(rng.uniform(0, 2 * np.pi, 8), rng.uniform(-1.5, 1.5, 8))
         boundary.c_minus(grid, grid, 32, 64)
