@@ -20,7 +20,11 @@ tables, and `invert` divides out the singular values with hard
 truncation or a spectral cutoff.  A grid carries its kappa: a function
 that takes one reads kappa from it and takes no CurvatureParam.  Both
 grid kinds share one core (`_Grid`: construction checks, `with_values`,
-`norm`) and one inner product, `inner`.
+`norm`) and one inner product, `inner`.  Every boundary-grid path works
+in one space, the beta spectrum of u / sqrt(sig') on the Gauss-Legendre
+rule in s = sig(alpha) (`_FiberPlan`): there psi_hat's fibers are
+kappa-free trigonometric pairs in s, and kappa enters only through
+sqrt(sig') and one scalar.
 """
 
 from __future__ import annotations
@@ -650,47 +654,52 @@ GRAM_TOL = 1e-9
 class _FiberPlan:
     """What every grid path needs of one boundary geometry (kappa, n_beta,
     n_alpha), never of values: the one home of its "beta-Fourier x
-    barycentric-in-s" fiber.  It holds s = sig(alpha) and sqrt(sig') at
-    the grid's alpha nodes (`s`, `root`), the beta frequencies (`freqs`),
-    barycentric rows in s (`rows_at`) and the nodal spectrum of grid
-    values (`spectrum`, `nodal`).
+    barycentric-in-s" fiber.  Every grid path works in one space, the
+    beta spectrum of u / sqrt(sig') on the Gauss-Legendre rule in
+    s = sig(alpha): `spectrum` takes grid values there and `from_spectrum`
+    brings them back.  The plan holds s and sqrt(sig') at the grid's
+    alpha nodes (`s`, `root`), the Gauss-Legendre weights of the rule in
+    s (`w`), the beta frequencies (`freqs`), barycentric rows in s
+    (`rows_at`) and the alpha-major spectrum (`nodal`).
 
-    psi_hat(n, k) is e^{i(n-2k) beta} times the fiber factor
+    psi_hat(n, k) is e^{i(n-2k) beta} sqrt(sig') / c times the kappa-free
+    pair (`fibers`)
 
-        (-1)^n sqrt(1+kappa) / (2 pi) sqrt(sig') (e^{i(2n-2k+1)s} + (-1)^n e^{-i(2k+1)s}),
+        (1/2) (-1)^n (e^{i(2n-2k+1)s} + (-1)^n e^{-i(2k+1)s}),
 
-    so every fiber factor is a signed sum of two rows sqrt(sig') e^{ims},
-    m odd, each entry one direct exp.  On the uniform beta grid the beta
-    sum of g e^{-i f beta} is bin f % n_beta of one FFT over beta, and
-    modes in different bins are orthogonal; within a bin the alpha
-    quadrature decides.  Built on first use, so paths that only
-    interpolate never pay for them: the Gram deviation max |G - I| of each
-    band n <= N (`gram[N]`, N < n_beta/2 and at most n_alpha), the largest
-    band within GRAM_TOL (`band`), and per beta bin of that band an
-    orthonormal basis Q of its range modes in the sqrt(w)-weighted inner
-    product: Q Q^H in every bin is the exact orthogonal projector onto the
-    resolved range.
+    with the one scalar c = pi / sqrt(1+kappa): the pairs are its fibers
+    in the spectrum, where the grid's inner product is
+    pi^2 / (1+kappa) sum_f sum_j w_j u_f conj(v_f).  On the uniform beta
+    grid modes in different bins are orthogonal; within a bin of
+    frequency f the pairs of degrees n, n' have the Gram entry
+    G[n, n'] = M(n - n') + (-1)^n M(n + n' + 2), M(j) = (1/2) sum w cos(j s),
+    the same in every bin and free of kappa.  Built on first use, so
+    paths that only interpolate never pay for them: the Gram deviation
+    max |G - I| of each band n <= N (`gram[N]`, N < n_beta/2 and at most
+    n_alpha), the largest band within GRAM_TOL (`band`), and per beta bin
+    of that band an orthonormal basis Q of its range modes in the
+    sqrt(w)-weighted inner product: Q Q^H in every bin is the exact
+    orthogonal projector onto the resolved range.
     """
 
     def __init__(self, kappa: float, n_beta: int, n_alpha: int):
         self.cp = CurvatureParam(kappa)
         self.n_beta = n_beta
-        alpha, weights = _alpha_nodes(kappa, n_alpha)
-        # alpha weights of one beta bin: <u, v> = sum_f sum_alpha w u_f conj(v_f)
-        # with u_f the beta FFT of u divided by n_beta
-        self.w = TWO_PI * weights / (1.0 + kappa)
+        alpha, _ = _alpha_nodes(kappa, n_alpha)
+        self.w = _gauss_legendre(n_alpha)[1]
         self.s, self.root = sig(alpha, self.cp), np.sqrt(sig_prime(alpha, self.cp))
         self.freqs = _beta_freqs(n_beta)
-        self._scale = math.sqrt(1.0 + kappa) / TWO_PI
-        for arr in (self.w, self.s, self.root, self.freqs):
+        self._scale = math.pi / math.sqrt(1.0 + kappa)
+        for arr in (self.s, self.root, self.freqs):
             arr.setflags(write=False)
 
     @cached_property
     def _bary(self) -> np.ndarray:
-        """Barycentric weights of the nodes s, built on the first `rows_at`."""
-        diff = (4.0 / np.ptp(self.s)) * (self.s[:, None] - self.s)  # capacity scaling: no overflow
-        np.fill_diagonal(diff, 1.0)
-        weights = 1.0 / diff.prod(axis=1)
+        """Barycentric weights of the Gauss-Legendre nodes s = pi x / 2,
+        the closed form (-1)^j sqrt((1 - x_j^2) w_j), built on the first
+        `rows_at`."""
+        weights = np.sqrt((1.0 - _gauss_legendre(len(self.w))[0] ** 2) * self.w)
+        weights[1::2] *= -1.0
         weights.setflags(write=False)
         return weights
 
@@ -712,6 +721,10 @@ class _FiberPlan:
         """FFT over beta / n_beta of values / sqrt(sig'), n_beta x n_alpha."""
         return np.fft.fft(values / self.root, axis=0) / self.n_beta
 
+    def from_spectrum(self, spec: np.ndarray) -> np.ndarray:
+        """Grid values of a spectrum: the inverse of `spectrum`."""
+        return self.root * np.fft.ifft(spec, axis=0, norm="forward")
+
     def nodal(self, values: np.ndarray) -> np.ndarray:
         """`spectrum` alpha-major, re/im interleaved: rows_at(a) @ nodal(v),
         viewed as complex, is the spectrum at a in one real product."""
@@ -720,12 +733,12 @@ class _FiberPlan:
     @cached_property
     def gram(self) -> np.ndarray:
         top = min((self.n_beta - 1) // 2, len(self.s))  # the largest candidate band
-        dev = np.zeros(top + 1)
-        for f in range(-top, top + 1):  # bin by bin: small temporaries
-            n, fibers = self._bin(f, top)
-            gram = (fibers * self.w) @ fibers.conj().T
-            np.maximum.at(dev, np.maximum.outer(n, n).ravel(), np.abs(gram - np.eye(len(n))).ravel())
-        dev = np.maximum.accumulate(dev)
+        moments = 0.5 * np.cos(np.outer(np.arange(2 * top + 3), self.s)) @ self.w  # M(j)
+        n = np.arange(top + 1)
+        gram = moments[np.abs(n[:, None] - n)] + (1 - 2 * (n % 2))[:, None] * moments[n[:, None] + n + 2]
+        # degrees n >= n' of one parity share a bin: their entry counts from band n on
+        shared = ((n[:, None] - n) % 2 == 0) & (n[:, None] >= n)
+        dev = np.maximum.accumulate(np.where(shared, np.abs(gram - np.eye(top + 1)), 0.0).max(axis=1))
         dev.setflags(write=False)
         return dev
 
@@ -733,21 +746,16 @@ class _FiberPlan:
     def band(self) -> int:
         return int(np.count_nonzero(self.gram <= GRAM_TOL)) - 1
 
-    def _bin(self, f: int, top: int):
-        """Degrees n = |f|, |f| + 2, ... <= top of the range modes in beta
-        bin f (k = (n - f) / 2) and their fiber factors."""
-        n = np.arange(abs(f), top + 1, 2)
-        return n, self.fibers(n, (n - f) // 2)
-
     @cached_property
     def _q(self) -> np.ndarray:
-        """Per bin of the band, an orthonormal basis of its range modes in
-        the sqrt(w)-scaled inner product; zero columns pad the narrower
-        bins.  Built on the first projection."""
+        """Per bin of the band, an orthonormal basis of its range modes
+        n = |f|, |f| + 2, ... in the sqrt(w)-scaled inner product; zero
+        columns pad the narrower bins.  Built on the first projection."""
         sqrt_w = np.sqrt(self.w)
         q = np.zeros((2 * self.band + 1, len(self.w), self.band // 2 + 1), dtype=complex)
         for q_f, f in zip(q, range(-self.band, self.band + 1)):
-            basis_f = np.linalg.qr((self._bin(f, self.band)[1] * sqrt_w).T)[0]
+            n = np.arange(abs(f), self.band + 1, 2)
+            basis_f = np.linalg.qr((self.fibers(n, (n - f) // 2) * sqrt_w).T)[0]
             q_f[:, :basis_f.shape[1]] = basis_f
         q.setflags(write=False)
         return q
@@ -758,38 +766,38 @@ class _FiberPlan:
         return float(self.gram[nmax]) if nmax < len(self.gram) else math.inf
 
     def fibers(self, n, k) -> np.ndarray:
-        """Fiber factors psi_hat(n, k, 0, alpha), one row per mode."""
+        """The kappa-free pairs of psi_hat(n, k) at the nodes s, one row
+        per mode."""
         n, k = np.asarray(n, dtype=int), np.asarray(k, dtype=int)
         m = np.concatenate((2 * n - 2 * k + 1, -2 * k - 1))
-        rows = np.exp(1j * np.outer(m, self.s)) * self.root
+        rows = np.exp(1j * np.outer(m, self.s))
         sign = (1 - 2 * (n % 2))[:, None]
-        return (rows[:len(n)] + sign * rows[len(n):]) * (sign * self._scale)
+        return (rows[:len(n)] + sign * rows[len(n):]) * (0.5 * sign)
 
     def inner(self, values: np.ndarray, n, k) -> np.ndarray:
         """<g, psi_hat(n, k)> for grid values g, one per mode."""
-        spec = np.fft.fft(values, axis=0)
         rows = (np.asarray(n) - 2 * np.asarray(k)) % self.n_beta
-        return (spec[rows] * self.fibers(n, k).conj()) @ (self.w / self.n_beta)
+        return (self.spectrum(values)[rows] * self.fibers(n, k).conj()) @ (self.w * self._scale)
 
     def synthesize(self, n, k, coeffs) -> np.ndarray:
-        """Grid values of sum c psi_hat(n, k): each mode into its beta bin,
-        then one inverse FFT."""
+        """Grid values of sum c psi_hat(n, k): each mode into its beta bin
+        of one spectrum."""
         spec = np.zeros((self.n_beta, len(self.w)), dtype=complex)
         rows = (np.asarray(n) - 2 * np.asarray(k)) % self.n_beta
-        np.add.at(spec, rows, np.asarray(coeffs)[:, None] * self.fibers(n, k))
-        return np.fft.ifft(spec, axis=0, norm="forward")
+        np.add.at(spec, rows, np.asarray(coeffs)[:, None] * self.fibers(n, k) / self._scale)
+        return self.from_spectrum(spec)
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Orthogonal projection of grid values onto the range modes of
-        the band: Q Q^H on each bin of one beta FFT, one inverse FFT."""
+        the band: Q Q^H on each bin of one spectrum."""
         sqrt_w = np.sqrt(self.w)
         bins = np.arange(-self.band, self.band + 1) % self.n_beta
-        spec = np.fft.fft(values, axis=0)
+        spec = self.spectrum(values)
         y = (spec[bins] * sqrt_w)[:, :, None]
         coeffs = np.matmul(self._q.transpose(0, 2, 1), y.conj()).conj()  # Q^H y, no copy of Q
         out = np.zeros_like(spec)
         out[bins] = (self._q @ coeffs)[:, :, 0] / sqrt_w
-        return np.fft.ifft(out, axis=0)
+        return self.from_spectrum(out)
 
 
 @lru_cache(maxsize=16)

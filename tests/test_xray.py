@@ -956,19 +956,84 @@ class TestSpectralEngineOracle:
             xray.invert(tpl.with_values(np.ones(tpl.shape)), top + 1)
 
 
+def gram_scan(grid):
+    """max |G - I| of each band n <= N, bin by bin: in beta bin f the Gram
+    matrix of the fiber factors sqrt(sig') (e^{i(2n-2k+1)s} + ...) of its
+    range modes n = |f|, |f| + 2, ... against the grid's own alpha weights
+    and bundle measure.  Oracle of `_FiberPlan.gram`'s moment form."""
+    cp = CurvatureParam(grid.kappa)
+    n_beta, n_alpha = grid.shape
+    s, root = geometry.sig(grid.alpha, cp), np.sqrt(geometry.sig_prime(grid.alpha, cp))
+    w = 2 * np.pi * grid.alpha_weights / (1 + grid.kappa)
+    top = min((n_beta - 1) // 2, n_alpha)
+    dev = np.zeros(top + 1)
+    for f in range(-top, top + 1):
+        n = np.arange(abs(f), top + 1, 2)
+        k = (n - f) // 2
+        sign = (1 - 2 * (n % 2))[:, None]
+        pair = sign * np.exp(1j * np.outer(2 * n - 2 * k + 1, s)) + np.exp(-1j * np.outer(2 * k + 1, s))
+        fibers = root * pair * (math.sqrt(1 + grid.kappa) / (2 * np.pi))
+        gram = (fibers * w) @ fibers.conj().T
+        np.maximum.at(dev, np.maximum.outer(n, n).ravel(), np.abs(gram - np.eye(len(n))).ravel())
+    return np.maximum.accumulate(dev)
+
+
+def product_rows(grid, alpha):
+    """Barycentric rows in s at alpha from the weights 1 / prod_k (s_j - s_k)
+    of the grid's nodes s = sig(alpha_j), sqrt(sig') restored: oracle of
+    `_FiberPlan.rows_at`'s closed-form weights (targets off the nodes)."""
+    cp = CurvatureParam(grid.kappa)
+    s = geometry.sig(grid.alpha, cp)
+    diff = (4.0 / np.ptp(s)) * (s[:, None] - s)  # capacity scaling: no overflow
+    np.fill_diagonal(diff, 1.0)
+    rows = (1.0 / diff.prod(axis=1)) / np.subtract.outer(geometry.sig(alpha, cp), s)
+    return rows / rows.sum(axis=1)[:, None] * np.sqrt(geometry.sig_prime(alpha, cp))[:, None]
+
+
 class TestFiberPlan:
     """xray._FiberPlan: one per geometry, fibers from one exponential table."""
 
     @pytest.mark.parametrize("kappa", [-0.99, 0.0, 0.9])
     def test_fibers_match_psi_kappa_hat(self, kappa):
-        # range and co-kernel modes, and exponents past the plan's table
+        # range and co-kernel modes, and exponents past the plan's table:
+        # psi_hat is sqrt(sig') times the kappa-free pair over pi / sqrt(1+kappa)
         cp = CurvatureParam(kappa)
         tpl = xray.boundary_grid(cp, 24, 32)
         plan = xray._fiber_plan(tpl)
         modes = [(n, k) for n in range(40) for k in range(-3, n + 4)]
         n, k = np.array(modes).T
         want = np.array([basis.psi_kappa_hat(n, k, 0.0, tpl.alpha, cp) for n, k in modes])
-        assert np.abs(plan.fibers(n, k) - want).max() <= 1e-13 * np.abs(want).max()
+        got = plan.root * plan.fibers(n, k) * (math.sqrt(1 + kappa) / np.pi)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kappa", [-0.95, 0.4])
+    def test_gram_matches_bin_scan(self, kappa):
+        for n_alpha in (*range(1, 20), 24, 32, 33, 48, 63, 64, 65, 96, 128):
+            for n_beta in (2, 3, 4, 5, 8, 13, 24, 64, 96, 97, 128, 256):
+                plan = xray._FiberPlan(kappa, n_beta, n_alpha)
+                want = gram_scan(xray.boundary_grid(CurvatureParam(kappa), n_beta, n_alpha))
+                assert plan.gram.shape == want.shape
+                assert np.abs(plan.gram - want).max() <= 1e-13, (n_alpha, n_beta)
+                assert plan.band == np.count_nonzero(want <= xray.GRAM_TOL) - 1, (n_alpha, n_beta)
+
+    @pytest.mark.parametrize("kappa", [-0.99, -0.9, 0.0, 0.4, 0.9, 0.99])
+    def test_rows_match_product_formula(self, kappa):
+        # on the data the rows interpolate, psi_hat's fiber factors over
+        # sqrt(sig') for range and co-kernel modes n <= 6; single entries
+        # differ by up to 2.4e-12 of the largest at 0.99, since the closed
+        # form is exact for the nodes pi x / 2 and the product for the
+        # rounded nodes sig(sig_inverse(pi x / 2))
+        cp = CurvatureParam(kappa)
+        rng = np.random.default_rng(4)
+        modes = [(n, k) for n in range(7) for k in range(-1, n + 2)]
+        for n_alpha in (32, 48, 64):
+            grid = xray.boundary_grid(cp, 8, n_alpha)
+            plan = xray._fiber_plan(grid)
+            alpha = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 2000)
+            fibers = np.array([basis.psi_kappa_hat(n, k, 0.0, grid.alpha, cp) for n, k in modes])
+            data = (fibers / plan.root).T
+            want = product_rows(grid, alpha) @ data
+            assert np.abs(plan.rows_at(alpha) @ data - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_one_plan_per_geometry(self):
         cp = CurvatureParam(0.4)
