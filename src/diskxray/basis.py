@@ -111,7 +111,10 @@ def cheb_w(n: int, t):
     W_{n+1} = 2it W_n + W_{n-1}; equals i^n times the Chebyshev
     polynomial of the second kind U_n(t).  Computed that way: the real
     recurrence, then one exact product with i^n.  The values equal the
-    complex recurrence's; only the sign of the zero part may differ."""
+    complex recurrence's; only the sign of the zero part may differ.
+
+    Kept, though only tests call it: it is the paper's W_n, the
+    polynomial that Z_{n,k} and psi_{n,k} are built from."""
     if n < 0:
         raise ValueError("cheb_w requires n >= 0")
     return (1 + 0j, 1j, -1 + 0j, -1j)[n % 4] * _cheb_u(n, t)
@@ -320,7 +323,9 @@ def norms(n: int, k: int, cp: CurvatureParam) -> tuple[float, float]:
     psi in L^2 of the inward boundary with the bundle surface measure:
     1 / (4 (1+kappa)); Z^kappa in the weighted disk space:
     pi / ((1-kappa^2) (n+1)).  Both are independent of k.
-    """
+
+    Kept, though only tests call it: it states the paper's closed-form
+    norms in one place (the selftest's Gram checks write them inline)."""
     if n < 0:
         raise ValueError("norms requires n >= 0")
     psi_norm_sq = 1.0 / (4.0 * (1.0 + cp.kappa))

@@ -20,9 +20,10 @@ transform inside the antipodally symmetric subspace.  `project_to_range`
 computes that projection without the chain: the range is the closed span
 of psi_{n,k}, 0 <= k <= n, orthogonal to the co-kernel, so on a grid it
 is the orthogonal projector onto the range modes the grid resolves (see
-`xray._FiberPlan`).  The chain stays as its slow oracle, and `c_minus`
-and `p_minus` are the chain's only entry points.  Each operator reads
-kappa from its grid or template, never from a cp.
+`xray._FiberPlan`), applied with the S_A split on one spectrum of the
+grid.  The chain stays as its slow oracle, and `c_minus` and `p_minus`
+are the chain's only entry points.  Each operator reads kappa from its
+grid or template, never from a cp.
 
 The chain runs on a torus of n_beta uniform beta nodes and a fiber
 circle of n_fiber nodes uniform in s = sig(alpha).  Every u'/v' mode is
@@ -32,19 +33,20 @@ transform on the odd alpha modes is the same multiplier on the odd
 s-modes.  The circle's first half is inward, and node n_fiber - 1 - k is
 the flip pi - t_k of node k, so the scattering relation maps nodes to
 nodes and shifts beta by pi + 2 sig(alpha), applied exactly as a phase
-on the beta spectrum and formed once per call (`sa_pullback` forms its
-shift the same way).  Every step commutes with shifts in beta, so each
-operator runs on one beta spectrum: the input read at the inward nodes
-(a grid through its fiber plan's spectrum and barycentric rows, a
-callable sampled on the n_beta beta nodes and transformed by one FFT
-over beta), the outward half filled by the flip, the odd-mode Hilbert
-multiplier, id - S^* as the same flip, and the s-Fourier series at the
-template's nodes, brought back to grid values by the template plan's
-`from_spectrum`.  `sa_pullback` is the same flip on the grid's own
-spectrum.  The P-/C- rules hold
-for |p|, |q| <= 5 to 5.3e-14 at every |kappa| <= 0.9 on 128 x 128; on a
-torus uniform in alpha, where u' is not band-limited, they erred by
-3.9e-2 at kappa = 0.9 on 128 x 1024.
+on the beta spectrum and formed once per call (`sa_pullback` and
+`project_to_range` form their shift the same way).  Every step commutes
+with shifts in beta, so each operator runs on one beta spectrum: the
+input read at the inward nodes (a grid through its fiber plan's
+spectrum and barycentric rows, a callable sampled on the n_beta beta
+nodes and transformed by one FFT over beta), the outward half filled by
+the flip, the odd-mode Hilbert multiplier, id - S^* as the same flip,
+and the s-Fourier series at the template's nodes, brought back to grid
+values by the template plan's `from_spectrum`.  `sa_pullback` is the
+same flip on the grid's own spectrum, and `project_to_range` takes its
+even part from it there.  The P-/C- rules hold for |p|, |q| <= 5 to
+5.3e-14 at every |kappa| <= 0.9 on 128 x 128; on a torus uniform in
+alpha, where u' is not band-limited, they erred by 3.9e-2 at
+kappa = 0.9 on 128 x 1024.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def projection_rule(p: int, q: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# antipodal symmetrization and range projection
+# antipodal pullback and range projection
 # ---------------------------------------------------------------------------
 
 def sa_pullback(u: BoundaryGrid) -> BoundaryGrid:
@@ -224,18 +226,11 @@ def sa_pullback(u: BoundaryGrid) -> BoundaryGrid:
     alpha -> -alpha reverses the grid's mirror-antisymmetric alpha nodes
     and the beta shift pi + 2 sig(alpha) is applied on the fiber plan's
     spectrum; sqrt(sig') is even in alpha, so the flip commutes with it.
+    `project_to_range` applies the same flip to the spectrum it projects.
     """
     plan = _fiber_plan(u)
     spec = _pullback_spectrum(plan.spectrum(u.values), _scattering_phase(plan.freqs, plan.s))
     return u.with_values(plan.from_spectrum(spec))
-
-
-def symmetrize(u: BoundaryGrid) -> tuple[BoundaryGrid, float]:
-    """Split off the antipodally even part; returns (even part, odd norm)."""
-    pulled = sa_pullback(u)
-    even = u.with_values(0.5 * (u.values + pulled.values))
-    odd = u.with_values(0.5 * (u.values - pulled.values))
-    return even, odd.norm()
 
 
 @dataclass
@@ -259,10 +254,13 @@ def project_to_range(u, template: BoundaryGrid | None = None) -> ProjectionResul
     orthogonal to the co-kernel (k outside [0, n]), so on the grid the
     projection is onto the span of the range modes n <= N of the largest
     band N < n_beta/2 whose discrete Gram deviation stays within
-    `xray.GRAM_TOL`: per beta frequency an orthonormal basis Q of that
-    frequency's range modes, applied as Q Q^H to one FFT over beta.  It is
-    exact on the band (idempotent and self-adjoint in the grid's inner
-    product) at every kappa in (-1, 1).  It equals id + C-^2, whose torus
+    `xray.GRAM_TOL`.  Everything runs on one spectrum of the fiber plan:
+    the even part is half the spectrum plus its S_A pullback, the plan
+    projects it in every beta bin at once (its range basis: two real QRs,
+    one per degree parity), the norms are Parseval sums of the spectrum,
+    and one `from_spectrum` gives the projected values.  It is exact on
+    the band (idempotent and self-adjoint in the grid's inner product)
+    at every kappa in (-1, 1).  It equals id + C-^2, whose torus
     composition (the C- step applied twice to one extension spectrum) is
     its slow oracle.  A grid u is its own template; a template of other
     nodes or another kappa is rejected.
@@ -273,17 +271,19 @@ def project_to_range(u, template: BoundaryGrid | None = None) -> ProjectionResul
         u = template.with_values(u(*template.mesh()))
     elif template is not None:
         _check_same(u, template)
-    u_even, removed = symmetrize(u)
-    plan = _fiber_plan(u_even)
+    plan = _fiber_plan(u)
     if plan.band < 0:
         raise ValueError(
             f"no band of range modes is resolvable on {u.shape[1]} alpha nodes "
             f"(Gram deviation {plan.gram_deviation(0):.1e} at n = 0)")
-    projected = u.with_values(plan.project(u_even.values))
-    norm = u_even.norm()
-    rel = u_even.with_values(projected.values - u_even.values).norm() / norm if norm > 0 else 0.0
-    return ProjectionResult(projected=projected, relative_change=rel, removed_odd_norm=removed,
-                            band=plan.band, gram_deviation=plan.gram_deviation(plan.band))
+    spec = plan.spectrum(u.values)
+    even = 0.5 * (spec + _pullback_spectrum(spec, _scattering_phase(plan.freqs, plan.s)))
+    projected = plan.project(even)
+    norm = plan.norm(even)
+    rel = plan.norm(projected - even) / norm if norm > 0 else 0.0
+    return ProjectionResult(projected=u.with_values(plan.from_spectrum(projected)), relative_change=rel,
+                            removed_odd_norm=plan.norm(spec - even), band=plan.band,
+                            gram_deviation=plan.gram_deviation(plan.band))
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,15 @@ def geodesic_velocity(beta, alpha, t, cp: CurvatureParam):
     return -np.exp(1j * beta) * ph * (1.0 + k) * (1.0 + k * z**2) / (1.0 + k * ph * z) ** 2
 
 
+def _edge_square(a, kappa: float):
+    """x = cos^2 a for kappa >= 0 and sin^2 a for kappa < 0.  For k of
+    kappa's sign and c = |k|, 1 + k cos 2a = (1 - c) + 2c x and
+    1 + k^2 + 2k cos 2a = (1 - c)^2 + 4c x: sums of terms of one sign,
+    which keep their relative accuracy as |kappa| -> 1, where the forms
+    in cos 2a cancel near the fiber ends."""
+    return np.square(np.cos(a) if kappa >= 0.0 else np.sin(a))
+
+
 def sig(alpha, cp: CurvatureParam):
     """Scattering signature: continuous branch of arctan(lam * tan(alpha)).
 
@@ -192,14 +201,16 @@ def sig(alpha, cp: CurvatureParam):
     """
     a = np.asarray(alpha, dtype=float)
     k = cp.kappa
-    return a - np.arctan2(k * np.sin(2.0 * a), 1.0 + k * np.cos(2.0 * a))
+    c = abs(k)
+    return a - np.arctan2(k * np.sin(2.0 * a), (1.0 - c) + 2.0 * c * _edge_square(a, k))
 
 
 def sig_prime(alpha, cp: CurvatureParam):
     """Derivative of the scattering signature, (1-k^2)/(1+k^2+2k cos 2a)."""
     a = np.asarray(alpha, dtype=float)
     k = cp.kappa
-    return (1.0 - k * k) / (1.0 + k * k + 2.0 * k * np.cos(2.0 * a))
+    c = abs(k)
+    return (1.0 - k) * (1.0 + k) / ((1.0 - c) ** 2 + 4.0 * c * _edge_square(a, k))
 
 
 def sig_inverse(alpha, cp: CurvatureParam):
@@ -233,9 +244,10 @@ def fiber_change(rho, theta, cp: CurvatureParam):
     """
     rho = np.asarray(rho, dtype=float)
     th = np.asarray(theta, dtype=float)
-    m = cp.kappa * rho**2
-    thp = th - np.arctan2(m * np.sin(2.0 * th), 1.0 + m * np.cos(2.0 * th))
-    jac = (1.0 - m**2) / ((1.0 + m) ** 2 - 4.0 * m * np.sin(th) ** 2)
+    m, c = cp.kappa * rho**2, abs(cp.kappa) * rho**2
+    x = _edge_square(th, cp.kappa)
+    thp = th - np.arctan2(m * np.sin(2.0 * th), (1.0 - c) + 2.0 * c * x)
+    jac = (1.0 - m) * (1.0 + m) / ((1.0 - c) ** 2 + 4.0 * c * x)
     return thp, jac
 
 

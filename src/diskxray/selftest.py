@@ -29,8 +29,11 @@ from .geometry import (
     sig_prime,
 )
 
-# FULL_KAPPAS is the acceptance grid; the geometry identities add -0.2 and 0.3
+# FULL_KAPPAS is the acceptance grid; the geometry identities add -0.2 and 0.3,
+# and the two that read sig and sig' alone add |kappa| = 0.99, where forms of
+# the signature in cos 2a would cancel
 GEOMETRY_KAPPAS = (-0.9, -0.5, -0.2, 0.0, 0.3, 0.5, 0.9)
+EDGE_KAPPAS = (-0.99, *GEOMETRY_KAPPAS, 0.99)
 FULL_KAPPAS = (-0.9, -0.5, 0.0, 0.5, 0.9)
 
 
@@ -436,11 +439,11 @@ CHECKS: tuple[Check, ...] = (
     Check("scattering matches geodesic endpoints (kappa={kappa})", scattering_consistency, 1e-9,
           GEOMETRY_KAPPAS),
     Check("linear-fractional signature identity (kappa={kappa})", lft_identity, 1e-12, GEOMETRY_KAPPAS),
-    Check("sqrt-jacobian realness (kappa={kappa})", sqrt_jacobian, 1e-12, GEOMETRY_KAPPAS),
+    Check("sqrt-jacobian realness (kappa={kappa})", sqrt_jacobian, 1e-12, EDGE_KAPPAS),
     Check("sine/cosine signature relations (kappa={kappa})", sine_cosine, 1e-12, GEOMETRY_KAPPAS),
     Check("signature holomorphy and mean (kappa={kappa})", holomorphy, 1e-10,
           (-0.9, -0.7, -0.2, 0.0, 0.4, 0.8, 0.9)),
-    Check("signature derivative bounds (kappa={kappa})", sig_bounds, 1e-12, GEOMETRY_KAPPAS),
+    Check("signature derivative bounds (kappa={kappa})", sig_bounds, 1e-12, EDGE_KAPPAS),
     Check("footpoint sine relation (kappa={kappa})", footpoint_sine, 1e-10, GEOMETRY_KAPPAS),
     Check("fiber substitution jacobian (kappa={kappa})", fiber_jacobian_fd, 1e-8, GEOMETRY_KAPPAS),
     Check("fiber substitution closed forms (kappa={kappa})", fiber_closed_forms, 1e-9, GEOMETRY_KAPPAS),

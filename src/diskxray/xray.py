@@ -22,9 +22,10 @@ that takes one reads kappa from it and takes no CurvatureParam.  Both
 grid kinds share one core (`_Grid`: construction checks, `with_values`,
 `norm`) and one inner product, `inner`.  Every boundary-grid path works
 in one space, the beta spectrum of u / sqrt(sig') on the Gauss-Legendre
-rule in s = sig(alpha) (`_FiberPlan`): there psi_hat's fibers are
-kappa-free trigonometric pairs in s, and kappa enters only through
-sqrt(sig') and one scalar.
+rule in s = sig(alpha) (`_FiberPlan`): there psi_hat's fiber is a phase
+of its beta bin times a kappa-free real profile of its degree, so every
+bin's range modes share one real basis per degree parity, and kappa
+enters only through sqrt(sig') and one scalar.
 """
 
 from __future__ import annotations
@@ -662,24 +663,24 @@ class _FiberPlan:
     s (`w`), the beta frequencies (`freqs`), barycentric rows in s
     (`rows_at`) and the alpha-major spectrum (`nodal`).
 
-    psi_hat(n, k) is e^{i(n-2k) beta} sqrt(sig') / c times the kappa-free
-    pair (`fibers`)
+    psi_hat(n, k) is e^{i f beta} sqrt(sig') / c times its fiber
+    (`fibers`), a phase of its beta bin f = n - 2k times a real profile
+    of its degree alone (`profiles`):
 
-        (1/2) (-1)^n (e^{i(2n-2k+1)s} + (-1)^n e^{-i(2k+1)s}),
+        e^{i f s} (-i)^(n mod 2) p_n(s),   p_n = cos((n+1)s), n even,
+                                           p_n = sin((n+1)s), n odd,
 
-    with the one scalar c = pi / sqrt(1+kappa): the pairs are its fibers
-    in the spectrum, where the grid's inner product is
-    pi^2 / (1+kappa) sum_f sum_j w_j u_f conj(v_f).  On the uniform beta
-    grid modes in different bins are orthogonal; within a bin of
-    frequency f the pairs of degrees n, n' have the Gram entry
-    G[n, n'] = M(n - n') + (-1)^n M(n + n' + 2), M(j) = (1/2) sum w cos(j s),
-    the same in every bin and free of kappa.  Built on first use, so
-    paths that only interpolate never pay for them: the Gram deviation
-    max |G - I| of each band n <= N (`gram[N]`, N < n_beta/2 and at most
-    n_alpha), the largest band within GRAM_TOL (`band`), and per beta bin
-    of that band an orthonormal basis Q of its range modes in the
-    sqrt(w)-weighted inner product: Q Q^H in every bin is the exact
-    orthogonal projector onto the resolved range.
+    with the one scalar c = pi / sqrt(1+kappa).  In the spectrum the
+    grid's inner product is pi^2 / (1+kappa) sum_f sum_j w_j u_f conj(v_f)
+    (`norm`).  On the uniform beta grid modes in different bins are
+    orthogonal; within a bin the phase cancels, so the Gram entry of
+    degrees n, n' of one parity is sum_j w_j p_n p_n', the same in every
+    bin and free of kappa.  Built on first use, so paths that only
+    interpolate never pay for them: the Gram deviation max |G - I| of
+    each band n <= N (`gram[N]`, N < n_beta/2 and at most n_alpha), the
+    largest band within GRAM_TOL (`band`), and the range basis of that
+    band (`_range_basis`), from which `project` applies the exact
+    orthogonal projector onto the resolved range in every bin at once.
     """
 
     def __init__(self, kappa: float, n_beta: int, n_alpha: int):
@@ -725,6 +726,10 @@ class _FiberPlan:
         """Grid values of a spectrum: the inverse of `spectrum`."""
         return self.root * np.fft.ifft(spec, axis=0, norm="forward")
 
+    def norm(self, spec: np.ndarray) -> float:
+        """The grid norm of a spectrum's values, by Parseval."""
+        return self._scale * float(np.linalg.norm(spec * np.sqrt(self.w)))
+
     def nodal(self, values: np.ndarray) -> np.ndarray:
         """`spectrum` alpha-major, re/im interleaved: rows_at(a) @ nodal(v),
         viewed as complex, is the spectrum at a in one real product."""
@@ -733,9 +738,9 @@ class _FiberPlan:
     @cached_property
     def gram(self) -> np.ndarray:
         top = min((self.n_beta - 1) // 2, len(self.s))  # the largest candidate band
-        moments = 0.5 * np.cos(np.outer(np.arange(2 * top + 3), self.s)) @ self.w  # M(j)
         n = np.arange(top + 1)
-        gram = moments[np.abs(n[:, None] - n)] + (1 - 2 * (n % 2))[:, None] * moments[n[:, None] + n + 2]
+        profiles = self.profiles(n)
+        gram = (profiles * self.w) @ profiles.T
         # degrees n >= n' of one parity share a bin: their entry counts from band n on
         shared = ((n[:, None] - n) % 2 == 0) & (n[:, None] >= n)
         dev = np.maximum.accumulate(np.where(shared, np.abs(gram - np.eye(top + 1)), 0.0).max(axis=1))
@@ -747,32 +752,39 @@ class _FiberPlan:
         return int(np.count_nonzero(self.gram <= GRAM_TOL)) - 1
 
     @cached_property
-    def _q(self) -> np.ndarray:
-        """Per bin of the band, an orthonormal basis of its range modes
-        n = |f|, |f| + 2, ... in the sqrt(w)-scaled inner product; zero
-        columns pad the narrower bins.  Built on the first projection."""
-        sqrt_w = np.sqrt(self.w)
-        q = np.zeros((2 * self.band + 1, len(self.w), self.band // 2 + 1), dtype=complex)
-        for q_f, f in zip(q, range(-self.band, self.band + 1)):
-            n = np.arange(abs(f), self.band + 1, 2)
-            basis_f = np.linalg.qr((self.fibers(n, (n - f) // 2) * sqrt_w).T)[0]
-            q_f[:, :basis_f.shape[1]] = basis_f
-        q.setflags(write=False)
-        return q
+    def _range_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q, mask, phase) of the band, built on the first projection.
+        q holds, per degree parity, an orthonormal basis of the
+        sqrt(w)-scaled profiles of the band's degrees in descending order
+        (one real QR each), so the range modes n = |f|, |f| + 2, ... of
+        bin f span a column prefix of its parity's block.  mask[f, j]
+        selects those columns (none for a bin past the band), and
+        phase[f] is the bin phase e^{i f s}; both have a row per bin in
+        numpy FFT order."""
+        blocks = [np.arange(self.band - (self.band - parity) % 2, -1, -2) for parity in (0, 1)]
+        q = np.hstack([np.linalg.qr((self.profiles(d) * np.sqrt(self.w)).T)[0] for d in blocks])
+        degrees, f = np.concatenate(blocks), self.freqs[:, None]
+        mask = ((degrees - f) % 2 == 0) & (degrees >= np.abs(f))
+        phase = np.exp(1j * f * self.s)
+        for arr in (q, mask, phase):
+            arr.setflags(write=False)
+        return q, mask, phase
 
     def gram_deviation(self, nmax: int) -> float:
         """max |G - I| over the range modes n <= nmax; inf past the
         candidate bands."""
         return float(self.gram[nmax]) if nmax < len(self.gram) else math.inf
 
+    def profiles(self, n: np.ndarray) -> np.ndarray:
+        """The real profiles p_n at the nodes s, one row per degree."""
+        arg = np.outer(n + 1, self.s)
+        return np.where((n % 2 == 0)[:, None], np.cos(arg), np.sin(arg))
+
     def fibers(self, n, k) -> np.ndarray:
-        """The kappa-free pairs of psi_hat(n, k) at the nodes s, one row
+        """The kappa-free fibers of psi_hat(n, k) at the nodes s, one row
         per mode."""
         n, k = np.asarray(n, dtype=int), np.asarray(k, dtype=int)
-        m = np.concatenate((2 * n - 2 * k + 1, -2 * k - 1))
-        rows = np.exp(1j * np.outer(m, self.s))
-        sign = (1 - 2 * (n % 2))[:, None]
-        return (rows[:len(n)] + sign * rows[len(n):]) * (0.5 * sign)
+        return np.exp(1j * np.outer(n - 2 * k, self.s)) * np.where(n % 2, -1j, 1.0)[:, None] * self.profiles(n)
 
     def inner(self, values: np.ndarray, n, k) -> np.ndarray:
         """<g, psi_hat(n, k)> for grid values g, one per mode."""
@@ -787,17 +799,13 @@ class _FiberPlan:
         np.add.at(spec, rows, np.asarray(coeffs)[:, None] * self.fibers(n, k) / self._scale)
         return self.from_spectrum(spec)
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of grid values onto the range modes of
-        the band: Q Q^H on each bin of one spectrum."""
+    def project(self, spec: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of a spectrum onto the range modes of the
+        band: in every bin at once, its phase taken off, the masked
+        q q^T of its parity applied and the phase put back."""
+        q, mask, phase = self._range_basis
         sqrt_w = np.sqrt(self.w)
-        bins = np.arange(-self.band, self.band + 1) % self.n_beta
-        spec = self.spectrum(values)
-        y = (spec[bins] * sqrt_w)[:, :, None]
-        coeffs = np.matmul(self._q.transpose(0, 2, 1), y.conj()).conj()  # Q^H y, no copy of Q
-        out = np.zeros_like(spec)
-        out[bins] = (self._q @ coeffs)[:, :, 0] / sqrt_w
-        return self.from_spectrum(out)
+        return ((spec * phase.conj() * sqrt_w) @ q * mask) @ q.T * (phase / sqrt_w)
 
 
 @lru_cache(maxsize=16)

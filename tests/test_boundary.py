@@ -79,6 +79,12 @@ def smooth_field(cp, sign, seed):
     return fn
 
 
+def antipodal_parts(u):
+    """The (even, odd) halves of a grid under the S_A pullback."""
+    pulled = boundary.sa_pullback(u).values
+    return u.with_values(0.5 * (u.values + pulled)), u.with_values(0.5 * (u.values - pulled))
+
+
 class TestExtend:
     def test_constant_even(self):
         # sqrt(sig') takes one value at a node and its flip, so the even
@@ -365,9 +371,9 @@ class TestOperatorRules:
 
     def test_symmetrize_reads_the_grid_kappa(self):
         # read at kappa -0.5 this even input had an odd norm of 2.98
-        even, odd_norm = boundary.symmetrize(self.u_prime_grid(0.4))
-        assert even.kappa == 0.4
-        assert odd_norm <= 1e-12
+        res = boundary.project_to_range(self.u_prime_grid(0.4))
+        assert res.projected.kappa == 0.4
+        assert res.removed_odd_norm <= 1e-12
 
 
 class TestAlphaTorusOracle:
@@ -573,9 +579,9 @@ class TestPullbackAlgebra:
         for sigma1, sigma2, p, q in [("+", "+", 3, 1), ("-", "-", 3, 1),
                                      ("+", "-", 4, 1), ("-", "+", 4, 1)]:
             grid = tpl.with_values(member(sigma1, sigma2, p, q)(bb, aa))
-            even, odd_norm = boundary.symmetrize(grid)
+            even, odd = antipodal_parts(grid)
             # sigma2 is the antipodal parity: the other part vanishes
-            vanishing = odd_norm if sigma2 == "+" else even.norm()
+            vanishing = odd.norm() if sigma2 == "+" else even.norm()
             assert vanishing / grid.norm() < 1e-12, (sigma1, sigma2, vanishing)
 
     def test_operators_annihilate_wrong_parity(self):
@@ -588,31 +594,34 @@ class TestPullbackAlgebra:
 
 
 class TestSymmetrize:
+    """The S_A split: the even half from `sa_pullback`, the odd norm that
+    `project_to_range` removes and reports."""
+
     def test_splits_parities(self):
         tpl = template()
         bb, aa = tpl.mesh()
         mix = tpl.with_values(
             basis.u_prime(2, 3, bb, aa, CP) + basis.v_prime(1, -1, bb, aa, CP)
         )
-        even, odd_norm = boundary.symmetrize(mix)
+        even, _ = antipodal_parts(mix)
         want_even = tpl.with_values(basis.u_prime(2, 3, bb, aa, CP))
         assert tpl.with_values(even.values - want_even.values).norm() < 1e-10
         want_odd = tpl.with_values(basis.v_prime(1, -1, bb, aa, CP)).norm()
-        assert odd_norm == pytest.approx(want_odd, rel=1e-10)
+        assert boundary.project_to_range(mix).removed_odd_norm == pytest.approx(want_odd, rel=1e-10)
 
     def test_u_prime_even_v_prime_odd(self):
-        # u' is antipodally even and v' odd: symmetrize keeps the one whole
+        # u' is antipodally even and v' odd: the split keeps the one whole
         # and removes the other whole
         tpl = template()
         bb, aa = tpl.mesh()
         u = tpl.with_values(basis.u_prime(2, 3, bb, aa, CP))
-        even, odd_norm = boundary.symmetrize(u)
-        assert odd_norm / u.norm() < 1e-12
+        even, _ = antipodal_parts(u)
+        assert boundary.project_to_range(u).removed_odd_norm / u.norm() < 1e-12
         assert tpl.with_values(even.values - u.values).norm() / u.norm() < 1e-12
         v = tpl.with_values(basis.v_prime(2, 0, bb, aa, CP))
-        even, odd_norm = boundary.symmetrize(v)
+        even, _ = antipodal_parts(v)
         assert even.norm() / v.norm() < 1e-12
-        assert odd_norm == pytest.approx(v.norm(), rel=1e-12)
+        assert boundary.project_to_range(v).removed_odd_norm == pytest.approx(v.norm(), rel=1e-12)
 
 
 class TestRangeSurjectivity:
@@ -762,12 +771,12 @@ class TestSpectralProjector:
         cp = CurvatureParam(kappa)
         u = self.band_limited(cp, xray.boundary_grid(cp, 64, 48), 3)
         got = boundary.project_to_range(u)
-        u_even, removed = boundary.symmetrize(u)
+        u_even, u_odd = antipodal_parts(u)
         freqs, spec, phase = boundary._extension_spectrum(u_even, -1.0, u, nb, nf)
         cc = boundary._minus_spectrum(boundary._minus_spectrum(spec, phase, 0.5), phase, 0.5)
         want = u_even.values + boundary._eval_spectrum(freqs, cc, u)
         assert np.linalg.norm(got.projected.values - want) <= tol * np.linalg.norm(want)
-        assert got.removed_odd_norm == removed
+        assert abs(got.removed_odd_norm - u_odd.norm()) <= 1e-13 * u.norm()
 
     @pytest.mark.parametrize("kappa", [-0.99, -0.9, 0.9, 0.99])
     def test_recovers_range_part_exactly(self, kappa):

@@ -287,6 +287,23 @@ class TestSignature:
         assert np.max(np.abs(sig(sig_inverse(a, cp), cp) - a)) < 1e-12
         assert np.max(np.abs(sig_inverse(sig(a, cp), cp) - a)) < 1e-12
 
+    @pytest.mark.parametrize("kappa", [-0.999, -0.99, -0.9, 0.9, 0.99, 0.999])
+    def test_matches_extended_precision_near_the_cliff(self, kappa):
+        # on the 64-node grid's alpha nodes and 201 uniform alpha, against
+        # 40 digits: the forms in cos 2a erred by up to 4.8e-14 in sig and
+        # 2.3e-10 relative in sig' at |kappa| = 0.999
+        mp = pytest.importorskip("mpmath")
+        cp = CurvatureParam(kappa)
+        x = np.polynomial.legendre.leggauss(64)[0]
+        a = np.concatenate([sig_inverse(0.5 * np.pi * x, cp), np.linspace(-np.pi / 2, np.pi / 2, 201)])
+        with mp.workdps(40):
+            k = mp.mpf(kappa)
+            want_s = [aa - mp.atan2(k * mp.sin(2 * aa), 1 + k * mp.cos(2 * aa)) for aa in map(mp.mpf, a)]
+            want_sp = [(1 - k * k) / (1 + k * k + 2 * k * mp.cos(2 * mp.mpf(aa))) for aa in a]
+            err_s = max(abs(float(got - want)) for got, want in zip(sig(a, cp), want_s))
+            err_sp = max(abs(float(got / want - 1)) for got, want in zip(sig_prime(a, cp), want_sp))
+        assert err_s <= 4.5e-16 and err_sp <= 1e-15
+
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_derivative_bounds(self, kappa, hold):
         hold(selftest.sig_bounds, kappa)
@@ -452,6 +469,23 @@ class TestFiberChange:
         h = 1e-6
         fd = (fiber_change(rho, th + h, cp)[0] - fiber_change(rho, th - h, cp)[0]) / (2 * h)
         assert jac == pytest.approx(fd, abs=1e-8)
+
+    @pytest.mark.parametrize("kappa", [-0.999, -0.99, 0.99, 0.999])
+    def test_jacobian_matches_extended_precision(self, kappa):
+        # rho up to 0.999, theta across (-pi/2, pi/2), against 40 digits:
+        # the form (1 + m)^2 - 4 m sin^2 theta erred by 2.2e-12 relative
+        # at kappa = 0.99
+        mp = pytest.importorskip("mpmath")
+        rho = np.repeat(np.linspace(0.0, 0.999, 41), 41)
+        th = np.tile(np.linspace(-np.pi / 2, np.pi / 2, 41), 41)
+        jac = fiber_change(rho, th, CurvatureParam(kappa))[1]
+        with mp.workdps(40):
+            err = 0.0
+            for r, t, got in zip(rho, th, jac):
+                m = mp.mpf(kappa) * mp.mpf(r) ** 2
+                want = (1 - m * m) / (1 + m * m + 2 * m * mp.cos(2 * mp.mpf(t)))
+                err = max(err, abs(float(got / want - 1)))
+        assert err <= 1e-14
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_relations_to_footpoint(self, kappa, hold):

@@ -29,8 +29,10 @@ def test_public_surface_pinned():
     # every exported name resolves, once; the symmetry classifier, wrong
     # at strong curvature, names only tests called, the torus steps
     # behind c_minus/p_minus, the geodesic quadrature plan, the scalar
-    # boundary-point wrappers and the two per-kind inner products (now
-    # the one `inner`) are gone from the package and their modules
+    # boundary-point wrappers, the two per-kind inner products (now
+    # the one `inner`) and the value-space S_A split `symmetrize` (now
+    # part of project_to_range's one spectrum pass) are gone from the
+    # package and their modules
     import diskxray
     from diskxray import basis, boundary, geometry, xray
 
@@ -44,13 +46,15 @@ def test_public_surface_pinned():
                          ("GeodesicQuad", xray), ("FanBeamPoint", geometry),
                          ("scattering", geometry), ("footpoint", geometry),
                          ("_forward_batch", xray), ("boundary_inner", xray), ("disk_inner", xray),
-                         ("_check_same_boundary", xray),
+                         ("_check_same_boundary", xray), ("symmetrize", boundary),
                          *((name, boundary) for name in torus)):
         assert gone not in diskxray.__all__
         assert not hasattr(diskxray, gone) and not hasattr(module, gone)
-    # fiber factors have one formula, not a table with a fallback, and
-    # no code read the boundary conformal factor c1 = 1 + kappa
+    # fiber factors have one formula, not a table with a fallback, the
+    # range basis is one per parity, not one per beta bin, and no code
+    # read the boundary conformal factor c1 = 1 + kappa
     assert not hasattr(xray._FiberPlan(0.4, 16, 16), "_table")
+    assert not hasattr(xray._FiberPlan, "_q")
     assert not hasattr(geometry.CurvatureParam(0.4), "c1")
 
 
@@ -60,7 +64,7 @@ def test_grid_functions_take_kappa_from_the_grid():
     from diskxray import boundary, xray
 
     no_cp = (xray.sinogram, xray.analyze, xray.synthesize, xray.invert, xray._fiber_plan,
-             boundary.c_minus, boundary.p_minus, boundary.sa_pullback, boundary.symmetrize,
+             boundary.c_minus, boundary.p_minus, boundary.sa_pullback,
              boundary.project_to_range, boundary.moment_residuals)
     for fn in no_cp:
         assert "cp" not in inspect.signature(fn).parameters, fn.__name__

@@ -38,8 +38,8 @@ def test_svd_round_trip(kappa, nmax, seed):
 @given(kappa=st.floats(-0.95, 0.95), nmax=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_projector_idempotent(kappa, nmax, seed):
     # range modes plus co-kernel modes (k outside [0, n]) on a 32 x 48
-    # template.  The projector is Q Q^H per beta bin with Q orthonormal in
-    # the grid's inner product, so it is idempotent to rounding at every
+    # template.  In every beta bin the projector is orthogonal in the
+    # grid's inner product, so it is idempotent to rounding at every
     # kappa; the torus chain id + C-^2 it replaced gave 5e-2 at |kappa| =
     # 0.9, and the property used to be stated on [-0.7, 0.7] only
     cp = CurvatureParam(kappa)

@@ -536,7 +536,7 @@ class TestGridInterpolant:
         # the adjoint plan and the fiber plan it reads, lazy parts built
         cp = CurvatureParam(0.4)
         plan = xray._adjoint_plan(xray.boundary_grid(cp, 96, 64), xray.disk_grid(cp, 12, 24).points(), 512)
-        assert plan.fiber.band == 29 and plan.fiber._q.size  # builds the lazy parts
+        assert plan.fiber.band == 29 and plan.fiber._range_basis  # builds the lazy parts
 
         def arrays(obj):
             if isinstance(obj, np.ndarray):
@@ -549,7 +549,7 @@ class TestGridInterpolant:
 
         found = list(arrays(list(vars(plan).values())))
         fiber = list(arrays(list(vars(plan.fiber).values())))
-        assert plan._folds and len(found) > 10 and len(fiber) == 7
+        assert plan._folds and len(found) > 10 and len(fiber) == 9  # q, mask, phase among them
         assert not any(a.flags.writeable for a in found)
 
     def test_plan_past_budget_streams_its_folds(self):
@@ -960,7 +960,7 @@ def gram_scan(grid):
     """max |G - I| of each band n <= N, bin by bin: in beta bin f the Gram
     matrix of the fiber factors sqrt(sig') (e^{i(2n-2k+1)s} + ...) of its
     range modes n = |f|, |f| + 2, ... against the grid's own alpha weights
-    and bundle measure.  Oracle of `_FiberPlan.gram`'s moment form."""
+    and bundle measure.  Oracle of `_FiberPlan.gram`'s profile form."""
     cp = CurvatureParam(grid.kappa)
     n_beta, n_alpha = grid.shape
     s, root = geometry.sig(grid.alpha, cp), np.sqrt(geometry.sig_prime(grid.alpha, cp))
@@ -990,13 +990,35 @@ def product_rows(grid, alpha):
     return rows / rows.sum(axis=1)[:, None] * np.sqrt(geometry.sig_prime(alpha, cp))[:, None]
 
 
+def bin_projector(grid):
+    """The grid's values projected bin by bin: in beta bin f of the band
+    (from `gram_scan`), one complex QR of the sqrt(weight)-scaled fiber
+    factors sqrt(sig') (e^{i(2n-2k+1)s} + ...) of its range modes
+    n = |f|, |f| + 2, ..., applied as Q Q^H to the FFT over beta.  Oracle
+    of `_FiberPlan.project`'s two real QRs."""
+    cp = CurvatureParam(grid.kappa)
+    s, root = geometry.sig(grid.alpha, cp), np.sqrt(geometry.sig_prime(grid.alpha, cp))
+    sqrt_w = np.sqrt(grid.alpha_weights)
+    band = np.count_nonzero(gram_scan(grid) <= xray.GRAM_TOL) - 1
+    spec = np.fft.fft(grid.values, axis=0)
+    out = np.zeros_like(spec)
+    for f in range(-band, band + 1):
+        n = np.arange(abs(f), band + 1, 2)
+        k = (n - f) // 2
+        sign = (1 - 2 * (n % 2))[:, None]
+        pair = sign * np.exp(1j * np.outer(2 * n - 2 * k + 1, s)) + np.exp(-1j * np.outer(2 * k + 1, s))
+        q = np.linalg.qr((root * pair * sqrt_w).T)[0]
+        out[f % grid.shape[0]] = q @ (q.conj().T @ (spec[f % grid.shape[0]] * sqrt_w)) / sqrt_w
+    return np.fft.ifft(out, axis=0)
+
+
 class TestFiberPlan:
-    """xray._FiberPlan: one per geometry, fibers from one exponential table."""
+    """xray._FiberPlan: one per geometry, fibers a bin phase times a real profile."""
 
     @pytest.mark.parametrize("kappa", [-0.99, 0.0, 0.9])
     def test_fibers_match_psi_kappa_hat(self, kappa):
         # range and co-kernel modes, and exponents past the plan's table:
-        # psi_hat is sqrt(sig') times the kappa-free pair over pi / sqrt(1+kappa)
+        # psi_hat is sqrt(sig') times the kappa-free fiber over pi / sqrt(1+kappa)
         cp = CurvatureParam(kappa)
         tpl = xray.boundary_grid(cp, 24, 32)
         plan = xray._fiber_plan(tpl)
@@ -1035,6 +1057,24 @@ class TestFiberPlan:
             want = product_rows(grid, alpha) @ data
             assert np.abs(plan.rows_at(alpha) @ data - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("kappa", selftest.FULL_KAPPAS)
+    def test_projector_matches_bin_qr(self, kappa):
+        # the two real QRs, bin x degree mask and bin phases against one
+        # complex QR per bin, on white noise; the Parseval norm of a
+        # spectrum against the grid norm of its values
+        cp = CurvatureParam(kappa)
+        rng = np.random.default_rng(7)
+        for shape in ((96, 64), (64, 48), (33, 31)):
+            grid = xray.boundary_grid(cp, *shape)
+            grid = grid.with_values(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            plan = xray._fiber_plan(grid)
+            got = grid.with_values(plan.from_spectrum(plan.project(plan.spectrum(grid.values))))
+            want = grid.with_values(bin_projector(grid))
+            assert grid.with_values(got.values - want.values).norm() <= 1e-13 * grid.norm()
+            assert got.norm() > 0.1 * grid.norm()
+            for g in (grid, got):
+                assert plan.norm(plan.spectrum(g.values)) == pytest.approx(g.norm(), rel=1e-13)
+
     def test_one_plan_per_geometry(self):
         cp = CurvatureParam(0.4)
         a, b = xray.boundary_grid(cp, 96, 64), xray.boundary_grid(cp, 96, 64)
@@ -1056,7 +1096,7 @@ class TestFiberPlan:
         xray._cached_plan.cache_clear()
         xray._cached_adjoint_plan.cache_clear()
         plan = xray._adjoint_plan(grid, xray.disk_grid(cp, 12, 24).points(), 512).fiber
-        assert "gram" not in vars(plan) and "_q" not in vars(plan)
+        assert "gram" not in vars(plan) and "_range_basis" not in vars(plan)
 
         seen = []
         for module, name in ((xray, "sig"), (xray, "sig_prime"), (boundary, "sig_prime")):
