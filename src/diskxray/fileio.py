@@ -77,10 +77,11 @@ def _write_grid_csv(path, header, outer, inner, values) -> None:
 # and as d.ddde+XX otherwise, with trailing zeros (and a bare point)
 # stripped.  D is found from a double-double product |x| * 10**k: the
 # Veltkamp/Dekker two-product (no fused multiply-add) against a
-# double-double table of 10**k, relative error about 2**-104, so about
-# 1e-14 in units of D's last digit.  A product within 1e-6 of a
-# half-integer could round the wrong way and is left to Python, as are
-# NaN, inf and exponents outside the table.
+# double-double table of 10**k (each entry within about 2**-107
+# relative), relative error about 2**-104, so about 1e-14 in units of D's
+# last digit.  A product within 1e-6 of a half-integer could round the
+# wrong way and is left to Python, as are NaN, inf and exponents outside
+# the table.
 # Within decimal exponents -280..280 the splits below neither overflow nor
 # lose their low parts to subnormals.
 _E_MIN, _E_MAX = -280, 280
@@ -103,36 +104,30 @@ def _two_prod(a, b):
 
 @functools.cache
 def _g17_tables():
-    """Constant tables of `_g17`, built on first use (under 1 ms).
+    """Constant tables of `_g17`, built on first use (about 2 ms).
 
     ``pow_hi + pow_lo`` is 10**k for k = 16 - e, e from `_E_MAX` down to
-    `_E_MIN`: an exactly rounded anchor 10**(23 a) times the exact double
-    10**b, k = 23 a + b.  ``digits4[i]`` is the four ASCII digits of i as
-    one little-endian uint32, ``trailing0[i]`` their trailing zero count.
+    `_E_MIN`: ``pow_hi`` the correctly rounded 10**k and ``pow_lo`` the
+    correctly rounded remainder 10**k - ``pow_hi``, both from exact
+    integers.  ``digits4[i]`` is the four ASCII digits of i as one
+    little-endian uint32, ``trailing0[i]`` their trailing zero count.
     ``layout[key]`` lists, for each output byte, its byte in a value's
     28-byte pool; ``length[key]`` is the text length.  The key is (sign,
     form, number of significant digits), the form one of the 21 fixed
     exponents -4..16, or scientific with a 2- or 3-digit exponent.
     """
-    ks = np.arange(16 - _E_MAX, 16 - _E_MIN + 1)
-    a, b = np.divmod(ks, 23)
-    anchors = []
-    for n in range(a.min(), a.max() + 1):
-        if n >= 0:
-            p = 10 ** (23 * n)
-            hi = float(p)
-            anchors.append((hi, float(p - int(hi))))
+    pows = []
+    for k in range(16 - _E_MAX, 16 - _E_MIN + 1):
+        if k >= 0:
+            p = 10 ** k
+            hi = float(p)  # int -> float is correctly rounded
+            pows.append((hi, float(p - int(hi))))
         else:
-            q = 10 ** (-23 * n)
+            q = 10 ** -k
             hi = 1 / q  # int / int is correctly rounded
             m, d = hi.as_integer_ratio()
-            anchors.append((hi, (d - m * q) / (d * q)))
-    anchors = np.array(anchors)[a - a.min()]
-    scale = 10.0 ** b
-    p, err = _two_prod(anchors[:, 0], scale)
-    err += anchors[:, 1] * scale
-    pow_hi = p + err
-    pow_lo = err - (pow_hi - p)
+            pows.append((hi, (d - m * q) / (d * q)))
+    pow_hi, pow_lo = map(np.array, zip(*pows))
     digits4 = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
     trailing0 = np.zeros(10000, dtype=np.uint8)
     for z in range(1, 5):

@@ -182,39 +182,51 @@ def geodesic_velocity(beta, alpha, t, cp: CurvatureParam):
     return -np.exp(1j * beta) * ph * (1.0 + k) * (1.0 + k * z**2) / (1.0 + k * ph * z) ** 2
 
 
-def _edge_square(a, kappa: float):
-    """x = cos^2 a for kappa >= 0 and sin^2 a for kappa < 0.  For k of
-    kappa's sign and c = |k|, 1 + k cos 2a = (1 - c) + 2c x and
-    1 + k^2 + 2k cos 2a = (1 - c)^2 + 4c x: sums of terms of one sign,
-    which keep their relative accuracy as |kappa| -> 1, where the forms
-    in cos 2a cancel near the fiber ends."""
-    return np.square(np.cos(a) if kappa >= 0.0 else np.sin(a))
+def _sig(a, lam):
+    """Continuous branch of arctan(lam tan a), for lam > 0 broadcasting with a.
+
+    atan2(lam sin a, cos a) is that branch modulo 2 pi, and the multiple of
+    2 pi added in place keeps it within pi of a (the branch stays within
+    pi/2).  No term is subtracted from another, so small results keep their
+    relative accuracy at every lam; where lam = 1 the result is a, bit for bit.
+    """
+    s = np.asarray(np.arctan2(lam * np.sin(a), np.cos(a)))
+    turns = np.asarray(a - s)  # one array, then in place: no further full-size temporaries
+    turns /= TWO_PI
+    np.rint(turns, out=turns)
+    turns *= TWO_PI
+    s += turns
+    np.copyto(s, a, where=lam == 1.0)
+    return s[()]
+
+
+def _sig_prime(a, lam):
+    """Derivative of `_sig`, lam / (cos^2 a + lam^2 sin^2 a): a sum of terms of
+    one sign, exactly 1 where lam = 1."""
+    sp = np.asarray(lam / (np.square(np.cos(a)) + np.square(lam) * np.square(np.sin(a))))
+    np.copyto(sp, 1.0, where=lam == 1.0)
+    return sp[()]
 
 
 def sig(alpha, cp: CurvatureParam):
     """Scattering signature: continuous branch of arctan(lam * tan(alpha)).
 
     Odd, strictly increasing, with sig(0) = 0 and sig(alpha + pi) =
-    sig(alpha) + pi.  Computed as alpha - arg(1 + kappa e^{2 i alpha}),
-    which realizes that branch without unwrapping (the argument stays in
-    the right half plane for |kappa| < 1).
+    sig(alpha) + pi; accurate relative to the result, small ones included,
+    at every kappa, and the identity at kappa = 0.
     """
-    a = np.asarray(alpha, dtype=float)
-    k = cp.kappa
-    c = abs(k)
-    return a - np.arctan2(k * np.sin(2.0 * a), (1.0 - c) + 2.0 * c * _edge_square(a, k))
+    return _sig(np.asarray(alpha, dtype=float), cp.lam)
 
 
 def sig_prime(alpha, cp: CurvatureParam):
-    """Derivative of the scattering signature, (1-k^2)/(1+k^2+2k cos 2a)."""
-    a = np.asarray(alpha, dtype=float)
-    k = cp.kappa
-    c = abs(k)
-    return (1.0 - k) * (1.0 + k) / ((1.0 - c) ** 2 + 4.0 * c * _edge_square(a, k))
+    """Derivative of the scattering signature, lam / (cos^2 a + lam^2 sin^2 a),
+    which equals (1 - k^2) / (1 + k^2 + 2k cos 2a)."""
+    return _sig_prime(np.asarray(alpha, dtype=float), cp.lam)
 
 
 def sig_inverse(alpha, cp: CurvatureParam):
-    """Inverse of the scattering signature; equals sig at opposite curvature."""
+    """Inverse of the scattering signature: sig at opposite curvature, the
+    continuous branch of arctan(tan(alpha) / lam), as accurate as sig."""
     return sig(alpha, CurvatureParam(-cp.kappa))
 
 
@@ -239,16 +251,18 @@ def antipodal_scattering_angles(beta, alpha, cp: CurvatureParam):
 def fiber_change(rho, theta, cp: CurvatureParam):
     """Fiber angle substitution theta -> theta' and its jacobian.
 
-    theta' = theta - arg(1 + kappa rho^2 e^{2 i theta}) on the continuous
-    branch; the jacobian d theta'/d theta is strictly positive.
+    theta' is the scattering signature at curvature kappa rho^2: the
+    continuous branch of arctan(lam_rho tan theta) with lam_rho =
+    (1 - kappa rho^2) / (1 + kappa rho^2), and the jacobian d theta'/d theta
+    is its strictly positive derivative.
     """
     rho = np.asarray(rho, dtype=float)
+    # 1 -+ kappa rho^2 as sums of terms of one sign: no cancellation as kappa rho^2 -> +-1
+    flat, r2 = (1.0 - rho) * (1.0 + rho), rho * rho
+    lam = flat + (1.0 - cp.kappa) * r2
+    lam /= flat + (1.0 + cp.kappa) * r2
     th = np.asarray(theta, dtype=float)
-    m, c = cp.kappa * rho**2, abs(cp.kappa) * rho**2
-    x = _edge_square(th, cp.kappa)
-    thp = th - np.arctan2(m * np.sin(2.0 * th), (1.0 - c) + 2.0 * c * x)
-    jac = (1.0 - m) * (1.0 + m) / ((1.0 - c) ** 2 + 4.0 * c * x)
-    return thp, jac
+    return _sig(th, lam), _sig_prime(th, lam)
 
 
 def footpoint_angles(rho, omega, theta, cp: CurvatureParam):

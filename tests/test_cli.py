@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -329,6 +330,17 @@ class TestFileFormats:
             want = [b"%.17g" % v + end for v in x.tolist()]
             bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
             assert not bad, bad[:5]
+
+    def test_g17_power_table_is_correctly_rounded(self):
+        # pow_hi is the nearest double to 10**k and pow_lo the nearest double
+        # to the exact remainder 10**k - pow_hi, at every exponent of the table
+        tab = fileio._g17_tables()
+        ks = range(16 - fileio._E_MAX, 16 - fileio._E_MIN + 1)
+        assert len(ks) == tab["pow_hi"].size == tab["pow_lo"].size
+        for k, hi, lo in zip(ks, tab["pow_hi"].tolist(), tab["pow_lo"].tolist()):
+            exact = Fraction(10) ** k
+            assert hi == float(exact), k  # float(Fraction) is int / int, correctly rounded
+            assert lo == float(exact - Fraction(hi)), k
 
     @staticmethod
     def _write_nodes_as(path, template, node_fmt, values):

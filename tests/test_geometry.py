@@ -22,6 +22,7 @@ from diskxray.geometry import (
     sig_inverse,
     sig_prime,
 )
+from diskxray.xray import boundary_grid
 
 KAPPAS = [-0.9, -0.5, -0.2, 0.0, 0.3, 0.5, 0.9]
 
@@ -304,6 +305,49 @@ class TestSignature:
             err_sp = max(abs(float(got / want - 1)) for got, want in zip(sig_prime(a, cp), want_sp))
         assert err_s <= 4.5e-16 and err_sp <= 1e-15
 
+    @pytest.mark.parametrize("kappa", [0.0, -0.3, 0.3, -0.9, 0.9, -0.99, 0.99, -0.999, 0.999])
+    def test_relative_accuracy_against_extended_precision(self, kappa):
+        # small results included (alpha = +-10^u, u in [-8, 0]) and |alpha| <= 20
+        # across branches, against 40 digits; the form alpha - arg(1 + kappa
+        # e^{2i alpha}) erred by 4.9e-13 relative here at kappa = 0.999
+        mp = pytest.importorskip("mpmath")
+        cp = CurvatureParam(kappa)
+        small = 10.0 ** np.linspace(-8.0, 0.0, 41)
+        a = np.concatenate([small, -small, np.linspace(-20.0, 20.0, 160)])  # 0 excluded
+
+        def want_sig(aa, k):
+            lam = (1 - k) / (1 + k)
+            turns = mp.nint(aa / mp.pi)
+            return mp.atan(lam * mp.tan(aa - turns * mp.pi)) + turns * mp.pi
+
+        with mp.workdps(40):
+            k = mp.mpf(kappa)
+            lam = (1 - k) / (1 + k)
+            for got_s, got_i, got_sp, aa in zip(sig(a, cp), sig_inverse(a, cp), sig_prime(a, cp), map(mp.mpf, a)):
+                assert abs(float(got_s / want_sig(aa, k) - 1)) <= 1e-15, ("sig", float(aa))
+                assert abs(float(got_i / want_sig(aa, -k) - 1)) <= 1e-15, ("sig_inverse", float(aa))
+                want_sp = lam / (mp.cos(aa) ** 2 + lam**2 * mp.sin(aa) ** 2)
+                assert abs(float(got_sp / want_sp - 1)) <= 1e-15, ("sig_prime", float(aa))
+
+    @pytest.mark.parametrize("kappa", [-0.999, -0.99, -0.9])
+    def test_alpha_nodes_land_on_their_s_nodes(self, kappa):
+        # sig' < 1 there, so the alpha nodes sig^{-1}(pi x / 2) map back to
+        # within an ulp; the a - atan2 form missed by 1.3e-13 at kappa = -0.999
+        cp = CurvatureParam(kappa)
+        t = 0.5 * np.pi * np.polynomial.legendre.leggauss(64)[0]
+        assert np.max(np.abs(sig(sig_inverse(t, cp), cp) - t)) <= 4.4e-16
+
+    def test_euclidean_identity_is_bit_exact(self):
+        cp = CurvatureParam(0.0)
+        a = np.concatenate([np.linspace(-20.0, 20.0, 161), 10.0 ** np.linspace(-8.0, 0.0, 41)])
+        assert np.array_equal(sig(a, cp), a) and np.array_equal(sig_inverse(a, cp), a)
+        assert np.array_equal(sig_prime(a, cp), np.ones_like(a))
+        thp, jac = fiber_change(np.linspace(0.0, 0.99, 7)[:, None], a, cp)
+        assert np.array_equal(thp, np.broadcast_to(a, thp.shape)) and np.array_equal(jac, np.ones_like(jac))
+        for n in (48, 64, 96, 128):
+            x = np.polynomial.legendre.leggauss(n)[0]
+            assert np.array_equal(boundary_grid(cp, 4, n).alpha, 0.5 * np.pi * x)
+
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_derivative_bounds(self, kappa, hold):
         hold(selftest.sig_bounds, kappa)
@@ -486,6 +530,23 @@ class TestFiberChange:
                 want = (1 - m * m) / (1 + m * m + 2 * m * mp.cos(2 * mp.mpf(t)))
                 err = max(err, abs(float(got / want - 1)))
         assert err <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [-0.999, -0.99, 0.99, 0.999])
+    def test_matches_extended_precision_near_the_rim(self, kappa):
+        # theta' and the jacobian relative to 40 digits for rho = 1 - 10^u,
+        # u in [-4, -1]: forming kappa rho^2 before 1 -+ kappa rho^2 erred here
+        # by 3.3e-13 (theta', kappa = 0.999) and 5.9e-14 (jacobian)
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1)
+        rho = 1.0 - 10.0 ** rng.uniform(-4.0, -1.0, 200)
+        th = rng.uniform(-np.pi / 2, np.pi / 2, 200)
+        thp, jac = fiber_change(rho, th, CurvatureParam(kappa))
+        with mp.workdps(40):
+            for r, t, got_t, got_j in zip(rho, th, thp, jac):
+                m = mp.mpf(kappa) * mp.mpf(r) ** 2
+                lam = (1 - m) / (1 + m)
+                assert abs(float(got_t / mp.atan(lam * mp.tan(mp.mpf(t))) - 1)) <= 1e-15
+                assert abs(float(got_j * (mp.cos(t) ** 2 + lam**2 * mp.sin(t) ** 2) / lam - 1)) <= 1e-15
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_relations_to_footpoint(self, kappa, hold):
