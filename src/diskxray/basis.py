@@ -20,7 +20,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -124,30 +123,90 @@ def cheb_w(n: int, t):
 # Zernike polynomials, plain and curvature-deformed
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def zernike_radial_coeffs(n: int, k: int) -> np.ndarray:
-    """Ascending power coefficients of the radial profile R_{n,k}.
+def _radial_sums(items, z, kappa: float, normalized: bool = True):
+    """Per-order radial sums of a deformed-Zernike series at the points z.
 
-    Obtained by expanding W_n(rho sin theta) into harmonics and
-    extracting the e^{-i(n-2k) theta} component; the result is the
-    integer-coefficient polynomial
+    Each point is mapped once to w = (1-kappa) z / (1-kappa|z|^2); a point
+    whose image lies outside the closed unit disk by more than 1e-6 is
+    rejected and the rest are clamped onto it.  For each angular order m
+    = n - 2k among the entries ((n, k), c) of `items` the sum of
 
-        R_{n,k}(rho) = sum_l (-1)^(k+l) C(n-l, l) C(n-2l, k-l) rho^(n-2l)
+        c (-1)^k s_n R^{|m|}_n(|w|),   s_n = sqrt((n+1)(1-kappa^2)/pi)
 
-    over 0 <= l <= min(k, n-k).
+    is formed (s_n = 1 when not `normalized`) and multiplied by the kappa
+    weight sqrt((1-kappa)/(1+kappa)) (1+kappa|z|^2)/(1-kappa|z|^2), so that
+    R_{n,k} = (-1)^k R^{|m|}_n.  R^a_n, the classical radial polynomial
+    with R^a_n(1) = 1, runs the three-term recurrence in n at fixed a
+    (Kintner):
+
+        R^a_a = rho^a,  R^a_{a+2} = ((a+2) rho^2 - (a+1)) rho^a,
+        K1 R^a_n = (K2 rho^2 + K3) R^a_{n-2} + K4 R^a_{n-4},
+
+    K1 = (n+a)(n-a)(n-2)/2, K2 = 2n(n-1)(n-2), K3 = -a^2(n-1) - n(n-1)(n-2),
+    K4 = -n(n+a-2)(n-a-2)/2.  It costs O(n) per mode and does not cancel
+    the way the binomial sum of `zernike_radial` does in floating point;
+    its integer factors keep R^a_n(1) = 1 exact.  Orders m and -m share
+    one recurrence.
+
+    Returns (ms, sums): the sorted orders and a (len(ms), z.size) complex
+    array of their sums at the flattened points.  Raises like `zernike` on
+    an entry with k outside [0, n].
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"zernike radial profile needs 0 <= k <= n, got (n,k)=({n},{k})")
-    coeffs = [0] * (n + 1)
-    for l in range(min(k, n - k) + 1):
-        coeffs[n - 2 * l] = (-1) ** (k + l) * math.comb(n - l, l) * math.comb(n - 2 * l, k - l)
-    return np.asarray(coeffs, dtype=float)
+    by_a, orders = {}, set()  # by_a: |m| -> degree n -> [(m, folded coefficient)]
+    for (n, k), c in items:
+        if not 0 <= k <= n:
+            raise ValueError(f"zernike requires 0 <= k <= n, got (n,k)=({n},{k})")
+        m = n - 2 * k
+        scale = math.sqrt((n + 1) * (1.0 - kappa**2) / math.pi) if normalized else 1.0
+        by_a.setdefault(abs(m), {}).setdefault(n, []).append((m, (-1) ** k * scale * c))
+        orders.add(m)
+    ms = sorted(orders)
+    row = {m: j for j, m in enumerate(ms)}
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    r2 = z.real**2 + z.imag**2
+    rho = np.abs((1.0 - kappa) / (1.0 - kappa * r2) * z)
+    if np.any(rho > 1.0 + 1e-6):
+        raise ValueError("zernike is defined on the closed unit disk")
+    rho = np.minimum(rho, 1.0)
+    rho2 = rho * rho
+    sums = np.zeros((len(ms), z.size), dtype=complex)
+    for a, degrees in by_a.items():
+        r_prev, r = None, rho**a
+        for n in range(a, max(degrees) + 1, 2):
+            if n == a + 2:
+                r_prev, r = r, ((a + 2) * rho2 - (a + 1)) * r
+            elif n > a + 2:
+                k1 = (n + a) * (n - a) * (n - 2) // 2
+                k2 = 2 * n * (n - 1) * (n - 2)
+                k3 = -a * a * (n - 1) - n * (n - 1) * (n - 2)
+                k4 = -n * (n + a - 2) * (n - a - 2) // 2
+                r_prev, r = r, ((k2 * rho2 + k3) * r + k4 * r_prev) / k1
+            for m, c in degrees.get(n, ()):
+                sums[row[m]] += c * r
+    sums *= math.sqrt((1.0 - kappa) / (1.0 + kappa)) * (1.0 + kappa * r2) / (1.0 - kappa * r2)
+    return ms, sums
+
+
+def _one_mode(n: int, k: int, z, kappa: float, normalized: bool):
+    """One deformed-Zernike mode at the points z: its radial sum times
+    e^{i(n-2k) arg z}, in z's shape."""
+    z = np.asarray(z, dtype=complex)
+    _, sums = _radial_sums([((n, k), 1.0)], z, kappa, normalized)
+    return sums[0].reshape(z.shape) * np.exp(1j * (n - 2 * k) * np.angle(z))
 
 
 def zernike_radial(n: int, k: int, rho):
-    """Radial profile R_{n,k} evaluated at rho (scalar or array)."""
+    """Radial profile R_{n,k} evaluated at rho in [0, 1] (scalar or
+    array): the integer-coefficient polynomial
+
+        R_{n,k}(rho) = sum_l (-1)^(k+l) C(n-l, l) C(n-2l, k-l) rho^(n-2l)
+
+    over 0 <= l <= min(k, n-k), the e^{-i(n-2k) theta} component of
+    W_n(rho sin theta), evaluated by the recurrence of `_radial_sums`
+    rather than by this cancelling sum."""
     rho = np.asarray(rho, dtype=float)
-    return np.polynomial.polynomial.polyval(rho, zernike_radial_coeffs(n, k))
+    _, sums = _radial_sums([((n, k), 1.0)], rho, 0.0, normalized=False)
+    return sums[0].real.reshape(rho.shape)[()]
 
 
 def zernike(n: int, k: int, z):
@@ -156,14 +215,7 @@ def zernike(n: int, k: int, z):
     Convention: Z_{n,0}(z) = z^n, Z_{n,k}(e^{i omega}) = (-1)^k
     e^{i(n-2k) omega}, and Z_{n,n-k} = (-1)^n conj(Z_{n,k}).
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"zernike requires 0 <= k <= n, got (n,k)=({n},{k})")
-    z = np.asarray(z, dtype=complex)
-    rho = np.abs(z)
-    if np.any(rho > 1.0 + 1e-6):
-        raise ValueError("zernike is defined on the closed unit disk")
-    omega = np.angle(z)
-    return zernike_radial(n, k, np.minimum(rho, 1.0)) * np.exp(1j * (n - 2 * k) * omega)
+    return _one_mode(n, k, z, 0.0, normalized=False)
 
 
 def w_kappa(z, cp: CurvatureParam):
@@ -177,71 +229,43 @@ def zernike_kappa(n: int, k: int, z, cp: CurvatureParam):
     """Deformed Zernike function: Z_{n,k} composed with the radial map
     rho -> (1-kappa) rho / (1-kappa rho^2) and multiplied by the weight
     sqrt((1-kappa)/(1+kappa)) (1+kappa|z|^2)/(1-kappa|z|^2)."""
-    z = np.asarray(z, dtype=complex)
-    k_ = cp.kappa
-    r2 = z.real**2 + z.imag**2
-    scale = (1.0 - k_) / (1.0 - k_ * r2)
-    weight = math.sqrt((1.0 - k_) / (1.0 + k_)) * (1.0 + k_ * r2) / (1.0 - k_ * r2)
-    return weight * zernike(n, k, scale * z)
+    return _one_mode(n, k, z, cp.kappa, normalized=False)
 
 
 def zernike_kappa_hat(n: int, k: int, z, cp: CurvatureParam):
-    """Deformed Zernike normalized to unit norm in the weighted disk space."""
-    scale = math.sqrt((n + 1) * (1.0 - cp.kappa**2) / math.pi)
-    return scale * zernike_kappa(n, k, z, cp)
+    """Deformed Zernike normalized to unit norm in the weighted disk space:
+    `zernike_kappa` times sqrt((n+1)(1-kappa^2)/pi)."""
+    return _one_mode(n, k, z, cp.kappa, normalized=True)
 
 
 def zernike_kappa_series(table: CoeffTable, z, cp: CurvatureParam):
     """Sum of c_{n,k} zernike_kappa_hat(n, k, z) over a coefficient table.
 
-    Each point is mapped once to w = (1-kappa) z / (1-kappa|z|^2), and
-    one sweep of the complex three-term recurrence
-
-        V_{n,k} = w V_{n-1,k} + conj(w) V_{n-1,k-1} - V_{n-2,k-1},  V_{0,0} = 1,
-
-    with Z_{n,k}(w) = (-1)^k V_{n,k}, makes every mode up to the table's
-    top degree.  Each degree is added into the sum as soon as it is made
-    and only two degrees are kept; the kappa weight is applied once at
-    the end.  Points go through in fixed blocks, so the temporaries stay
-    a few MB whatever the point count.  Raises like `zernike` on an
-    entry with k outside [0, n] and on a point whose image w lies
-    outside the closed unit disk.
+    The radial map keeps the angle, so the sum is sum_m S_m(z) e^{i m arg z}
+    over the orders m = n - 2k, with S_m the per-order radial sums of
+    `_radial_sums` (one recurrence in n per |m|, the kappa weight applied
+    once).  The angular sum is Horner's rule in e^{i arg z} and its
+    conjugate.  Points go through in fixed blocks, so the temporaries stay
+    a few MB whatever the point count.  Raises like `zernike` on an entry
+    with k outside [0, n] and on a point whose image w lies outside the
+    closed unit disk.
     """
-    k_ = cp.kappa
     items = table.items()
-    top = max((n for (n, _), _ in items), default=-1)
-    # (-1)^k and the unit-norm scale folded into the coefficients
-    coef = np.zeros((top + 1, top + 1), dtype=complex)
-    for (n, k), c in items:
-        if not 0 <= k <= n:
-            raise ValueError(f"zernike requires 0 <= k <= n, got (n,k)=({n},{k})")
-        coef[n, k] = (-1) ** k * math.sqrt((n + 1) * (1.0 - k_**2) / math.pi) * c
     z = np.asarray(z, dtype=complex)
     out = np.zeros(z.size, dtype=complex)
-    if not items:
-        return out.reshape(z.shape)
     flat = z.reshape(-1)
-    for lo in range(0, flat.size, _SERIES_BLOCK):
+    for lo in range(0, flat.size or 1, _SERIES_BLOCK):  # an empty z still has its entries checked
         zb = flat[lo:lo + _SERIES_BLOCK]
-        r2 = zb.real**2 + zb.imag**2
-        w = (1.0 - k_) / (1.0 - k_ * r2) * zb
-        rho = np.abs(w)
-        if np.any(rho > 1.0 + 1e-6):
-            raise ValueError("zernike is defined on the closed unit disk")
-        w /= np.maximum(rho, 1.0)
-        w_conj = w.conj()
-        prev2, prev = np.zeros((0, w.size), dtype=complex), np.ones((1, w.size), dtype=complex)
-        acc = coef[0, 0] * prev[0]
-        for n in range(1, top + 1):
-            cur = np.empty((n + 1, w.size), dtype=complex)
-            np.multiply(prev, w, out=cur[:n])
-            np.multiply(prev[n - 1], w_conj, out=cur[n])
-            cur[1:n] += prev[:n - 1] * w_conj
-            cur[1:n] -= prev2
-            acc += coef[n, :n + 1] @ cur
-            prev2, prev = prev, cur
-        weight = math.sqrt((1.0 - k_) / (1.0 + k_)) * (1.0 + k_ * r2) / (1.0 - k_ * r2)
-        out[lo:lo + _SERIES_BLOCK] = weight * acc
+        ms, sums = _radial_sums(items, zb, cp.kappa)
+        by_m = dict(zip(ms, sums))
+        u = np.exp(1j * np.angle(zb))
+        u_conj = u.conj()
+        pos = np.zeros(zb.size, dtype=complex)
+        neg = np.zeros(zb.size, dtype=complex)
+        for m in range(max(map(abs, ms), default=0), 0, -1):
+            pos = (pos + by_m.get(m, 0.0)) * u
+            neg = (neg + by_m.get(-m, 0.0)) * u_conj
+        out[lo:lo + _SERIES_BLOCK] = pos + neg + by_m.get(0, 0.0)
     return out.reshape(z.shape)
 
 

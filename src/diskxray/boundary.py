@@ -268,7 +268,7 @@ def project_to_range(u, template: BoundaryGrid | None = None) -> ProjectionResul
     if not isinstance(u, BoundaryGrid):
         if template is None:
             raise ValueError("a template BoundaryGrid is required for callable input")
-        u = template.with_values(u(*template.mesh()))
+        u = template.with_values(np.broadcast_to(u(*template.mesh()), template.shape))
     elif template is not None:
         _check_same(u, template)
     plan = _fiber_plan(u)

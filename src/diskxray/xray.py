@@ -338,7 +338,7 @@ def forward(f, beta, alpha, cp: CurvatureParam, n_nodes: int = 64):
         half = 0.5 * (hi - lo)
         t = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
         z = geodesic_point(beta[:, None], alpha[:, None], t, cp)
-        vals = np.asarray(f(z), dtype=complex)
+        vals = np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
         bad = ~np.isfinite(vals)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -445,7 +445,7 @@ def adjoint_sharp(g, z, cp: CurvatureParam, n_theta: int = 512):
         return out.reshape(z.shape)[()]  # a scalar for a 0-d z, as below
     theta = np.arange(n_theta) * TWO_PI / n_theta
     bm, am = footpoint_angles(rho[..., None], np.angle(z)[..., None], theta, cp)
-    vals = np.asarray(g(bm, am), dtype=complex)
+    vals = np.broadcast_to(np.asarray(g(bm, am), dtype=complex), bm.shape)
     return vals.mean(axis=-1) * TWO_PI
 
 
@@ -855,12 +855,12 @@ def synthesize(table: basis.CoeffTable, template):
     over beta gives the samples.  On a DiskGrid it is zernike_kappa_hat
     (which requires 0 <= k <= n).  The radial map keeps the angle, so
     Z_hat_{n,k}(rho e^{i omega}) = Z_hat_{n,k}(rho) e^{i m omega} with
-    m = n - 2k: the modes are grouped by m, each group's radial sum R_m
-    is `basis.zernike_kappa_series` at the real radii, and the samples
-    are the direct product R (n_rho x #m) @ e^{i m omega} (#m x n_omega),
-    exact for any omega nodes.  `basis.zernike_kappa_series` at the
-    grid's points is the point-wise oracle.  Returns a grid of the same
-    kind.
+    m = n - 2k: the per-order radial sums R_m of the modes are taken at
+    the real radii (the recurrence behind every Zernike evaluation), and
+    the samples are the direct product R (n_rho x #m) @ e^{i m omega}
+    (#m x n_omega), exact for any omega nodes.
+    `basis.zernike_kappa_series` at the grid's points is the point-wise
+    oracle.  Returns a grid of the same kind.
     """
     items = table.items()
     if isinstance(template, BoundaryGrid):
@@ -868,14 +868,8 @@ def synthesize(table: basis.CoeffTable, template):
         coeffs = np.array([c for _, c in items], dtype=complex)
         return template.with_values(_fiber_plan(template).synthesize(n, k, coeffs))
     if isinstance(template, DiskGrid):
-        by_m = {}
-        for (n, k), c in items:
-            by_m.setdefault(n - 2 * k, {})[(n, k)] = c
-        radial = np.zeros((template.shape[0], len(by_m)), dtype=complex)
-        for j, entries in enumerate(by_m.values()):
-            sub = basis.CoeffTable(nmax=table.nmax, entries=entries)
-            radial[:, j] = basis.zernike_kappa_series(sub, template.rho, CurvatureParam(template.kappa))
-        return template.with_values(radial @ np.exp(1j * np.outer(list(by_m), template.omega)))
+        ms, radial = basis._radial_sums(items, template.rho, template.kappa)
+        return template.with_values(radial.T @ np.exp(1j * np.outer(ms, template.omega)))
     raise TypeError(f"cannot synthesize onto {type(template).__name__}")
 
 

@@ -1,7 +1,9 @@
 """Shared fixtures: `hold`, the one way a test asserts a selftest registry
-entry, and `alpha_torus_minus`, the slow oracle of the P-/C- chain."""
+entry, `alpha_torus_minus`, the slow oracle of the P-/C- chain, and
+`zernike_60`, the extended-precision oracle of the deformed Zernike modes."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -79,3 +81,28 @@ def alpha_torus_minus():
     P- (sign 1, scale 1) or C- (sign -1, scale 1/2) chain on a torus
     uniform in alpha, as template values."""
     return _alpha_torus_minus
+
+
+def _zernike_60(n, k, z, kappa, normalized=True):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        kap, z = mp.mpf(kappa), mp.mpc(z)
+        r2 = z.real**2 + z.imag**2
+        rho = (1 - kap) * abs(z) / (1 - kap * r2)
+        radial = sum((-1) ** (k + l) * math.comb(n - l, l) * math.comb(n - 2 * l, k - l) * rho ** (n - 2 * l)
+                     for l in range(min(k, n - k) + 1))
+        weight = mp.sqrt((1 - kap) / (1 + kap)) * (1 + kap * r2) / (1 - kap * r2)
+        scale = mp.sqrt((n + 1) * (1 - kap**2) / mp.pi) if normalized else 1
+        return complex(scale * weight * radial * mp.expj((n - 2 * k) * mp.arg(z)))
+
+
+@pytest.fixture(scope="session")
+def zernike_60():
+    """zernike_60(n, k, z, kappa, normalized=True): zernike_kappa_hat (or,
+    not normalized, zernike_kappa) at one point, from the binomial sum
+
+        R_{n,k}(rho) = sum_l (-1)^(k+l) C(n-l, l) C(n-2l, k-l) rho^(n-2l)
+
+    in 60-digit mpmath arithmetic, where its cancellation is harmless.  It
+    shares no step with the library's recurrence.  Skips without mpmath."""
+    return _zernike_60

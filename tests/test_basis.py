@@ -94,13 +94,22 @@ class TestZernike:
     def test_index_validation(self):
         for k in (-1, 3):
             with pytest.raises(ValueError, match=rf"0 <= k <= n, got \(n,k\)=\(2,{k}\)"):
-                basis.zernike_radial_coeffs(2, k)
+                basis.zernike_radial(2, k, 0.5)
         with pytest.raises(ValueError):
             basis.zernike(2, 3, 0.1)
         with pytest.raises(ValueError):
             basis.zernike(2, -1, 0.1)
         with pytest.raises(ValueError):
             basis.zernike(2, 1, 1.5)
+
+    def test_radial_against_60_digit_sum(self, zernike_60):
+        # the binomial sum cancels in double precision: a power-basis
+        # polyval of it is 4.9e-3 off here at n = 40 and 1.9e5 at n = 60
+        rho = np.concatenate([np.linspace(0.0, 1.0, 21), [0.99, 0.999]])
+        for n in (10, 20, 30, 40, 60):
+            for k in range(n + 1):
+                want = [zernike_60(n, k, r, 0.0, normalized=False).real for r in rho]
+                assert np.max(np.abs(basis.zernike_radial(n, k, rho) - want)) <= 5e-14, (n, k)
 
     def test_boundary_recursion(self, hold):
         hold(selftest.boundary_recursion, 0.0)
@@ -156,6 +165,17 @@ class TestZernikeKappa:
     def test_orthogonality_weighted(self, kappa, hold):
         hold(selftest.zernike_orthogonality, kappa)
 
+    @pytest.mark.parametrize("kappa", [-0.9, 0.4, 0.9])
+    def test_normalized_against_60_digit_sum(self, kappa, zernike_60):
+        cp = CurvatureParam(kappa)
+        z = np.concatenate([_disk_points(8, 40),
+                            [0.0, 0.5j, 0.99 * np.exp(0.3j), 0.999 * np.exp(-2.0j), np.exp(1.1j)]])
+        for n in (0, 1, 2, 5, 10, 20, 30, 40):
+            for k in range(n + 1):
+                want = np.array([zernike_60(n, k, zz, kappa) for zz in z])
+                err = np.max(np.abs(basis.zernike_kappa_hat(n, k, z, cp) - want))
+                assert err <= 1e-12 * np.max(np.abs(want)), (n, k)
+
     def test_normalized_norm(self):
         cp = CurvatureParam(0.6)
         grid = disk_grid(cp, 128, 32, measure="weighted")
@@ -190,6 +210,9 @@ class TestZernikeKappaSeries:
     @pytest.mark.parametrize("nmax", [0, 6, 16])
     @pytest.mark.parametrize("kappa", [-0.999, -0.9, 0.0, 0.4, 0.9, 0.999])
     def test_matches_per_mode_sum(self, nmax, kappa):
+        # a consistency check, not an independent one: both routes run the
+        # one radial recurrence; the 40-digit test below and the quadrature
+        # oracle of TestZernike are the independent references
         cp = CurvatureParam(kappa)
         tab = _random_table(nmax, 20 + nmax)
         z = np.concatenate([_disk_points(400, 21), np.exp(1j * np.linspace(0, 6, 7)), [0.0]])

@@ -706,6 +706,15 @@ class TestBasisCommand:
         want = math.sqrt(1 / 3) * basis.zernike(2, 1, 0.0)
         assert float(first["Re"]) == pytest.approx(float(want.real), abs=1e-14)
 
+    def test_high_degree_table_against_60_digit_sum(self, tmp_path, zernike_60):
+        # every 13th row, which samples every n, k and rho; a power-basis
+        # polyval of the binomial sum errs by up to 1.5e-3 on these rows
+        assert run_cli("--kappa", 0.4, "--nmax", 40, "--out", tmp_path, "basis") == 0
+        rows = read_rows(tmp_path / "zernike_radial.csv", csv.reader)[1:]
+        for n, k, rho, re, im in rows[::13]:
+            want = zernike_60(int(n), int(k), float(rho), 0.4, normalized=False)
+            assert abs(complex(float(re), float(im)) - want) <= 1e-13, (n, k, rho)
+
     def test_sidecar_hash(self, tmp_path):
         run_cli("--kappa", 0.1, "--out", tmp_path, "basis")
         meta = json.loads((tmp_path / "basis.meta.json").read_text())

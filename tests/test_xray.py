@@ -269,6 +269,37 @@ class TestSinogram:
             xray.sinogram(dg, xray.boundary_grid(cp, 8, 12))
 
 
+class TestConstantCallables:
+    """A callable may return a scalar: every entry point that samples one
+    broadcasts it to the points, as if it had returned np.ones_like."""
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    def test_scalar_equals_array_bit_for_bit(self, kappa):
+        cp = CurvatureParam(kappa)
+        tpl = xray.boundary_grid(cp, 8, 12)
+        z = np.array([0.0, 0.3j, -0.5 + 0.2j])
+        cases = [
+            (lambda f: xray.forward(f, 0.1, 0.2, cp), lambda z: 1.0, np.ones_like),
+            (lambda f: xray.forward(f, tpl.beta[:, None], tpl.alpha, cp), lambda z: 1.0, np.ones_like),
+            (lambda f: xray.sinogram(f, tpl).values, lambda z: 1.0, np.ones_like),
+            (lambda f: xray.adjoint_sharp(f, z, cp), lambda b, a: 1.0, lambda b, a: np.ones_like(b)),
+            (lambda f: boundary.project_to_range(f, tpl).projected.values,
+             lambda b, a: 1.0, lambda b, a: np.ones_like(b)),
+            (lambda f: boundary.p_minus(f, tpl).values, lambda b, a: 1.0, lambda b, a: np.ones_like(b)),
+            (lambda f: boundary.c_minus(f, tpl).values, lambda b, a: 1.0, lambda b, a: np.ones_like(b)),
+        ]
+        for apply, scalar, array in cases:
+            assert np.array_equal(apply(scalar), apply(array))
+
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.4, 0.9])
+    def test_unit_sinogram_is_exit_time(self, kappa):
+        # the CLI's unit route writes exit_time(alpha) at every beta
+        cp = CurvatureParam(kappa)
+        tpl = xray.boundary_grid(cp, 8, 12)
+        got = xray.sinogram(lambda z: 1.0, tpl).values
+        assert np.max(np.abs(got - exit_time(tpl.alpha, cp)[None, :])) <= 1e-14
+
+
 class TestAdjoint:
     def test_constant_gives_fiber_length(self):
         cp = CurvatureParam(0.5)
