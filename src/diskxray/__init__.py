@@ -5,7 +5,7 @@ Library layout:
 - ``geometry``: metric, isometries, geodesics, scattering relation and
   the scattering signature, footpoint map; boundary points are
   (beta, alpha) angle arrays.
-- ``basis``: Zernike-type disk families, boundary families, norms.
+- ``basis``: Zernike-type disk families and boundary families.
 - ``xray``: forward transform, adjoint, grids, inner products, analysis /
   synthesis, exact singular values and truncated-SVD inversion.
 - ``boundary``: the boundary operators P- and C- (extension across the
@@ -17,8 +17,6 @@ Library layout:
 
 from .basis import (
     CoeffTable,
-    cheb_w,
-    norms,
     psi_kappa,
     psi_kappa_hat,
     psi_over_mu,
@@ -70,7 +68,6 @@ __all__ = [
     "analyze",
     "boundary_grid",
     "c_minus",
-    "cheb_w",
     "conformal_factor",
     "disk_grid",
     "exit_time",
@@ -81,7 +78,6 @@ __all__ = [
     "invert",
     "isometry_from_tangent",
     "moment_residuals",
-    "norms",
     "p_minus",
     "project_to_range",
     "psi_kappa",

@@ -95,7 +95,7 @@ class CoeffTable:
 
 def _cheb_u(n: int, t) -> np.ndarray:
     """Chebyshev polynomial of the second kind U_n(t), by the real
-    recurrence U_{n+1} = 2t U_n - U_{n-1}."""
+    recurrence U_{n+1} = 2t U_n - U_{n-1}; the paper's W_n is i^n U_n."""
     t = np.asarray(t, dtype=float)
     u_prev, u = np.ones(t.shape), 2.0 * t
     if n == 0:
@@ -103,20 +103,6 @@ def _cheb_u(n: int, t) -> np.ndarray:
     for _ in range(n - 1):
         u_prev, u = u, 2.0 * t * u - u_prev
     return u
-
-
-def cheb_w(n: int, t):
-    """W_n(t): degree-n polynomial with W_0 = 1, W_1 = 2it and
-    W_{n+1} = 2it W_n + W_{n-1}; equals i^n times the Chebyshev
-    polynomial of the second kind U_n(t).  Computed that way: the real
-    recurrence, then one exact product with i^n.  The values equal the
-    complex recurrence's; only the sign of the zero part may differ.
-
-    Kept, though only tests call it: it is the paper's W_n, the
-    polynomial that Z_{n,k} and psi_{n,k} are built from."""
-    if n < 0:
-        raise ValueError("cheb_w requires n >= 0")
-    return (1 + 0j, 1j, -1 + 0j, -1j)[n % 4] * _cheb_u(n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +294,10 @@ def psi_kappa(n: int, k: int, beta, alpha, cp: CurvatureParam):
 
     ((-1)^n / 4 pi) sqrt(sig'(alpha)) e^{i(n-2k)(beta + sig(alpha))}
     (e^{i(n+1) sig(alpha)} + (-1)^n e^{-i(n+1) sig(alpha)}); equals
-    ((-1)^n / 4 pi) u'_{n-2k, n-k}.
+    ((-1)^n / 4 pi) u'_{n-2k, n-k}.  n and k are integers (numpy
+    integers count; 2.5 is rejected, not evaluated).
     """
+    n, k = operator.index(n), operator.index(k)
     if n < 0:
         raise ValueError("psi_kappa requires n >= 0")
     beta = np.asarray(beta, dtype=float)
@@ -328,8 +316,10 @@ def psi_over_mu(n: int, k: int, beta, alpha, cp: CurvatureParam):
 
     Uses sqrt(sig')/cos(alpha) = sqrt((1+kappa)/(1-kappa)) sqrt(sig')/cos(sig)
     and g_n(s)/(2 cos s) = W_n(sin s) to avoid the tangential 0/0; the
-    result is smooth across alpha = +-pi/2.
+    result is smooth across alpha = +-pi/2.  n and k are integers, as in
+    `psi_kappa`.
     """
+    n, k = operator.index(n), operator.index(k)
     if n < 0:
         raise ValueError("psi_over_mu requires n >= 0")
     beta = np.asarray(beta, dtype=float)
@@ -340,18 +330,3 @@ def psi_over_mu(n: int, k: int, beta, alpha, cp: CurvatureParam):
     amp *= _cheb_u(n, np.sin(s))
     return ((1, -1j, -1, 1j)[n % 4] * amp) * np.exp(1j * (n - 2 * k) * (beta + s))
 
-
-def norms(n: int, k: int, cp: CurvatureParam) -> tuple[float, float]:
-    """Squared norms of (psi^kappa_{n,k}, Z^kappa_{n,k}) in their spaces.
-
-    psi in L^2 of the inward boundary with the bundle surface measure:
-    1 / (4 (1+kappa)); Z^kappa in the weighted disk space:
-    pi / ((1-kappa^2) (n+1)).  Both are independent of k.
-
-    Kept, though only tests call it: it states the paper's closed-form
-    norms in one place (the selftest's Gram checks write them inline)."""
-    if n < 0:
-        raise ValueError("norms requires n >= 0")
-    psi_norm_sq = 1.0 / (4.0 * (1.0 + cp.kappa))
-    zk_norm_sq = math.pi / ((1.0 - cp.kappa**2) * (n + 1))
-    return psi_norm_sq, zk_norm_sq

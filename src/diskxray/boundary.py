@@ -33,25 +33,25 @@ transform on the odd alpha modes is the same multiplier on the odd
 s-modes.  The circle's first half is inward, and node n_fiber - 1 - k is
 the flip pi - t_k of node k, so the scattering relation maps nodes to
 nodes and shifts beta by pi + 2 sig(alpha), applied exactly as a phase
-on the beta spectrum and formed once per call (`sa_pullback` and
-`project_to_range` form their shift the same way).  Every step commutes
-with shifts in beta, so each operator runs on one beta spectrum: the
-input read at the inward nodes (a grid through its fiber plan's
-spectrum and barycentric rows, a callable sampled on the n_beta beta
-nodes and transformed by one FFT over beta), the outward half filled by
-the flip, the odd-mode Hilbert multiplier, id - S^* as the same flip,
-and the s-Fourier series at the template's nodes, brought back to grid
-values by the template plan's `from_spectrum`.  `sa_pullback` is the
-same flip on the grid's own spectrum, and `project_to_range` takes its
-even part from it there.  The P-/C- rules hold for |p|, |q| <= 5 to
-5.3e-14 at every |kappa| <= 0.9 on 128 x 128; on a torus uniform in
-alpha, where u' is not band-limited, they erred by 3.9e-2 at
-kappa = 0.9 on 128 x 1024.
+on the beta spectrum and formed once per call (`project_to_range` forms
+its shift the same way).  Every step commutes with shifts in beta, so
+each operator runs on one beta spectrum: the input read at the inward
+nodes (a grid through its fiber plan's spectrum and barycentric rows, a
+callable sampled on the n_beta beta nodes and transformed by one FFT
+over beta), the outward half filled by the flip, the odd-mode Hilbert
+multiplier, id - S^* as the same flip, and the s-Fourier series at the
+template's nodes, brought back to grid values by the template plan's
+`from_spectrum`.  `project_to_range` applies the same flip to the grid's
+own spectrum and takes its even part there.  The P-/C- rules hold for
+|p|, |q| <= 5 to 5.3e-14 at every |kappa| <= 0.9 on 128 x 128; on a
+torus uniform in alpha, where u' is not band-limited, they erred by
+3.9e-2 at kappa = 0.9 on 128 x 1024.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,12 +162,13 @@ def _extension_spectrum(u, sign: float, template: BoundaryGrid, n_beta: int, n_f
 # ---------------------------------------------------------------------------
 
 def _torus_shape(n_beta, n_fiber):
-    """Torus size (n_beta, n_fiber), 256 x 1024 where None.  The
-    scattering relation pairs the inward and outward halves of the fiber
-    circle only for an even fiber size, so an odd one is rejected rather
-    than mis-projected."""
-    nb = 256 if n_beta is None else n_beta
-    nf = 1024 if n_fiber is None else n_fiber
+    """Torus size (n_beta, n_fiber), 256 x 1024 where None; a size is an
+    integer (numpy integers count, 64.0 is rejected).  The scattering
+    relation pairs the inward and outward halves of the fiber circle only
+    for an even fiber size, so an odd one is rejected rather than
+    mis-projected."""
+    nb = 256 if n_beta is None else operator.index(n_beta)
+    nf = 1024 if n_fiber is None else operator.index(n_fiber)
     if nb < 2 or nf < 2 or nf % 2:
         raise ValueError(f"torus size needs n_beta >= 2 and an even n_fiber >= 2, got {nb} x {nf}")
     return nb, nf
@@ -194,7 +195,12 @@ def c_minus(u, template: BoundaryGrid, n_beta: int | None = None,
     rows in s.  Once n_fiber > 2 / (1 + x_0), x_0 the grid's first
     Gauss-Legendre node, the circle's outermost nodes lie past the grid's
     outermost s node and the rows extrapolate there: from 1628 fiber
-    nodes on 48 alpha nodes, from 2878 on 64.
+    nodes on 48 alpha nodes, from 2878 on 64.  Grid input stops
+    improving before that, at about 1024 fiber nodes: for a band-limited
+    psi_hat mix on a 64 x 48 grid at kappa = 0.4 (256 beta nodes), C- of
+    the grid differs from C- of the callable it samples by 1.0e-10
+    relative at 512 fiber nodes, 4.5e-12 at 1024 and 1.4e-11 at 2048,
+    worst at the template's edge alpha columns.
     """
     return _minus(u, -1.0, 0.5, template, n_beta, n_fiber)
 
@@ -209,29 +215,9 @@ def p_minus_rule(p: int, q: int) -> complex:
     return -1j * (np.sign(2 * q + 1) - np.sign(2 * p - 2 * q - 1))
 
 
-def projection_rule(p: int, q: int) -> float:
-    """Multiplier of id + C-^2 on u'_{p,q}: 1 on the range, 0 on the co-kernel.
-
-    Kept, though only tests call it: it is the paper's range projector, mode by mode."""
-    return float((1.0 + c_minus_rule(p, q) ** 2).real)
-
-
 # ---------------------------------------------------------------------------
 # antipodal pullback and range projection
 # ---------------------------------------------------------------------------
-
-def sa_pullback(u: BoundaryGrid) -> BoundaryGrid:
-    """Pullback under the antipodal scattering relation, exact on the grid.
-
-    alpha -> -alpha reverses the grid's mirror-antisymmetric alpha nodes
-    and the beta shift pi + 2 sig(alpha) is applied on the fiber plan's
-    spectrum; sqrt(sig') is even in alpha, so the flip commutes with it.
-    `project_to_range` applies the same flip to the spectrum it projects.
-    """
-    plan = _fiber_plan(u)
-    spec = _pullback_spectrum(plan.spectrum(u.values), _scattering_phase(plan.freqs, plan.s))
-    return u.with_values(plan.from_spectrum(spec))
-
 
 @dataclass
 class ProjectionResult:
@@ -263,11 +249,13 @@ def project_to_range(u, template: BoundaryGrid | None = None) -> ProjectionResul
     at every kappa in (-1, 1).  It equals id + C-^2, whose torus
     composition (the C- step applied twice to one extension spectrum) is
     its slow oracle.  A grid u is its own template; a template of other
-    nodes or another kappa is rejected.
+    nodes or another kappa is rejected, and so is a u that is neither a
+    callable nor a BoundaryGrid.
     """
-    if not isinstance(u, BoundaryGrid):
+    if callable(u):
         if template is None:
             raise ValueError("a template BoundaryGrid is required for callable input")
+        _fiber_plan(template)  # rejects a template of another kind before it is sampled
         u = template.with_values(np.broadcast_to(u(*template.mesh()), template.shape))
     elif template is not None:
         _check_same(u, template)
@@ -318,11 +306,14 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int) -> MomentReport:
     `_MOMENT_THRESHOLD`.
     The beta frequencies n - 2k reach nmax + 2 kpad in size, which must
     stay below n_beta/2, or a moment would be read from an aliased bin.
+    nmax and kpad are integers; u must be a BoundaryGrid.
     """
+    nmax, kpad = operator.index(nmax), operator.index(kpad)
     if nmax < 0:
         raise ValueError("moment_residuals requires nmax >= 0")
     if kpad < 1:
         raise ValueError("kpad must be >= 1")
+    plan = _fiber_plan(u)
     if not _resolves_moments(nmax, kpad, u.shape[0]):
         raise ValueError(
             f"moments up to nmax={nmax}, kpad={kpad} not resolvable on {u.shape[0]} beta nodes"
@@ -330,7 +321,7 @@ def moment_residuals(u: BoundaryGrid, nmax: int, kpad: int) -> MomentReport:
     modes = [(n, k) for n in range(nmax + 1)
              for k in (*range(-kpad, 0), *range(n + 1, n + kpad + 1))]
     n, k = np.array(modes).T
-    moments = np.abs(_fiber_plan(u).inner(u.values, n, k))  # against psi_hat, of unit norm
+    moments = np.abs(plan.inner(u.values, n, k))  # against psi_hat, of unit norm
     psi_moments = moments / (2.0 * math.sqrt(1.0 + u.kappa))  # psi = psi_hat / (2 sqrt(1 + kappa))
     rows = [(n, k, val) for (n, k), val in zip(modes, psi_moments.tolist())]
     u_norm = u.norm()

@@ -3,10 +3,11 @@ tables (`write_table_csv`).
 
 CSV columns: sinograms use ``beta,alpha,re,im``; disk grids use
 ``rho,omega,re,im``; both iterate row-major (first coordinate outer).
-A grid file read onto a template must carry the template's nodes, in
-order, to within 1e-12 absolute.  Grid files are written a fixed block
-of rows at a time, so the writer never holds the whole file as text,
-and read from the open file.  Coefficient tables are JSON documents
+Disk grids are written, not read.  A sinogram file read onto a template
+must carry the template's nodes, in order, to within 1e-12 absolute.
+Grid files are written a fixed block of rows at a time, so the writer
+never holds the whole file as text; sinograms are read from the open
+file.  Coefficient tables are JSON documents
 ``{"kappa": ..., "nmax": ..., "entries": [{"n":..,"k":..,"re":..,"im":..},
 ...]}`` with integer ``nmax``, ``n``, ``k`` and numeric ``kappa``, ``re``,
 ``im``.  All floats are written with 17 significant digits so values
@@ -18,8 +19,8 @@ The grid writers' bytes: each field is exactly ``b"%.17g" % value``
 and rows end in CRLF, as `csv.writer` over `fmt` writes them.  A numpy
 kernel (`_g17`) formats the fields; NaN, inf, decimal exponents beyond
 +-280 and values within 1e-6 of a rounding tie in the 17th digit are
-formatted by Python's ``%``.  The grid readers parse a file once,
-its node columns as text, and convert each distinct node text to a
+formatted by Python's ``%``.  The sinogram reader parses a file once,
+its node columns as text, and converts each distinct node text to a
 float once; a file that this parse cannot take (quotes, a NUL, a wrong
 field count) is read field by field.  Both ways accept the same files.
 """
@@ -241,31 +242,12 @@ def read_sinogram_csv(path, template: BoundaryGrid) -> BoundaryGrid:
 
     The node coordinates in the file must match the template's nodes
     (same order, 1e-12 absolute); a mismatch is an error, not a resample.
-    """
-    return _read_grid_csv(path, template, ["beta", "alpha", "re", "im"], template.beta,
-                          template.alpha, ("sinogram", "sinogram"))
-
-
-def write_diskgrid_csv(path, grid: DiskGrid) -> None:
-    _write_grid_csv(path, ["rho", "omega", "re", "im"], grid.rho, grid.omega, grid.values)
-
-
-def read_diskgrid_csv(path, template: DiskGrid) -> DiskGrid:
-    return _read_grid_csv(path, template, ["rho", "omega", "re", "im"], template.rho,
-                          template.omega, ("disk grid", "disk"))
-
-
-def _read_grid_csv(path, template, header, outer, inner, what):
-    """Values of a grid file on the template's nodes `outer` x `inner`.
-
-    The file's coordinates must be those nodes, row-major, to 1e-12
-    absolute.  `what` names the grid in the row-count and node messages.
     The file is opened as text once and its header checked once; the
     body is parsed by `_read_node_text`, and only a body that parse
     cannot take goes to `_read_columns`, which reads it by the same rules
     or names its first bad line.
     """
-    shape = template.shape
+    header, shape = ["beta", "alpha", "re", "im"], template.shape
     # the one-pass parse's text fields drop trailing NULs, which float() rejects
     with open(path, "rb") as raw:
         nul = any(b"\0" in chunk for chunk in iter(functools.partial(raw.read, 1 << 16), b""))
@@ -276,15 +258,19 @@ def _read_grid_csv(path, template, header, outer, inner, what):
             if body is not None:
                 fh.seek(body)
             cols = _read_columns(fh, path, len(header))
-    c_outer, c_inner, re, im = cols
+    beta, alpha, re, im = cols
     if len(re) != shape[0] * shape[1]:
-        raise ValueError(f"{what[0]} has {len(re)} rows, template expects {shape[0] * shape[1]}")
+        raise ValueError(f"sinogram has {len(re)} rows, template expects {shape[0] * shape[1]}")
     if not (
-        np.allclose(np.asarray(c_outer).reshape(shape), outer[:, None], atol=1e-12, rtol=0)
-        and np.allclose(np.asarray(c_inner).reshape(shape), inner[None, :], atol=1e-12, rtol=0)
+        np.allclose(np.asarray(beta).reshape(shape), template.beta[:, None], atol=1e-12, rtol=0)
+        and np.allclose(np.asarray(alpha).reshape(shape), template.alpha[None, :], atol=1e-12, rtol=0)
     ):
-        raise ValueError(f"{what[1]} nodes do not match the configured grid")
+        raise ValueError("sinogram nodes do not match the configured grid")
     return template.with_values(_complex(re, im).reshape(shape))
+
+
+def write_diskgrid_csv(path, grid: DiskGrid) -> None:
+    _write_grid_csv(path, ["rho", "omega", "re", "im"], grid.rho, grid.omega, grid.values)
 
 
 # grid node fields are read as text this wide, past %.17g and %.18e text;
@@ -345,7 +331,9 @@ def _read_columns(fh, path, n_fields):
     """`n_fields` float columns of the open CSV file `path` from its
     second line on, where `fh` stands, parsed field by field with
     `float()`; blank lines are skipped and the first bad line is named
-    as path:lineno."""
+    as path:lineno.  The CLI reads through it every sinogram whose node
+    fields the one-pass parse refuses: quoted, or too wide for
+    `_NODE_WIDTH`."""
     cols = [[] for _ in range(n_fields)]
     for lineno, row in enumerate(csv.reader(fh), start=2):
         if not row:

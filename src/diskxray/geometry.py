@@ -241,13 +241,6 @@ def scattering_angles(beta, alpha, cp: CurvatureParam):
     return wrap_two_pi(beta + np.pi + 2.0 * sig(a, cp)), wrap_pi(np.pi - a)
 
 
-def antipodal_scattering_angles(beta, alpha, cp: CurvatureParam):
-    """Scattering relation composed with the fiberwise antipodal map.
-
-    Kept, though only tests call it: it is the paper's S_A (`sa_pullback` applies it on grids)."""
-    return scattering_angles(beta, alpha, cp)[0], wrap_pi(-np.asarray(alpha, dtype=float))
-
-
 def fiber_change(rho, theta, cp: CurvatureParam):
     """Fiber angle substitution theta -> theta' and its jacobian.
 

@@ -148,7 +148,9 @@ class BoundaryGrid(_Grid):
         substituted fiber variable s = sig(alpha) after dividing out the
         sqrt(sig') weight.  Returns a callable (beta, alpha).
 
-        Kept as the grid adjoint's per-target oracle; benchmarks/tracing.py patches it.
+        Only tests call it, as the grid adjoint's per-target oracle.  It
+        stays here because benchmarks/tracing.py patches it by name, so a
+        moved patch target would fail the traced benchmark runs.
 
         The substitution matters for accuracy: sinograms and the
         u'/v'-type families are trigonometric polynomials in s once the
@@ -641,8 +643,9 @@ def _adjoint_plan(g: BoundaryGrid, z: np.ndarray, n_theta: int) -> _AdjointPlan:
 # ---------------------------------------------------------------------------
 
 def singular_value(n: int, cp: CurvatureParam) -> float:
-    """sigma_n = 2 sqrt(pi) / (sqrt(1-kappa) sqrt(n+1)); independent of k."""
-    if n < 0:
+    """sigma_n = 2 sqrt(pi) / (sqrt(1-kappa) sqrt(n+1)); independent of k.
+    n is an integer (numpy integers count; 2.5 is rejected)."""
+    if operator.index(n) < 0:
         raise ValueError("singular_value requires n >= 0")
     return 2.0 * math.sqrt(math.pi) / (math.sqrt(1.0 - cp.kappa) * math.sqrt(n + 1))
 
@@ -815,7 +818,11 @@ def _cached_plan(kappa: float, n_beta: int, n_alpha: int) -> _FiberPlan:
 
 def _fiber_plan(g: BoundaryGrid) -> _FiberPlan:
     """The fiber plan of g's geometry, built once per (kappa, n_beta,
-    n_alpha) and shared by every grid path; `plan.cp` is g's curvature."""
+    n_alpha) and shared by every grid path; `plan.cp` is g's curvature.
+    Every boundary-grid path enters here, so anything but a BoundaryGrid
+    is rejected here, before its shape could pass for a sinogram's."""
+    if not isinstance(g, BoundaryGrid):
+        raise TypeError(f"expected a BoundaryGrid, got a {type(g).__name__}")
     return _cached_plan(g.kappa, *g.shape)
 
 
@@ -827,15 +834,17 @@ def analyze(g: BoundaryGrid, nmax: int) -> basis.CoeffTable:
     the beta frequencies n - 2k in [-nmax, nmax] need nmax < n_beta/2, or
     a mode would be read from an aliased FFT bin, and the modes must be
     orthonormal on the alpha nodes to within GRAM_TOL, or each
-    coefficient would carry cross-talk from its neighbours.
+    coefficient would carry cross-talk from its neighbours.  nmax is an
+    integer (numpy integers count; 2.5 is rejected, not truncated).
     """
+    nmax = operator.index(nmax)
     if nmax < 0:
         raise ValueError("analyze requires nmax >= 0")
+    plan = _fiber_plan(g)
     if 2 * nmax >= g.shape[0]:
         raise ValueError(
             f"band limit nmax={nmax} not resolvable on {g.shape[0]} beta nodes"
         )
-    plan = _fiber_plan(g)
     dev = plan.gram_deviation(nmax)
     if not dev <= GRAM_TOL:
         raise ValueError(
@@ -903,10 +912,14 @@ def invert(
     """Invert a sinogram by dividing out the singular values.
 
     Hard truncation at nmax by default; with sigma_cutoff, modes whose
-    singular value falls below the cutoff are discarded as well.  An
+    singular value falls below the cutoff are discarded as well (a NaN
+    cutoff, which no singular value falls below, is rejected).  An
     empty accepted set is an error.  The disk template (by default
     `disk_grid` at g's kappa) must share g's kappa.
     """
+    nmax = operator.index(nmax)
+    if sigma_cutoff is not None and math.isnan(sigma_cutoff):
+        raise ValueError("sigma_cutoff must be a number, not NaN")
     plan = _fiber_plan(g)
     template = disk_template if disk_template is not None else disk_grid(plan.cp)
     _check_kappa(g, template)

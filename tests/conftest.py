@@ -1,6 +1,9 @@
 """Shared fixtures: `hold`, the one way a test asserts a selftest registry
-entry, `alpha_torus_minus`, the slow oracle of the P-/C- chain, and
-`zernike_60`, the extended-precision oracle of the deformed Zernike modes."""
+entry, `alpha_torus_minus`, the slow oracle of the P-/C- chain,
+`zernike_60`, the extended-precision oracle of the deformed Zernike modes,
+and the antipodal scattering map S_A, on angles
+(`antipodal_scattering_angles`) and as a pullback on grids
+(`sa_pullback`)."""
 
 import functools
 import math
@@ -8,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from diskxray import selftest, xray
-from diskxray.geometry import CurvatureParam, sig, wrap_pi
+from diskxray import boundary, selftest, xray
+from diskxray.geometry import CurvatureParam, scattering_angles, sig, wrap_pi
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,3 +109,33 @@ def zernike_60():
     in 60-digit mpmath arithmetic, where its cancellation is harmless.  It
     shares no step with the library's recurrence.  Skips without mpmath."""
     return _zernike_60
+
+
+def _antipodal_scattering_angles(beta, alpha, cp):
+    return scattering_angles(beta, alpha, cp)[0], wrap_pi(-np.asarray(alpha, dtype=float))
+
+
+@pytest.fixture(scope="session")
+def antipodal_scattering_angles():
+    """antipodal_scattering_angles(beta, alpha, cp): the paper's S_A, the
+    scattering relation composed with the fiberwise antipodal map
+    alpha -> -alpha, as (beta', alpha') with alpha' in [-pi, pi)."""
+    return _antipodal_scattering_angles
+
+
+def _sa_pullback(u):
+    plan = xray._fiber_plan(u)
+    spec = boundary._pullback_spectrum(plan.spectrum(u.values),
+                                       boundary._scattering_phase(plan.freqs, plan.s))
+    return u.with_values(plan.from_spectrum(spec))
+
+
+@pytest.fixture(scope="session")
+def sa_pullback():
+    """sa_pullback(u): the pullback of a BoundaryGrid under S_A, exact on
+    the grid.  alpha -> -alpha reverses the grid's mirror-antisymmetric
+    alpha nodes and the beta shift pi + 2 sig(alpha) is a phase on the
+    fiber plan's spectrum; sqrt(sig') is even in alpha, so the flip
+    commutes with it.  Built from the private steps `project_to_range`
+    takes its even part with, so its tests hold that flip."""
+    return _sa_pullback

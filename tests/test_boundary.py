@@ -79,9 +79,9 @@ def smooth_field(cp, sign, seed):
     return fn
 
 
-def antipodal_parts(u):
+def antipodal_parts(u, sa_pullback):
     """The (even, odd) halves of a grid under the S_A pullback."""
-    pulled = boundary.sa_pullback(u).values
+    pulled = sa_pullback(u).values
     return u.with_values(0.5 * (u.values + pulled)), u.with_values(0.5 * (u.values - pulled))
 
 
@@ -307,11 +307,11 @@ class TestOperatorRules:
         cpw = boundary.c_minus(pw, tpl, **TORUS)
         assert cpw.norm() / pw.norm() < 1e-7
 
-    def test_p_minus_output_antipodally_even(self):
+    def test_p_minus_output_antipodally_even(self, sa_pullback):
         fn_v, _ = random_table_fn(basis.v_prime, [(0, 1), (2, -2), (-3, 3)], seed=7)
         tpl = template()
         pw = boundary.p_minus(fn_v, tpl, **TORUS)
-        pulled = boundary.sa_pullback(pw)
+        pulled = sa_pullback(pw)
         assert tpl.with_values(pw.values - pulled.values).norm() / pw.norm() < 1e-8
 
     def test_c_minus_of_a_cokernel_mode_near_the_cliff(self):
@@ -361,11 +361,11 @@ class TestOperatorRules:
         with pytest.raises(ValueError, match=r"grid kappa=(0\.4|-0\.5) does not match BoundaryGrid kappa=(-0\.5|0\.4)"):
             call(u, other)
 
-    def test_sa_pullback_reads_the_grid_kappa(self):
+    def test_sa_pullback_reads_the_grid_kappa(self, sa_pullback):
         # u'(1, 2) is antipodally even: the pullback returns it, labelled
         # with its own kappa; read at kappa -0.5 it was off by order 1
         u = self.u_prime_grid(0.4)
-        pulled = boundary.sa_pullback(u)
+        pulled = sa_pullback(u)
         assert pulled.kappa == 0.4
         assert np.max(np.abs(pulled.values - u.values)) < 1e-12 * np.max(np.abs(u.values))
 
@@ -401,9 +401,10 @@ class TestAlphaTorusOracle:
 
 class TestProjection:
     def test_projection_rule_values(self):
-        assert boundary.projection_rule(4, 3) == 0.0  # co-kernel
-        assert boundary.projection_rule(-7, -2) == 0.0
-        assert boundary.projection_rule(0, 1) == 1.0  # range
+        # id + C-^2 on u'_{p,q}: 1 on the range, 0 on the co-kernel
+        assert 1 + boundary.c_minus_rule(4, 3) ** 2 == 0.0  # co-kernel
+        assert 1 + boundary.c_minus_rule(-7, -2) ** 2 == 0.0
+        assert 1 + boundary.c_minus_rule(0, 1) ** 2 == 1.0  # range
 
     def test_sinogram_fixed(self):
         rng = np.random.default_rng(8)
@@ -538,11 +539,9 @@ class TestProjection:
 
 
 class TestPullbackAlgebra:
-    def test_phase_family_pullbacks(self):
+    def test_phase_family_pullbacks(self, antipodal_scattering_angles):
         # the scattering and antipodal pullbacks permute the phase family:
         # S_A^* e_{p,l} = (-1)^p e_{p,2p-l},  S^* e_{p,l} = (-1)^{p+l} e_{p,2p-l}
-        from diskxray.geometry import antipodal_scattering_angles, scattering_angles
-
         rng = np.random.default_rng(20)
         beta = rng.uniform(0, 2 * np.pi, 40)
         alpha = rng.uniform(-np.pi, np.pi, 40)
@@ -556,7 +555,7 @@ class TestPullbackAlgebra:
                 got_s = basis.e_pl(p, l, bs, as_, CP)
                 assert np.max(np.abs(got_s - (-1) ** (p + l) * target)) < 1e-12
 
-    def test_four_symmetry_classes(self):
+    def test_four_symmetry_classes(self, sa_pullback):
         # representatives of the four extension/antipodal parity classes
         def member(sigma1, sigma2, p, q):
             if sigma1 == "+" and sigma2 == "+":  # even modes, + combination
@@ -579,7 +578,7 @@ class TestPullbackAlgebra:
         for sigma1, sigma2, p, q in [("+", "+", 3, 1), ("-", "-", 3, 1),
                                      ("+", "-", 4, 1), ("-", "+", 4, 1)]:
             grid = tpl.with_values(member(sigma1, sigma2, p, q)(bb, aa))
-            even, odd = antipodal_parts(grid)
+            even, odd = antipodal_parts(grid, sa_pullback)
             # sigma2 is the antipodal parity: the other part vanishes
             vanishing = odd.norm() if sigma2 == "+" else even.norm()
             assert vanishing / grid.norm() < 1e-12, (sigma1, sigma2, vanishing)
@@ -597,29 +596,29 @@ class TestSymmetrize:
     """The S_A split: the even half from `sa_pullback`, the odd norm that
     `project_to_range` removes and reports."""
 
-    def test_splits_parities(self):
+    def test_splits_parities(self, sa_pullback):
         tpl = template()
         bb, aa = tpl.mesh()
         mix = tpl.with_values(
             basis.u_prime(2, 3, bb, aa, CP) + basis.v_prime(1, -1, bb, aa, CP)
         )
-        even, _ = antipodal_parts(mix)
+        even, _ = antipodal_parts(mix, sa_pullback)
         want_even = tpl.with_values(basis.u_prime(2, 3, bb, aa, CP))
         assert tpl.with_values(even.values - want_even.values).norm() < 1e-10
         want_odd = tpl.with_values(basis.v_prime(1, -1, bb, aa, CP)).norm()
         assert boundary.project_to_range(mix).removed_odd_norm == pytest.approx(want_odd, rel=1e-10)
 
-    def test_u_prime_even_v_prime_odd(self):
+    def test_u_prime_even_v_prime_odd(self, sa_pullback):
         # u' is antipodally even and v' odd: the split keeps the one whole
         # and removes the other whole
         tpl = template()
         bb, aa = tpl.mesh()
         u = tpl.with_values(basis.u_prime(2, 3, bb, aa, CP))
-        even, _ = antipodal_parts(u)
+        even, _ = antipodal_parts(u, sa_pullback)
         assert boundary.project_to_range(u).removed_odd_norm / u.norm() < 1e-12
         assert tpl.with_values(even.values - u.values).norm() / u.norm() < 1e-12
         v = tpl.with_values(basis.v_prime(2, 0, bb, aa, CP))
-        even, _ = antipodal_parts(v)
+        even, _ = antipodal_parts(v, sa_pullback)
         assert even.norm() / v.norm() < 1e-12
         assert boundary.project_to_range(v).removed_odd_norm == pytest.approx(v.norm(), rel=1e-12)
 
@@ -763,7 +762,7 @@ class TestSpectralProjector:
         (0.4, (256, 1024), 1e-11),
         (0.9, (256, 1024), 1e-11),
     ], ids=["-0.9-256x1024", "-0.5-256x1024", "0.0-256x1024", "0.4-256x1024", "0.9-256x1024"])
-    def test_matches_torus_operator_chain(self, kappa, torus, tol):
+    def test_matches_torus_operator_chain(self, kappa, torus, tol, sa_pullback):
         # measured 1.2e-12 to 8.1e-12; the grid's own interpolation in s
         # sets that floor (1.0e-10 on a 128 x 128 torus, 2.4e-11 at 0.9 on
         # 512 x 2048)
@@ -771,7 +770,7 @@ class TestSpectralProjector:
         cp = CurvatureParam(kappa)
         u = self.band_limited(cp, xray.boundary_grid(cp, 64, 48), 3)
         got = boundary.project_to_range(u)
-        u_even, u_odd = antipodal_parts(u)
+        u_even, u_odd = antipodal_parts(u, sa_pullback)
         freqs, spec, phase = boundary._extension_spectrum(u_even, -1.0, u, nb, nf)
         cc = boundary._minus_spectrum(boundary._minus_spectrum(spec, phase, 0.5), phase, 0.5)
         want = u_even.values + boundary._eval_spectrum(freqs, cc, u)

@@ -9,7 +9,6 @@ from diskxray import selftest
 from diskxray.geometry import (
     CurvatureParam,
     MoebiusMap,
-    antipodal_scattering_angles,
     conformal_factor,
     exit_time,
     fiber_change,
@@ -218,7 +217,7 @@ class TestScattering:
         assert np.allclose(b2, np.mod(beta + np.pi + 2 * alpha, 2 * np.pi))
         assert np.allclose(np.mod(a2, 2 * np.pi), np.mod(np.pi - alpha, 2 * np.pi))
 
-    def test_antipodal_involution(self):
+    def test_antipodal_involution(self, antipodal_scattering_angles):
         cp = CurvatureParam(0.7)
         rng = np.random.default_rng(11)
         beta = rng.uniform(0, 2 * np.pi, 100)
@@ -227,7 +226,7 @@ class TestScattering:
         assert np.allclose(back_beta, beta, rtol=0, atol=1e-12)
         assert np.allclose(back_alpha, alpha, rtol=0, atol=1e-12)
 
-    def test_normal_entry(self):
+    def test_normal_entry(self, antipodal_scattering_angles):
         for kappa in (-0.5, 0.0, 0.6):
             cp = CurvatureParam(kappa)
             s_beta, s_alpha = scattering_angles(0.0, 0.0, cp)

@@ -30,14 +30,16 @@ def test_public_surface_pinned():
     # at strong curvature, names only tests called, the torus steps
     # behind c_minus/p_minus, the geodesic quadrature plan, the scalar
     # boundary-point wrappers, the two per-kind inner products (now
-    # the one `inner`) and the value-space S_A split `symmetrize` (now
-    # part of project_to_range's one spectrum pass) are gone from the
-    # package and their modules
+    # the one `inner`), the value-space S_A split `symmetrize` (now
+    # part of project_to_range's one spectrum pass), and the names that
+    # only tests reached (W_n, the closed-form norms, the projector's
+    # multiplier, S_A on angles and on grids, the disk-grid reader) are
+    # gone from the package and their modules
     import diskxray
-    from diskxray import basis, boundary, geometry, xray
+    from diskxray import basis, boundary, fileio, geometry, xray
 
     assert all(hasattr(diskxray, name) for name in diskxray.__all__)
-    assert len(set(diskxray.__all__)) == len(diskxray.__all__) == 36
+    assert len(set(diskxray.__all__)) == len(diskxray.__all__) == 34
     assert "inner" in diskxray.__all__
     torus = ("TorusGrid", "extend", "scattering_pullback", "hilbert", "restrict_star",
              "c_minus_torus", "p_minus_torus")
@@ -47,6 +49,9 @@ def test_public_surface_pinned():
                          ("scattering", geometry), ("footpoint", geometry),
                          ("_forward_batch", xray), ("boundary_inner", xray), ("disk_inner", xray),
                          ("_check_same_boundary", xray), ("symmetrize", boundary),
+                         ("cheb_w", basis), ("norms", basis), ("projection_rule", boundary),
+                         ("sa_pullback", boundary), ("antipodal_scattering_angles", geometry),
+                         ("read_diskgrid_csv", fileio), ("_read_grid_csv", fileio),
                          *((name, boundary) for name in torus)):
         assert gone not in diskxray.__all__
         assert not hasattr(diskxray, gone) and not hasattr(module, gone)
@@ -64,8 +69,8 @@ def test_grid_functions_take_kappa_from_the_grid():
     from diskxray import boundary, xray
 
     no_cp = (xray.sinogram, xray.analyze, xray.synthesize, xray.invert, xray._fiber_plan,
-             boundary.c_minus, boundary.p_minus, boundary.sa_pullback,
-             boundary.project_to_range, boundary.moment_residuals)
+             boundary.c_minus, boundary.p_minus, boundary.project_to_range,
+             boundary.moment_residuals)
     for fn in no_cp:
         assert "cp" not in inspect.signature(fn).parameters, fn.__name__
     assert "max_normalized" in {f.name for f in dataclasses.fields(boundary.MomentReport)}

@@ -62,7 +62,7 @@ class TestGrids:
     @pytest.mark.parametrize("n_alpha", [63, 64])
     def test_derived_nodes_are_the_explicit_construction(self, kappa, n_alpha):
         # the derived nodes are the explicit construction, bit for bit;
-        # the adjoint's mirror classes and sa_pullback rest on
+        # the adjoint's mirror classes and the S_A flip rest on
         # alpha = -alpha[::-1]
         cp = CurvatureParam(kappa)
         x, w = np.polynomial.legendre.leggauss(n_alpha)
@@ -1117,7 +1117,7 @@ class TestFiberPlan:
         with pytest.raises(ValueError):
             plan.gram[0] = 0.0
 
-    def test_every_grid_path_reads_one_plan(self, monkeypatch):
+    def test_every_grid_path_reads_one_plan(self, monkeypatch, sa_pullback):
         # a cold adjoint plan builds the grid's fiber plan without its Gram
         # scan; the interpolant, c_minus, analyze and the pullback then read
         # that same plan, and nothing else takes sig or sig' of the grid's
@@ -1135,7 +1135,7 @@ class TestFiberPlan:
         rng = np.random.default_rng(3)
         grid.interpolant()(rng.uniform(0, 2 * np.pi, 8), rng.uniform(-1.5, 1.5, 8))
         boundary.c_minus(grid, grid, 32, 64)
-        boundary.sa_pullback(grid)
+        sa_pullback(grid)
         xray.analyze(grid, 6)
         assert "gram" in vars(plan)
         assert xray._fiber_plan(grid) is plan
@@ -1226,6 +1226,13 @@ class TestInversion:
         with pytest.raises(ValueError, match="cutoff"):
             xray.invert(tpl, 2, sigma_cutoff=100.0)
 
+    def test_rejects_nan_cutoff(self):
+        # s < nan is false for every singular value, so a NaN cutoff kept
+        # every mode and was reported as a plain truncation
+        g = xray.boundary_grid(CurvatureParam(0.4), 16, 16)
+        with pytest.raises(ValueError, match="sigma_cutoff must be a number, not NaN"):
+            xray.invert(g, 2, sigma_cutoff=float("nan"))
+
     def test_noise_amplification_scaling(self):
         # in-band noise maps to reconstruction error within a factor of
         # the inverse smallest retained singular value
@@ -1248,6 +1255,64 @@ class TestInversion:
         mean_ratio = np.exp(np.mean(np.log(ratios)))
         assert np.all(np.array(ratios) <= bound * (1 + 1e-9))
         assert 0.5 * bound <= mean_ratio <= bound
+
+
+class TestArgumentKinds:
+    """Every boundary-grid path rejects another grid kind, and degrees and
+    sizes are integers, where they enter the library."""
+
+    CP = CurvatureParam(0.4)
+
+    _WRONG_KIND = {
+        "analyze": lambda g: xray.analyze(g, 4),
+        "invert": lambda g: xray.invert(g, 4),
+        "moment_residuals": lambda g: boundary.moment_residuals(g, 6, 2),
+        "project_to_range": boundary.project_to_range,  # a callable here is data, given a template
+        "project_to_range-template": lambda g: boundary.project_to_range(lambda b, a: 1.0, g),
+    }
+
+    @pytest.mark.parametrize("name, kind", [(name, kind) for name in _WRONG_KIND for kind in ("DiskGrid", "function")
+                                            if (name, kind) != ("project_to_range", "function")])
+    def test_rejects_a_grid_of_the_wrong_kind(self, name, kind):
+        # a 96 x 64 disk grid passed for a sinogram was analysed, inverted
+        # with residual 0 and judged in range, each on a fiber plan built
+        # from its shape, or asked for a template; a callable, or a disk
+        # grid as a template, died in an attribute lookup
+        g = xray.disk_grid(self.CP, 96, 64) if kind == "DiskGrid" else (lambda b, a: 1.0)
+        with pytest.raises(TypeError, match=f"expected a BoundaryGrid, got a {kind}"):
+            self._WRONG_KIND[name](g)
+
+    @pytest.mark.parametrize("call", [
+        lambda g, cp: xray.singular_value(2.5, cp),
+        lambda g, cp: basis.psi_kappa(2.5, 1, 0.1, 0.2, cp),
+        lambda g, cp: basis.psi_kappa_hat(2.5, 1, 0.1, 0.2, cp),
+        lambda g, cp: basis.psi_kappa_hat(2, 1.0, 0.1, 0.2, cp),
+        lambda g, cp: basis.psi_over_mu(2, 0.5, 0.1, 0.2, cp),
+        lambda g, cp: xray.analyze(g, 2.5),
+        lambda g, cp: xray.invert(g, 2.5),
+        lambda g, cp: boundary.moment_residuals(g, 4.0, 2),
+        lambda g, cp: boundary.moment_residuals(g, 4, 2.0),
+        lambda g, cp: boundary.c_minus(g, g, 64.0, 128),
+        lambda g, cp: boundary.p_minus(g, g, 64, 128.0),
+    ], ids=["singular_value", "psi_kappa", "psi_kappa_hat-n", "psi_kappa_hat-k", "psi_over_mu", "analyze", "invert",
+            "moment_residuals-nmax", "moment_residuals-kpad", "c_minus-n_beta", "p_minus-n_fiber"])
+    def test_rejects_non_integer_degrees_and_sizes(self, call):
+        # singular_value(2.5) read 2.446, psi_kappa_hat(2.5, 1, ...)
+        # -0.171+0.142j and psi_over_mu(2, 0.5, ...) 0.103+0.019j; analyze
+        # and a float fiber size died inside numpy
+        g = xray.boundary_grid(self.CP, 96, 64)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(g, self.CP)
+
+    def test_numpy_integers_count(self):
+        g = xray.synthesize(basis.CoeffTable(nmax=2, entries={(1, 0): 1.0}), xray.boundary_grid(self.CP, 32, 24))
+        two = np.int64(2)
+        assert xray.singular_value(two, self.CP) == xray.singular_value(2, self.CP)
+        assert basis.psi_kappa_hat(two, np.int64(1), 0.1, 0.2, self.CP) == basis.psi_kappa_hat(2, 1, 0.1, 0.2, self.CP)
+        assert xray.analyze(g, two).items() == xray.analyze(g, 2).items()
+        assert boundary.moment_residuals(g, two, np.int64(1)).rows == boundary.moment_residuals(g, 2, 1).rows
+        assert np.array_equal(boundary.c_minus(g, g, np.int64(32), np.int64(64)).values,
+                              boundary.c_minus(g, g, 32, 64).values)
 
 
 class TestRandomCurvatures:
