@@ -260,14 +260,16 @@ def zernike_kappa_series(table: CoeffTable, z, cp: CurvatureParam):
 # ---------------------------------------------------------------------------
 
 def e_pl(p: int, l: int, beta, alpha, cp: CurvatureParam):
-    """Pure phase e^{i(p beta + l sig(alpha))} on the boundary bundle."""
+    """Pure phase e^{i(p beta + l sig(alpha))} on the boundary bundle; p
+    and l are integers, as in every boundary family below."""
     beta = np.asarray(beta, dtype=float)
-    return np.exp(1j * (p * beta + l * sig(alpha, cp)))
+    return np.exp(1j * (operator.index(p) * beta + operator.index(l) * sig(alpha, cp)))
 
 
 def phi_prime(p: int, q: int, beta, alpha, cp: CurvatureParam):
     """sqrt(sig') e_{p, 2q+1}: eigenfunction of the fiberwise Hilbert
-    transform with eigenvalue -i sign(2q+1)."""
+    transform with eigenvalue -i sign(2q+1); `e_pl` reads p and 2q+1 as
+    integers."""
     return np.sqrt(sig_prime(alpha, cp)) * e_pl(p, 2 * q + 1, beta, alpha, cp)
 
 
@@ -277,6 +279,7 @@ def u_prime(p: int, q: int, beta, alpha, cp: CurvatureParam):
     Even under the antipodal scattering pullback; redundancy
     u'_{p,q} = (-1)^p u'_{p,p-q-1}.
     """
+    p, q = operator.index(p), operator.index(q)
     return phi_prime(p, q, beta, alpha, cp) + (-1) ** p * phi_prime(p, p - q - 1, beta, alpha, cp)
 
 
@@ -286,6 +289,7 @@ def v_prime(p: int, q: int, beta, alpha, cp: CurvatureParam):
     Odd under the antipodal scattering pullback; redundancy
     v'_{p,q} = -(-1)^p v'_{p,p-q-1}.
     """
+    p, q = operator.index(p), operator.index(q)
     return phi_prime(p, q, beta, alpha, cp) - (-1) ** p * phi_prime(p, p - q - 1, beta, alpha, cp)
 
 

@@ -206,12 +206,15 @@ def c_minus(u, template: BoundaryGrid, n_beta: int | None = None,
 
 
 def c_minus_rule(p: int, q: int) -> complex:
-    """Eigenvalue of C- on u'_{p,q}: (-i/2)(sign(2q+1) + sign(2p-2q-1))."""
+    """Eigenvalue of C- on u'_{p,q}: (-i/2)(sign(2q+1) + sign(2p-2q-1)),
+    for integers p and q."""
+    p, q = operator.index(p), operator.index(q)
     return -0.5j * (np.sign(2 * q + 1) + np.sign(2 * p - 2 * q - 1))
 
 
 def p_minus_rule(p: int, q: int) -> complex:
     """Multiplier of P- sending v'_{p,q} to that multiple of u'_{p,q}."""
+    p, q = operator.index(p), operator.index(q)
     return -1j * (np.sign(2 * q + 1) - np.sign(2 * p - 2 * q - 1))
 
 

@@ -194,17 +194,17 @@ def _warn_near_degenerate(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_basis(cfg: RunConfig, outdir: Path, args):
+    """Each family's profiles, one mode per block of rows: Z^kappa_{n,k}
+    on rho in [0, 1] and psi^kappa_{n,k} at beta = 0 on the alpha nodes."""
     cp = cfg.cp()
     rho = np.linspace(0.0, 1.0, cfg.n_rho)
     alpha = cfg.boundary_template().alpha
-    radial, fiber = [], []
-    for n in range(cfg.nmax + 1):
-        for k in range(n + 1):
-            for rows, x, vals in ((radial, rho, basis.zernike_kappa(n, k, rho + 0j, cp)),
-                                  (fiber, alpha, basis.psi_kappa(n, k, 0.0, alpha, cp))):
-                rows.extend((n, k, t, v.real, v.imag) for t, v in zip(x, vals))
-    fileio.write_table_csv(outdir / "zernike_radial.csv", radial, ["n", "k", "rho", "Re", "Im"])
-    fileio.write_table_csv(outdir / "psi_fiber.csv", fiber, ["n", "k", "alpha", "Re", "Im"])
+    modes = [(n, k) for n in range(cfg.nmax + 1) for k in range(n + 1)]
+    radial = np.ravel([basis.zernike_kappa(n, k, rho + 0j, cp) for n, k in modes])  # mode-major
+    fiber = np.ravel([basis.psi_kappa(n, k, 0.0, alpha, cp) for n, k in modes])
+    for name, coord, x, vals in (("zernike_radial", "rho", rho, radial), ("psi_fiber", "alpha", alpha, fiber)):
+        table = np.column_stack([np.repeat(modes, len(x), axis=0), np.tile(x, len(modes)), vals.real, vals.imag])
+        fileio.write_table_csv(outdir / f"{name}.csv", table, ["n", "k", coord, "Re", "Im"])
     return "basis", None, f"wrote {outdir}/zernike_radial.csv and {outdir}/psi_fiber.csv"
 
 

@@ -5,24 +5,26 @@ CSV columns: sinograms use ``beta,alpha,re,im``; disk grids use
 ``rho,omega,re,im``; both iterate row-major (first coordinate outer).
 Disk grids are written, not read.  A sinogram file read onto a template
 must carry the template's nodes, in order, to within 1e-12 absolute.
-Grid files are written a fixed block of rows at a time, so the writer
-never holds the whole file as text; sinograms are read from the open
-file.  Coefficient tables are JSON documents
+Every CSV file, tables included, is written by one block writer
+(`_write_csv`), a fixed block of rows at a time, so the writer never
+holds the whole file as text; sinograms are read from the open file.
+Coefficient tables are JSON documents
 ``{"kappa": ..., "nmax": ..., "entries": [{"n":..,"k":..,"re":..,"im":..},
 ...]}`` with integer ``nmax``, ``n``, ``k`` and numeric ``kappa``, ``re``,
-``im``.  All floats are written with 17 significant digits so values
-round-trip bit-exactly, signed zeros included.
+``im``, written as Python's shortest round-trip repr.  CSV fields carry
+17 significant digits; both round-trip bit-exactly, signed zeros
+included.
 
-The grid writers' bytes: each field is exactly ``b"%.17g" % value``
-(C99 ``%g``: fixed notation for decimal exponents -4..16, else
-``d.ddde+XX``, trailing zeros stripped), fields are joined by commas
-and rows end in CRLF, as `csv.writer` over `fmt` writes them.  A numpy
-kernel (`_g17`) formats the fields; NaN, inf, decimal exponents beyond
-+-280 and values within 1e-6 of a rounding tie in the 17th digit are
-formatted by Python's ``%``.  The sinogram reader parses a file once,
-its node columns as text, and converts each distinct node text to a
-float once; a file that this parse cannot take (quotes, a NUL, a wrong
-field count) is read field by field.  Both ways accept the same files.
+The CSV bytes: each field is exactly ``b"%.17g" % value`` (C99 ``%g``:
+fixed notation for decimal exponents -4..16, else ``d.ddde+XX``,
+trailing zeros stripped), fields are joined by commas and rows end in
+CRLF.  A numpy kernel (`_g17`) formats the fields; NaN, inf, decimal
+exponents beyond +-280 and values within 1e-6 of a rounding tie in the
+17th digit are formatted by Python's ``%``.  The sinogram reader parses
+a file once, its node columns as text, and converts each distinct node
+text to a float once; a file that this parse cannot take (quotes, a
+NUL, a wrong field count) is read field by field.  Both ways accept the
+same files.
 """
 
 from __future__ import annotations
@@ -38,38 +40,40 @@ from .basis import CoeffTable, _NonFiniteValues
 from .geometry import CurvatureParam
 from .xray import BoundaryGrid, DiskGrid
 
-_BLOCK_ROWS = 2048  # grid CSV rows formatted per write
+_BLOCK_ROWS = 2048  # CSV rows formatted per write
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(path, header, columns) -> None:
+    """Header row, then the columns side by side, one row per entry,
+    written `_BLOCK_ROWS` rows at a time, so the writer holds one block
+    of text, not the whole file.
+
+    A column is a number array, whose block `_g17` formats, or an
+    iterator of field texts that already end in their comma, drawn one
+    block at a time.  The last column is an array and sets the row
+    count; fields are joined by commas and rows end in CRLF.
+    """
+    n, width = len(columns[-1]), len(columns)
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            size = min(n - start, _BLOCK_ROWS)
+            fields = [None] * (width * size)
+            for j, col in enumerate(columns):
+                fields[j::width] = (_g17(col[start:start + size], b"\r\n" if j == width - 1 else b",").tolist()
+                                    if isinstance(col, np.ndarray) else itertools.islice(col, size))
+            fh.write(b"".join(fields))
 
 
 def _write_grid_csv(path, header, outer, inner, values) -> None:
     """Header row, then one ``outer,inner,re,im`` row per node, row-major.
 
-    Its bytes are those of `fmt` on each field joined by `csv.writer`
-    (comma, CRLF, nothing to quote).  Each distinct coordinate is
-    formatted once and drawn row by row from two iterators over those
-    texts; the values are formatted by `_g17` and rows are written
-    `_BLOCK_ROWS` at a time, so the writer holds one block of text, not
-    the whole file.
-    """
-    outer_s = _g17(outer, b",").tolist()
-    inner_s = _g17(inner, b",").tolist()
-    outer_col = itertools.chain.from_iterable(itertools.repeat(o, len(inner_s)) for o in outer_s)
-    inner_col = itertools.cycle(inner_s)
+    Each distinct coordinate is formatted once and drawn row by row from
+    two iterators over those texts."""
+    outer_s, inner_s = _g17(outer, b",").tolist(), _g17(inner, b",").tolist()
     flat = values.ravel()
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\r\n")
-        for start in range(0, flat.size, _BLOCK_ROWS):
-            block = flat[start:start + _BLOCK_ROWS]
-            fields = [None] * (4 * block.size)
-            fields[0::4] = itertools.islice(outer_col, block.size)
-            fields[1::4] = itertools.islice(inner_col, block.size)
-            fields[2::4] = _g17(block.real, b",").tolist()
-            fields[3::4] = _g17(block.imag, b"\r\n").tolist()
-            fh.write(b"".join(fields))
+    _write_csv(path, header, [itertools.chain.from_iterable(itertools.repeat(o, len(inner_s)) for o in outer_s),
+                              itertools.cycle(inner_s), flat.real, flat.imag])
 
 
 # The %.17g kernel.  For finite x != 0 with decimal exponent e, C99's
@@ -420,10 +424,10 @@ def _json_number(value, name) -> float:
     return float(value)
 
 
-def write_table_csv(path, rows, header) -> None:
-    """A table as CSV: the header row, then one row per entry of the list
-    `rows`, ints written as they are and floats through `fmt`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([x if isinstance(x, int) else fmt(x) for x in row] for row in rows)
+def write_table_csv(path, table, header) -> None:
+    """A table as CSV: the header row, then one row per row of the
+    (n_rows x n_cols) numbers `table`, every field ``b"%.17g" % v`` (an
+    integer below 2**53 reads as itself); an empty table is the header
+    alone."""
+    table = np.asarray(table, dtype=float).reshape(len(table), len(header))
+    _write_csv(path, header, list(table.T))

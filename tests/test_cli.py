@@ -29,6 +29,23 @@ def read_rows(path, reader=csv.DictReader):
         return list(reader(fh))
 
 
+def fmt(x):
+    """One CSV field as every writer must write it: 17 significant
+    digits, the text of ``b"%.17g" % float(x)``."""
+    return format(float(x), ".17g")
+
+
+def per_row_bytes(header, rows):
+    """The bytes of `csv.writer` over `fmt`, one `writerow` per row: the
+    oracle of every CSV file the library writes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(x) for x in row])
+    return buf.getvalue().encode()
+
+
 def read_body(path, names, shape=None):
     """The columns of a grid CSV file's body, from the file opened and its
     header checked as `fileio.read_sinogram_csv` does: by the one-pass
@@ -211,7 +228,7 @@ class TestFileFormats:
             for i, a in enumerate(outer):
                 for j, b in enumerate(inner):
                     v = values[i, j]
-                    writer.writerow([fileio.fmt(a), fileio.fmt(b), fileio.fmt(v.real), fileio.fmt(v.imag)])
+                    writer.writerow([fmt(a), fmt(b), fmt(v.real), fmt(v.imag)])
 
     @staticmethod
     def _split(rows):
@@ -665,21 +682,38 @@ class TestFileFormats:
         # CRLF, ints as ints, floats with 17 significant digits
         assert run_cli("--kappa", 0.4, "--nmax", 4, "--out", tmp_path, "spectrum") == 0
         assert run_cli("--kappa", 0.4, "--nmax", 3, "--out", tmp_path, "basis") == 0
+        assert run_cli("--kappa", 0.4, "--nmax", 40, "--out", tmp_path / "b40", "basis") == 0  # 165 312 rows
         assert run_cli("--kappa", 0.4, "--out", tmp_path, "forward", "--phantom", "unit") == 0
         sino = tmp_path / "sinogram.csv"
         assert run_cli("--kappa", 0.4, "--out", tmp_path / "inv", "invert", "--in", sino) == 0
         assert run_cli("--kappa", 0.4, "--out", tmp_path / "mom", "moments", "--in", sino) == 0
         for name in ("spectrum.csv", "zernike_radial.csv", "psi_fiber.csv",
-                     "inv/moments.csv", "mom/moments.csv"):
+                     "inv/moments.csv", "mom/moments.csv", "b40/zernike_radial.csv", "b40/psi_fiber.csv"):
             with open(tmp_path / name, newline="") as fh:
                 rows = list(csv.reader(fh))
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(rows[0])
-            for row in rows[1:]:
-                writer.writerow([fileio.fmt(float(x)) for x in row])
             assert len(rows) > 1
-            assert (tmp_path / name).read_bytes() == buf.getvalue().encode(), name
+            assert (tmp_path / name).read_bytes() == per_row_bytes(rows[0], rows[1:]), name
+
+    def test_unscanned_invert_writes_a_header_only_moments_table(self, tmp_path, capsys):
+        # 2 (nmax + 2) = 16 is not below n_beta = 16: invert skips the scan
+        cfg = write_config(tmp_path / "c.json", n_beta=16, n_alpha=32)
+        assert run_cli("--config", cfg, "--kappa", 0.4, "--out", tmp_path, "forward", "--phantom", "unit") == 0
+        assert run_cli("--config", cfg, "--kappa", 0.4, "--nmax", 6, "--out", tmp_path / "inv",
+                       "invert", "--in", tmp_path / "sinogram.csv") == 0
+        assert "skips the moment scan" in capsys.readouterr().err
+        assert (tmp_path / "inv" / "moments.csv").read_bytes() == per_row_bytes(cli._MOMENTS_HEADER, [])
+
+    def test_table_fields_are_per_row_csv_writer_bytes(self, tmp_path):
+        # signed zeros, tiny normal and subnormal values and negative
+        # integers, as numpy and as Python numbers
+        rows = [(-3, 0, -0.0), (-7, -12, 1e-300), (2**52, -(2**53), 5e-324), (0, 1, -5e-324)]
+        for table in (rows, np.array(rows, dtype=float)):
+            fileio.write_table_csv(tmp_path / "t.csv", table, ["n", "k", "v"])
+            want = per_row_bytes(["n", "k", "v"], rows)
+            assert (tmp_path / "t.csv").read_bytes() == want
+        assert b"\r\n-3,0,-0\r\n-7,-12,1e-300\r\n" in want
+        assert want.endswith(b"\r\n4503599627370496,-9007199254740992,4.9406564584124654e-324\r\n"
+                             b"0,1,-4.9406564584124654e-324\r\n")
 
     def test_values_shape_validated(self):
         g = xray.boundary_grid(CurvatureParam(0.1), 4, 6)

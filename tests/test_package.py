@@ -33,8 +33,9 @@ def test_public_surface_pinned():
     # the one `inner`), the value-space S_A split `symmetrize` (now
     # part of project_to_range's one spectrum pass), and the names that
     # only tests reached (W_n, the closed-form norms, the projector's
-    # multiplier, S_A on angles and on grids, the disk-grid reader) are
-    # gone from the package and their modules
+    # multiplier, S_A on angles and on grids, the disk-grid reader) and
+    # the per-value CSV formatter `fmt` (every CSV goes through `_g17`)
+    # are gone from the package and their modules
     import diskxray
     from diskxray import basis, boundary, fileio, geometry, xray
 
@@ -51,7 +52,7 @@ def test_public_surface_pinned():
                          ("_check_same_boundary", xray), ("symmetrize", boundary),
                          ("cheb_w", basis), ("norms", basis), ("projection_rule", boundary),
                          ("sa_pullback", boundary), ("antipodal_scattering_angles", geometry),
-                         ("read_diskgrid_csv", fileio), ("_read_grid_csv", fileio),
+                         ("read_diskgrid_csv", fileio), ("_read_grid_csv", fileio), ("fmt", fileio),
                          *((name, boundary) for name in torus)):
         assert gone not in diskxray.__all__
         assert not hasattr(diskxray, gone) and not hasattr(module, gone)

@@ -1315,6 +1315,33 @@ class TestArgumentKinds:
                               boundary.c_minus(g, g, 32, 64).values)
 
 
+    @pytest.mark.parametrize("call", [
+        lambda cp: basis.e_pl(0.5, 1, 0.1, 0.2, cp),
+        lambda cp: basis.e_pl(1, 2.0, 0.1, 0.2, cp),
+        lambda cp: basis.phi_prime(1, 0.5, 0.1, 0.2, cp),
+        lambda cp: basis.u_prime(1.5, 2, 0.1, 0.2, cp),
+        lambda cp: basis.v_prime(2, np.float64(1.0), 0.1, 0.2, cp),
+        lambda cp: boundary.c_minus_rule(2, 0.5),
+        lambda cp: boundary.p_minus_rule(0.5, 1),
+    ], ids=["e_pl-p", "e_pl-l", "phi_prime", "u_prime", "v_prime", "c_minus_rule", "p_minus_rule"])
+    def test_boundary_families_reject_non_integer_indices(self, call):
+        # u_prime(1.5, 2, ...) read 0.540-0.299j, e_pl(0.5, 1, ...)
+        # 0.991+0.136j and p_minus_rule(0.5, 1) -2j
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(self.CP)
+
+    def test_boundary_families_take_numpy_integers(self):
+        # a negative numpy p died in (-1) ** p: "Integers to negative
+        # integer powers are not allowed"
+        i = np.int64
+        for p, q in ((2, 3), (-3, 2), (1, -1), (-5, -4)):
+            for family in (basis.phi_prime, basis.u_prime, basis.v_prime):
+                assert family(i(p), i(q), 0.1, 0.2, self.CP) == family(p, q, 0.1, 0.2, self.CP)
+            assert basis.e_pl(i(p), i(2 * q), 0.1, 0.2, self.CP) == basis.e_pl(p, 2 * q, 0.1, 0.2, self.CP)
+            for rule in (boundary.c_minus_rule, boundary.p_minus_rule):
+                assert rule(i(p), np.int32(q)) == rule(p, q)
+
+
 class TestRandomCurvatures:
     def test_diagonality_at_random_kappa(self):
         # the SVD identity is exact for every kappa, not only round values
