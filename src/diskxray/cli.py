@@ -99,7 +99,7 @@ class RunConfig:
             try:
                 with open(path) as fh:
                     doc = json.load(fh)
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config {path} is not valid JSON: {exc}") from None

@@ -7,7 +7,8 @@ Disk grids are written, not read.  A sinogram file read onto a template
 must carry the template's nodes, in order, to within 1e-12 absolute.
 Every CSV file, tables included, is written by one block writer
 (`_write_csv`), a fixed block of rows at a time, so the writer never
-holds the whole file as text; sinograms are read from the open file.
+holds the whole file as text; sinograms are read from the file in
+chunks.
 Coefficient tables are JSON documents
 ``{"kappa": ..., "nmax": ..., "entries": [{"n":..,"k":..,"re":..,"im":..},
 ...]}`` with integer ``nmax``, ``n``, ``k`` and numeric ``kappa``, ``re``,
@@ -33,6 +34,8 @@ import csv
 import functools
 import itertools
 import json
+import lzma
+import warnings
 
 import numpy as np
 
@@ -246,22 +249,24 @@ def read_sinogram_csv(path, template: BoundaryGrid) -> BoundaryGrid:
 
     The node coordinates in the file must match the template's nodes
     (same order, 1e-12 absolute); a mismatch is an error, not a resample.
-    The file is opened as text once and its header checked once; the
-    body is parsed by `_read_node_text`, and only a body that parse
-    cannot take goes to `_read_columns`, which reads it by the same rules
-    or names its first bad line.
+    The file is opened as text and its header checked once; the body is
+    parsed from the path by `_read_node_text`, and only a body that parse
+    cannot take goes to `_read_columns`, which reads it from the open
+    file by the same rules or names its first bad line.  Text that is
+    not in the locale's encoding is an error naming the file.
     """
     header, shape = ["beta", "alpha", "re", "im"], template.shape
     # the one-pass parse's text fields drop trailing NULs, which float() rejects
     with open(path, "rb") as raw:
         nul = any(b"\0" in chunk for chunk in iter(functools.partial(raw.read, 1 << 16), b""))
-    with open(path, newline="") as fh:
-        body = _body_offset(fh, path, header)
-        cols = None if nul or body is None else _read_node_text(fh, shape)
-        if cols is None:
-            if body is not None:
-                fh.seek(body)
-            cols = _read_columns(fh, path, len(header))
+    try:
+        with open(path, newline="") as fh:
+            _check_header(fh, path, header)
+            cols = None if nul else _read_node_text(path, shape)
+            if cols is None:
+                cols = _read_columns(fh, path, len(header))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     beta, alpha, re, im = cols
     if len(re) != shape[0] * shape[1]:
         raise ValueError(f"sinogram has {len(re)} rows, template expects {shape[0] * shape[1]}")
@@ -284,28 +289,30 @@ _NODE_TEXT_ROW = np.dtype([("outer", f"S{_NODE_WIDTH}"), ("inner", f"S{_NODE_WID
                            ("re", float), ("im", float)])
 
 
-def _read_node_text(fh, shape):
-    """The four columns of the body of a grid file of `shape`, from the
-    open file at its body, by one `np.loadtxt` pass that reads the node
-    columns as text, then converts them as `float()` does: each distinct
-    text once when each row of the grid repeats one outer node text and
-    each column one inner node text, as the writers' files do, else
-    field by field.  None when that pass cannot take the body (quotes, a
-    wrong field count, a node field that fills `_NODE_WIDTH`)."""
+def _read_node_text(path, shape):
+    """The four columns of the body of the grid file `path` of `shape`,
+    its first line skipped, by one `np.loadtxt` pass over the file in
+    chunks that reads the node columns as text, then converts them as
+    `float()` does: each distinct text once when each row of the grid
+    repeats one outer node text and each column one inner node text, as
+    the writers' files do, else field by field.  A body of blank lines
+    gives empty columns.  None when that pass cannot take the body
+    (quotes, a wrong field count, a node field that fills `_NODE_WIDTH`,
+    undecodable text) or numpy opens `path` through the decompressor its
+    suffix names (.gz, .bz2, .xz, .lzma), which refuses plain text."""
     try:
-        data = np.loadtxt(fh, delimiter=",", comments=None, dtype=_NODE_TEXT_ROW, ndmin=1)
-    except ValueError:
-        return None
-    c_outer, c_inner = data["outer"], data["inner"]
-    if any(c.view((np.uint8, _NODE_WIDTH))[:, -1].any() for c in (c_outer, c_inner)):
-        return None
-    if data.size == shape[0] * shape[1]:
-        o, i = c_outer.reshape(shape), c_inner.reshape(shape)
-        if (o == o[:, :1]).all() and (i == i[:1]).all():
-            c_outer, c_inner = o[:, :1], i[:1]
-    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", comments=None, dtype=_NODE_TEXT_ROW, ndmin=1, skiprows=1)
+        c_outer, c_inner = data["outer"], data["inner"]
+        if any(c.view((np.uint8, _NODE_WIDTH))[:, -1].any() for c in (c_outer, c_inner)):
+            return None
+        if data.size == shape[0] * shape[1]:
+            o, i = c_outer.reshape(shape), c_inner.reshape(shape)
+            if (o == o[:, :1]).all() and (i == i[:1]).all():
+                c_outer, c_inner = o[:, :1], i[:1]
         c_outer, c_inner = np.broadcast_arrays(c_outer.astype(float), c_inner.astype(float))
-    except ValueError:
+    except (ValueError, OSError, lzma.LZMAError):
         return None
     return [c_outer, c_inner, data["re"], data["im"]]
 
@@ -317,18 +324,12 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-def _body_offset(fh, path, names):
-    """Check the header line of the open CSV file `fh` against `names`
-    and return the offset of the body, with the file left there; None,
-    with the file at its end, when the body holds no non-blank line."""
+def _check_header(fh, path, names):
+    """Check the header line of the open CSV file `fh` against `names`,
+    leaving the file at its body."""
     header = next(csv.reader([fh.readline()]), [])
     if [h.strip().lower() for h in header] != names:
         raise ValueError(f"expected header {','.join(names)} in {path}, got {header}")
-    body = fh.tell()
-    if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
-        return None
-    fh.seek(body)
-    return body
 
 
 def _read_columns(fh, path, n_fields):
@@ -387,6 +388,8 @@ def read_coeff_json(path) -> tuple[CoeffTable, float]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if type(doc) is not dict:
         raise ValueError(f"coefficient file {path} is not a JSON object")
     for key in ("kappa", "nmax", "entries"):

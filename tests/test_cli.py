@@ -49,13 +49,14 @@ def per_row_bytes(header, rows):
 def read_body(path, names, shape=None):
     """The columns of a grid CSV file's body, from the file opened and its
     header checked as `fileio.read_sinogram_csv` does: by the one-pass
-    `_read_node_text` for a grid of `shape` (flattened, or None when it
-    refuses the body), or by the per-field `_read_columns` without one."""
+    `_read_node_text` of the path for a grid of `shape` (flattened, or
+    None when it refuses the body), or by the per-field `_read_columns`
+    of the open file without one."""
     with open(path, newline="") as fh:
-        fileio._body_offset(fh, path, names)
+        fileio._check_header(fh, path, names)
         if shape is None:
             return fileio._read_columns(fh, path, len(names))
-        cols = fileio._read_node_text(fh, shape)
+    cols = fileio._read_node_text(path, shape)
     return None if cols is None else [np.ravel(c) for c in cols]
 
 
@@ -461,14 +462,20 @@ class TestFileFormats:
                                            (ValueError, ":4: expected 4 fields")),
         "header-only": ("%r", "\r\n", lambda L: [],
                         (ValueError, "sinogram has 0 rows, template expects 24")),
+        "header-then-blank-lines": ("%r", "\n", lambda L: ["", ""],
+                                    (ValueError, "sinogram has 0 rows, template expects 24")),
+        "header-then-blank-lines-cr-only": ("%r", "\r", lambda L: ["", ""],
+                                            (ValueError, "sinogram has 0 rows, template expects 24")),
         "wrong-field-count": ("%r", "\r\n", lambda L: [*L[:3], L[3].rsplit(",", 1)[0], *L[4:]],
                               (ValueError, ":5: expected 4 fields")),
     }
 
     @pytest.mark.parametrize("case", list(_READER_CASES))
+    @pytest.mark.filterwarnings("error")
     def test_reader_bits_and_errors(self, tmp_path, case):
         # the bits read_sinogram_csv returns, or the error it raises, on
-        # files the one-pass parse takes and files it refuses
+        # files the one-pass parse takes and files it refuses; every warning
+        # raises, so numpy's "input contained no data" never reaches a caller
         node_fmt, end, edit, error = self._READER_CASES[case]
         template = xray.boundary_grid(CurvatureParam(0.4), 4, 6)
         rng = np.random.default_rng(21)
@@ -489,6 +496,19 @@ class TestFileFormats:
             fileio.read_sinogram_csv(path, template)
         assert type(info.value) is kind
         assert str(info.value) == (f"{path}{message}" if message.startswith(":") else message)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_under_a_compression_suffix_is_read(self, tmp_path, suffix):
+        # numpy opens a path ending in a compression suffix through that
+        # decompressor, which refuses plain text; the file is then read field
+        # by field, to the same bits
+        template = xray.boundary_grid(CurvatureParam(0.4), 4, 6)
+        rng = np.random.default_rng(22)
+        grid = template.with_values(rng.normal(size=template.shape) + 1j * rng.normal(size=template.shape))
+        path = tmp_path / f"s.csv{suffix}"
+        fileio.write_sinogram_csv(path, grid)
+        got = fileio.read_sinogram_csv(path, template).values
+        assert np.array_equal(got.view(np.int64), grid.values.view(np.int64))
 
     def test_coeff_reader_rejects_non_finite(self, tmp_path):
         path = tmp_path / "c.json"
@@ -1224,6 +1244,28 @@ class TestExitCodes:
         assert run_cli("--kappa", 0.2, "--out", tmp_path / "o", "forward",
                        "--phantom", f) == cli.EXIT_NUMERICAL
         assert not (tmp_path / "o" / "sinogram.csv").exists()
+
+    @pytest.mark.parametrize("kind, at", [("config", -1), ("phantom", -1), ("sinogram", 30), ("sinogram", -30)])
+    def test_undecodable_input_is_a_config_error_naming_its_file(self, tmp_path, capsys, kind, at):
+        # a 0xE9 byte that no UTF-8 sequence holds, in a config, a coefficient
+        # file, or a sinogram's first or last block of text
+        path = tmp_path / {"config": "c.json", "phantom": "f.json", "sinogram": "s.csv"}[kind]
+        args = ["--kappa", 0.2, "--out", tmp_path / "o"]
+        if kind == "config":
+            write_config(path, kappa=0.2)
+            args += ["--config", path, "spectrum"]
+        elif kind == "phantom":
+            path.write_text('{"kappa": 0.2, "nmax": 1, "entries": [{"n": 1, "k": 0, "re": 0.5, "im": 0.0}]}')
+            args += ["forward", "--phantom", path]
+        else:
+            fileio.write_sinogram_csv(path, cli.RunConfig(kappa=0.2).validate().boundary_template())
+            args += ["project", "--in", path]
+        raw = path.read_bytes()
+        path.write_bytes(raw[:at] + b"\xe9" + raw[at:])
+        assert run_cli(*args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err, err
+        assert not any((tmp_path / "o").glob("*"))
 
     def test_malformed_coefficients_is_config_error(self, tmp_path):
         f = tmp_path / "f.json"
